@@ -32,35 +32,32 @@ main(int argc, char **argv)
     bool paper = paperScale();
     bool smoke = parseBenchOpts(argc, argv).smoke;
     int runs = paper ? 10 : smoke ? 1 : 3;
-    uint64_t scale = paper ? 1 : 1;
 
     std::vector<Row> rows = {
-        {"null syscall", latNullSyscall, 1000 * scale, 0.091, 0.355,
-         "3.90x"},
-        {"open/close", latOpenClose, 1000 * scale, 2.01, 9.70,
-         "4.83x"},
-        {"mmap", latMmap, 1000 * scale, 7.06, 33.2, "4.70x"},
-        {"page fault", latPageFault, paper ? 1000 : 250, 31.8, 36.7,
+        {"null syscall", latNullSyscall, 1000, 0.091, 0.355, "3.90x"},
+        {"open/close", latOpenClose, 1000, 2.01, 9.70, "4.83x"},
+        {"mmap", latMmap, 1000, 7.06, 33.2, "4.70x"},
+        {"page fault", latPageFault, paper ? 1000u : 250u, 31.8, 36.7,
          "1.15x"},
-        {"signal handler install", latSignalInstall, 1000 * scale,
-         0.168, 0.545, "3.24x"},
-        {"signal handler delivery", latSignalDelivery, 1000 * scale,
-         1.27, 2.05, "1.61x"},
+        {"signal handler install", latSignalInstall, 1000, 0.168,
+         0.545, "3.24x"},
+        {"signal handler delivery", latSignalDelivery, 1000, 1.27,
+         2.05, "1.61x"},
         {"fork + exit",
          [](kern::UserApi &api, uint64_t n) {
              return latForkExit(api, n);
          },
-         paper ? 1000 : 100, 63.7, 283, "4.40x"},
+         paper ? 1000u : 100u, 63.7, 283, "4.40x"},
         {"fork + exec",
          [](kern::UserApi &api, uint64_t n) {
              return latForkExec(api, n);
          },
-         paper ? 1000 : 100, 101, 422, "4.20x"},
+         paper ? 1000u : 100u, 101, 422, "4.20x"},
         {"select",
          [](kern::UserApi &api, uint64_t n) {
              return latSelect(api, n, 100);
          },
-         1000 * scale, 3.05, 10.3, "3.40x"},
+         1000, 3.05, 10.3, "3.40x"},
     };
 
     if (smoke) {

@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <optional>
@@ -24,6 +25,7 @@
 #include "hw/layout.hh"
 #include "hw/tpm.hh"
 #include "kernel/kmem.hh"
+#include "kernel/system.hh"
 #include "vir/text.hh"
 
 using namespace vg;
@@ -488,6 +490,62 @@ BM_CryptoGhostSwap(benchmark::State &state)
                             int64_t(hw::pageSize));
 }
 BENCHMARK(BM_CryptoGhostSwap)->Arg(0)->Arg(1);
+
+// --------------------------------------------------------------------
+// Process switch: host cost of one simulated context switch. Two
+// processes ping-pong through yield(), with no syscall work in between,
+// on 1 vCPU (Arg 1) and on 4 (Arg 4, the SMP scheduler interleaving two
+// busy CPUs). Only Kernel::run() is timed, not machine set-up;
+// host_ns_per_switch divides that time by sva.context_switches.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+constexpr int kPingPongYields = 5000;
+
+} // namespace
+
+static void
+BM_ContextSwitch(benchmark::State &state)
+{
+    kern::SystemConfig cfg;
+    cfg.vg.vcpus = unsigned(state.range(0));
+    cfg.memFrames = 4096;
+    cfg.diskBlocks = 4096;
+    double run_s = 0;
+    uint64_t switches = 0;
+    for (auto _ : state) {
+        kern::System sys(cfg);
+        sys.boot();
+        for (int p = 0; p < 2; p++)
+            sys.kernel().spawn("pingpong", [](kern::UserApi &api) {
+                for (int i = 0; i < kPingPongYields; i++)
+                    api.yield();
+                return 0;
+            });
+        sim::StatSet &stats = sys.ctx().stats();
+        const uint64_t before = stats.get("sva.context_switches");
+        const auto t0 = std::chrono::steady_clock::now();
+        sys.kernel().run();
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        state.SetIterationTime(s);
+        run_s += s;
+        switches += stats.get("sva.context_switches") - before;
+        benchmark::DoNotOptimize(sys.kernel().exitCodes().size());
+    }
+    state.counters["switches"] =
+        double(switches) / double(state.iterations());
+    state.counters["host_ns_per_switch"] =
+        switches ? run_s * 1e9 / double(switches) : 0.0;
+}
+BENCHMARK(BM_ContextSwitch)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Like BENCHMARK_MAIN(), but defaults --benchmark_out to

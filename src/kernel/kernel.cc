@@ -41,16 +41,6 @@ Kernel::Kernel(sim::SimContext &ctx, hw::PhysMem &mem, hw::CpuSet &cpus,
     _lastIrqAt.assign(ctx.vcpuCount(), 0);
 }
 
-Kernel::~Kernel()
-{
-    for (auto &[pid, proc] : _procs) {
-        if (proc->hostThread.joinable()) {
-            // Should not happen if run() completed; detach defensively.
-            proc->hostThread.detach();
-        }
-    }
-}
-
 void
 Kernel::boot()
 {
@@ -379,7 +369,7 @@ Kernel::copyAddressSpace(Process &parent, Process &child)
 }
 
 // --------------------------------------------------------------------
-// Scheduling (baton passing)
+// Scheduling (baton passing between process fibers)
 // --------------------------------------------------------------------
 
 uint64_t
@@ -403,36 +393,7 @@ Kernel::spawn(const std::string &name,
     p.tid = t->id;
 
     buildAddressSpace(p);
-
-    p.hostThread = std::thread([this, &p]() {
-        {
-            std::unique_lock<std::mutex> lk(_mtx);
-            p.cv.wait(lk, [&]() { return p.batonHeld; });
-        }
-        UserApi api(*this, p);
-        int code = 0;
-        try {
-            code = p.mainFn ? p.mainFn(api) : 0;
-        } catch (const ProcessExit &e) {
-            code = e.code;
-        }
-        // Exit path (runs holding the baton).
-        teardownAddressSpace(p);
-        _vm.unbindProcess(p.pid);
-        _vm.destroyThread(p.tid);
-        connReapProcess(p);
-        p.fds.clear();
-        p.state = ProcState::Zombie;
-        _exitCodes[p.pid] = code;
-        p.exitCode = code;
-        sim::StatSet::add(_hProcessExits);
-        wakeup(reinterpret_cast<const void *>(uintptr_t(p.pid)));
-        std::unique_lock<std::mutex> lk(_mtx);
-        p.batonHeld = false;
-        _schedulerTurn = true;
-        _current = nullptr;
-        _schedCv.notify_all();
-    });
+    attachFiber(p);
 
     _procs[pid] = std::move(proc);
     sim::StatSet::add(_hSpawns);
@@ -440,13 +401,48 @@ Kernel::spawn(const std::string &name,
 }
 
 void
+Kernel::attachFiber(Process &proc)
+{
+    proc.fiber =
+        std::make_unique<Fiber>([this, &proc]() { processMain(proc); });
+}
+
+void
+Kernel::processMain(Process &proc)
+{
+    UserApi api(*this, proc);
+    int code = 0;
+    try {
+        code = proc.mainFn ? proc.mainFn(api) : 0;
+    } catch (const ProcessExit &e) {
+        code = e.code;
+    }
+    // Exit path: still on the process's own stack, holding the baton.
+    teardownAddressSpace(proc);
+    _vm.unbindProcess(proc.pid);
+    _vm.destroyThread(proc.tid);
+    connReapProcess(proc);
+    proc.fds.clear();
+    proc.state = ProcState::Zombie;
+    _exitCodes[proc.pid] = code;
+    proc.exitCode = code;
+    sim::StatSet::add(_hProcessExits);
+    wakeup(reinterpret_cast<const void *>(uintptr_t(proc.pid)));
+}
+
+uint64_t
+Kernel::liveFiberStacks() const
+{
+    uint64_t live = 0;
+    for (const auto &[pid, proc] : _procs)
+        live += proc->fiber ? 1 : 0;
+    return live;
+}
+
+void
 Kernel::switchTo(Process &proc)
 {
-    std::unique_lock<std::mutex> lk(_mtx);
     proc.state = ProcState::Running;
-    proc.batonHeld = true;
-    _current = &proc;
-    _schedulerTurn = false;
     // Execute on the process's home vCPU. Causality: this CPU cannot
     // resume the process before the waker (possibly on another CPU)
     // produced the wakeup, so its clock catches up to the wake stamp.
@@ -459,20 +455,19 @@ Kernel::switchTo(Process &proc)
     if (proc.rootFrame)
         _vm.loadRoot(proc.rootFrame, &err);
     _vm.noteDispatch(proc.tid);
-    proc.cv.notify_all();
-    _schedCv.wait(lk, [&]() { return _schedulerTurn; });
+    proc.fiber->resume();
+    // The process blocked, yielded or exited. An exited process ran its
+    // whole exit path on its own stack, so nothing there is live any
+    // more: the stack goes now, before waitpid reaps the Zombie.
+    if (proc.fiber->finished())
+        proc.fiber.reset();
 }
 
 void
 Kernel::backToScheduler(Process &proc)
 {
-    // Hand the baton to the scheduler and wait for it to come back.
-    std::unique_lock<std::mutex> lk(_mtx);
-    proc.batonHeld = false;
-    _schedulerTurn = true;
-    _current = nullptr;
-    _schedCv.notify_all();
-    proc.cv.wait(lk, [&]() { return proc.batonHeld; });
+    // Hand the baton to the scheduler; returns once dispatched again.
+    proc.fiber->suspend();
     proc.state = ProcState::Running;
 }
 
@@ -676,20 +671,6 @@ Kernel::runLegacy()
         Process *next = runnable[rr_cursor % runnable.size()];
         rr_cursor++;
         switchTo(*next);
-
-        // Join processes that have fully exited.
-        for (auto &[pid, proc] : _procs) {
-            if (proc->state == ProcState::Zombie &&
-                proc->hostThread.joinable()) {
-                proc->hostThread.join();
-                proc->state = ProcState::Zombie; // reaped via waitpid
-            }
-        }
-    }
-
-    for (auto &[pid, proc] : _procs) {
-        if (proc->hostThread.joinable())
-            proc->hostThread.join();
     }
 }
 
@@ -786,20 +767,6 @@ Kernel::runSmp()
         Process *next = q[cursors[cpu] % q.size()];
         cursors[cpu]++;
         switchTo(*next);
-
-        // Join processes that have fully exited.
-        for (auto &[pid, proc] : _procs) {
-            if (proc->state == ProcState::Zombie &&
-                proc->hostThread.joinable()) {
-                proc->hostThread.join();
-                proc->state = ProcState::Zombie; // reaped via waitpid
-            }
-        }
-    }
-
-    for (auto &[pid, proc] : _procs) {
-        if (proc->hostThread.joinable())
-            proc->hostThread.join();
     }
 }
 

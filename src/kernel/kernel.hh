@@ -7,10 +7,11 @@
  * Virtual Ghost VM, and all of its memory traffic is cost-accounted
  * through Kmem with sandbox-masking semantics.
  *
- * Execution model: each simulated process runs on a host thread; a
- * strict baton (one runnable thread at a time, handed over under a
- * mutex) keeps simulated time coherent. The boot thread runs the
- * scheduler loop in run().
+ * Execution model: each simulated process runs on its own stackful
+ * fiber (kernel/fiber.hh). The scheduler loop in run() switches into
+ * one fiber at a time and gets the baton back when that process
+ * blocks, yields, is preempted or exits, so simulated time stays
+ * coherent without any host locking.
  */
 
 #ifndef VG_KERNEL_KERNEL_HH
@@ -113,7 +114,8 @@ struct KernelModule
 
 class Kernel;
 
-/** Thrown by UserApi::exit() to unwind a process host thread. */
+/** Thrown by UserApi::exit() and the kill path to unwind a process's
+ *  fiber stack to its exit path. */
 struct ProcessExit
 {
     int code;
@@ -262,7 +264,6 @@ class Kernel
     Kernel(sim::SimContext &ctx, hw::PhysMem &mem, hw::CpuSet &cpus,
            hw::Iommu &iommu, hw::Tpm &tpm, hw::Disk &disk,
            hw::Nic &nic_a, hw::Nic &nic_b, sva::SvaVm &vm);
-    ~Kernel();
 
     /** Boot: wire SVA callbacks, mkfs, init console. */
     void boot();
@@ -407,9 +408,12 @@ class Kernel
         return _lastIrqAt[cpu % _lastIrqAt.size()];
     }
 
+    /** Processes whose fiber stack is still mapped. A stack is released
+     *  as soon as its process has run its exit path. */
+    uint64_t liveFiberStacks() const;
+
   private:
     // --- scheduling ---------------------------------------------------
-    void schedulerLoop();
     /** SMP scheduler: per-CPU run queues, deterministic round-robin
      *  interleaving across vCPUs, idle balancing (VgConfig::smpScheduler,
      *  the default; identical to runLegacy() at vcpus == 1). */
@@ -417,7 +421,15 @@ class Kernel
     /** The original single-CPU loop, kept verbatim for differential
      *  testing (VgConfig::smpScheduler = false; requires vcpus == 1). */
     void runLegacy();
+    /** Give a new process (spawn or fork) the fiber it runs on. */
+    void attachFiber(Process &proc);
+    /** A process's whole life on its fiber: main, then the exit path. */
+    void processMain(Process &proc);
+    /** Dispatch @p proc and run it until it hands the baton back;
+     *  unmaps its stack once it has exited. */
     void switchTo(Process &proc);
+    /** On @p proc's fiber: hand the baton to the scheduler; returns
+     *  when @p proc is dispatched again. */
     void backToScheduler(Process &proc);
     void blockCurrent(Process &proc, const void *channel);
     void blockCurrentTimed(Process &proc, const void *channel,
@@ -539,12 +551,6 @@ class Kernel
     std::map<int, Interposition> _interposed;
     cc::ExternTable _moduleExterns;
 
-    // Baton machinery.
-    std::mutex _mtx;
-    std::condition_variable _schedCv;
-    Process *_current = nullptr;
-    bool _schedulerTurn = true;
-    bool _shuttingDown = false;
     bool _rngRigged = false;
     uint64_t _osRngState = 0x123456789abcdefull;
 

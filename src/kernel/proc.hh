@@ -6,19 +6,17 @@
 #ifndef VG_KERNEL_PROC_HH
 #define VG_KERNEL_PROC_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "hw/layout.hh"
+#include "kernel/fiber.hh"
 #include "kernel/fs.hh"
 
 namespace vg::kern
@@ -181,13 +179,13 @@ class Process
     std::map<uint64_t, std::function<void(int)>> handlerFns;
     uint64_t nextHandlerToken = 0x0000000000401000ull;
 
-    /** Application main, run on the process host thread. */
+    /** Application main, run on the process's fiber. */
     std::function<int(UserApi &)> mainFn;
 
-    // --- host-thread scheduling machinery ----------------------------
-    std::thread hostThread;
-    std::condition_variable cv;
-    bool batonHeld = false;
+    // --- scheduling ----------------------------------------------------
+    /** The stack the process runs on; released as soon as the process
+     *  has run its exit path. */
+    std::unique_ptr<Fiber> fiber;
     const void *waitChannel = nullptr;
     /** Additional channels (select() waits on several sockets). */
     std::vector<const void *> multiWait;

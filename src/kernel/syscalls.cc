@@ -686,36 +686,7 @@ UserApi::fork(std::function<int(UserApi &)> child_main)
 
     k.buildAddressSpace(child);
     k.copyAddressSpace(_proc, child);
-
-    Process *cp = &child;
-    cp->hostThread = std::thread([&k, cp]() {
-        {
-            std::unique_lock<std::mutex> lk(k._mtx);
-            cp->cv.wait(lk, [&]() { return cp->batonHeld; });
-        }
-        UserApi api(k, *cp);
-        int code = 0;
-        try {
-            code = cp->mainFn ? cp->mainFn(api) : 0;
-        } catch (const ProcessExit &e) {
-            code = e.code;
-        }
-        k.teardownAddressSpace(*cp);
-        k._vm.unbindProcess(cp->pid);
-        k._vm.destroyThread(cp->tid);
-        k.connReapProcess(*cp);
-        cp->fds.clear();
-        cp->state = ProcState::Zombie;
-        k._exitCodes[cp->pid] = code;
-        cp->exitCode = code;
-        sim::StatSet::add(k._hProcessExits);
-        k.wakeup(reinterpret_cast<const void *>(uintptr_t(cp->pid)));
-        std::unique_lock<std::mutex> lk(k._mtx);
-        cp->batonHeld = false;
-        k._schedulerTurn = true;
-        k._current = nullptr;
-        k._schedCv.notify_all();
-    });
+    k.attachFiber(child);
 
     k._procs[child_pid] = std::move(child_owner);
     sim::StatSet::add(k._hForks);
@@ -797,8 +768,6 @@ UserApi::waitpid(uint64_t pid, int &status)
         }
         if (child->state == ProcState::Zombie) {
             status = child->exitCode;
-            if (child->hostThread.joinable())
-                child->hostThread.join();
             child->state = ProcState::Dead;
             result = 0;
             break;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernel/system.hh"
@@ -504,4 +505,114 @@ TEST(Kernel, VgSyscallsCostMoreThanNative)
     sim::Cycles native = measure(sim::VgConfig::native());
     sim::Cycles vg = measure(sim::VgConfig::full());
     EXPECT_GT(vg, 2 * native);
+}
+
+// --------------------------------------------------------------------
+// Process fibers: stack lifecycle and unwinding
+// --------------------------------------------------------------------
+
+namespace
+{
+
+/** Recurse through @p depth frames of ~1 KB each and switch out and
+ *  back at the bottom; returns depth + 1. */
+uint64_t
+burnStack(UserApi &api, unsigned depth)
+{
+    volatile uint8_t frame[1024];
+    frame[0] = 1;
+    if (depth == 0) {
+        api.yield();
+        return frame[0];
+    }
+    return burnStack(api, depth - 1) + frame[0];
+}
+
+} // namespace
+
+TEST(FiberLifecycle, ForkExitWaitRoundsLeaveNoStacks)
+{
+    System sys(smallConfig());
+    sys.boot();
+    uint64_t most_live = 0;
+    int code = sys.runProcess("forker", [&](UserApi &api) {
+        for (int i = 0; i < 2000; i++) {
+            uint64_t child =
+                api.fork([](UserApi &capi) -> int { capi.exit(3); });
+            int status = -1;
+            if (api.waitpid(child, status) != 0 || status != 3)
+                return 1;
+            most_live =
+                std::max(most_live, sys.kernel().liveFiberStacks());
+        }
+        return 0;
+    });
+    EXPECT_EQ(code, 0);
+    // Each child's stack was gone before its parent reaped it.
+    EXPECT_EQ(most_live, 1u);
+    EXPECT_EQ(sys.kernel().liveFiberStacks(), 0u);
+}
+
+TEST(FiberLifecycle, KillWhileBlockedInRecvUnwindsTheFiber)
+{
+    System sys(smallConfig());
+    sys.boot();
+    bool guard_ran = false;
+    bool victim_blocked = false;
+    int code = sys.runProcess("killer", [&](UserApi &api) {
+        int ls = api.socket();
+        api.bind(ls, 9300);
+        api.listen(ls);
+        uint64_t victim = api.fork([&guard_ran](UserApi &vapi) {
+            struct Guard
+            {
+                bool &ran;
+                ~Guard() { ran = true; }
+            } guard{guard_ran};
+            int fd = vapi.connect(9300);
+            char c = 0;
+            vapi.recvHost(fd, &c, 1); // nobody ever sends
+            return 0;
+        });
+        int conn = api.accept(ls);
+        victim_blocked =
+            sys.kernel().process(victim)->state == ProcState::Blocked;
+        api.kill(victim, 9);
+        int status = -1;
+        api.waitpid(victim, status);
+        api.close(conn);
+        api.close(ls);
+        return status;
+    });
+    EXPECT_TRUE(victim_blocked);
+    EXPECT_EQ(code, 137);
+    EXPECT_TRUE(guard_ran);
+}
+
+TEST(FiberLifecycle, DestroyingSystemWithUnstartedProcessIsClean)
+{
+    bool ran = false;
+    {
+        System sys(smallConfig());
+        sys.boot();
+        sys.kernel().spawn("never", [&ran](UserApi &) {
+            ran = true;
+            return 0;
+        });
+        EXPECT_EQ(sys.kernel().liveFiberStacks(), 1u);
+    }
+    EXPECT_FALSE(ran);
+}
+
+TEST(FiberLifecycle, DeepRecursionFitsTheFiberStack)
+{
+    System sys(smallConfig());
+    sys.boot();
+    uint64_t frames = 0;
+    int code = sys.runProcess("deep", [&frames](UserApi &api) {
+        frames = burnStack(api, 2048); // ~2 MB of stack
+        return 0;
+    });
+    EXPECT_EQ(code, 0);
+    EXPECT_EQ(frames, 2049u);
 }

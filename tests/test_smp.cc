@@ -414,9 +414,10 @@ TEST_P(SmpShootdownStorm, NoCpuReadsThroughStaleTranslations)
           case 5: { // ghost retype round-trip
             hw::Vaddr gva =
                 hw::ghostBase + rng.nextBounded(4) * hw::pageSize;
-            if (rig.vm.allocGhostMemory(1, 0, gva, 1, &err))
+            if (rig.vm.allocGhostMemory(1, 0, gva, 1, &err)) {
                 EXPECT_TRUE(rig.vm.freeGhostMemory(1, 0, gva, 1, &err))
                     << "op " << op << ": " << err.message;
+            }
             break;
           }
           case 6: { // local invlpg storm

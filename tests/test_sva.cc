@@ -56,8 +56,9 @@ struct Rig
     buildChain(hw::Vaddr va)
     {
         SvaError err;
-        if (vm.frames()[0].type != FrameType::PageTable)
+        if (vm.frames()[0].type != FrameType::PageTable) {
             ASSERT_TRUE(vm.declarePtPage(0, 4, &err)) << err.message;
+        }
         ASSERT_TRUE(vm.declarePtPage(1, 3, &err)) << err.message;
         ASSERT_TRUE(vm.declarePtPage(2, 2, &err)) << err.message;
         ASSERT_TRUE(vm.declarePtPage(3, 1, &err)) << err.message;
