@@ -13,6 +13,7 @@
 #include <deque>
 #include <optional>
 
+#include "common.hh"
 #include "compiler/exec.hh"
 #include "compiler/translator.hh"
 #include "crypto/aes.hh"
@@ -546,6 +547,26 @@ BENCHMARK(BM_ContextSwitch)
     ->Arg(4)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// --------------------------------------------------------------------
+// Machine set-up: host cost of constructing, booting and destroying
+// one standard benchmark machine (64 MB RAM, 128 MB disk, 384-bit RSA)
+// at 1 vCPU (Arg 1) and at 4 (Arg 4). Each iteration is one machine.
+// --------------------------------------------------------------------
+
+static void
+BM_MachineBuild(benchmark::State &state)
+{
+    sim::VgConfig vg = sim::VgConfig::full();
+    vg.vcpus = unsigned(state.range(0));
+    const kern::SystemConfig cfg = bench::benchConfig(vg);
+    for (auto _ : state) {
+        kern::System sys(cfg);
+        sys.boot();
+        benchmark::DoNotOptimize(sys.mem().sizeBytes());
+    }
+}
+BENCHMARK(BM_MachineBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /**
  * Like BENCHMARK_MAIN(), but defaults --benchmark_out to

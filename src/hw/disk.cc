@@ -7,15 +7,26 @@
 namespace vg::hw
 {
 
+namespace
+{
+
+uint64_t
+diskBytes(uint64_t blocks)
+{
+    if (blocks == 0)
+        sim::fatal("Disk: must have at least one block");
+    return blocks * Disk::blockSize;
+}
+
+} // namespace
+
 Disk::Disk(uint64_t blocks, Iommu &iommu, sim::SimContext &ctx)
-    : _data(blocks * blockSize, 0), _iommu(iommu), _ctx(ctx),
+    : _data(diskBytes(blocks)), _iommu(iommu), _ctx(ctx),
       _queue(ctx.config().ringSize), _irq("disk.irq"),
       _hRequests(ctx.stats().handle("disk.requests")),
       _hBlocks(ctx.stats().handle("disk.blocks")),
       _hRingBlocked(ctx.stats().handle("disk.ring_blocked_dma"))
 {
-    if (blocks == 0)
-        sim::fatal("Disk: must have at least one block");
 }
 
 void

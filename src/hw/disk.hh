@@ -22,6 +22,7 @@
 #include "hw/iommu.hh"
 #include "hw/phys_mem.hh"
 #include "hw/ring.hh"
+#include "hw/zeroed_store.hh"
 #include "sim/context.hh"
 
 namespace vg::hw
@@ -81,7 +82,7 @@ class Disk
     void check(uint64_t block) const;
     void charge(uint64_t blocks);
 
-    std::vector<uint8_t> _data;
+    ZeroedStore _data;
     Iommu &_iommu;
     sim::SimContext &_ctx;
     DescRing _queue;

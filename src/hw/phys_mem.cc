@@ -7,12 +7,20 @@
 namespace vg::hw
 {
 
-PhysMem::PhysMem(uint64_t frames)
+namespace
+{
+
+uint64_t
+ramBytes(uint64_t frames)
 {
     if (frames == 0)
         sim::fatal("PhysMem: must have at least one frame");
-    _bytes.assign(frames * pageSize, 0);
+    return frames * pageSize;
 }
+
+} // namespace
+
+PhysMem::PhysMem(uint64_t frames) : _bytes(ramBytes(frames)) {}
 
 void
 PhysMem::check(Paddr pa, uint64_t len) const

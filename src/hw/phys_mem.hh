@@ -12,9 +12,9 @@
 #define VG_HW_PHYS_MEM_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "hw/layout.hh"
+#include "hw/zeroed_store.hh"
 
 namespace vg::hw
 {
@@ -61,7 +61,7 @@ class PhysMem
   private:
     void check(Paddr pa, uint64_t len) const;
 
-    std::vector<uint8_t> _bytes;
+    ZeroedStore _bytes;
 };
 
 } // namespace vg::hw

@@ -3,6 +3,14 @@
 namespace vg::kern
 {
 
+// Out of line: GCC 12 at -O3 reports a false -Wmaybe-uninitialized when
+// this brace list is inlined into every SystemConfig copy.
+std::vector<uint8_t>
+defaultTpmSeed()
+{
+    return {'v', 'g', 't', 'p', 'm'};
+}
+
 System::System(const SystemConfig &config)
     : _config(config), _ctx(config.vg), _mem(config.memFrames),
       _cpus(_mem, _ctx), _iommu(_mem, _ctx), _tpm(config.tpmSeed),

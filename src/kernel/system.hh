@@ -18,6 +18,9 @@
 namespace vg::kern
 {
 
+/** The TPM seed every machine gets unless a config names another. */
+std::vector<uint8_t> defaultTpmSeed();
+
 /** Machine sizing knobs. */
 struct SystemConfig
 {
@@ -25,7 +28,7 @@ struct SystemConfig
     uint64_t memFrames = 24 * 1024;      ///< 96 MB RAM
     uint64_t diskBlocks = 64 * 1024;     ///< 256 MB SSD
     size_t rsaBits = 384;                ///< VG key size (sim-friendly)
-    std::vector<uint8_t> tpmSeed = {'v', 'g', 't', 'p', 'm'};
+    std::vector<uint8_t> tpmSeed = defaultTpmSeed();
 };
 
 /** A booted simulated machine. */

@@ -1,5 +1,6 @@
 #include <sstream>
 
+#include "sim/log.hh"
 #include "vir/text.hh"
 
 namespace vg::vir
@@ -12,7 +13,7 @@ void
 printInst(std::ostringstream &os, const Function &fn, const Inst &inst)
 {
     auto reg = [](int r) {
-        return "%" + std::to_string(r);
+        return sim::strprintf("%%%d", r);
     };
     auto label = [&](int t) {
         return fn.blocks[size_t(t)].name;

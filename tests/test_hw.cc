@@ -276,6 +276,138 @@ TEST(Disk, DmaPathRespectsIommu)
     EXPECT_FALSE(disk.dmaWriteBlock(7, 3 * pageSize));
 }
 
+// --- Demand-zero backing store -----------------------------------------
+
+namespace
+{
+
+/** True if every byte of frame @p f reads as zero. */
+bool
+frameIsZero(const PhysMem &mem, Frame f)
+{
+    const uint8_t *p = mem.framePtr(f);
+    for (uint64_t i = 0; i < pageSize; i++)
+        if (p[i] != 0)
+            return false;
+    return true;
+}
+
+/** True if every byte of block @p b reads as zero. */
+bool
+blockIsZero(Disk &disk, uint64_t b)
+{
+    const uint8_t *p = disk.rawBlock(b);
+    for (uint64_t i = 0; i < Disk::blockSize; i++)
+        if (p[i] != 0)
+            return false;
+    return true;
+}
+
+} // namespace
+
+TEST(BackingStore, FreshRamAndDiskReadZero)
+{
+    sim::SimContext ctx;
+    PhysMem mem(1024);
+    Iommu iommu(mem, ctx);
+    Disk disk(2048, iommu, ctx);
+
+    for (Frame f : {Frame(0), Frame(512), Frame(1023)}) {
+        EXPECT_TRUE(frameIsZero(mem, f)) << "frame " << f;
+        EXPECT_EQ(mem.read64(f * pageSize + pageSize - 8), 0u);
+    }
+    for (uint64_t b : {uint64_t(0), uint64_t(1024), uint64_t(2047)}) {
+        EXPECT_TRUE(blockIsZero(disk, b)) << "block " << b;
+        std::vector<uint8_t> out(Disk::blockSize, 0xff);
+        disk.readBlock(b, out.data());
+        EXPECT_EQ(out, std::vector<uint8_t>(Disk::blockSize, 0));
+    }
+}
+
+TEST(BackingStore, WritesRoundTrip)
+{
+    sim::SimContext ctx;
+    PhysMem mem(64);
+    Iommu iommu(mem, ctx);
+    Disk disk(128, iommu, ctx);
+
+    const Paddr last = mem.sizeBytes() - 8;
+    mem.write8(0, 0xa5);
+    mem.write64(last, 0x0102030405060708ull);
+    EXPECT_EQ(mem.read8(0), 0xa5);
+    EXPECT_EQ(mem.read64(last), 0x0102030405060708ull);
+
+    std::vector<uint8_t> pattern(3 * pageSize);
+    for (size_t i = 0; i < pattern.size(); i++)
+        pattern[i] = uint8_t(i * 7 + 1);
+    // Straddles frames 10..13 at an unaligned offset.
+    const Paddr pa = 10 * pageSize + 100;
+    mem.writeBytes(pa, pattern.data(), pattern.size());
+    std::vector<uint8_t> back(pattern.size());
+    mem.readBytes(pa, back.data(), back.size());
+    EXPECT_EQ(back, pattern);
+
+    // rawBlock writes are what the buffered and DMA paths read.
+    std::memset(disk.rawBlock(127), 0x3c, Disk::blockSize);
+    std::vector<uint8_t> blk(Disk::blockSize);
+    disk.readBlock(127, blk.data());
+    EXPECT_EQ(blk, std::vector<uint8_t>(Disk::blockSize, 0x3c));
+
+    // RAM -> disk -> RAM through the IOMMU-checked DMA path.
+    mem.writeBytes(20 * pageSize, pattern.data(), pageSize);
+    ASSERT_TRUE(disk.dmaWriteBlock(64, 20 * pageSize));
+    EXPECT_EQ(std::memcmp(disk.rawBlock(64), pattern.data(), pageSize), 0);
+    ASSERT_TRUE(disk.dmaReadBlock(64, 30 * pageSize));
+    EXPECT_EQ(std::memcmp(mem.framePtr(30), pattern.data(), pageSize), 0);
+    EXPECT_TRUE(frameIsZero(mem, 31));
+}
+
+TEST(BackingStore, ZeroFrameClearsDirtiedFrame)
+{
+    PhysMem mem(8);
+    std::memset(mem.framePtr(5), 0xee, pageSize);
+    mem.write8(6 * pageSize, 0x11);
+    EXPECT_FALSE(frameIsZero(mem, 5));
+    mem.zeroFrame(5);
+    EXPECT_TRUE(frameIsZero(mem, 5));
+    EXPECT_EQ(mem.read8(6 * pageSize), 0x11); // neighbour untouched
+}
+
+TEST(BackingStore, LargeRamAndDiskAreCheapToBuild)
+{
+    // 1 GB of RAM and 2 GB of disk: only the pages read here are ever
+    // faulted in.
+    sim::SimContext ctx;
+    PhysMem mem(256 * 1024);
+    Iommu iommu(mem, ctx);
+    Disk disk(512 * 1024, iommu, ctx);
+    ASSERT_EQ(mem.sizeBytes(), uint64_t(1) << 30);
+    ASSERT_EQ(disk.numBlocks() * Disk::blockSize, uint64_t(2) << 30);
+
+    EXPECT_TRUE(frameIsZero(mem, 0));
+    EXPECT_TRUE(frameIsZero(mem, mem.numFrames() - 1));
+    EXPECT_EQ(mem.read64(mem.sizeBytes() - 8), 0u);
+    EXPECT_TRUE(blockIsZero(disk, 0));
+    EXPECT_TRUE(blockIsZero(disk, disk.numBlocks() - 1));
+}
+
+TEST(BackingStoreDeathTest, SizesAreCheckedBeforeMapping)
+{
+    EXPECT_EXIT(PhysMem(0), testing::ExitedWithCode(1),
+                "PhysMem: must have at least one frame");
+    EXPECT_EXIT(
+        {
+            sim::SimContext ctx;
+            PhysMem mem(16);
+            Iommu iommu(mem, ctx);
+            Disk disk(0, iommu, ctx);
+        },
+        testing::ExitedWithCode(1), "Disk: must have at least one block");
+    // 2^62 bytes: no host can map that much address space.
+    EXPECT_EXIT(PhysMem(uint64_t(1) << 50), testing::ExitedWithCode(1),
+                "cannot map 4611686018427387904 bytes");
+}
+
 TEST(Nic, PairDelivery)
 {
     sim::SimContext ctx;

@@ -31,6 +31,7 @@
 #include "hw/tpm.hh"
 #include "kernel/kmem.hh"
 #include "kernel/system.hh"
+#include "sim/log.hh"
 #include "sva/vm.hh"
 
 using namespace vg;
@@ -264,7 +265,7 @@ TEST(Smp, IdleBalancingKeepsCpusBusy)
         for (int p = 0; p < 3; p++) {
             // Uneven lengths force one CPU idle while work remains.
             sys->kernel().spawn(
-                "w" + std::to_string(p), [p](UserApi &api) {
+                sim::strprintf("w%d", p), [p](UserApi &api) {
                     for (int i = 0; i < 6 * (p + 1); i++)
                         api.compute(300000);
                     return 0;
@@ -657,7 +658,7 @@ TEST(Smp, PerCpuCountersSumToRollup)
     System sys(smpConfig(2));
     sys.boot();
     for (int p = 0; p < 2; p++) {
-        sys.kernel().spawn("s" + std::to_string(p), [](UserApi &api) {
+        sys.kernel().spawn(sim::strprintf("s%d", p), [](UserApi &api) {
             hw::Vaddr va = api.mmap(8 * hw::pageSize);
             for (int i = 0; i < 8; i++)
                 api.poke(va + uint64_t(i) * hw::pageSize, 8,
