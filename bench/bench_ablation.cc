@@ -101,6 +101,5 @@ main(int argc, char **argv)
                 "protection dominates the syscall gate (null "
                 "syscall);\nMMU checks matter for mapping-heavy "
                 "operations (mmap, fork).\n");
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

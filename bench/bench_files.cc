@@ -104,6 +104,5 @@ main(int argc, char **argv)
             .num("vg_per_sec", vgr)
             .num("overhead", nat / vgr);
     }
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

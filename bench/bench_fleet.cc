@@ -278,6 +278,5 @@ main(int argc, char **argv)
                 "%llu pages in\n",
                 (unsigned long long)swap_stored,
                 (unsigned long long)swap_loaded);
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

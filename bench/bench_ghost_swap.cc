@@ -1,18 +1,14 @@
 /**
  * @file
  * Ghost swap under memory pressure: the batched encrypt+MAC eviction
- * pipeline (VgConfig::swapFastPath) vs the per-page reference path,
- * with a plain demand-zero fault workload as the no-ghost baseline.
+ * pipeline, with a plain demand-zero fault workload as the no-ghost
+ * baseline.
  *
  * Reported per mode: ghost faults per simulated second, swap-out
  * bandwidth (sealed bytes written back per simulated second), and
- * p50/p99/p999 fault latency. Top-level speedup_faults and
- * speedup_bandwidth compare the two pipelines; ghost_overhead is the
+ * p50/p99/p999 fault latency. The top-level ghost_overhead is the
  * per-fault cost of a sealed swap-in relative to an ordinary
  * demand-zero page fault.
- *
- * --swap-ref measures only the reference pipeline and writes
- * BENCH_ghost_swap_ref.json (the CI A/B twin of the default report).
  */
 
 #include "common.hh"
@@ -48,14 +44,11 @@ simSeconds(uint64_t cycles)
 }
 
 /** The swap churn workload: every round evicts the whole working set
- *  through the (batched or per-page) pipeline and faults it back in
- *  page by page. */
+ *  through the batched pipeline and faults it back in page by page. */
 SwapBenchResult
-runSwapChurn(bool swap_fast, unsigned vcpus, uint64_t pages,
-             unsigned rounds)
+runSwapChurn(unsigned vcpus, uint64_t pages, unsigned rounds)
 {
     sim::VgConfig vg = sim::VgConfig::full();
-    vg.swapFastPath = swap_fast;
     vg.vcpus = vcpus;
     kern::System sys(benchConfig(vg));
     sys.boot();
@@ -96,7 +89,6 @@ runSwapChurn(bool swap_fast, unsigned vcpus, uint64_t pages,
             hw::pageSize;
         return 0;
     });
-    collectVerifierStats(sys);
     return r;
 }
 
@@ -130,7 +122,6 @@ runBaselineFaults(unsigned vcpus, uint64_t pages, unsigned rounds)
         r.faults = uint64_t(rounds) * pages;
         return 0;
     });
-    collectVerifierStats(sys);
     return r;
 }
 
@@ -167,67 +158,38 @@ main(int argc, char **argv)
     BenchOpts opts = parseBenchOpts(argc, argv);
     bool smoke = opts.smoke;
     unsigned vcpus = opts.vcpus;
-    bool ref_only = opts.has("--swap-ref");
 
     uint64_t pages = paper ? 512 : smoke ? 48 : 192;
     unsigned rounds = paper ? 8 : smoke ? 2 : 4;
 
-    BenchReport report(ref_only ? "ghost_swap_ref" : "ghost_swap",
-                       vcpus);
-    report.top()
-        .count("pages", pages)
-        .count("rounds", rounds)
-        .flag("ref_only", ref_only);
+    BenchReport report("ghost_swap", vcpus);
+    report.top().count("pages", pages).count("rounds", rounds);
 
     banner("Ghost swap under memory pressure: batched eviction "
-           "pipeline vs\nper-page reference, with a demand-zero "
-           "no-ghost baseline");
+           "pipeline,\nwith a demand-zero no-ghost baseline");
     std::printf("Working set: %lu pages, %u eviction rounds, %u "
                 "vcpu(s)\n\n",
                 (unsigned long)pages, rounds, vcpus);
     std::printf("%-10s %12s %12s %9s %9s %9s\n", "", "faults/s",
                 "MB/s swap", "p50 us", "p99 us", "p999 us");
 
-    SwapBenchResult ref = runSwapChurn(false, vcpus, pages, rounds);
-    printRow("per-page", ref);
-    reportRow(report, "per-page", ref);
+    SwapBenchResult fast = runSwapChurn(vcpus, pages, rounds);
+    SwapBenchResult base = runBaselineFaults(vcpus, pages, rounds);
+    printRow("batched", fast);
+    printRow("no-ghost", base);
+    reportRow(report, "batched", fast);
+    reportRow(report, "no-ghost", base);
+    report.latency().merge(fast.faultLat);
 
-    if (!ref_only) {
-        SwapBenchResult fast = runSwapChurn(true, vcpus, pages, rounds);
-        SwapBenchResult base = runBaselineFaults(vcpus, pages, rounds);
-        printRow("batched", fast);
-        printRow("no-ghost", base);
-        reportRow(report, "batched", fast);
-        reportRow(report, "no-ghost", base);
-        report.latency().merge(fast.faultLat);
+    // Per-fault cost of a sealed swap-in vs an ordinary demand-zero
+    // fault (both p50, the steady-state view).
+    double cpu = sim::Clock::cyclesPerUsec;
+    double ghost_us = double(fast.faultLat.percentile(50)) / cpu;
+    double base_us = double(base.faultLat.percentile(50)) / cpu;
+    double overhead = base_us > 0 ? ghost_us / base_us : 0;
+    std::printf("\nghost swap-in vs demand-zero fault (p50): %.2fx\n",
+                overhead);
+    report.top().num("ghost_overhead", overhead);
 
-        double sp_faults = ref.faultsPerSec() > 0
-                               ? fast.faultsPerSec() / ref.faultsPerSec()
-                               : 0;
-        double sp_bw = ref.bandwidthMBs() > 0
-                           ? fast.bandwidthMBs() / ref.bandwidthMBs()
-                           : 0;
-        // Per-fault cost of a sealed swap-in vs an ordinary
-        // demand-zero fault (both p50, the steady-state view).
-        double cpu = sim::Clock::cyclesPerUsec;
-        double ghost_us = double(fast.faultLat.percentile(50)) / cpu;
-        double base_us = double(base.faultLat.percentile(50)) / cpu;
-        double overhead = base_us > 0 ? ghost_us / base_us : 0;
-
-        std::printf("\nbatched vs per-page: %.2fx faults/s, %.2fx "
-                    "swap bandwidth\n",
-                    sp_faults, sp_bw);
-        std::printf("ghost swap-in vs demand-zero fault (p50): "
-                    "%.2fx\n",
-                    overhead);
-        report.top()
-            .num("speedup_faults", sp_faults)
-            .num("speedup_bandwidth", sp_bw)
-            .num("ghost_overhead", overhead);
-    } else {
-        report.latency().merge(ref.faultLat);
-    }
-
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

@@ -104,6 +104,5 @@ main(int argc, char **argv)
                 "overhead column. fork latencies depend on the\n"
                 "benchmarked process's resident-set size, which is far "
                 "smaller here than\nin lmbench.\n");
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

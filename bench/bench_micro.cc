@@ -182,11 +182,8 @@ BM_SandboxPass(benchmark::State &state)
 BENCHMARK(BM_SandboxPass);
 
 // --------------------------------------------------------------------
-// Kmem hot path: host cost of instrumented kernel memory access,
-// fast path (Arg 1, the default configuration) vs the reference
-// per-access path (Arg 0, VgConfig::kmemFastPath=false). Simulated
-// cycles and stats are identical between the two (see the KmemFast
-// differential tests); only host wall time differs.
+// Kmem hot path: host cost of instrumented kernel memory access
+// through the last-translation cache and page-chunked copies.
 // --------------------------------------------------------------------
 
 namespace
@@ -206,16 +203,8 @@ struct KmemRig
     static constexpr hw::Vaddr userBase = 0x400000;
     static constexpr int userPages = 16;
 
-    static sim::VgConfig
-    configFor(bool fast)
-    {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.kmemFastPath = fast;
-        return cfg;
-    }
-
-    explicit KmemRig(bool fast)
-        : ctx(configFor(fast)), mem(64), mmu(mem, ctx),
+    KmemRig()
+        : ctx(sim::VgConfig::full()), mem(64), mmu(mem, ctx),
           iommu(mem, ctx), tpm({'b', 'k'}),
           vm(ctx, mem, mmu, iommu, tpm), kmem(ctx, mem, mmu, vm)
     {
@@ -242,7 +231,7 @@ struct KmemRig
 static void
 BM_KmemCopyUserPage(benchmark::State &state)
 {
-    KmemRig rig(state.range(0) != 0);
+    KmemRig rig;
     for (auto _ : state) {
         bool ok = rig.kmem.copy(KmemRig::userBase + hw::pageSize,
                                 KmemRig::userBase, hw::pageSize);
@@ -251,13 +240,13 @@ BM_KmemCopyUserPage(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(hw::pageSize));
 }
-BENCHMARK(BM_KmemCopyUserPage)->Arg(0)->Arg(1);
+BENCHMARK(BM_KmemCopyUserPage);
 
 /** Module-port copy through the kernel direct map (8 pages). */
 static void
 BM_KmemCopyKernelHalf(benchmark::State &state)
 {
-    KmemRig rig(state.range(0) != 0);
+    KmemRig rig;
     const uint64_t len = 8 * hw::pageSize;
     for (auto _ : state) {
         bool ok = rig.kmem.copy(hw::kernelBase + 24 * hw::pageSize,
@@ -268,13 +257,13 @@ BM_KmemCopyKernelHalf(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(len));
 }
-BENCHMARK(BM_KmemCopyKernelHalf)->Arg(0)->Arg(1);
+BENCHMARK(BM_KmemCopyKernelHalf);
 
 /** Repeated same-page native kernel loads (the kread fast path). */
 static void
 BM_KmemReadSamePage(benchmark::State &state)
 {
-    KmemRig rig(state.range(0) != 0);
+    KmemRig rig;
     for (auto _ : state) {
         uint64_t sum = 0;
         for (uint64_t off = 0; off < hw::pageSize; off += 8) {
@@ -287,13 +276,13 @@ BM_KmemReadSamePage(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(hw::pageSize / 8));
 }
-BENCHMARK(BM_KmemReadSamePage)->Arg(0)->Arg(1);
+BENCHMARK(BM_KmemReadSamePage);
 
 /** copyout+copyin of one page — the syscall file-I/O data path. */
 static void
 BM_KmemCopyOutIn(benchmark::State &state)
 {
-    KmemRig rig(state.range(0) != 0);
+    KmemRig rig;
     std::vector<uint8_t> buf(hw::pageSize, 0x5c);
     for (auto _ : state) {
         bool ok = rig.kmem.copyOut(KmemRig::userBase, buf.data(),
@@ -305,76 +294,38 @@ BM_KmemCopyOutIn(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) * 2 *
                             int64_t(hw::pageSize));
 }
-BENCHMARK(BM_KmemCopyOutIn)->Arg(0)->Arg(1);
+BENCHMARK(BM_KmemCopyOutIn);
 
 // --------------------------------------------------------------------
-// Crypto hot path: host cost of the fast implementations (Arg 1:
-// T-table AES, one-shot SHA-256 finalize, precomputed HMAC states,
-// Montgomery modExp, cached seal keys) vs the reference path (Arg 0).
-// Outputs are bit-identical between the two (see the CryptoFastSweep
-// differential tests); only host wall time differs.
+// Crypto hot path: host cost of precomputed HMAC states, Montgomery
+// modExp, cached seal keys and the ghost-page swap round trip (AES-CTR
+// and SHA-256 throughput are BM_AesCtr and BM_Sha256 above).
 // --------------------------------------------------------------------
-
-/** AES-128-CTR over 64 KiB, bytes/sec. */
-static void
-BM_CryptoAesCtr(benchmark::State &state)
-{
-    AesKey key{};
-    for (size_t i = 0; i < key.size(); i++)
-        key[i] = uint8_t(0xa0 + i);
-    Aes128 aes(key, state.range(0) != 0);
-    AesBlock nonce{};
-    std::vector<uint8_t> data(1 << 16, 0x11);
-    for (auto _ : state) {
-        aes.ctrCrypt(data.data(), data.size(), nonce);
-        benchmark::DoNotOptimize(data.data());
-    }
-    state.SetBytesProcessed(int64_t(state.iterations()) *
-                            int64_t(data.size()));
-}
-BENCHMARK(BM_CryptoAesCtr)->Arg(0)->Arg(1);
-
-/** SHA-256 one-shot over 64 KiB, bytes/sec. */
-static void
-BM_CryptoSha256(benchmark::State &state)
-{
-    bool fast = state.range(0) != 0;
-    std::vector<uint8_t> data(1 << 16, 0x5a);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            Sha256::hash(data.data(), data.size(), fast));
-    }
-    state.SetBytesProcessed(int64_t(state.iterations()) *
-                            int64_t(data.size()));
-}
-BENCHMARK(BM_CryptoSha256)->Arg(0)->Arg(1);
 
 /**
- * Short-message HMAC with a long-lived key: the fast path reuses the
- * precomputed ipad/opad states instead of rehashing the key blocks.
+ * Short-message HMAC with a long-lived key: reuses the precomputed
+ * ipad/opad states instead of rehashing the key blocks.
  */
 static void
 BM_CryptoHmacPerKey(benchmark::State &state)
 {
     std::vector<uint8_t> key(32, 0x22);
     std::vector<uint8_t> msg(64, 0x33);
-    HmacSha256 mac(key, state.range(0) != 0);
+    HmacSha256 mac(key);
     for (auto _ : state)
         benchmark::DoNotOptimize(mac.mac(msg));
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
-BENCHMARK(BM_CryptoHmacPerKey)->Arg(0)->Arg(1);
+BENCHMARK(BM_CryptoHmacPerKey);
 
 /**
- * modExp with a full-width exponent over a fixed odd modulus —
- * Args are {fast, modulus bits}. 512-bit matches the simulated RSA
- * sizes; 2048-bit is the acceptance target (>= 5x).
+ * modExp with a full-width exponent over a fixed odd modulus of Arg
+ * bits. 512-bit matches the simulated RSA sizes.
  */
 static void
 BM_CryptoModExp(benchmark::State &state)
 {
-    bool fast = state.range(0) != 0;
-    size_t bits = size_t(state.range(1));
+    size_t bits = size_t(state.range(0));
     CtrDrbg rng({'m', 'e'});
     BigNum mod = BigNum::fromBytes(rng.generate(bits / 8));
     mod.setBit(bits - 1);
@@ -382,49 +333,43 @@ BM_CryptoModExp(benchmark::State &state)
     BigNum base = BigNum::fromBytes(rng.generate(bits / 8)) % mod;
     BigNum exp = BigNum::fromBytes(rng.generate(bits / 8));
     for (auto _ : state)
-        benchmark::DoNotOptimize(base.modExp(exp, mod, fast));
+        benchmark::DoNotOptimize(base.modExp(exp, mod));
 }
-BENCHMARK(BM_CryptoModExp)
-    ->Args({0, 512})
-    ->Args({1, 512})
-    ->Args({0, 2048})
-    ->Args({1, 2048});
+BENCHMARK(BM_CryptoModExp)->Arg(512)->Arg(2048);
 
 /** Seal one page under a fixed master key (derived-key cache hit). */
 static void
 BM_CryptoSeal(benchmark::State &state)
 {
-    bool fast = state.range(0) != 0;
     AesKey master{};
     master[0] = 0x7e;
     CtrDrbg rng({'s', 'l'});
     std::vector<uint8_t> plain(hw::pageSize, 0x44);
     for (auto _ : state)
-        benchmark::DoNotOptimize(seal(master, rng, plain, {}, fast));
+        benchmark::DoNotOptimize(seal(master, rng, plain));
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(plain.size()));
 }
-BENCHMARK(BM_CryptoSeal)->Arg(0)->Arg(1);
+BENCHMARK(BM_CryptoSeal);
 
 /** Unseal one page under a fixed master key. */
 static void
 BM_CryptoUnseal(benchmark::State &state)
 {
-    bool fast = state.range(0) != 0;
     AesKey master{};
     master[0] = 0x7f;
     CtrDrbg rng({'u', 'l'});
     std::vector<uint8_t> plain(hw::pageSize, 0x45);
-    SealedBlob blob = seal(master, rng, plain, {}, fast);
+    SealedBlob blob = seal(master, rng, plain);
     for (auto _ : state) {
         bool ok = false;
-        benchmark::DoNotOptimize(unseal(master, blob, ok, {}, fast));
+        benchmark::DoNotOptimize(unseal(master, blob, ok));
         benchmark::DoNotOptimize(ok);
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(plain.size()));
 }
-BENCHMARK(BM_CryptoUnseal)->Arg(0)->Arg(1);
+BENCHMARK(BM_CryptoUnseal);
 
 namespace
 {
@@ -440,16 +385,8 @@ struct GhostSwapRig
     sva::SvaVm vm;
     std::deque<hw::Frame> freeFrames;
 
-    static sim::VgConfig
-    configFor(bool fast)
-    {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.cryptoFastPath = fast;
-        return cfg;
-    }
-
-    explicit GhostSwapRig(bool fast)
-        : ctx(configFor(fast)), mem(256), mmu(mem, ctx),
+    GhostSwapRig()
+        : ctx(sim::VgConfig::full()), mem(256), mmu(mem, ctx),
           iommu(mem, ctx), tpm({'b', 'g'}),
           vm(ctx, mem, mmu, iommu, tpm)
     {
@@ -478,7 +415,7 @@ struct GhostSwapRig
 static void
 BM_CryptoGhostSwap(benchmark::State &state)
 {
-    GhostSwapRig rig(state.range(0) != 0);
+    GhostSwapRig rig;
     sva::SvaError err;
     for (auto _ : state) {
         auto blob =
@@ -490,7 +427,7 @@ BM_CryptoGhostSwap(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(hw::pageSize));
 }
-BENCHMARK(BM_CryptoGhostSwap)->Arg(0)->Arg(1);
+BENCHMARK(BM_CryptoGhostSwap);
 
 // --------------------------------------------------------------------
 // Process switch: host cost of one simulated context switch. Two

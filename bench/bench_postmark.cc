@@ -26,7 +26,6 @@ postmarkSeconds(sim::VgConfig vg, const PostmarkConfig &cfg,
         result = postmark(api, cfg);
         return 0;
     });
-    collectVerifierStats(sys);
     if (lat)
         for (uint64_t c : result.transactionCycles)
             lat->add(c);
@@ -84,6 +83,5 @@ main(int argc, char **argv)
         .num("paper_native_s", 14.30)
         .num("paper_vg_s", 67.50)
         .num("paper_overhead", 4.72);
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

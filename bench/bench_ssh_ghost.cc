@@ -70,7 +70,6 @@ clientBandwidth(uint64_t file_size, bool ghosting,
         api.waitpid(srv, status);
         return 0;
     });
-    collectVerifierStats(sys);
     return kbps;
 }
 
@@ -112,6 +111,5 @@ main(int argc, char **argv)
     std::printf("\nWorst-case reduction: %.1f%% (paper: max 5%%)\n",
                 worst);
     report.top().num("worst_reduction_pct", worst);
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

@@ -77,12 +77,8 @@ main(int argc, char **argv)
     uint64_t max_size =
         paper ? (64ull << 20) : opts.smoke ? (1ull << 20) : (4ull << 20);
 
-    std::string name = vcpus > 1 ? "sshd_smp" : "sshd";
-    if (opts.legacyIo)
-        name += "_syncio";
-    BenchReport report(name, vcpus);
+    BenchReport report(vcpus > 1 ? "sshd_smp" : "sshd", vcpus);
     report.top().count("max_file_bytes", max_size);
-    report.top().flag("async_io", !opts.legacyIo);
 
     banner("Figure 3. SSH server average transfer rate (KB/s)\n"
            "(non-ghosting client; paper: 23% mean reduction, 45% "
@@ -115,6 +111,5 @@ main(int argc, char **argv)
                 "(paper: 23%% mean, 45%% worst case)\n",
                 reductions / n);
     report.top().num("mean_reduction_pct", reductions / n);
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

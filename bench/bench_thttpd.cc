@@ -87,12 +87,8 @@ main(int argc, char **argv)
     // Keep per-server load meaningful when fanning out across vCPUs.
     requests *= vcpus;
 
-    std::string name = vcpus > 1 ? "thttpd_smp" : "thttpd";
-    if (opts.legacyIo)
-        name += "_syncio";
-    BenchReport report(name, vcpus);
+    BenchReport report(vcpus > 1 ? "thttpd_smp" : "thttpd", vcpus);
     report.top().count("requests", requests);
-    report.top().flag("async_io", !opts.legacyIo);
 
     banner("Figure 2. thttpd average bandwidth (KB/s) vs file size\n"
            "(ApacheBench workload; paper: VG impact negligible)");
@@ -121,6 +117,5 @@ main(int argc, char **argv)
                 "1 KB to 1 MB (y-axis 512\nto 131072 KB/s): the "
                 "transfer path is wire/copy bound, so kernel\n"
                 "instrumentation is hidden.\n");
-    emitVerifierStats(report);
     return report.write() ? 0 : 1;
 }

@@ -53,14 +53,12 @@ scaleName()
 /**
  * The one flag parser every bench binary shares. Recognized flags:
  *
- *   --vcpus N      simulated vCPUs (1-64, default 1)
- *   --legacy-io    synchronous device paths (VgConfig::asyncIo off;
- *                  VG_ASYNC_IO=0 in the environment does the same)
+ *   --vcpus N      simulated vCPUs (1-64, default 1); any other value
+ *                  is rejected with exit code 2
  *   --seed N       deterministic-schedule seed (default VgConfig's)
  *   --smoke        CI-sized run (same as VG_BENCH_SCALE=smoke)
  *
- * Unrecognized arguments are collected in `extra` for
- * binary-specific flags (--swap-ref, ...). apply() stamps the parsed
+ * Unrecognized arguments are ignored. apply() stamps the parsed
  * protection-independent knobs onto a VgConfig, so the
  * native-vs-full A/B pairs every harness builds stay identical in
  * everything but the protection toggles.
@@ -68,25 +66,13 @@ scaleName()
 struct BenchOpts
 {
     unsigned vcpus = 1;
-    bool legacyIo = false;
     uint64_t seed = sim::VgConfig{}.seed;
     bool smoke = false;
-    std::vector<std::string> extra;
-
-    bool
-    has(const char *flag) const
-    {
-        for (const std::string &a : extra)
-            if (a == flag)
-                return true;
-        return false;
-    }
 
     sim::VgConfig
     apply(sim::VgConfig vg) const
     {
         vg.vcpus = vcpus;
-        vg.asyncIo = !legacyIo;
         vg.seed = seed;
         return vg;
     }
@@ -98,24 +84,25 @@ parseBenchOpts(int argc, char **argv)
     BenchOpts opts;
     opts.smoke = smokeScale();
     for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--vcpus") == 0 && i + 1 < argc) {
-            long n = std::strtol(argv[++i], nullptr, 10);
-            if (n >= 1 && n <= 64)
-                opts.vcpus = unsigned(n);
-        } else if (std::strcmp(argv[i], "--legacy-io") == 0) {
-            opts.legacyIo = true;
+        if (std::strcmp(argv[i], "--vcpus") == 0) {
+            const char *arg = i + 1 < argc ? argv[++i] : "";
+            char *end = nullptr;
+            long n = std::strtol(arg, &end, 10);
+            if (end == arg || *end != '\0' || n < 1 || n > 64) {
+                std::fprintf(stderr,
+                             "%s: --vcpus wants an integer in 1..64, "
+                             "got '%s'\n",
+                             argv[0], arg);
+                std::exit(2);
+            }
+            opts.vcpus = unsigned(n);
         } else if (std::strcmp(argv[i], "--seed") == 0 &&
                    i + 1 < argc) {
             opts.seed = std::strtoull(argv[++i], nullptr, 10);
         } else if (std::strcmp(argv[i], "--smoke") == 0) {
             opts.smoke = true;
-        } else {
-            opts.extra.push_back(argv[i]);
         }
     }
-    const char *env = std::getenv("VG_ASYNC_IO");
-    if (env && std::strcmp(env, "0") == 0)
-        opts.legacyIo = true;
     return opts;
 }
 
@@ -353,50 +340,6 @@ emitLatency(BenchReport::Obj &obj, const LatencyHist &hist,
         .num(prefix + "p999_us", double(hist.percentile(99.9)) / cpu);
 }
 
-/**
- * Process-wide accumulator for machine-code verifier work (PAPER.md
- * S 4: the load-time verifier is on the module-load path, so its cost
- * belongs in the perf trajectory). Benchmarks boot many short-lived
- * Systems; each one's mverify.* counters are folded in here via
- * collectVerifierStats() before the System dies, and the totals land
- * in the bench JSON via emitVerifierStats().
- */
-inline sim::StatSet &
-verifierStatAccum()
-{
-    static sim::StatSet accum;
-    return accum;
-}
-
-/** Fold @p sys's mverify.* and iflow.* counters into the process
- *  accumulator. */
-inline void
-collectVerifierStats(kern::System &sys)
-{
-    static const char *keys[] = {"mverify.functions", "mverify.insts",
-                                 "mverify.findings", "mverify.wall_ns",
-                                 "iflow.functions", "iflow.insts",
-                                 "iflow.findings", "iflow.wall_ns"};
-    for (const char *k : keys)
-        verifierStatAccum().add(k, sys.ctx().stats().get(k));
-}
-
-/** Emit accumulated verifier totals as top-level report fields. */
-inline void
-emitVerifierStats(BenchReport &report)
-{
-    sim::StatSet &s = verifierStatAccum();
-    report.top()
-        .count("mverify_functions", s.get("mverify.functions"))
-        .count("mverify_insts", s.get("mverify.insts"))
-        .count("mverify_findings", s.get("mverify.findings"))
-        .num("mverify_wall_ms", double(s.get("mverify.wall_ns")) / 1e6)
-        .count("iflow_functions", s.get("iflow.functions"))
-        .count("iflow_insts", s.get("iflow.insts"))
-        .count("iflow_findings", s.get("iflow.findings"))
-        .num("iflow_wall_ms", double(s.get("iflow.wall_ns")) / 1e6);
-}
-
 /** Standard machine sizing for benchmarks. */
 inline kern::SystemConfig
 benchConfig(sim::VgConfig vg)
@@ -422,7 +365,6 @@ measureOn(sim::VgConfig vg,
         out = fn(api);
         return 0;
     });
-    collectVerifierStats(sys);
     return out;
 }
 

@@ -121,7 +121,6 @@ runScenario(kern::System &sys, const ServeScenario &s)
             api.waitpid(srv, status);
         return 0;
     });
-    collectVerifierStats(sys);
     return out;
 }
 

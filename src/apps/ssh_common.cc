@@ -75,8 +75,7 @@ appSeal(kern::UserApi &api, const crypto::AesKey &key,
 {
     api.kernel().ctx().chargeAes(plain.size());
     api.kernel().ctx().chargeSha(plain.size());
-    return crypto::seal(key, rng, plain, {},
-                        api.kernel().ctx().config().cryptoFastPath);
+    return crypto::seal(key, rng, plain);
 }
 
 std::vector<uint8_t>
@@ -85,8 +84,7 @@ appUnseal(kern::UserApi &api, const crypto::AesKey &key,
 {
     api.kernel().ctx().chargeAes(blob.ciphertext.size());
     api.kernel().ctx().chargeSha(blob.ciphertext.size());
-    return crypto::unseal(key, blob, ok, {},
-                          api.kernel().ctx().config().cryptoFastPath);
+    return crypto::unseal(key, blob, ok);
 }
 
 std::vector<uint8_t>
@@ -95,8 +93,7 @@ appRsaSign(kern::UserApi &api, const crypto::RsaPrivateKey &key,
 {
     api.kernel().ctx().clock().advance(
         api.kernel().ctx().costs().rsaPrivOp);
-    return crypto::rsaSign(key, message,
-                           api.kernel().ctx().config().cryptoFastPath);
+    return crypto::rsaSign(key, message);
 }
 
 bool
@@ -106,8 +103,7 @@ appRsaVerify(kern::UserApi &api, const crypto::RsaPublicKey &key,
 {
     api.kernel().ctx().clock().advance(
         api.kernel().ctx().costs().rsaPubOp);
-    return crypto::rsaVerify(key, message, signature,
-                             api.kernel().ctx().config().cryptoFastPath);
+    return crypto::rsaVerify(key, message, signature);
 }
 
 std::vector<uint8_t>
@@ -116,8 +112,7 @@ appRsaEncrypt(kern::UserApi &api, const crypto::RsaPublicKey &key,
 {
     api.kernel().ctx().clock().advance(
         api.kernel().ctx().costs().rsaPubOp);
-    return crypto::rsaEncrypt(key, rng, message,
-                              api.kernel().ctx().config().cryptoFastPath);
+    return crypto::rsaEncrypt(key, rng, message);
 }
 
 std::vector<uint8_t>
@@ -126,8 +121,7 @@ appRsaDecrypt(kern::UserApi &api, const crypto::RsaPrivateKey &key,
 {
     api.kernel().ctx().clock().advance(
         api.kernel().ctx().costs().rsaPrivOp);
-    return crypto::rsaDecrypt(key, cipher, ok,
-                              api.kernel().ctx().config().cryptoFastPath);
+    return crypto::rsaDecrypt(key, cipher, ok);
 }
 
 } // namespace vg::apps

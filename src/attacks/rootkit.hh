@@ -71,7 +71,7 @@ AttackResult checkAttack2(kern::Kernel &kernel,
                           const std::vector<uint8_t> &secret);
 
 /**
- * Attack 3: descriptor-ring redirection (the asyncIo surface). The
+ * Attack 3: descriptor-ring redirection (the device-ring surface). The
  * hostile OS posts a TX descriptor on @p tx_nic whose DMA address is
  * the frame holding the victim's @p secret, rings the doorbell, and
  * scrapes the peer @p rx_nic for whatever went over the wire. Under

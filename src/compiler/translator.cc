@@ -12,7 +12,7 @@ namespace vg::cc
 Translator::Translator(const std::vector<uint8_t> &signing_key,
                        sim::SimContext &ctx)
     : _signingKey(signing_key),
-      _signer(signing_key, ctx.config().cryptoFastPath), _ctx(ctx)
+      _signer(signing_key), _ctx(ctx)
 {}
 
 crypto::Digest

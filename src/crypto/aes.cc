@@ -144,7 +144,7 @@ invMixWord(const Tables &t, uint32_t w)
 
 } // namespace
 
-Aes128::Aes128(const AesKey &key, bool fast) : _fast(fast)
+Aes128::Aes128(const AesKey &key)
 {
     const Tables &t = tables();
     for (int i = 0; i < 4; i++) {
@@ -180,129 +180,12 @@ Aes128::Aes128(const AesKey &key, bool fast) : _fast(fast)
 }
 
 // --------------------------------------------------------------------
-// Reference rounds (textbook FIPS 197; kept for differential testing).
-// --------------------------------------------------------------------
-
-namespace
-{
-
-inline void
-addRoundKey(uint8_t s[16], const uint32_t *rk)
-{
-    for (int c = 0; c < 4; c++) {
-        s[4 * c] ^= uint8_t(rk[c] >> 24);
-        s[4 * c + 1] ^= uint8_t(rk[c] >> 16);
-        s[4 * c + 2] ^= uint8_t(rk[c] >> 8);
-        s[4 * c + 3] ^= uint8_t(rk[c]);
-    }
-}
-
-inline void
-subBytes(uint8_t s[16])
-{
-    const Tables &t = tables();
-    for (int i = 0; i < 16; i++)
-        s[i] = t.sbox[s[i]];
-}
-
-inline void
-invSubBytes(uint8_t s[16])
-{
-    const Tables &t = tables();
-    for (int i = 0; i < 16; i++)
-        s[i] = t.inv_sbox[s[i]];
-}
-
-inline void
-shiftRows(uint8_t s[16])
-{
-    // State is column-major: s[4*c + r].
-    uint8_t tmp[16];
-    for (int c = 0; c < 4; c++)
-        for (int r = 0; r < 4; r++)
-            tmp[4 * c + r] = s[4 * ((c + r) % 4) + r];
-    std::memcpy(s, tmp, 16);
-}
-
-inline void
-invShiftRows(uint8_t s[16])
-{
-    uint8_t tmp[16];
-    for (int c = 0; c < 4; c++)
-        for (int r = 0; r < 4; r++)
-            tmp[4 * ((c + r) % 4) + r] = s[4 * c + r];
-    std::memcpy(s, tmp, 16);
-}
-
-inline void
-mixColumns(uint8_t s[16])
-{
-    for (int c = 0; c < 4; c++) {
-        uint8_t *p = s + 4 * c;
-        uint8_t a0 = p[0], a1 = p[1], a2 = p[2], a3 = p[3];
-        p[0] = uint8_t(gmul(a0, 2) ^ gmul(a1, 3) ^ a2 ^ a3);
-        p[1] = uint8_t(a0 ^ gmul(a1, 2) ^ gmul(a2, 3) ^ a3);
-        p[2] = uint8_t(a0 ^ a1 ^ gmul(a2, 2) ^ gmul(a3, 3));
-        p[3] = uint8_t(gmul(a0, 3) ^ a1 ^ a2 ^ gmul(a3, 2));
-    }
-}
-
-inline void
-invMixColumns(uint8_t s[16])
-{
-    for (int c = 0; c < 4; c++) {
-        uint8_t *p = s + 4 * c;
-        uint8_t a0 = p[0], a1 = p[1], a2 = p[2], a3 = p[3];
-        p[0] = uint8_t(gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^
-                       gmul(a3, 9));
-        p[1] = uint8_t(gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^
-                       gmul(a3, 13));
-        p[2] = uint8_t(gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^
-                       gmul(a3, 11));
-        p[3] = uint8_t(gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^
-                       gmul(a3, 14));
-    }
-}
-
-} // namespace
-
-void
-Aes128::encryptBlockRef(uint8_t block[16]) const
-{
-    addRoundKey(block, _roundKeys.data());
-    for (int round = 1; round < 10; round++) {
-        subBytes(block);
-        shiftRows(block);
-        mixColumns(block);
-        addRoundKey(block, _roundKeys.data() + 4 * round);
-    }
-    subBytes(block);
-    shiftRows(block);
-    addRoundKey(block, _roundKeys.data() + 40);
-}
-
-void
-Aes128::decryptBlockRef(uint8_t block[16]) const
-{
-    addRoundKey(block, _roundKeys.data() + 40);
-    for (int round = 9; round >= 1; round--) {
-        invShiftRows(block);
-        invSubBytes(block);
-        addRoundKey(block, _roundKeys.data() + 4 * round);
-        invMixColumns(block);
-    }
-    invShiftRows(block);
-    invSubBytes(block);
-    addRoundKey(block, _roundKeys.data());
-}
-
-// --------------------------------------------------------------------
 // T-table rounds: SubBytes+ShiftRows+MixColumns collapse to four table
 // lookups and three XORs per output word.
 // --------------------------------------------------------------------
 
 void
-Aes128::encryptBlockFast(uint8_t block[16]) const
+Aes128::encryptBlock(uint8_t block[16]) const
 {
     const Tables &t = tables();
     const uint32_t *rk = _roundKeys.data();
@@ -355,7 +238,7 @@ Aes128::encryptBlockFast(uint8_t block[16]) const
 }
 
 void
-Aes128::decryptBlockFast(uint8_t block[16]) const
+Aes128::decryptBlock(uint8_t block[16]) const
 {
     const Tables &t = tables();
     const uint32_t *dk = _decKeys.data();
@@ -405,24 +288,6 @@ Aes128::decryptBlockFast(uint8_t block[16]) const
     putBe32(block + 4, o1 ^ dk[1]);
     putBe32(block + 8, o2 ^ dk[2]);
     putBe32(block + 12, o3 ^ dk[3]);
-}
-
-void
-Aes128::encryptBlock(uint8_t block[16]) const
-{
-    if (_fast)
-        encryptBlockFast(block);
-    else
-        encryptBlockRef(block);
-}
-
-void
-Aes128::decryptBlock(uint8_t block[16]) const
-{
-    if (_fast)
-        decryptBlockFast(block);
-    else
-        decryptBlockRef(block);
 }
 
 std::vector<uint8_t>
@@ -484,26 +349,25 @@ Aes128::ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const
     uint8_t keystream[16];
 
     size_t off = 0;
-    if (_fast) {
-        // Whole-block path: XOR the keystream in two 64-bit lanes.
-        for (; off + 16 <= len; off += 16) {
-            std::memcpy(keystream, counter, 16);
-            encryptBlock(keystream);
-            uint64_t d0, d1, k0, k1;
-            std::memcpy(&d0, data + off, 8);
-            std::memcpy(&d1, data + off + 8, 8);
-            std::memcpy(&k0, keystream, 8);
-            std::memcpy(&k1, keystream + 8, 8);
-            d0 ^= k0;
-            d1 ^= k1;
-            std::memcpy(data + off, &d0, 8);
-            std::memcpy(data + off + 8, &d1, 8);
-            for (int i = 15; i >= 8; i--) {
-                if (++counter[i] != 0)
-                    break;
-            }
+    // Whole blocks: XOR the keystream in two 64-bit lanes.
+    for (; off + 16 <= len; off += 16) {
+        std::memcpy(keystream, counter, 16);
+        encryptBlock(keystream);
+        uint64_t d0, d1, k0, k1;
+        std::memcpy(&d0, data + off, 8);
+        std::memcpy(&d1, data + off + 8, 8);
+        std::memcpy(&k0, keystream, 8);
+        std::memcpy(&k1, keystream + 8, 8);
+        d0 ^= k0;
+        d1 ^= k1;
+        std::memcpy(data + off, &d0, 8);
+        std::memcpy(data + off + 8, &d1, 8);
+        for (int i = 15; i >= 8; i--) {
+            if (++counter[i] != 0)
+                break;
         }
     }
+    // The partial tail block.
     for (; off < len; off += 16) {
         std::memcpy(keystream, counter, 16);
         encryptBlock(keystream);

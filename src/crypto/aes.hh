@@ -7,13 +7,11 @@
  * paper's prototype hard-codes a 128-bit AES application key; we keep
  * the same key size.
  *
- * Two implementations live side by side and produce bit-identical
- * output: the default fast path uses precomputed round T-tables
- * (encrypt) and the equivalent inverse cipher (decrypt) with a
- * block-at-a-time CTR mode; the reference path is the textbook
- * byte-oriented SubBytes/ShiftRows/MixColumns round. The reference
- * path exists for differential testing (VgConfig::cryptoFastPath) and
- * as executable documentation.
+ * Rounds use precomputed T-tables (encrypt) and the equivalent
+ * inverse cipher (decrypt), with a block-at-a-time CTR mode. The
+ * textbook byte-oriented SubBytes/ShiftRows/MixColumns rounds live in
+ * the test oracle (tests/crypto_ref.hh), which the known-answer and
+ * sweep tests hold this implementation to bit for bit.
  */
 
 #ifndef VG_CRYPTO_AES_HH
@@ -50,12 +48,7 @@ void buildAesSboxes(uint8_t sbox[256], uint8_t inv_sbox[256]);
 class Aes128
 {
   public:
-    /**
-     * @param fast select the T-table fast path (default) or the
-     *             byte-oriented reference rounds; outputs are
-     *             bit-identical either way.
-     */
-    explicit Aes128(const AesKey &key, bool fast = true);
+    explicit Aes128(const AesKey &key);
 
     /** Encrypt one 16-byte block in place. */
     void encryptBlock(uint8_t block[16]) const;
@@ -85,15 +78,9 @@ class Aes128
     void ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const;
 
   private:
-    void encryptBlockFast(uint8_t block[16]) const;
-    void encryptBlockRef(uint8_t block[16]) const;
-    void decryptBlockFast(uint8_t block[16]) const;
-    void decryptBlockRef(uint8_t block[16]) const;
-
     std::array<uint32_t, 44> _roundKeys;
-    /** Equivalent-inverse-cipher round keys (fast decrypt only). */
+    /** Equivalent-inverse-cipher round keys. */
     std::array<uint32_t, 44> _decKeys;
-    bool _fast;
 };
 
 } // namespace vg::crypto

@@ -389,13 +389,13 @@ BigNum::operator%(const BigNum &o) const
 }
 
 BigNum
-BigNum::modExp(const BigNum &exp, const BigNum &mod, bool fast) const
+BigNum::modExp(const BigNum &exp, const BigNum &mod) const
 {
     if (mod.isZero())
         sim::panic("BigNum modExp with zero modulus");
     // Montgomery reduction needs gcd(mod, 2^32) == 1, so even moduli
-    // (and the trivial mod == 1) take the reference ladder.
-    if (fast && mod.isOdd() && mod != BigNum(1))
+    // (and the trivial mod == 1) take square-and-multiply.
+    if (mod.isOdd() && mod != BigNum(1))
         return modExpMont(exp, mod);
     BigNum result(1);
     result = result % mod;

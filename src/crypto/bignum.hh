@@ -82,13 +82,11 @@ class BigNum
     /**
      * Modular exponentiation: this^exp mod mod.
      *
-     * The default fast path uses Montgomery multiplication with a
-     * 4-bit fixed-window ladder (odd moduli > 1; even moduli fall
-     * back to the reference path). Results are identical to the
-     * reference square-and-multiply either way.
+     * Odd moduli > 1 use Montgomery multiplication with a 4-bit
+     * fixed-window ladder; even moduli (and mod == 1), where Montgomery
+     * reduction does not apply, use square-and-multiply.
      */
-    BigNum modExp(const BigNum &exp, const BigNum &mod,
-                  bool fast = true) const;
+    BigNum modExp(const BigNum &exp, const BigNum &mod) const;
 
     /**
      * Modular inverse of *this mod @p mod.

@@ -5,29 +5,16 @@
 namespace vg::crypto
 {
 
-namespace
+HmacSha256::HmacSha256(const std::vector<uint8_t> &key)
 {
-
-/** Normalize a key to one 64-byte block (hash if longer). */
-void
-keyBlock(const std::vector<uint8_t> &key, uint8_t k[64], bool fast)
-{
-    std::memset(k, 0, 64);
+    // Normalize the key to one 64-byte block (hash it if longer).
+    uint8_t k[64] = {};
     if (key.size() > 64) {
-        Digest kd = Sha256::hash(key.data(), key.size(), fast);
+        Digest kd = Sha256::hash(key.data(), key.size());
         std::memcpy(k, kd.data(), kd.size());
     } else if (!key.empty()) {
         std::memcpy(k, key.data(), key.size());
     }
-}
-
-} // namespace
-
-HmacSha256::HmacSha256(const std::vector<uint8_t> &key, bool fast)
-    : _inner(fast), _outer(fast)
-{
-    uint8_t k[64];
-    keyBlock(key, k, fast);
 
     uint8_t pad[64];
     for (int i = 0; i < 64; i++)
@@ -56,34 +43,15 @@ HmacSha256::mac(const void *data, size_t len) const
 }
 
 Digest
-hmacSha256(const std::vector<uint8_t> &key, const void *data, size_t len,
-           bool fast)
+hmacSha256(const std::vector<uint8_t> &key, const void *data, size_t len)
 {
-    uint8_t k[64];
-    keyBlock(key, k, fast);
-
-    uint8_t ipad[64], opad[64];
-    for (int i = 0; i < 64; i++) {
-        ipad[i] = uint8_t(k[i] ^ 0x36);
-        opad[i] = uint8_t(k[i] ^ 0x5c);
-    }
-
-    Sha256 inner(fast);
-    inner.update(ipad, 64);
-    inner.update(data, len);
-    Digest inner_digest = inner.final();
-
-    Sha256 outer(fast);
-    outer.update(opad, 64);
-    outer.update(inner_digest.data(), inner_digest.size());
-    return outer.final();
+    return HmacSha256(key).mac(data, len);
 }
 
 Digest
-hmacSha256(const std::vector<uint8_t> &key, const std::vector<uint8_t> &data,
-           bool fast)
+hmacSha256(const std::vector<uint8_t> &key, const std::vector<uint8_t> &data)
 {
-    return hmacSha256(key, data.data(), data.size(), fast);
+    return hmacSha256(key, data.data(), data.size());
 }
 
 bool

@@ -8,9 +8,7 @@
  *
  * The HmacSha256 class precomputes the ipad/opad key states once per
  * key so repeated MACs under the same key skip two compression calls
- * and the key-block setup; the free functions keep the per-call
- * construction as the reference path. Tags are bit-identical either
- * way.
+ * and the key-block setup.
  */
 
 #ifndef VG_CRYPTO_HMAC_HH
@@ -33,7 +31,7 @@ namespace vg::crypto
 class HmacSha256
 {
   public:
-    explicit HmacSha256(const std::vector<uint8_t> &key, bool fast = true);
+    explicit HmacSha256(const std::vector<uint8_t> &key);
 
     /** Start a streaming MAC: a hasher mid-way through ipad||message. */
     Sha256 begin() const { return _inner; }
@@ -58,11 +56,11 @@ class HmacSha256
 
 /** Compute HMAC-SHA256 of @p len bytes at @p data under @p key. */
 Digest hmacSha256(const std::vector<uint8_t> &key, const void *data,
-                  size_t len, bool fast = true);
+                  size_t len);
 
 /** HMAC over a byte vector. */
 Digest hmacSha256(const std::vector<uint8_t> &key,
-                  const std::vector<uint8_t> &data, bool fast = true);
+                  const std::vector<uint8_t> &data);
 
 /** Constant-time digest comparison. */
 bool digestEqual(const Digest &a, const Digest &b);

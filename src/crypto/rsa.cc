@@ -125,7 +125,7 @@ rsaGenerate(CtrDrbg &rng, size_t bits)
 
 std::vector<uint8_t>
 rsaEncrypt(const RsaPublicKey &key, CtrDrbg &rng,
-           const std::vector<uint8_t> &message, bool fast)
+           const std::vector<uint8_t> &message)
 {
     size_t k = key.modulusBytes();
     if (message.size() + 11 > k)
@@ -146,13 +146,13 @@ rsaEncrypt(const RsaPublicKey &key, CtrDrbg &rng,
     std::memcpy(eb.data() + 3 + pad_len, message.data(), message.size());
 
     BigNum m = BigNum::fromBytes(eb);
-    BigNum c = m.modExp(key.e, key.n, fast);
+    BigNum c = m.modExp(key.e, key.n);
     return c.toBytesPadded(k);
 }
 
 std::vector<uint8_t>
 rsaDecrypt(const RsaPrivateKey &key, const std::vector<uint8_t> &cipher,
-           bool &ok, bool fast)
+           bool &ok)
 {
     ok = false;
     size_t k = key.publicKey().modulusBytes();
@@ -162,7 +162,7 @@ rsaDecrypt(const RsaPrivateKey &key, const std::vector<uint8_t> &cipher,
     BigNum c = BigNum::fromBytes(cipher);
     if (c >= key.n)
         return {};
-    BigNum m = c.modExp(key.d, key.n, fast);
+    BigNum m = c.modExp(key.d, key.n);
     std::vector<uint8_t> eb = m.toBytesPadded(k);
 
     if (eb.size() < 11 || eb[0] != 0x00 || eb[1] != 0x02)
@@ -181,9 +181,9 @@ namespace
 
 /** EMSA-style deterministic padding of SHA-256(message). */
 std::vector<uint8_t>
-signaturePad(const std::vector<uint8_t> &message, size_t k, bool fast)
+signaturePad(const std::vector<uint8_t> &message, size_t k)
 {
-    Digest h = Sha256::hash(message.data(), message.size(), fast);
+    Digest h = Sha256::hash(message.data(), message.size());
     if (k < h.size() + 11)
         sim::fatal("rsaSign: %zu-byte modulus cannot hold a SHA-256 "
                    "signature (need >= 43 bytes, i.e. >= 344-bit "
@@ -200,18 +200,17 @@ signaturePad(const std::vector<uint8_t> &message, size_t k, bool fast)
 } // namespace
 
 std::vector<uint8_t>
-rsaSign(const RsaPrivateKey &key, const std::vector<uint8_t> &message,
-        bool fast)
+rsaSign(const RsaPrivateKey &key, const std::vector<uint8_t> &message)
 {
     size_t k = key.publicKey().modulusBytes();
-    BigNum m = BigNum::fromBytes(signaturePad(message, k, fast));
-    BigNum s = m.modExp(key.d, key.n, fast);
+    BigNum m = BigNum::fromBytes(signaturePad(message, k));
+    BigNum s = m.modExp(key.d, key.n);
     return s.toBytesPadded(k);
 }
 
 bool
 rsaVerify(const RsaPublicKey &key, const std::vector<uint8_t> &message,
-          const std::vector<uint8_t> &signature, bool fast)
+          const std::vector<uint8_t> &signature)
 {
     size_t k = key.modulusBytes();
     if (signature.size() != k)
@@ -219,8 +218,8 @@ rsaVerify(const RsaPublicKey &key, const std::vector<uint8_t> &message,
     BigNum s = BigNum::fromBytes(signature);
     if (s >= key.n)
         return false;
-    BigNum m = s.modExp(key.e, key.n, fast);
-    return m.toBytesPadded(k) == signaturePad(message, k, fast);
+    BigNum m = s.modExp(key.e, key.n);
+    return m.toBytesPadded(k) == signaturePad(message, k);
 }
 
 } // namespace vg::crypto

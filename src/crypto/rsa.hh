@@ -59,25 +59,22 @@ RsaPrivateKey rsaGenerate(CtrDrbg &rng, size_t bits);
 /**
  * Encrypt a short message (<= modulusBytes - 11) under @p key.
  * Uses PKCS#1 v1.5-style type-2 random padding.
- * @param fast forwarded to BigNum::modExp (outputs are identical).
  */
 std::vector<uint8_t> rsaEncrypt(const RsaPublicKey &key, CtrDrbg &rng,
-                                const std::vector<uint8_t> &message,
-                                bool fast = true);
+                                const std::vector<uint8_t> &message);
 
 /** Decrypt; @p ok is false on padding or length failure. */
 std::vector<uint8_t> rsaDecrypt(const RsaPrivateKey &key,
                                 const std::vector<uint8_t> &cipher,
-                                bool &ok, bool fast = true);
+                                bool &ok);
 
 /** Sign SHA-256(@p message) with the private key. */
 std::vector<uint8_t> rsaSign(const RsaPrivateKey &key,
-                             const std::vector<uint8_t> &message,
-                             bool fast = true);
+                             const std::vector<uint8_t> &message);
 
 /** Verify a signature produced by rsaSign(). */
 bool rsaVerify(const RsaPublicKey &key, const std::vector<uint8_t> &message,
-               const std::vector<uint8_t> &signature, bool fast = true);
+               const std::vector<uint8_t> &signature);
 
 } // namespace vg::crypto
 

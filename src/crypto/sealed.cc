@@ -15,15 +15,15 @@ namespace
 /** Derive independent cipher and MAC keys from the master key. */
 void
 deriveKeys(const AesKey &master, AesKey &enc_key,
-           std::vector<uint8_t> &mac_key, bool fast = true)
+           std::vector<uint8_t> &mac_key)
 {
-    Sha256 h1(fast);
+    Sha256 h1;
     h1.update("vg-seal-enc", 11);
     h1.update(master.data(), master.size());
     Digest d1 = h1.final();
     std::memcpy(enc_key.data(), d1.data(), enc_key.size());
 
-    Sha256 h2(fast);
+    Sha256 h2;
     h2.update("vg-seal-mac", 11);
     h2.update(master.data(), master.size());
     Digest d2 = h2.final();
@@ -61,29 +61,16 @@ cachedKeys(const AesKey &master)
         .first->second;
 }
 
-/** Streaming MAC over aad || nonce || ciphertext (fast path). */
+/** Streaming MAC over aad || nonce || ciphertext. */
 Digest
-computeMacFast(const HmacSha256 &mac, const SealedBlob &blob,
-               const std::vector<uint8_t> &aad)
+computeMac(const HmacSha256 &mac, const SealedBlob &blob,
+           const std::vector<uint8_t> &aad)
 {
     Sha256 inner = mac.begin();
     inner.update(aad.data(), aad.size());
     inner.update(blob.nonce.data(), blob.nonce.size());
     inner.update(blob.ciphertext.data(), blob.ciphertext.size());
     return mac.finish(inner);
-}
-
-/** Reference MAC: concatenate, then one-shot HMAC. */
-Digest
-computeMac(const std::vector<uint8_t> &mac_key, const SealedBlob &blob,
-           const std::vector<uint8_t> &aad)
-{
-    std::vector<uint8_t> buf;
-    buf.reserve(aad.size() + blob.nonce.size() + blob.ciphertext.size());
-    buf.insert(buf.end(), aad.begin(), aad.end());
-    buf.insert(buf.end(), blob.nonce.begin(), blob.nonce.end());
-    buf.insert(buf.end(), blob.ciphertext.begin(), blob.ciphertext.end());
-    return hmacSha256(mac_key, buf, false);
 }
 
 } // namespace
@@ -118,54 +105,28 @@ SealedBlob::deserialize(const std::vector<uint8_t> &bytes, bool &ok)
 
 SealedBlob
 seal(const AesKey &key, CtrDrbg &rng, const std::vector<uint8_t> &plain,
-     const std::vector<uint8_t> &aad, bool fast)
+     const std::vector<uint8_t> &aad)
 {
+    const SealKeys &keys = cachedKeys(key);
     SealedBlob blob;
     rng.generate(blob.nonce.data(), blob.nonce.size());
-
-    if (fast) {
-        const SealKeys &keys = cachedKeys(key);
-        blob.ciphertext = keys.aes.ctrCrypt(plain, blob.nonce);
-        blob.mac = computeMacFast(keys.mac, blob, aad);
-        return blob;
-    }
-
-    AesKey enc_key;
-    std::vector<uint8_t> mac_key;
-    deriveKeys(key, enc_key, mac_key, false);
-    blob.ciphertext = Aes128(enc_key, false).ctrCrypt(plain, blob.nonce);
-    blob.mac = computeMac(mac_key, blob, aad);
+    blob.ciphertext = keys.aes.ctrCrypt(plain, blob.nonce);
+    blob.mac = computeMac(keys.mac, blob, aad);
     return blob;
 }
 
 std::vector<SealedBlob>
 sealBatch(const AesKey &key, CtrDrbg &rng,
-          const std::vector<SealInput> &batch, bool fast)
+          const std::vector<SealInput> &batch)
 {
+    const SealKeys &keys = cachedKeys(key);
     std::vector<SealedBlob> out;
     out.reserve(batch.size());
-
-    if (fast) {
-        const SealKeys &keys = cachedKeys(key);
-        for (const SealInput &in : batch) {
-            SealedBlob blob;
-            rng.generate(blob.nonce.data(), blob.nonce.size());
-            blob.ciphertext = keys.aes.ctrCrypt(in.plain, blob.nonce);
-            blob.mac = computeMacFast(keys.mac, blob, in.aad);
-            out.push_back(std::move(blob));
-        }
-        return out;
-    }
-
-    AesKey enc_key;
-    std::vector<uint8_t> mac_key;
-    deriveKeys(key, enc_key, mac_key, false);
-    Aes128 aes(enc_key, false);
     for (const SealInput &in : batch) {
         SealedBlob blob;
         rng.generate(blob.nonce.data(), blob.nonce.size());
-        blob.ciphertext = aes.ctrCrypt(in.plain, blob.nonce);
-        blob.mac = computeMac(mac_key, blob, in.aad);
+        blob.ciphertext = keys.aes.ctrCrypt(in.plain, blob.nonce);
+        blob.mac = computeMac(keys.mac, blob, in.aad);
         out.push_back(std::move(blob));
     }
     return out;
@@ -173,29 +134,13 @@ sealBatch(const AesKey &key, CtrDrbg &rng,
 
 std::vector<uint8_t>
 unseal(const AesKey &key, const SealedBlob &blob, bool &ok,
-       const std::vector<uint8_t> &aad, bool fast)
+       const std::vector<uint8_t> &aad)
 {
-    if (fast) {
-        const SealKeys &keys = cachedKeys(key);
-        Digest expect = computeMacFast(keys.mac, blob, aad);
-        if (!digestEqual(expect, blob.mac)) {
-            ok = false;
-            return {};
-        }
-        ok = true;
-        return keys.aes.ctrCrypt(blob.ciphertext, blob.nonce);
-    }
-
-    AesKey enc_key;
-    std::vector<uint8_t> mac_key;
-    deriveKeys(key, enc_key, mac_key, false);
-    Digest expect = computeMac(mac_key, blob, aad);
-    if (!digestEqual(expect, blob.mac)) {
-        ok = false;
+    const SealKeys &keys = cachedKeys(key);
+    ok = digestEqual(computeMac(keys.mac, blob, aad), blob.mac);
+    if (!ok)
         return {};
-    }
-    ok = true;
-    return Aes128(enc_key, false).ctrCrypt(blob.ciphertext, blob.nonce);
+    return keys.aes.ctrCrypt(blob.ciphertext, blob.nonce);
 }
 
 } // namespace vg::crypto

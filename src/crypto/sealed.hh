@@ -43,13 +43,14 @@ struct SealedBlob
  * @param aad optional associated data bound into the MAC (e.g. a page's
  *            virtual address for swap, so pages cannot be swapped back
  *            to the wrong location).
- * @param fast use the cached derived-key fast path (default); the
- *             reference path re-derives both subkeys per call. Blobs
- *             are bit-identical either way.
+ *
+ * The derived subkeys (AES schedule, HMAC pad states) are cached per
+ * master key, and the MAC streams over aad || nonce || ciphertext
+ * without concatenating them.
  */
 SealedBlob seal(const AesKey &key, CtrDrbg &rng,
                 const std::vector<uint8_t> &plain,
-                const std::vector<uint8_t> &aad = {}, bool fast = true);
+                const std::vector<uint8_t> &aad = {});
 
 /** One element of a sealBatch() call: plaintext plus the associated
  *  data bound into its MAC. */
@@ -68,8 +69,7 @@ struct SealInput
  * element in sequence.
  */
 std::vector<SealedBlob> sealBatch(const AesKey &key, CtrDrbg &rng,
-                                  const std::vector<SealInput> &batch,
-                                  bool fast = true);
+                                  const std::vector<SealInput> &batch);
 
 /**
  * Verify and decrypt a sealed blob.
@@ -77,8 +77,7 @@ std::vector<SealedBlob> sealBatch(const AesKey &key, CtrDrbg &rng,
  */
 std::vector<uint8_t> unseal(const AesKey &key, const SealedBlob &blob,
                             bool &ok,
-                            const std::vector<uint8_t> &aad = {},
-                            bool fast = true);
+                            const std::vector<uint8_t> &aad = {});
 
 } // namespace vg::crypto
 

@@ -58,63 +58,6 @@ Sha256::reset()
 void
 Sha256::processBlock(const uint8_t *block)
 {
-    if (_fast)
-        compressFast(block);
-    else
-        compressRef(block);
-}
-
-void
-Sha256::compressRef(const uint8_t *block)
-{
-    uint32_t w[64];
-    for (int i = 0; i < 16; i++) {
-        w[i] = (uint32_t(block[i * 4]) << 24) |
-               (uint32_t(block[i * 4 + 1]) << 16) |
-               (uint32_t(block[i * 4 + 2]) << 8) |
-               uint32_t(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 64; i++) {
-        uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
-                      (w[i - 15] >> 3);
-        uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
-                      (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    uint32_t a = _state[0], b = _state[1], c = _state[2], d = _state[3];
-    uint32_t e = _state[4], f = _state[5], g = _state[6], h = _state[7];
-
-    for (int i = 0; i < 64; i++) {
-        uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        uint32_t ch = (e & f) ^ (~e & g);
-        uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
-        uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
-    }
-
-    _state[0] += a;
-    _state[1] += b;
-    _state[2] += c;
-    _state[3] += d;
-    _state[4] += e;
-    _state[5] += f;
-    _state[6] += g;
-    _state[7] += h;
-}
-
-void
-Sha256::compressFast(const uint8_t *block)
-{
     uint32_t w[64];
     for (int i = 0; i < 16; i++) {
         w[i] = (uint32_t(block[i * 4]) << 24) |
@@ -191,30 +134,18 @@ Sha256::final()
 {
     uint64_t bit_len = _totalLen * 8;
 
-    if (_fast) {
-        // One-shot padding: the tail always fits in one or two blocks.
-        uint8_t pad[128];
-        std::memcpy(pad, _buffer.data(), _bufferLen);
-        size_t n = _bufferLen;
-        pad[n++] = 0x80;
-        size_t total = (n + 8 <= 64) ? 64 : 128;
-        std::memset(pad + n, 0, total - 8 - n);
-        for (int i = 0; i < 8; i++)
-            pad[total - 8 + i] = uint8_t(bit_len >> (56 - 8 * i));
-        processBlock(pad);
-        if (total == 128)
-            processBlock(pad + 64);
-    } else {
-        uint8_t pad = 0x80;
-        update(&pad, 1);
-        uint8_t zero = 0;
-        while (_bufferLen != 56)
-            update(&zero, 1);
-        uint8_t len_be[8];
-        for (int i = 0; i < 8; i++)
-            len_be[i] = uint8_t(bit_len >> (56 - 8 * i));
-        update(len_be, 8);
-    }
+    // One-shot padding: the tail always fits in one or two blocks.
+    uint8_t pad[128];
+    std::memcpy(pad, _buffer.data(), _bufferLen);
+    size_t n = _bufferLen;
+    pad[n++] = 0x80;
+    size_t total = (n + 8 <= 64) ? 64 : 128;
+    std::memset(pad + n, 0, total - 8 - n);
+    for (int i = 0; i < 8; i++)
+        pad[total - 8 + i] = uint8_t(bit_len >> (56 - 8 * i));
+    processBlock(pad);
+    if (total == 128)
+        processBlock(pad + 64);
 
     Digest out;
     for (int i = 0; i < 8; i++) {
@@ -228,9 +159,9 @@ Sha256::final()
 }
 
 Digest
-Sha256::hash(const void *data, size_t len, bool fast)
+Sha256::hash(const void *data, size_t len)
 {
-    Sha256 h(fast);
+    Sha256 h;
     h.update(data, len);
     return h.final();
 }

@@ -5,12 +5,10 @@
  * Used for HMAC integrity tags on swapped ghost pages and translation
  * signatures, and for application file checksums (S 3.3).
  *
- * Two compress/finalize strategies produce bit-identical digests: the
- * default fast path pads in one stack buffer and runs an unrolled
- * compression loop; the reference path keeps the textbook rotating
- * round loop and the byte-at-a-time `update(&pad, 1)` finalize. The
- * reference path exists for differential testing
- * (VgConfig::cryptoFastPath) and as executable documentation.
+ * The finalize pads in one stack buffer and the compression loop is
+ * unrolled eight rounds at a time. The textbook rotating round loop
+ * and byte-at-a-time padding live in the test oracle
+ * (tests/crypto_ref.hh), which this implementation must match.
  */
 
 #ifndef VG_CRYPTO_SHA256_HH
@@ -32,14 +30,9 @@ using Digest = std::array<uint8_t, 32>;
 class Sha256
 {
   public:
-    /**
-     * @param fast select the one-shot-padding fast path (default) or
-     *             the byte-wise reference finalize; digests are
-     *             bit-identical either way.
-     */
-    explicit Sha256(bool fast = true) : _fast(fast) { reset(); }
+    Sha256() { reset(); }
 
-    /** Reset to the initial state (keeps the path selection). */
+    /** Reset to the initial state. */
     void reset();
 
     /** Absorb @p len bytes at @p data. */
@@ -49,25 +42,22 @@ class Sha256
     Digest final();
 
     /** One-shot convenience hash. */
-    static Digest hash(const void *data, size_t len, bool fast = true);
+    static Digest hash(const void *data, size_t len);
 
     /** One-shot hash of a byte vector. */
     static Digest
-    hash(const std::vector<uint8_t> &data, bool fast = true)
+    hash(const std::vector<uint8_t> &data)
     {
-        return hash(data.data(), data.size(), fast);
+        return hash(data.data(), data.size());
     }
 
   private:
     void processBlock(const uint8_t *block);
-    void compressRef(const uint8_t *block);
-    void compressFast(const uint8_t *block);
 
     std::array<uint32_t, 8> _state;
     std::array<uint8_t, 64> _buffer;
     uint64_t _totalLen;
     size_t _bufferLen;
-    bool _fast;
 };
 
 /** Render a digest as lowercase hex. */

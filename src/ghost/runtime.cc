@@ -89,8 +89,7 @@ GhostRuntime::writeSecureFile(const std::string &path,
     _api.kernel().ctx().chargeAes(plain.size());
     _api.kernel().ctx().chargeSha(plain.size());
     crypto::SealedBlob blob =
-        crypto::seal(*_appKey, _rng, plain, {},
-                     _api.kernel().ctx().config().cryptoFastPath);
+        crypto::seal(*_appKey, _rng, plain);
     return writeFile(path, blob.serialize());
 }
 
@@ -109,8 +108,7 @@ GhostRuntime::readSecureFile(const std::string &path,
         return false;
     _api.kernel().ctx().chargeAes(blob.ciphertext.size());
     _api.kernel().ctx().chargeSha(blob.ciphertext.size());
-    plain = crypto::unseal(*_appKey, blob, ok, {},
-                           _api.kernel().ctx().config().cryptoFastPath);
+    plain = crypto::unseal(*_appKey, blob, ok);
     return ok;
 }
 
@@ -141,8 +139,7 @@ GhostRuntime::writeVersionedFile(const std::string &path,
     _api.kernel().ctx().chargeAes(plain.size());
     _api.kernel().ctx().chargeSha(plain.size());
     crypto::SealedBlob blob =
-        crypto::seal(*_appKey, _rng, plain, versionAad(version),
-                     _api.kernel().ctx().config().cryptoFastPath);
+        crypto::seal(*_appKey, _rng, plain, versionAad(version));
     return writeFile(path, blob.serialize());
 }
 
@@ -164,8 +161,7 @@ GhostRuntime::readVersionedFile(const std::string &path,
     uint64_t version = _api.kernel().vm().counterRead(_api.pid());
     _api.kernel().ctx().chargeAes(blob.ciphertext.size());
     _api.kernel().ctx().chargeSha(blob.ciphertext.size());
-    plain = crypto::unseal(*_appKey, blob, ok, versionAad(version),
-                           _api.kernel().ctx().config().cryptoFastPath);
+    plain = crypto::unseal(*_appKey, blob, ok, versionAad(version));
     return ok;
 }
 

@@ -54,7 +54,7 @@ class Disk
      *  the OS has full read/write access to persistent storage. */
     uint8_t *rawBlock(uint64_t block);
 
-    // --- Async request queue (VgConfig::asyncIo) ----------------------
+    // --- Async request queue -------------------------------------------
     /** Post one request descriptor (charges descriptor setup). The
      *  descriptor names a block and either a host buffer or a DMA
      *  address. False when the queue is full. */

@@ -62,7 +62,7 @@ class Nic
     uint64_t packetsSent() const { return _sent; }
     uint64_t packetsReceived() const { return _received; }
 
-    // --- Async ring interface (VgConfig::asyncIo) ---------------------
+    // --- Async ring interface ------------------------------------------
     /** Post one TX descriptor (charges descriptor setup). False when
      *  the TX ring is full — the driver must reap first. */
     bool txPost(const RingDesc &d);

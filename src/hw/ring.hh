@@ -2,18 +2,18 @@
  * @file
  * Virtio-style descriptor rings and device interrupt lines.
  *
- * A DescRing is the shared shape of the async device protocol
- * (VgConfig::asyncIo): the driver *posts* descriptors into ring slots,
- * *doorbells* the device (one trusted-boundary crossing per batch, not
- * per request), the device moves data and marks slots *done* with a
- * completion timestamp, and the driver *reaps* completions — normally
- * in doorbell order, but slots carry a generation counter so a hostile
- * OS replaying a stale completion index is detected rather than
+ * A DescRing is the shared shape of the async device protocol: the
+ * driver *posts* descriptors into ring slots, *doorbells* the device
+ * (one trusted-boundary crossing per batch, not per request), the
+ * device moves data and marks slots *done* with a completion
+ * timestamp, and the driver *reaps* completions — normally in doorbell
+ * order, but slots carry a generation counter so a hostile OS
+ * replaying a stale completion index is detected rather than
  * double-freeing a slot.
  *
  * Data held in a descriptor is either a physical address (useDma), in
  * which case every access goes through the IOMMU exactly like the
- * legacy DMA paths — a descriptor aimed at a ghost frame is blocked
+ * one-shot DMA paths — a descriptor aimed at a ghost frame is blocked
  * and counted — or a kernel host buffer, the simulator's stand-in for
  * a bcache page handed to the device without an intermediate copy.
  *

@@ -39,10 +39,7 @@ BufferCache::get(uint64_t block_no)
     _lru.push_front(std::move(buf));
     _index[block_no] = _lru.begin();
     Buf *nb = &*_lru.begin();
-    if (_ctx.config().asyncIo)
-        ringRead(*nb);
-    else
-        _disk.readBlock(block_no, nb->data.data());
+    ringRead(*nb);
     return nb;
 }
 
@@ -120,32 +117,27 @@ BufferCache::evictIfNeeded()
 void
 BufferCache::writeback(Buf &buf)
 {
-    if (_ctx.config().asyncIo) {
-        // Fire-and-forget through the disk request queue: the bytes
-        // cross into the device at the doorbell; the CPU does not
-        // stall for the media latency. sync() is the barrier.
-        hw::RingDesc d;
-        d.block = buf.blockNo;
-        d.host = buf.data.data();
-        d.len = hw::Disk::blockSize;
-        d.write = true;
-        if (!_disk.submit(d)) {
-            _disk.reapAll();
-            if (!_disk.submit(d)) {
-                _disk.writeBlock(buf.blockNo, buf.data.data());
-                buf.dirty = false;
-                sim::StatSet::add(_hWritebacks);
-                return;
-            }
-        }
-        uint64_t done = _disk.doorbell();
-        _disk.reapAll();
-        _flushDone = std::max(_flushDone, done);
-    } else {
-        _disk.writeBlock(buf.blockNo, buf.data.data());
-    }
+    // Fire-and-forget through the disk request queue: the bytes cross
+    // into the device at the doorbell; the CPU does not stall for the
+    // media latency. sync() is the barrier.
+    hw::RingDesc d;
+    d.block = buf.blockNo;
+    d.host = buf.data.data();
+    d.len = hw::Disk::blockSize;
+    d.write = true;
     buf.dirty = false;
     sim::StatSet::add(_hWritebacks);
+    if (!_disk.submit(d)) {
+        _disk.reapAll();
+        if (!_disk.submit(d)) {
+            // Ring packed with unreaped slots: write synchronously.
+            _disk.writeBlock(buf.blockNo, buf.data.data());
+            return;
+        }
+    }
+    uint64_t done = _disk.doorbell();
+    _disk.reapAll();
+    _flushDone = std::max(_flushDone, done);
 }
 
 void
@@ -159,7 +151,7 @@ BufferCache::sync()
     // the queued writebacks hit the media. Deep NCQ means the whole
     // batch completes one request-latency after the last doorbell.
     auto &clk = _ctx.clock();
-    if (_ctx.config().asyncIo && _flushDone > clk.now())
+    if (_flushDone > clk.now())
         clk.advance(_flushDone - clk.now());
 }
 

@@ -53,9 +53,9 @@ class BufferCache
     /** Mark a buffer dirty (after mutating its data). */
     void markDirty(Buf *buf) { buf->dirty = true; }
 
-    /** Write every dirty block back to the device. Under asyncIo the
-     *  writebacks are queued through the disk ring and this acts as
-     *  the durability barrier: it stalls to the last completion. */
+    /** Write every dirty block back to the device. The writebacks are
+     *  queued through the disk ring and this acts as the durability
+     *  barrier: it stalls to the last completion. */
     void sync();
 
     /** Drop a block without writeback (e.g. freed block). */

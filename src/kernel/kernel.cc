@@ -607,76 +607,6 @@ Kernel::yieldCurrent(Process &proc)
 void
 Kernel::run()
 {
-    if (_ctx.config().smpScheduler) {
-        runSmp();
-    } else {
-        if (_ctx.vcpuCount() != 1)
-            sim::panic("run: the legacy scheduler supports exactly one "
-                       "vCPU (vcpus=%u)", _ctx.vcpuCount());
-        runLegacy();
-    }
-}
-
-void
-Kernel::runLegacy()
-{
-    uint64_t rr_cursor = 0;
-    while (true) {
-        // Run due bottom halves first so their wakeups join the queue.
-        serviceSoftirqs(0);
-
-        // Collect runnable processes.
-        std::vector<Process *> runnable;
-        bool any_alive = false;
-        for (auto &[pid, proc] : _procs) {
-            if (proc->alive())
-                any_alive = true;
-            if (proc->state == ProcState::Runnable)
-                runnable.push_back(proc.get());
-        }
-
-        if (!any_alive)
-            break;
-
-        if (runnable.empty()) {
-            // Look for a timed sleeper or a pending device completion
-            // to advance virtual time to.
-            uint64_t min_wake = 0;
-            for (auto &[pid, proc] : _procs) {
-                if (proc->state == ProcState::Blocked &&
-                    proc->wakeTime != 0 &&
-                    (min_wake == 0 || proc->wakeTime < min_wake))
-                    min_wake = proc->wakeTime;
-            }
-            uint64_t soft = earliestSoftirq();
-            if (soft != 0 && (min_wake == 0 || soft < min_wake))
-                min_wake = soft;
-            if (min_wake == 0)
-                sim::panic("scheduler: all processes blocked "
-                           "(deadlock)");
-            if (min_wake > _ctx.clock().now())
-                _ctx.clock().advance(min_wake - _ctx.clock().now());
-            for (auto &[pid, proc] : _procs) {
-                if (proc->state == ProcState::Blocked &&
-                    proc->wakeTime != 0 &&
-                    proc->wakeTime <= _ctx.clock().now()) {
-                    proc->state = ProcState::Runnable;
-                    proc->waitChannel = nullptr;
-                    proc->wakeTime = 0;
-                }
-            }
-            continue;
-        }
-
-        Process *next = runnable[rr_cursor % runnable.size()];
-        rr_cursor++;
-        switchTo(*next);
-    }
-}
-
-void
-Kernel::runSmp()
-{
     unsigned ncpus = _ctx.vcpuCount();
     sim::RoundRobinInterleaver ilv(ncpus);
     std::vector<uint64_t> cursors(ncpus, 0);
@@ -844,58 +774,39 @@ Kernel::swapOutPages(uint64_t pid, Process &proc,
         pages.resize(_swap->freeSlots());
 
     uint64_t swapped = 0;
-    if (_ctx.config().swapFastPath) {
-        unsigned batch = std::max(1u, _ctx.config().swapBatchPages);
-        for (size_t i = 0; i < pages.size(); i += batch) {
-            std::vector<hw::Vaddr> chunk(
-                pages.begin() + i,
-                pages.begin() +
-                    std::min(pages.size(), i + batch));
-            sva::SvaError err;
-            std::vector<crypto::SealedBlob> blobs =
-                _vm.swapOutGhostBatch(pid, proc.rootFrame, chunk,
-                                      &err);
-            if (blobs.empty()) {
-                // A stale va poisons the whole batch; salvage the
-                // valid pages one at a time.
-                for (hw::Vaddr va : chunk) {
-                    auto blob = _vm.swapOutGhostPage(
-                        pid, proc.rootFrame, va, &err);
-                    if (!blob)
-                        continue;
-                    SwapArea::StoreReq req{
-                        pid, va, _vm.swapGeneration(pid, va),
-                        &*blob};
-                    _swap->storeBatch({req});
-                    _ghostClock.remove(pid, va);
-                    swapped++;
-                }
-                continue;
-            }
-            std::vector<SwapArea::StoreReq> reqs(chunk.size());
-            for (size_t j = 0; j < chunk.size(); j++)
-                reqs[j] = {pid, chunk[j],
-                           _vm.swapGeneration(pid, chunk[j]),
-                           &blobs[j]};
-            _swap->storeBatch(reqs);
-            for (hw::Vaddr va : chunk)
+    unsigned batch = std::max(1u, _ctx.config().swapBatchPages);
+    for (size_t i = 0; i < pages.size(); i += batch) {
+        std::vector<hw::Vaddr> chunk(
+            pages.begin() + i,
+            pages.begin() + std::min(pages.size(), i + batch));
+        sva::SvaError err;
+        std::vector<crypto::SealedBlob> blobs =
+            _vm.swapOutGhostBatch(pid, proc.rootFrame, chunk, &err);
+        if (blobs.empty()) {
+            // A stale va poisons the whole batch; salvage the valid
+            // pages one at a time.
+            for (hw::Vaddr va : chunk) {
+                auto blob =
+                    _vm.swapOutGhostPage(pid, proc.rootFrame, va, &err);
+                if (!blob)
+                    continue;
+                SwapArea::StoreReq req{pid, va,
+                                       _vm.swapGeneration(pid, va),
+                                       &*blob};
+                _swap->storeBatch({req});
                 _ghostClock.remove(pid, va);
-            swapped += chunk.size();
+                swapped++;
+            }
+            continue;
         }
-    } else {
-        for (hw::Vaddr va : pages) {
-            sva::SvaError err;
-            auto blob =
-                _vm.swapOutGhostPage(pid, proc.rootFrame, va, &err);
-            if (!blob)
-                continue;
-            SwapArea::StoreReq req{pid, va,
-                                   _vm.swapGeneration(pid, va),
-                                   &*blob};
-            _swap->storeBatch({req});
+        std::vector<SwapArea::StoreReq> reqs(chunk.size());
+        for (size_t j = 0; j < chunk.size(); j++)
+            reqs[j] = {pid, chunk[j], _vm.swapGeneration(pid, chunk[j]),
+                       &blobs[j]};
+        _swap->storeBatch(reqs);
+        for (hw::Vaddr va : chunk)
             _ghostClock.remove(pid, va);
-            swapped++;
-        }
+        swapped += chunk.size();
     }
     _ctx.stats().add("kernel.ghost_swapouts", swapped);
     return swapped;

@@ -223,9 +223,9 @@ class UserApi
 
     /** sendfile(): stream @p len bytes of @p in_fd (from its current
      *  offset) straight from the buffer cache onto @p out_fd's
-     *  socket. Under asyncIo with the sandbox/IOMMU proof in force the
-     *  bcache block is handed to the NIC ring without the intermediate
-     *  kmem copy; otherwise the copy is charged. */
+     *  socket. With the sandbox/IOMMU proof in force the bcache block
+     *  is handed to the NIC ring without the intermediate kmem copy;
+     *  otherwise the copy is charged. */
     int64_t sendfile(int out_fd, int in_fd, uint64_t len);
 
     int select(const std::vector<int> &read_fds, uint64_t timeout_us);
@@ -272,7 +272,9 @@ class Kernel
     uint64_t spawn(const std::string &name,
                    std::function<int(UserApi &)> main_fn);
 
-    /** Run the scheduler until every process has exited. */
+    /** Run the scheduler until every process has exited: per-CPU run
+     *  queues, deterministic round-robin interleaving across vCPUs,
+     *  idle balancing. */
     void run();
 
     /** Load an (untrusted) kernel module shipped as VIR text.
@@ -323,9 +325,9 @@ class Kernel
      * Memory-pressure path (S 3.3): swap up to @p max_pages of
      * @p pid's ghost memory out. The VM encrypts+MACs each page; the
      * OS stores only ciphertext in the disk's swap area and gets the
-     * frames back. Under VgConfig::swapFastPath pages are sealed in
-     * batches and written back through the disk's request queue with
-     * one doorbell per batch. Returns pages swapped.
+     * frames back. Pages are sealed in batches and written back
+     * through the disk's request queue with one doorbell per batch.
+     * Returns pages swapped.
      */
     uint64_t swapOutGhost(uint64_t pid, uint64_t max_pages);
 
@@ -338,8 +340,8 @@ class Kernel
 
     /**
      * Frame-pressure relief: pick up to @p want_pages second-chance
-     * clock victims across every process and swap them out (batched
-     * under swapFastPath). Returns pages actually reclaimed.
+     * clock victims across every process and swap them out in
+     * batches. Returns pages actually reclaimed.
      */
     uint64_t reclaimGhostFrames(uint64_t want_pages);
 
@@ -414,13 +416,6 @@ class Kernel
 
   private:
     // --- scheduling ---------------------------------------------------
-    /** SMP scheduler: per-CPU run queues, deterministic round-robin
-     *  interleaving across vCPUs, idle balancing (VgConfig::smpScheduler,
-     *  the default; identical to runLegacy() at vcpus == 1). */
-    void runSmp();
-    /** The original single-CPU loop, kept verbatim for differential
-     *  testing (VgConfig::smpScheduler = false; requires vcpus == 1). */
-    void runLegacy();
     /** Give a new process (spawn or fork) the fiber it runs on. */
     void attachFiber(Process &proc);
     /** A process's whole life on its fiber: main, then the exit path. */
@@ -463,8 +458,8 @@ class Kernel
     std::shared_ptr<OpenFile> file(Process &proc, int fd);
     int64_t socketSend(Process &proc, Socket &sock, const uint8_t *data,
                        uint64_t len);
-    /** Ring-based transmit used by socketSend/doSendfile under
-     *  asyncIo: posts one descriptor per segment, rings the doorbell
+    /** Ring-based transmit used by socketSend/doSendfile: posts one
+     *  descriptor per segment, rings the doorbell
      *  once per batch, queues peer segments with completion-time
      *  readyAt stamps and arms the RX softirq. @p zero_copy skips the
      *  kmem staging-copy charge (sendfile with the sandbox proof).
@@ -483,10 +478,9 @@ class Kernel
     bool moduleDispatch(Sys sys, const std::vector<uint64_t> &args,
                         int64_t &result);
 
-    /** Seal + evict @p pages of @p pid and store them in the swap
-     *  area: batched under swapFastPath, one page at a time on the
-     *  reference path. Victim set and order are caller-decided, so
-     *  both modes evict identically. */
+    /** Seal + evict @p pages of @p pid in batches of up to
+     *  VgConfig::swapBatchPages and store them in the swap area.
+     *  Victim set and order are caller-decided. */
     uint64_t swapOutPages(uint64_t pid, Process &proc,
                           std::vector<hw::Vaddr> pages);
 
@@ -527,7 +521,7 @@ class Kernel
     /** Established-connection registry (O(1) accept/close). */
     ConnTable _connTable;
 
-    /** Per-CPU softirq completion queues (asyncIo) and the cycle each
+    /** Per-CPU softirq completion queues and the cycle each
      *  CPU last took a device interrupt (coalescing anchor). */
     std::vector<std::deque<Softirq>> _softirq;
     std::vector<uint64_t> _lastIrqAt;

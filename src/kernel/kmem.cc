@@ -41,35 +41,14 @@ Kmem::resolve(hw::Vaddr va, hw::Access access, hw::Paddr &pa)
     }
 
     // User (or ghost, when unmasked module-port access) address: walk
-    // the current tree with kernel privilege.
-    auto r = curMmu().translate(va, access, hw::Privilege::Kernel);
-    if (!r.ok)
-        return false;
-    pa = r.paddr;
-    return true;
-}
-
-bool
-Kmem::resolveCached(hw::Vaddr va, hw::Access access, hw::Paddr &pa)
-{
-    if (!_ctx.config().kmemFastPath)
-        return resolve(va, access, pa);
-
-    if (va == 0)
-        return false;
-
-    if (va >= hw::kernelBase) {
-        pa = (va - hw::kernelBase) % _mem.sizeBytes();
-        return true;
-    }
-
-    // Cache hit requires the access to come from the vCPU that filled
-    // the cache AND that vCPU's Mmu generation to be unchanged since
-    // the fill, which guarantees its TLB still holds this page with
-    // this PTE: translate() would have charged exactly one tlbHit.
-    // Remote shootdowns bump the owning vCPU's generation, so a stale
-    // ghost translation can never be served after a cross-CPU
-    // invalidation.
+    // the current tree with kernel privilege, unless the last-
+    // translation cache hits. A hit requires the access to come from
+    // the vCPU that filled the cache AND that vCPU's Mmu generation to
+    // be unchanged since the fill, which guarantees its TLB still
+    // holds this page with this PTE: translate() would have charged
+    // exactly one tlbHit. Remote shootdowns bump the owning vCPU's
+    // generation, so a stale ghost translation can never be served
+    // after a cross-CPU invalidation.
     hw::Mmu &mmu = curMmu();
     unsigned cpu = _ctx.activeCpu();
     if (_tc.valid && _tc.cpu == cpu && _tc.gen == mmu.generation() &&
@@ -116,7 +95,7 @@ bool
 Kmem::read(uint64_t va, unsigned bytes, uint64_t &out)
 {
     hw::Paddr pa = 0;
-    if (!resolveCached(va, hw::Access::Read, pa))
+    if (!resolve(va, hw::Access::Read, pa))
         return false;
     out = 0;
     switch (bytes) {
@@ -142,7 +121,7 @@ bool
 Kmem::write(uint64_t va, unsigned bytes, uint64_t val)
 {
     hw::Paddr pa = 0;
-    if (!resolveCached(va, hw::Access::Write, pa))
+    if (!resolve(va, hw::Access::Write, pa))
         return false;
     if (!storePermitted(pa)) {
         sim::StatSet::add(_hBlockedStores);
@@ -183,9 +162,6 @@ Kmem::copyBytewise(uint64_t dst, uint64_t src, uint64_t len)
 bool
 Kmem::copy(uint64_t dst, uint64_t src, uint64_t len)
 {
-    if (!_ctx.config().kmemFastPath)
-        return copyBytewise(dst, src, len);
-
     uint64_t off = 0;
     while (off < len) {
         hw::Vaddr s = src + off;
@@ -195,12 +171,12 @@ Kmem::copy(uint64_t dst, uint64_t src, uint64_t len)
              hw::pageSize - hw::pageOffset(d)});
 
         // The chunk's first byte goes through the real machinery so
-        // walks, faults, and the blocked-store bump land in reference
+        // walks, faults, and the blocked-store bump land in byte-copy
         // order (src read before dst write).
         hw::Paddr spa = 0, dpa = 0;
-        if (!resolveCached(s, hw::Access::Read, spa))
+        if (!resolve(s, hw::Access::Read, spa))
             return false;
-        if (!resolveCached(d, hw::Access::Write, dpa))
+        if (!resolve(d, hw::Access::Write, dpa))
             return false;
         if (!storePermitted(dpa)) {
             sim::StatSet::add(_hBlockedStores);
@@ -212,13 +188,13 @@ Kmem::copy(uint64_t dst, uint64_t src, uint64_t len)
         if (rest > 0) {
             bool sXlat = s < hw::kernelBase;
             bool dXlat = d < hw::kernelBase;
-            // The remaining bytes are uniform TLB hits in the
-            // reference loop except in two cases, which take the byte
-            // loop (itself cost-identical via resolveCached):
+            // The remaining bytes are uniform TLB hits in a byte-at-
+            // a-time copy except in two cases, which take the byte
+            // loop itself:
             //  - src and dst pages share a direct-mapped TLB set, so
-            //    the reference loop walk-thrashes every byte;
-            //  - the physical ranges overlap, so the reference
-            //    forward copy propagates freshly written bytes.
+            //    a byte copy walk-thrashes every byte;
+            //  - the physical ranges overlap, so a forward byte copy
+            //    propagates freshly written bytes.
             bool thrash = sXlat && dXlat &&
                           hw::pageOf(s) != hw::pageOf(d) &&
                           hw::Mmu::tlbIndex(s) == hw::Mmu::tlbIndex(d);
@@ -284,7 +260,7 @@ Kmem::copyIn(hw::Vaddr user_va, void *dst, uint64_t len)
         uint64_t chunk = std::min<uint64_t>(
             len - off, hw::pageSize - hw::pageOffset(va));
         hw::Paddr pa = 0;
-        if (!resolveCached(va, hw::Access::Read, pa))
+        if (!resolve(va, hw::Access::Read, pa))
             return false;
         _mem.readBytes(pa, out + off, chunk);
         off += chunk;
@@ -307,7 +283,7 @@ Kmem::copyOut(hw::Vaddr user_va, const void *src, uint64_t len)
         uint64_t chunk = std::min<uint64_t>(
             len - off, hw::pageSize - hw::pageOffset(va));
         hw::Paddr pa = 0;
-        if (!resolveCached(va, hw::Access::Write, pa))
+        if (!resolve(va, hw::Access::Write, pa))
             return false;
         if (!storePermitted(pa)) {
             sim::StatSet::add(_hBlockedStores);

@@ -79,25 +79,21 @@ class Kmem : public cc::MemPort
     uint64_t deflections() const { return _deflections; }
 
   private:
-    /** Resolve a (pre-masked) virtual address to a physical address.
-     *  Kernel-half addresses use the direct map; user/ghost addresses
-     *  walk the current page tables. */
+    /**
+     * Resolve a (pre-masked) virtual address to a physical address.
+     * Kernel-half addresses use the direct map; user/ghost addresses
+     * walk the current page tables behind a last-translation cache.
+     * The cache is cost-identical to the walk: it only hits when the
+     * MMU's TLB entry for the page is provably still installed with
+     * the same PTE (checked via the Mmu generation counter), so the
+     * tlbHit charge and mmu.tlb_hits bump match what Mmu::translate
+     * would have done. Any doubt falls back to the real translate().
+     */
     bool resolve(hw::Vaddr va, hw::Access access, hw::Paddr &pa);
 
-    /**
-     * resolve() fronted by the last-translation cache. Cost-identical:
-     * the cache only hits when the MMU's TLB entry for the page is
-     * provably still installed with the same PTE (checked via the Mmu
-     * generation counter), so the tlbHit charge and mmu.tlb_hits bump
-     * match what Mmu::translate would have done. Any doubt falls back
-     * to the real translate(). Gated on VgConfig::kmemFastPath.
-     */
-    bool resolveCached(hw::Vaddr va, hw::Access access, hw::Paddr &pa);
-
-    /** Reference byte-at-a-time copy (also the fast path's fallback
-     *  for TLB-set-thrashing and physically overlapping chunks). */
+    /** Byte-at-a-time copy: copy()'s fallback for TLB-set-thrashing
+     *  and physically overlapping chunks. */
     bool copyBytewise(uint64_t dst, uint64_t src, uint64_t len);
-
     /** True if the kernel may store to the frame containing @p pa. */
     bool storePermitted(hw::Paddr pa);
 

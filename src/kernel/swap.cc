@@ -62,38 +62,27 @@ SwapArea::storeBatch(const std::vector<StoreReq> &reqs)
         _ctx.chargeKernelWork(8, 4, 0);
     }
 
-    bool ring = _ctx.config().swapFastPath && _ctx.config().asyncIo;
-    if (ring) {
-        // Batched async writeback: one descriptor per block, one
-        // doorbell per batch, no stall — the NCQ queue owns the media
-        // latency from here.
-        for (const Staged &st : staged) {
-            for (uint64_t b = 0; b < blocksPerSlot; b++) {
-                hw::RingDesc d;
-                d.block = slotToBlock(st.slot) + b;
-                d.host = st.bytes.data() + b * hw::Disk::blockSize;
-                d.len = hw::Disk::blockSize;
-                d.write = true;
-                if (!_disk.submit(d)) {
-                    // Queue packed: push what's posted, drain, retry.
-                    _disk.doorbell();
-                    _disk.reapAll();
-                    if (!_disk.submit(d)) {
-                        _disk.writeBlock(d.block, d.host);
-                        continue;
-                    }
-                }
+    // Batched async writeback: one descriptor per block, one doorbell
+    // per batch, no stall — the NCQ queue owns the media latency from
+    // here.
+    for (const Staged &st : staged) {
+        for (uint64_t b = 0; b < blocksPerSlot; b++) {
+            hw::RingDesc d;
+            d.block = slotToBlock(st.slot) + b;
+            d.host = st.bytes.data() + b * hw::Disk::blockSize;
+            d.len = hw::Disk::blockSize;
+            d.write = true;
+            if (!_disk.submit(d)) {
+                // Queue packed: push what's posted, drain, retry.
+                _disk.doorbell();
+                _disk.reapAll();
+                if (!_disk.submit(d))
+                    _disk.writeBlock(d.block, d.host);
             }
         }
-        _disk.doorbell();
-        _disk.reapAll();
-    } else {
-        for (const Staged &st : staged)
-            for (uint64_t b = 0; b < blocksPerSlot; b++)
-                _disk.writeBlock(slotToBlock(st.slot) + b,
-                                 st.bytes.data() +
-                                     b * hw::Disk::blockSize);
     }
+    _disk.doorbell();
+    _disk.reapAll();
 
     _lastBatchPages = reqs.size();
     sim::StatSet::add(_hPagesStored, reqs.size());
@@ -110,7 +99,6 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
     const SwapSlot &s = _slots[it->second];
 
     std::vector<uint8_t> bytes;
-    bool ring = _ctx.config().swapFastPath && _ctx.config().asyncIo;
     auto staged = _staged.find({pid, va});
     if (staged != _staged.end()) {
         // A previous cluster already pulled this slot off the media —
@@ -121,7 +109,7 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
             clk.advance(staged->second.readyAt - clk.now());
         bytes = std::move(staged->second.bytes);
         _staged.erase(staged);
-    } else if (ring) {
+    } else {
         // Swap-in cluster: the faulting slot plus the owner's next
         // slots (va order, not already staged) ride one doorbell. In
         // the deep queue their latencies overlap, so the neighbours
@@ -151,10 +139,8 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
                 if (!_disk.submit(d)) {
                     _disk.doorbell();
                     _disk.reapAll();
-                    if (!_disk.submit(d)) {
+                    if (!_disk.submit(d))
                         _disk.readBlock(d.block, d.hostOut);
-                        continue;
-                    }
                 }
             }
         }
@@ -172,11 +158,6 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
         }
         if (targets.size() > 1)
             sim::StatSet::add(_hReadClusters);
-    } else {
-        bytes.resize(blocksPerSlot * hw::Disk::blockSize);
-        for (uint64_t b = 0; b < blocksPerSlot; b++)
-            _disk.readBlock(slotToBlock(it->second) + b,
-                            bytes.data() + b * hw::Disk::blockSize);
     }
 
     bytes.resize(s.len);

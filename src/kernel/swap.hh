@@ -4,21 +4,18 @@
  * eviction clock.
  *
  * The swap area is carved from the tail of the disk and sits *behind*
- * the NCQ request queue: on the fast path an eviction batch is posted
- * as a run of write descriptors and the doorbell rings once per batch,
- * so the CPU never stalls for media latency (the paper's OS-managed
- * swap of ghost pages it can never read, made batched and
- * asynchronous). The reference path (VgConfig::swapFastPath = 0) does
- * one synchronous writeBlock round-trip per block. Either way the OS
- * stores only ciphertext: sealing happened in the VM before the bytes
- * got here, and the slot table records only (pid, va, generation,
- * length) — bookkeeping, not secrets.
+ * the NCQ request queue: an eviction batch is posted as a run of write
+ * descriptors and the doorbell rings once per batch, so the CPU never
+ * stalls for media latency (the paper's OS-managed swap of ghost pages
+ * it can never read, made batched and asynchronous). The OS stores
+ * only ciphertext: sealing happened in the VM before the bytes got
+ * here, and the slot table records only (pid, va, generation, length)
+ * — bookkeeping, not secrets.
  *
  * The clock tracks every *resident* ghost page machine-wide. Victims
  * are picked second-chance: a page whose hardware reference bit is set
  * gets the bit cleared and survives one sweep; unreferenced pages are
- * evicted. Victim choice is identical in both swapFastPath modes —
- * batching only groups the writeback, never the policy.
+ * evicted. Batching only groups the writeback, never the policy.
  */
 
 #ifndef VG_KERNEL_SWAP_HH
@@ -71,12 +68,11 @@ class SwapArea
              uint64_t num_blocks);
 
     /**
-     * Store a batch of sealed pages. With swapFastPath (and asyncIo)
-     * the blocks are posted to the disk's request queue and the
-     * doorbell rings once for the whole batch — fire-and-forget, the
-     * bytes cross at the doorbell. Otherwise each block is a
-     * synchronous writeBlock. Returns pages stored (all of them, or 0
-     * if the area is out of slots — check freeSlots() first).
+     * Store a batch of sealed pages. The blocks are posted to the
+     * disk's request queue and the doorbell rings once for the whole
+     * batch — fire-and-forget, the bytes cross at the doorbell.
+     * Returns pages stored (all of them, or 0 if the area is out of
+     * slots — check freeSlots() first).
      */
     uint64_t storeBatch(const std::vector<StoreReq> &reqs);
 
@@ -86,19 +82,18 @@ class SwapArea
      * (a failed verification must not lose the ciphertext). Stalls
      * for the disk read — the faulting process needs the bytes.
      *
-     * Fast path (swapFastPath + asyncIo): swap-in clustering. The
-     * faulting slot and up to readaheadSlots-1 of the owner's next
-     * slots (va order) ride one doorbell; their media latencies
-     * overlap in the deep queue, and the neighbours' *sealed bytes*
-     * are staged so a later demand read costs no disk stall. Staging
-     * is ciphertext-only bookkeeping: nothing is unsealed or mapped
-     * until demanded, so pages_loaded / swap-in / fault counts stay
-     * demand-driven and identical to the reference path.
+     * Swap-in clustering: the faulting slot and up to
+     * readaheadSlots-1 of the owner's next slots (va order) ride one
+     * doorbell; their media latencies overlap in the deep queue, and
+     * the neighbours' *sealed bytes* are staged so a later demand read
+     * costs no disk stall. Staging is ciphertext-only bookkeeping:
+     * nothing is unsealed or mapped until demanded, so pages_loaded /
+     * swap-in / fault counts stay demand-driven.
      */
     std::optional<crypto::SealedBlob> read(uint64_t pid, hw::Vaddr va);
 
-    /** Slots per demand-read cluster on the fast path (the faulting
-     *  slot plus up to this many minus one staged neighbours). */
+    /** Slots per demand-read cluster (the faulting slot plus up to
+     *  this many minus one staged neighbours). */
     static constexpr unsigned readaheadSlots = 8;
 
     /** Free the slot for (pid, va) (after a successful swap-in). */
@@ -142,7 +137,7 @@ class SwapArea
     std::vector<SwapSlot> _slots;
     /** (pid, va) -> slot index. */
     std::map<std::pair<uint64_t, uint64_t>, uint32_t> _index;
-    /** (pid, va) -> prefetched ciphertext (fast path only). */
+    /** (pid, va) -> prefetched ciphertext. */
     std::map<std::pair<uint64_t, uint64_t>, StagedRead> _staged;
     uint32_t _nextFree = 0; ///< rotating free-slot search start
     uint64_t _lastBatchPages = 0;

@@ -984,9 +984,9 @@ Kernel::ringTransmit(Socket &sock, const std::shared_ptr<Socket> &peer,
                      const uint8_t *data, uint64_t len, bool zero_copy)
 {
     (void)sock;
-    // Post a descriptor per segment — same segmentation as the legacy
-    // path — for as much of @p len as the peer window and the TX ring
-    // allow, then cross the device boundary once for the whole batch.
+    // Post a descriptor per segment (at most one MTU less headers) for
+    // as much of @p len as the peer window and the TX ring allow, then
+    // cross the device boundary once for the whole batch.
     std::vector<uint64_t> chunks;
     uint64_t queued = 0;
     uint64_t win = peer->pendingBytes;
@@ -1043,7 +1043,6 @@ Kernel::socketSend(Process &proc, Socket &sock, const uint8_t *data,
     if (!peer || peer->peerClosed)
         return -1;
 
-    bool async = _ctx.config().asyncIo;
     uint64_t sent = 0;
     while (sent < len) {
         // Flow control: block while the peer's window is full.
@@ -1052,27 +1051,8 @@ Kernel::socketSend(Process &proc, Socket &sock, const uint8_t *data,
                 return int64_t(sent);
             blockCurrent(proc, &sock);
         }
-        if (async) {
-            sent += ringTransmit(sock, peer, data + sent, len - sent,
-                                 /*zero_copy=*/false);
-            continue;
-        }
-        uint64_t chunk = std::min<uint64_t>(
-            {len - sent, hw::Nic::mtu - 64,
-             sockWindow - peer->pendingBytes});
-        // Per-packet kernel processing on both sides; wire time is
-        // pipelined through the link schedule.
-        uint64_t ready_at =
-            _nicA.send(std::vector<uint8_t>(size_t(chunk + 64), 0));
-        _nicB.receive();
-        _ctx.chargeKernelWork(240, 96, 24);
-        Segment seg;
-        seg.data.assign(data + sent, data + sent + chunk);
-        seg.readyAt = ready_at;
-        peer->rxBuf.push_back(std::move(seg));
-        peer->pendingBytes += chunk;
-        sent += chunk;
-        wakeup(peer.get());
+        sent += ringTransmit(sock, peer, data + sent, len - sent,
+                             /*zero_copy=*/false);
     }
     sim::StatSet::add(_hNetBytesSent, len);
     return int64_t(sent);
@@ -1090,9 +1070,9 @@ Kernel::socketRecv(Process &proc, Socket &sock, uint8_t *data,
     while (true) {
         if (!sock.rxBuf.empty()) {
             // If the head segment is still on the wire, sleep until
-            // it lands (other processes run meanwhile). Keep the timed
-            // block even under asyncIo: the segment's softirq may have
-            // already fired on another vCPU's (earlier) clock.
+            // it lands (other processes run meanwhile). The block is
+            // timed, not left to the softirq wake: the segment's softirq
+            // may have already fired on another vCPU's (earlier) clock.
             uint64_t ready_at = sock.rxBuf.front().readyAt;
             if (ready_at <= _ctx.clock().now())
                 break;
@@ -1237,8 +1217,7 @@ Kernel::doSendfile(Process &proc, int out_fd, int in_fd, uint64_t len)
     // sandboxed away from ghost frames, or when no sandbox is in force
     // at all (native). Without a proof, fall back to the staging copy.
     const sim::VgConfig &cfg = _ctx.config();
-    bool zero_copy =
-        cfg.asyncIo && (!cfg.sandboxMemory || cfg.verifyMcode);
+    bool zero_copy = !cfg.sandboxMemory || cfg.verifyMcode;
 
     std::vector<uint8_t> scratch(64 * 1024);
     uint64_t sent = 0;

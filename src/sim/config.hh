@@ -55,22 +55,6 @@ struct VgConfig
      */
     bool verifyIflow = true;
 
-    /**
-     * Use the Kmem fast path: a last-translation cache in front of the
-     * MMU plus page-chunked bulk copies. Semantics, simulated cost, and
-     * every stat are identical to the reference per-access path;
-     * disabling this exists for differential testing only.
-     */
-    bool kmemFastPath = true;
-
-    /**
-     * Use the crypto fast paths: T-table AES, one-shot SHA-256
-     * finalize, Montgomery modExp, and cached seal-key derivation.
-     * Outputs are bit-identical to the reference implementations;
-     * disabling this exists for differential testing only.
-     */
-    bool cryptoFastPath = true;
-
     /** Run-time checks on MMU configuration intrinsics (S 4.3.2). */
     bool mmuChecks = true;
 
@@ -111,50 +95,27 @@ struct VgConfig
     /** Maximum traces spliced into one image (trace-tier knob). */
     unsigned traceMaxPerImage = 64;
 
-    /**
-     * Interrupt-driven, ring-based device stack: virtio-style TX/RX
-     * descriptor rings on the NIC and a deep request queue on the
-     * disk, doorbell/completion semantics, and per-CPU softirq-style
-     * completion queues in the scheduler. Payload bytes, packet
-     * segmentation and fs/disk/nic stat counts are identical to the
-     * legacy synchronous paths (enforced by IoRingEquivalenceSweep);
-     * only cost charging and wakeup mechanics differ. Disabling this
-     * falls back to the synchronous request-response device model and
-     * exists for differential testing and as a perf ablation knob.
-     */
-    bool asyncIo = true;
-
     /** Descriptor slots per device ring (TX, RX, and disk request
-     *  queue). Posting to a full ring reaps completed slots first and,
-     *  if none have completed, waits for the oldest in-flight
-     *  descriptor (async-I/O knob). */
+     *  queue) of the interrupt-driven device stack. Posting to a full
+     *  ring reaps completed slots first and, if none have completed,
+     *  waits for the oldest in-flight descriptor. */
     unsigned ringSize = 256;
 
     /**
      * Interrupt-coalescing holdoff in simulated microseconds: after a
      * device IRQ is taken on a vCPU, further completions that come due
      * within this window are reaped by the still-running bottom half
-     * (softirq charge only) instead of raising a fresh interrupt
-     * (async-I/O knob).
+     * (softirq charge only) instead of raising a fresh interrupt.
      */
     unsigned irqCoalesceUs = 16;
 
     /**
-     * Batched ghost-swap eviction pipeline: evictions picked by the
-     * second-chance clock are sealed with a scatter-gather AES-CTR +
-     * pipelined-HMAC batch (key schedule and MAC-state setup amortised
-     * across the batch) and written back through the disk's NCQ ring
-     * with one doorbell per batch. Page contents, sealed blobs and
-     * work-done stat counts are identical to the per-page reference
-     * path (enforced by SwapEquivalenceSweep); only cost charging and
-     * writeback mechanics differ. Disabling this falls back to one
-     * synchronous seal + disk round-trip per evicted page and exists
-     * for differential testing and as a perf ablation knob.
+     * Maximum pages per ghost-swap eviction batch. Evictions picked by
+     * the second-chance clock are sealed with a scatter-gather AES-CTR
+     * + pipelined-HMAC batch (key schedule and MAC-state setup
+     * amortised across the batch) and written back through the disk's
+     * NCQ ring with one doorbell per batch.
      */
-    bool swapFastPath = true;
-
-    /** Maximum pages sealed and written back per eviction batch
-     *  (ghost-swap knob). */
     unsigned swapBatchPages = 32;
 
     /**
@@ -174,14 +135,6 @@ struct VgConfig
      * time-identical to the historical single-CPU model.
      */
     unsigned vcpus = 1;
-
-    /**
-     * Use the SMP scheduler (per-CPU run queues, idle balancing,
-     * cross-CPU preemption). At vcpus == 1 its behaviour is identical
-     * to the legacy single-queue loop; disabling this exists for
-     * differential testing only and requires vcpus == 1.
-     */
-    bool smpScheduler = true;
 
     /** True when any instrumentation that affects codegen is active. */
     bool

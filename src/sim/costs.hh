@@ -97,14 +97,15 @@ struct CostModel
     /** SSD cycles per 4 KB block transferred. */
     Cycles ssdPerBlock = 27000; // ~8 us per 4 KB => ~500 MB/s
 
-    /** NIC per-packet processing cost on the legacy synchronous path
-     *  (descriptor + IRQ amortised into every send). */
+    /** NIC per-packet processing cost of a synchronous Nic::send
+     *  (descriptor + IRQ amortised into the send): the connect
+     *  handshake. */
     Cycles nicPerPacket = 3400; // ~1 us
 
     /** NIC per-byte cost modelling gigabit wire rate (~125 MB/s). */
     Cycles nicCyclesPer64Bytes = 1740; // 3400 c/us / 125 B/us * 64
 
-    // --- Async ring stack (VgConfig::asyncIo) --------------------------
+    // --- Async ring stack ----------------------------------------------
     /** Preparing one ring descriptor (slot write + index update). */
     Cycles ringDescriptor = 180;
 

@@ -31,7 +31,7 @@ SvaVm::swapKey() const
     // and cache; install()/boot() invalidate when the key changes.
     if (_swapKeyValid)
         return _swapKey;
-    crypto::Sha256 h(_ctx.config().cryptoFastPath);
+    crypto::Sha256 h;
     h.update("vg-swap-key", 11);
     std::vector<uint8_t> priv = _privateKey.d.toBytes();
     h.update(priv.data(), priv.size());
@@ -290,8 +290,7 @@ SvaVm::swapOutGhostPage(uint64_t pid, hw::Frame root, hw::Vaddr va,
     uint64_t gen = _nextSwapGen++;
     _swapGens[{pid, va}] = gen;
     crypto::SealedBlob blob =
-        crypto::seal(swapKey(), _rng, plain, swapAad(pid, va, gen),
-                     _ctx.config().cryptoFastPath);
+        crypto::seal(swapKey(), _rng, plain, swapAad(pid, va, gen));
 
     if (!detachGhostFrame(pid, va, slot, frame, "swapout", err))
         return std::nullopt;
@@ -329,8 +328,7 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
         _ctx.chargeAes(hw::pageSize);
         _ctx.chargeSha(hw::pageSize);
     }
-    std::vector<crypto::SealedBlob> blobs = crypto::sealBatch(
-        swapKey(), _rng, batch, _ctx.config().cryptoFastPath);
+    std::vector<crypto::SealedBlob> blobs = crypto::sealBatch(swapKey(), _rng, batch);
 
     for (size_t i = 0; i < vas.size(); i++)
         if (!detachGhostFrame(pid, vas[i], slots[i], framesOf[i],
@@ -353,8 +351,7 @@ SvaVm::swapInGhostPage(uint64_t pid, hw::Frame root, hw::Vaddr va,
     _ctx.chargeAes(blob.ciphertext.size());
     _ctx.chargeSha(blob.ciphertext.size());
     std::vector<uint8_t> plain = crypto::unseal(
-        swapKey(), blob, ok, swapAad(pid, va, genIt->second),
-        _ctx.config().cryptoFastPath);
+        swapKey(), blob, ok, swapAad(pid, va, genIt->second));
     if (!ok || plain.size() != hw::pageSize)
         return failOp(err, "swapin: page fails verification (tampered, "
                            "stale, or replayed to the wrong slot)");

@@ -1,7 +1,8 @@
 /**
  * @file
  * Crypto substrate tests: SHA-256, AES-128, HMAC, DRBG, sealing.
- * Known-answer vectors come from FIPS 197, FIPS 180-4 and RFC 4231.
+ * Known-answer vectors come from FIPS 197, FIPS 180-4 and RFC 4231 and
+ * run against both the production code and the crypto_ref.hh oracle.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include "crypto/hmac.hh"
 #include "crypto/sealed.hh"
 #include "crypto/sha256.hh"
+
+#include "crypto_ref.hh"
 
 using namespace vg::crypto;
 
@@ -394,29 +397,69 @@ TEST(AesSbox, IsAPermutation)
 }
 
 // --------------------------------------------------------------------
-// Known-answer vectors against BOTH the fast and reference paths.
-// The param is the `fast` flag handed to each primitive.
+// Known-answer vectors against BOTH the production code and the
+// textbook oracle in crypto_ref.hh. The param selects the
+// implementation.
 // --------------------------------------------------------------------
 
-class BothPaths : public ::testing::TestWithParam<bool>
+namespace
+{
+
+struct CryptoImpl
+{
+    const char *name;
+    void (*encrypt)(const AesKey &key, uint8_t block[16]);
+    void (*decrypt)(const AesKey &key, uint8_t block[16]);
+    Digest (*sha256)(const void *data, size_t len);
+    Digest (*hmac)(const std::vector<uint8_t> &key, const void *data,
+                   size_t len);
+};
+
+const CryptoImpl kProduction = {
+    "production",
+    [](const AesKey &k, uint8_t b[16]) { Aes128(k).encryptBlock(b); },
+    [](const AesKey &k, uint8_t b[16]) { Aes128(k).decryptBlock(b); },
+    [](const void *d, size_t n) { return Sha256::hash(d, n); },
+    [](const std::vector<uint8_t> &k, const void *d, size_t n) {
+        return hmacSha256(k, d, n);
+    },
+};
+
+const CryptoImpl kReference = {
+    "reference",
+    [](const AesKey &k, uint8_t b[16]) {
+        vg::crypto_ref::Aes128(k).encryptBlock(b);
+    },
+    [](const AesKey &k, uint8_t b[16]) {
+        vg::crypto_ref::Aes128(k).decryptBlock(b);
+    },
+    [](const void *d, size_t n) { return vg::crypto_ref::sha256(d, n); },
+    [](const std::vector<uint8_t> &k, const void *d, size_t n) {
+        return vg::crypto_ref::hmacSha256(k, d, n);
+    },
+};
+
+} // namespace
+
+class BothPaths : public ::testing::TestWithParam<const CryptoImpl *>
 {
 };
 
 TEST_P(BothPaths, AesFips197)
 {
-    bool fast = GetParam();
-    Aes128 aes(keyFromHex("000102030405060708090a0b0c0d0e0f"), fast);
+    const CryptoImpl &impl = *GetParam();
+    AesKey key = keyFromHex("000102030405060708090a0b0c0d0e0f");
     auto block = fromHexStr("00112233445566778899aabbccddeeff");
-    aes.encryptBlock(block.data());
+    impl.encrypt(key, block.data());
     EXPECT_EQ(block, fromHexStr("69c4e0d86a7b0430d8cdb78070b4c55a"));
-    aes.decryptBlock(block.data());
+    impl.decrypt(key, block.data());
     EXPECT_EQ(block, fromHexStr("00112233445566778899aabbccddeeff"));
 }
 
 TEST_P(BothPaths, AesNistEcb)
 {
-    bool fast = GetParam();
-    Aes128 aes(keyFromHex("2b7e151628aed2a6abf7158809cf4f3c"), fast);
+    const CryptoImpl &impl = *GetParam();
+    AesKey key = keyFromHex("2b7e151628aed2a6abf7158809cf4f3c");
     const char *vec[][2] = {
         {"6bc1bee22e409f96e93d7e117393172a",
          "3ad77bb40d7a3660a89ecaf32466ef97"},
@@ -429,46 +472,46 @@ TEST_P(BothPaths, AesNistEcb)
     };
     for (auto &v : vec) {
         auto block = fromHexStr(v[0]);
-        aes.encryptBlock(block.data());
+        impl.encrypt(key, block.data());
         EXPECT_EQ(block, fromHexStr(v[1]));
-        aes.decryptBlock(block.data());
+        impl.decrypt(key, block.data());
         EXPECT_EQ(block, fromHexStr(v[0]));
     }
 }
 
 TEST_P(BothPaths, Sha256Nist)
 {
-    bool fast = GetParam();
-    EXPECT_EQ(toHex(Sha256::hash("", 0, fast)),
+    const CryptoImpl &impl = *GetParam();
+    EXPECT_EQ(toHex(impl.sha256("", 0)),
               "e3b0c44298fc1c149afbf4c8996fb924"
               "27ae41e4649b934ca495991b7852b855");
-    EXPECT_EQ(toHex(Sha256::hash("abc", 3, fast)),
+    EXPECT_EQ(toHex(impl.sha256("abc", 3)),
               "ba7816bf8f01cfea414140de5dae2223"
               "b00361a396177a9cb410ff61f20015ad");
     const char *two = "abcdbcdecdefdefgefghfghighijhijkijkljklm"
                       "klmnlmnomnopnopq";
-    EXPECT_EQ(toHex(Sha256::hash(two, std::strlen(two), fast)),
+    EXPECT_EQ(toHex(impl.sha256(two, std::strlen(two))),
               "248d6a61d20638b8e5c026930c3e6039"
               "a33ce45964ff2167f6ecedd419db06c1");
     // 56 bytes: the padding tail spills into a second block.
     std::string fiftysix(56, 'a');
-    EXPECT_EQ(Sha256::hash(fiftysix.data(), fiftysix.size(), fast),
-              Sha256::hash(fiftysix.data(), fiftysix.size(), !fast));
+    EXPECT_EQ(impl.sha256(fiftysix.data(), fiftysix.size()),
+              kReference.sha256(fiftysix.data(), fiftysix.size()));
 }
 
 TEST_P(BothPaths, HmacRfc4231)
 {
-    bool fast = GetParam();
+    const CryptoImpl &impl = *GetParam();
     {
         std::vector<uint8_t> key(20, 0x0b);
-        EXPECT_EQ(toHex(hmacSha256(key, "Hi There", 8, fast)),
+        EXPECT_EQ(toHex(impl.hmac(key, "Hi There", 8)),
                   "b0344c61d8db38535ca8afceaf0bf12b"
                   "881dc200c9833da726e9376c2e32cff7");
     }
     {
         std::vector<uint8_t> key = {'J', 'e', 'f', 'e'};
         const char *data = "what do ya want for nothing?";
-        EXPECT_EQ(toHex(hmacSha256(key, data, std::strlen(data), fast)),
+        EXPECT_EQ(toHex(impl.hmac(key, data, std::strlen(data))),
                   "5bdcc146bf60754e6a042426089575c7"
                   "5a003f089d2739839dec58b964ec3843");
     }
@@ -476,7 +519,7 @@ TEST_P(BothPaths, HmacRfc4231)
         std::vector<uint8_t> key(131, 0xaa);
         const char *data = "Test Using Larger Than Block-Size Key - "
                            "Hash Key First";
-        EXPECT_EQ(toHex(hmacSha256(key, data, std::strlen(data), fast)),
+        EXPECT_EQ(toHex(impl.hmac(key, data, std::strlen(data))),
                   "60e431591ee0b67f0d8a26aacbf5b77f"
                   "8e0bc6213728c5140546040f0ee37f54");
     }
@@ -484,26 +527,26 @@ TEST_P(BothPaths, HmacRfc4231)
 
 TEST_P(BothPaths, HmacClassMatchesFreeFunction)
 {
-    bool fast = GetParam();
+    const CryptoImpl &impl = *GetParam();
     for (size_t key_len : {0u, 4u, 20u, 64u, 131u}) {
         std::vector<uint8_t> key(key_len, 0x0b);
-        HmacSha256 ctx(key, fast);
+        HmacSha256 ctx(key);
         std::vector<uint8_t> data(200);
         for (size_t i = 0; i < data.size(); i++)
             data[i] = uint8_t(i);
-        EXPECT_EQ(ctx.mac(data),
-                  hmacSha256(key, data.data(), data.size(), fast));
+        EXPECT_EQ(ctx.mac(data), impl.hmac(key, data.data(), data.size()));
         // Streaming via begin()/finish() over two chunks.
         Sha256 inner = ctx.begin();
         inner.update(data.data(), 100);
         inner.update(data.data() + 100, data.size() - 100);
         EXPECT_EQ(ctx.finish(inner),
-                  hmacSha256(key, data.data(), data.size(), fast));
+                  impl.hmac(key, data.data(), data.size()));
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(ReferenceAndFast, BothPaths,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool> &info) {
-                             return info.param ? "fast" : "reference";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    ProductionAndReference, BothPaths,
+    ::testing::Values(&kProduction, &kReference),
+    [](const ::testing::TestParamInfo<const CryptoImpl *> &info) {
+        return std::string(info.param->name);
+    });

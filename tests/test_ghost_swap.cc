@@ -1,9 +1,9 @@
 /**
  * @file
- * Ghost-swap subsystem tests: equivalence of the batched eviction
- * pipeline with the per-page reference path, bit-identity of batch
- * sealing, the generation mechanism that defeats stale replay, the
- * second-chance eviction clock, and pressure-triggered reclaim.
+ * Ghost-swap subsystem tests: the batched eviction pipeline against
+ * digests recorded from the retired per-page path, bit-identity of
+ * batch sealing, the generation mechanism that defeats stale replay,
+ * the second-chance eviction clock, and pressure-triggered reclaim.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,9 @@
 #include "crypto/sealed.hh"
 #include "kernel/system.hh"
 
+#include "crypto_ref.hh"
+#include "golden.hh"
+
 using namespace vg;
 using namespace vg::kern;
 
@@ -23,11 +26,10 @@ namespace
 {
 
 SystemConfig
-swapConfig(bool swap_fast, unsigned vcpus)
+swapConfig(unsigned vcpus)
 {
     SystemConfig cfg;
     cfg.vg = sim::VgConfig::full();
-    cfg.vg.swapFastPath = swap_fast;
     cfg.vg.vcpus = vcpus;
     cfg.memFrames = 4096;
     cfg.diskBlocks = 16384; // 2048 swap blocks -> 1024 slots
@@ -35,30 +37,32 @@ swapConfig(bool swap_fast, unsigned vcpus)
     return cfg;
 }
 
-/** FNV-1a over a byte range. */
-uint64_t
-fnv(const uint8_t *p, size_t n, uint64_t h = 1469598103934665603ull)
-{
-    for (size_t i = 0; i < n; i++) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/** Everything that must match between the two swap paths. */
+/** What one swap corpus run produced. */
 struct SwapResult
 {
     uint64_t digest1 = 0; ///< pages after the first swap cycle
     uint64_t digest2 = 0; ///< pages after reclaim + rewrite cycle
     uint64_t swappedAtEnd = 0;
     std::map<std::string, uint64_t> stats;
+    /** Clock and full stat map digest of the machine. */
+    uint64_t machine = 0;
+    uint64_t batches = 0;      ///< sva.ghost_swap_batches
+    uint64_t writeBatches = 0; ///< swap.write_batches
+
+    /** Ghost contents and work-done counter digest. */
+    uint64_t
+    content() const
+    {
+        test::Golden g;
+        g.u64(digest1).u64(digest2).u64(swappedAtEnd).stats(stats);
+        return g.h;
+    }
 };
 
-/** Stats that count *work done*, not how it was batched or charged.
- *  Deliberately excludes the batch-mechanics counters
- *  (sva.ghost_swap_batches, swap.write_batches) and anything
- *  timing-dependent. */
+/** Stats that count *work done*, not how it was batched or charged:
+ *  the per-page path kept the same counts, so the content digest
+ *  excludes the batch-mechanics counters (sva.ghost_swap_batches,
+ *  swap.write_batches) and anything timing-dependent. */
 const char *kSwapInvariantStats[] = {
     "swap.pages_stored",
     "swap.pages_loaded",
@@ -78,10 +82,10 @@ constexpr uint64_t kPages = 40;
  *  rewrite, evict again, reclaim through the clock, fault everything
  *  back and digest it. */
 SwapResult
-runSwapCorpus(bool swap_fast, unsigned vcpus)
+runSwapCorpus(unsigned vcpus)
 {
     SwapResult out;
-    System sys(swapConfig(swap_fast, vcpus));
+    System sys(swapConfig(vcpus));
     sys.boot();
 
     sys.runProcess("swapper", [&](UserApi &api) {
@@ -97,17 +101,17 @@ runSwapCorpus(bool swap_fast, unsigned vcpus)
                                        page.data(), page.size()));
         }
 
-        // Cycle 1: evict everything (batched vs per-page), then fault
+        // Cycle 1: evict everything in batches, then fault
         // every page back in and digest it.
         EXPECT_EQ(sys.kernel().swapOutGhost(pid, kPages), kPages);
         EXPECT_EQ(sys.kernel().swappedGhostPages(pid), kPages);
-        uint64_t d = 1469598103934665603ull;
+        test::Golden d1;
         for (uint64_t i = 0; i < kPages; i++) {
             EXPECT_TRUE(api.ghostRead(base + i * hw::pageSize,
                                       page.data(), page.size()));
-            d = fnv(page.data(), page.size(), d);
+            d1.bytes(page.data(), page.size());
         }
-        out.digest1 = d;
+        out.digest1 = d1.h;
 
         // Cycle 2: rewrite half the pages, evict a partial set, then
         // relieve pressure through the clock and digest everything.
@@ -120,54 +124,52 @@ runSwapCorpus(bool swap_fast, unsigned vcpus)
         EXPECT_EQ(sys.kernel().swapOutGhost(pid, 16), 16u);
         EXPECT_GT(sys.kernel().reclaimGhostFrames(8), 0u);
 
-        d = 1469598103934665603ull;
+        test::Golden d2;
         for (uint64_t i = 0; i < kPages; i++) {
             EXPECT_TRUE(api.ghostRead(base + i * hw::pageSize,
                                       page.data(), page.size()));
-            d = fnv(page.data(), page.size(), d);
+            d2.bytes(page.data(), page.size());
         }
-        out.digest2 = d;
+        out.digest2 = d2.h;
         out.swappedAtEnd = sys.kernel().swappedGhostPages(pid);
         return 0;
     });
 
     for (const char *k : kSwapInvariantStats)
         out.stats[k] = sys.ctx().stats().get(k);
-    out.stats["sva.ghost_swap_batches"] =
-        sys.ctx().stats().get("sva.ghost_swap_batches");
-    out.stats["swap.write_batches"] =
-        sys.ctx().stats().get("swap.write_batches");
+    out.machine = test::Golden().machine(sys.ctx()).h;
+    out.batches = sys.ctx().stats().get("sva.ghost_swap_batches");
+    out.writeBatches = sys.ctx().stats().get("swap.write_batches");
     return out;
 }
 
+/** Recorded {content, machine} digests for vcpus = 1..4. */
+constexpr uint64_t kSwapGolden[4][2] = {
+    {0xa9df82206b27d756ull, 0xc5bde9b85aa49696ull},
+    {0xa9df82206b27d756ull, 0x0c6157b77e163b2dull},
+    {0xa9df82206b27d756ull, 0x9b6b04d83e9ab7e0ull},
+    {0xa9df82206b27d756ull, 0xc82eef220a6b8b48ull},
+};
+
 } // namespace
 
-TEST(GhostSwap, SwapEquivalenceSweep)
+TEST(GhostSwap, SwapGoldenSweep)
 {
     for (unsigned vcpus = 1; vcpus <= 4; vcpus++) {
         SCOPED_TRACE("vcpus=" + std::to_string(vcpus));
-        SwapResult fast = runSwapCorpus(/*swap_fast=*/true, vcpus);
-        SwapResult ref = runSwapCorpus(/*swap_fast=*/false, vcpus);
+        SwapResult r = runSwapCorpus(vcpus);
+        EXPECT_EQ(r.stats["sva.violations"], 0u);
+        // Pages were grouped into multi-page seal and doorbell
+        // batches: fewer batches than pages stored.
+        EXPECT_GT(r.batches, 0u);
+        EXPECT_LT(r.writeBatches, r.stats["swap.pages_stored"]);
 
-        // Ghost contents are bit-identical across the two pipelines.
-        EXPECT_EQ(fast.digest1, ref.digest1);
-        EXPECT_EQ(fast.digest2, ref.digest2);
-        EXPECT_EQ(fast.swappedAtEnd, ref.swappedAtEnd);
-
-        // Work-done counters: same pages sealed, stored, loaded,
-        // faulted and reclaimed, whichever pipeline ran.
-        for (const char *k : kSwapInvariantStats) {
-            SCOPED_TRACE(k);
-            EXPECT_EQ(fast.stats[k], ref.stats[k]);
-        }
-        EXPECT_EQ(fast.stats["sva.violations"], 0u);
-
-        // Only the batching mechanics differ: the fast path groups
-        // pages into multi-page seal batches and doorbell batches.
-        EXPECT_GT(fast.stats["sva.ghost_swap_batches"], 0u);
-        EXPECT_EQ(ref.stats["sva.ghost_swap_batches"], 0u);
-        EXPECT_LT(fast.stats["swap.write_batches"],
-                  ref.stats["swap.write_batches"]);
+        EXPECT_TRUE(
+            test::matchesGolden(r.content(), kSwapGolden[vcpus - 1][0]))
+            << "content";
+        EXPECT_TRUE(
+            test::matchesGolden(r.machine, kSwapGolden[vcpus - 1][1]))
+            << "machine";
     }
 }
 
@@ -190,25 +192,26 @@ TEST(GhostSwap, BatchSealBitIdenticalToSequentialSeal)
         return batch;
     };
 
-    for (bool fast : {true, false}) {
-        SCOPED_TRACE(fast ? "fast" : "ref");
-        crypto::CtrDrbg rngA(
-            std::vector<uint8_t>{1, 2, 3, 4, 5});
-        crypto::CtrDrbg rngB(
-            std::vector<uint8_t>{1, 2, 3, 4, 5});
+    crypto::CtrDrbg rngA(std::vector<uint8_t>{1, 2, 3, 4, 5});
+    crypto::CtrDrbg rngB(std::vector<uint8_t>{1, 2, 3, 4, 5});
+    crypto::CtrDrbg rngR(std::vector<uint8_t>{1, 2, 3, 4, 5});
 
-        std::vector<crypto::SealInput> batch = mkBatch();
-        std::vector<crypto::SealedBlob> batched =
-            crypto::sealBatch(key, rngA, batch, fast);
+    std::vector<crypto::SealInput> batch = mkBatch();
+    std::vector<crypto::SealedBlob> batched =
+        crypto::sealBatch(key, rngA, batch);
 
-        ASSERT_EQ(batched.size(), batch.size());
-        for (size_t i = 0; i < batch.size(); i++) {
-            crypto::SealedBlob one = crypto::seal(
-                key, rngB, batch[i].plain, batch[i].aad, fast);
-            EXPECT_EQ(batched[i].nonce, one.nonce);
-            EXPECT_EQ(batched[i].ciphertext, one.ciphertext);
-            EXPECT_EQ(batched[i].mac, one.mac);
-        }
+    ASSERT_EQ(batched.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); i++) {
+        crypto::SealedBlob one =
+            crypto::seal(key, rngB, batch[i].plain, batch[i].aad);
+        EXPECT_EQ(batched[i].nonce, one.nonce);
+        EXPECT_EQ(batched[i].ciphertext, one.ciphertext);
+        EXPECT_EQ(batched[i].mac, one.mac);
+        // And both match the two-pass textbook construction.
+        EXPECT_EQ(one.serialize(), crypto_ref::seal(key, rngR,
+                                                    batch[i].plain,
+                                                    batch[i].aad)
+                                       .serialize());
     }
 }
 
@@ -217,7 +220,7 @@ TEST(GhostSwap, SwapGenerationAdvancesPerEviction)
     // Every swap-out seals under a fresh monotonic generation, and a
     // successful swap-in retires the record — the mechanism that makes
     // stale sealed pages unreplayable.
-    System sys(swapConfig(true, 1));
+    System sys(swapConfig(1));
     sys.boot();
     sys.runProcess("gen", [&](UserApi &api) {
         uint64_t pid = api.pid();
@@ -248,7 +251,7 @@ TEST(GhostSwap, SwapGenerationAdvancesPerEviction)
 
 TEST(GhostSwap, SecondChanceClockSparesReferencedPages)
 {
-    System sys(swapConfig(true, 1));
+    System sys(swapConfig(1));
     sys.boot();
     sys.runProcess("clock", [&](UserApi &api) {
         uint64_t pid = api.pid();
@@ -302,7 +305,7 @@ TEST(GhostSwap, AllocationUnderPressureReclaimsTransparently)
     // Oversubscribe physical memory with ghost allocations: the
     // headroom check in allocgm() must push old ghost pages to swap
     // instead of failing, and every page must survive the round trip.
-    SystemConfig cfg = swapConfig(true, 1);
+    SystemConfig cfg = swapConfig(1);
     cfg.diskBlocks = 65536; // 8192 swap blocks -> 4096 slots
     System sys(cfg);
     sys.boot();

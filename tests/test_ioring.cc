@@ -1,12 +1,16 @@
 /**
  * @file
- * Async-I/O equivalence: the interrupt-driven ring stack
- * (VgConfig::asyncIo, the default) and the retained legacy synchronous
- * device paths must be *functionally* identical — same payload bytes
- * delivered, same fs/nic/disk work performed — differing only in how
- * cycles are charged and when sleepers wake. The sweep drives a mixed
- * thttpd + sshd + postmark corpus through both stacks at 1-4 vCPUs and
- * compares payload digests and device/fs stat counters exactly.
+ * Ring-based I/O golden sweep. A mixed thttpd + sshd + postmark corpus
+ * runs at 1-4 vCPUs and each run is checked against two recorded
+ * digests:
+ *
+ *  - content: payload bytes delivered, postmark results and the
+ *    work-done device/fs counters. The retired synchronous device
+ *    stack produced the same content digests, so the ring stack moves
+ *    exactly the bytes and does exactly the work the request-response
+ *    model did.
+ *  - machine: the vCPU clocks and the full stat map. Any change to how
+ *    the ring stack charges cycles or wakes sleepers shows up here.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +25,8 @@
 #include "apps/thttpd.hh"
 #include "kernel/system.hh"
 
+#include "golden.hh"
+
 using namespace vg;
 using namespace vg::kern;
 using namespace vg::apps;
@@ -28,21 +34,7 @@ using namespace vg::apps;
 namespace
 {
 
-/** FNV-1a over a byte stream, for payload digests. */
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ull;
-    void
-    feed(const uint8_t *p, size_t n)
-    {
-        for (size_t i = 0; i < n; i++) {
-            h ^= p[i];
-            h *= 1099511628211ull;
-        }
-    }
-};
-
-/** Everything that must be identical between the two stacks. */
+/** What one corpus run produced. */
 struct WorkloadResult
 {
     uint64_t httpBytes = 0;
@@ -54,12 +46,26 @@ struct WorkloadResult
     uint64_t pmBytesRead = 0;
     uint64_t pmBytesWritten = 0;
     std::map<std::string, uint64_t> stats;
+    /** Clock and full stat map digest of the machine. */
+    uint64_t machine = 0;
+
+    /** Payload, postmark and work-done counter digest. */
+    uint64_t
+    content() const
+    {
+        test::Golden g;
+        g.u64(httpBytes).u64(httpDigest).u64(sshBytes).u64(sshDigest);
+        g.u64(pmCreated).u64(pmDeleted).u64(pmBytesRead);
+        g.u64(pmBytesWritten).stats(stats);
+        return g.h;
+    }
 };
 
-/** Stats that count *work done*, not how it was charged or delivered.
- *  Deliberately excludes the async-only counters (kernel.device_irqs,
- *  kernel.irqs_coalesced, kernel.softirq_wakes,
- *  kernel.zero_copy_sends) and anything timing-dependent. */
+/** Stats that count *work done*, not how it was charged or delivered:
+ *  the counters the synchronous stack also kept, so the content digest
+ *  excludes the ring-only counters (kernel.device_irqs,
+ *  kernel.irqs_coalesced, kernel.softirq_wakes, kernel.zero_copy_sends)
+ *  and anything timing-dependent. */
 const char *kInvariantStats[] = {
     "nic.tx_packets",   "nic.tx_bytes",     "nic.rx_packets",
     "disk.requests",    "disk.blocks",      "bcache.writebacks",
@@ -70,11 +76,10 @@ const char *kInvariantStats[] = {
 };
 
 SystemConfig
-sweepConfig(bool async_io, unsigned vcpus)
+sweepConfig(unsigned vcpus)
 {
     SystemConfig cfg;
     cfg.vg = sim::VgConfig::full();
-    cfg.vg.asyncIo = async_io;
     cfg.vg.vcpus = vcpus;
     cfg.memFrames = 8192;
     cfg.diskBlocks = 8192;
@@ -93,7 +98,7 @@ httpFetch(UserApi &api, uint16_t port, WorkloadResult &out)
     std::vector<uint8_t> buf(16 * 1024);
     std::string head;
     bool headers_done = false;
-    Fnv fnv;
+    test::Golden body;
     while (true) {
         int64_t n = api.recvHost(fd, buf.data(), buf.size());
         if (n <= 0)
@@ -111,18 +116,18 @@ httpFetch(UserApi &api, uint16_t port, WorkloadResult &out)
             body_off = hdr_end + 4 > consumed ? hdr_end + 4 - consumed
                                               : 0;
         }
-        fnv.feed(buf.data() + body_off, size_t(n) - body_off);
+        body.bytes(buf.data() + body_off, size_t(n) - body_off);
         out.httpBytes += size_t(n) - body_off;
     }
     api.close(fd);
-    out.httpDigest = fnv.h;
+    out.httpDigest = body.h;
 }
 
 WorkloadResult
-runCorpus(bool async_io, unsigned vcpus)
+runCorpus(unsigned vcpus)
 {
     WorkloadResult out;
-    System sys(sweepConfig(async_io, vcpus));
+    System sys(sweepConfig(vcpus));
     sys.boot();
 
     crypto::AesKey app_key{};
@@ -191,9 +196,7 @@ runCorpus(bool async_io, unsigned vcpus)
                                        /*keep_data=*/true);
                 EXPECT_TRUE(r.ok);
                 out.sshBytes = r.bytes;
-                Fnv fnv;
-                fnv.feed(r.data.data(), r.data.size());
-                out.sshDigest = fnv.h;
+                out.sshDigest = test::fnv1a(r.data.data(), r.data.size());
                 return r.ok ? 0 : 1;
             });
         });
@@ -220,47 +223,41 @@ runCorpus(bool async_io, unsigned vcpus)
 
     for (const char *k : kInvariantStats)
         out.stats[k] = sys.ctx().stats().get(k);
+    out.machine = test::Golden().machine(sys.ctx()).h;
     return out;
 }
 
+/** Recorded {content, machine} digests for vcpus = 1..4. */
+constexpr uint64_t kIoGolden[4][2] = {
+    {0x3ee3048890d5fe30ull, 0x96d03ff875c452e9ull},
+    {0x3ee3048890d5fe30ull, 0x9d0e566a8c13700full},
+    {0x3ee3048890d5fe30ull, 0xeb896328017943e9ull},
+    {0x3ee3048890d5fe30ull, 0x51e2ba9cfac877f6ull},
+};
+
 } // namespace
 
-TEST(IoRing, IoRingEquivalenceSweep)
+TEST(IoRing, IoRingGoldenSweep)
 {
     for (unsigned vcpus = 1; vcpus <= 4; vcpus++) {
         SCOPED_TRACE("vcpus=" + std::to_string(vcpus));
-        WorkloadResult ring = runCorpus(/*async_io=*/true, vcpus);
-        WorkloadResult sync = runCorpus(/*async_io=*/false, vcpus);
-
-        // Payload bytes, byte-for-byte.
-        EXPECT_EQ(ring.httpBytes, sync.httpBytes);
-        EXPECT_EQ(ring.httpDigest, sync.httpDigest);
-        EXPECT_EQ(ring.sshBytes, sync.sshBytes);
-        EXPECT_EQ(ring.sshDigest, sync.sshDigest);
+        WorkloadResult ring = runCorpus(vcpus);
         EXPECT_GT(ring.httpBytes, 0u);
         EXPECT_GT(ring.sshBytes, 0u);
-
-        // The postmark corpus did identical fs work.
-        EXPECT_EQ(ring.pmCreated, sync.pmCreated);
-        EXPECT_EQ(ring.pmDeleted, sync.pmDeleted);
-        EXPECT_EQ(ring.pmBytesRead, sync.pmBytesRead);
-        EXPECT_EQ(ring.pmBytesWritten, sync.pmBytesWritten);
-
-        // Device / fs counters: same work, whichever stack ran it.
-        for (const char *k : kInvariantStats) {
-            SCOPED_TRACE(k);
-            EXPECT_EQ(ring.stats[k], sync.stats[k]);
-        }
-        // And nothing was blocked — this is the benign workload.
+        // Nothing was blocked: this is the benign workload.
         EXPECT_EQ(ring.stats["nic.ring_blocked_dma"], 0u);
         EXPECT_EQ(ring.stats["disk.ring_blocked_dma"], 0u);
+
+        EXPECT_TRUE(
+            test::matchesGolden(ring.content(), kIoGolden[vcpus - 1][0]))
+            << "content";
+        EXPECT_TRUE(
+            test::matchesGolden(ring.machine, kIoGolden[vcpus - 1][1]))
+            << "machine";
     }
 }
 
-TEST(IoRing, AsyncIsDefaultAndLegacyFlagTurnsItOff)
+TEST(IoRing, RingSizeDefault)
 {
-    sim::VgConfig def = sim::VgConfig::full();
-    EXPECT_TRUE(def.asyncIo);
-    EXPECT_TRUE(sim::VgConfig::native().asyncIo);
-    EXPECT_GE(def.ringSize, 2u);
+    EXPECT_GE(sim::VgConfig::full().ringSize, 2u);
 }

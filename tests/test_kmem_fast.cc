@@ -1,16 +1,19 @@
 /**
  * @file
- * The Kmem fast path (last-translation cache + page-chunked copies)
- * must be *observably identical* to the reference per-access path:
- * same return values, same simulated cycles, same stat counters, same
- * memory contents. VgConfig::kmemFastPath=false selects the reference
- * implementation; these tests run both side by side.
+ * Kmem's last-translation cache and page-chunked copies must be
+ * *observably identical* to a per-access translate and a byte-at-a-
+ * time copy: same return values, same simulated cycles, same stat
+ * counters, same memory contents. That per-access reference path was
+ * retired once proven identical; the digests it produced (clock, full
+ * stat map, deflections, every byte of RAM, and per-op results) are
+ * recorded below and the differential tests compare against them.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
+#include <map>
 #include <optional>
 
 #include "crypto/drbg.hh"
@@ -23,17 +26,31 @@
 #include "kernel/kmem.hh"
 #include "sva/vm.hh"
 
+#include "golden.hh"
+
 using namespace vg;
 
 namespace
 {
 
 sim::VgConfig
-cfgFor(bool fast)
+rigConfig()
 {
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.kmemFastPath = fast;
-    return cfg;
+    return sim::VgConfig::full();
+}
+
+/** Clock, full stat map, deflections and every byte of RAM. */
+test::Golden
+stateDigest(sim::SimContext &ctx, hw::PhysMem &mem, kern::Kmem &kmem)
+{
+    test::Golden g;
+    g.machine(ctx).u64(kmem.deflections());
+    std::vector<uint8_t> page(hw::pageSize);
+    for (uint64_t pa = 0; pa < mem.sizeBytes(); pa += hw::pageSize) {
+        mem.readBytes(pa, page.data(), page.size());
+        g.bytes(page.data(), page.size());
+    }
+    return g;
 }
 
 // --------------------------------------------------------------------
@@ -51,8 +68,8 @@ struct HandRig
     sva::SvaVm vm;
     kern::Kmem kmem;
 
-    explicit HandRig(bool fast)
-        : ctx(cfgFor(fast)), mem(64), mmu(mem, ctx), iommu(mem, ctx),
+    HandRig()
+        : ctx(rigConfig()), mem(64), mmu(mem, ctx), iommu(mem, ctx),
           tpm({'k', 't'}), vm(ctx, mem, mmu, iommu, tpm),
           kmem(ctx, mem, mmu, vm)
     {}
@@ -73,21 +90,28 @@ struct HandRig
     }
 };
 
-/** Assert two rigs are in the same observable state. */
-void
-expectIdentical(HandRig &fast, HandRig &ref, const char *where)
+/** Digest of a hand rig's observable state. */
+uint64_t
+rigDigest(HandRig &r)
 {
-    EXPECT_EQ(fast.ctx.clock().now(), ref.ctx.clock().now()) << where;
-    EXPECT_EQ(fast.ctx.stats().all(), ref.ctx.stats().all()) << where;
-    EXPECT_EQ(fast.kmem.deflections(), ref.kmem.deflections()) << where;
-    std::vector<uint8_t> a(hw::pageSize), b(hw::pageSize);
-    for (uint64_t pa = 0; pa < fast.mem.sizeBytes();
-         pa += hw::pageSize) {
-        fast.mem.readBytes(pa, a.data(), a.size());
-        ref.mem.readBytes(pa, b.data(), b.size());
-        ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
-            << where << ": frame " << (pa >> hw::pageShift);
-    }
+    return stateDigest(r.ctx, r.mem, r.kmem).h;
+}
+
+/** Hand-rig digests recorded from the per-access reference path. */
+const std::map<std::string, uint64_t> kHandGolden = {
+    {"tlb eviction", 0x305ee066cb6ab71dull},
+    {"straddling copy", 0x170a9dd690ffd57bull},
+    {"overlapping copy", 0x9c4db80cbc2ff29eull},
+    {"tlb-set thrash copy", 0x5791ca832efb762full},
+    {"blocked store", 0xbcebd41977206e24ull},
+};
+
+/** Assert a rig is in the recorded reference state for @p where. */
+void
+expectGolden(HandRig &r, const char *where)
+{
+    EXPECT_TRUE(test::matchesGolden(rigDigest(r), kHandGolden.at(where)))
+        << where;
 }
 
 constexpr hw::Vaddr kUserVa = 0x400000;
@@ -106,7 +130,7 @@ constexpr hw::Vaddr kCollideVa =
  *  new one. */
 TEST(KmemFast, CacheFollowsInvalidatePage)
 {
-    HandRig r(true);
+    HandRig r;
     r.map(kUserVa, 8, true);
     r.mmu.setRoot(0);
     r.mem.write64(8 * hw::pageSize, 0x1111);
@@ -129,7 +153,7 @@ TEST(KmemFast, CacheFollowsInvalidatePage)
 
 TEST(KmemFast, CacheFollowsFlushTlb)
 {
-    HandRig r(true);
+    HandRig r;
     r.map(kUserVa, 8, true);
     r.mmu.setRoot(0);
     r.mem.write64(8 * hw::pageSize, 0x1111);
@@ -145,7 +169,7 @@ TEST(KmemFast, CacheFollowsFlushTlb)
 
 TEST(KmemFast, CacheFollowsSetRoot)
 {
-    HandRig r(true);
+    HandRig r;
     r.map(kUserVa, 8, true);
     r.mmu.setRoot(0);
     r.mem.write64(8 * hw::pageSize, 0x1111);
@@ -161,124 +185,102 @@ TEST(KmemFast, CacheFollowsSetRoot)
 
 /** A walk that evicts a live TLB entry (set collision) must also kill
  *  the cache, or a later cached hit would charge tlbHit where the
- *  reference path misses. Checked differentially via cycles + stats. */
+ *  reference path misses. Checked via the recorded cycles + stats. */
 TEST(KmemFast, CacheFollowsTlbEviction)
 {
-    HandRig fast(true), ref(false);
-    for (HandRig *r : {&fast, &ref}) {
-        r->map(kUserVa, 8, true);
-        r->map(kCollideVa, 9, true);
-        r->mmu.setRoot(0);
-    }
+    HandRig r;
+    r.map(kUserVa, 8, true);
+    r.map(kCollideVa, 9, true);
+    r.mmu.setRoot(0);
     ASSERT_EQ(hw::Mmu::tlbIndex(kUserVa), hw::Mmu::tlbIndex(kCollideVa));
 
     uint64_t v = 0;
-    for (HandRig *r : {&fast, &ref}) {
-        ASSERT_TRUE(r->kmem.kread(kUserVa, 8, v));    // miss + walk
-        ASSERT_TRUE(r->kmem.kread(kCollideVa, 8, v)); // evicts kUserVa
-        ASSERT_TRUE(r->kmem.kread(kUserVa, 8, v));    // must miss again
-    }
-    EXPECT_EQ(fast.ctx.stats().get("mmu.tlb_misses"), 3u);
-    expectIdentical(fast, ref, "tlb eviction");
+    ASSERT_TRUE(r.kmem.kread(kUserVa, 8, v));    // miss + walk
+    ASSERT_TRUE(r.kmem.kread(kCollideVa, 8, v)); // evicts kUserVa
+    ASSERT_TRUE(r.kmem.kread(kUserVa, 8, v));    // must miss again
+    EXPECT_EQ(r.ctx.stats().get("mmu.tlb_misses"), 3u);
+    expectGolden(r, "tlb eviction");
 }
 
 /** Page-straddling copy: contents and charges match the reference. */
 TEST(KmemFast, CopyStraddlesPages)
 {
-    HandRig fast(true), ref(false);
-    for (HandRig *r : {&fast, &ref}) {
-        for (int i = 0; i < 8; i++)
-            r->map(kUserVa + uint64_t(i) * hw::pageSize,
-                   hw::Frame(8 + i), true);
-        r->mmu.setRoot(0);
-        for (uint64_t i = 0; i < 2 * hw::pageSize; i++)
-            r->mem.write8(8 * hw::pageSize + i, uint8_t(i * 7 + 3));
-    }
+    HandRig r;
+    for (int i = 0; i < 8; i++)
+        r.map(kUserVa + uint64_t(i) * hw::pageSize, hw::Frame(8 + i),
+              true);
+    r.mmu.setRoot(0);
+    for (uint64_t i = 0; i < 2 * hw::pageSize; i++)
+        r.mem.write8(8 * hw::pageSize + i, uint8_t(i * 7 + 3));
 
-    bool okF = fast.kmem.copy(kUserVa + 4 * hw::pageSize + 50,
-                              kUserVa + 100, 6000);
-    bool okR = ref.kmem.copy(kUserVa + 4 * hw::pageSize + 50,
-                             kUserVa + 100, 6000);
-    EXPECT_TRUE(okF);
-    EXPECT_EQ(okF, okR);
+    EXPECT_TRUE(
+        r.kmem.copy(kUserVa + 4 * hw::pageSize + 50, kUserVa + 100, 6000));
     for (uint64_t i = 0; i < 6000; i++)
-        ASSERT_EQ(fast.mem.read8(12 * hw::pageSize + 50 + i),
+        ASSERT_EQ(r.mem.read8(12 * hw::pageSize + 50 + i),
                   uint8_t((100 + i) * 7 + 3))
             << "byte " << i;
-    expectIdentical(fast, ref, "straddling copy");
+    expectGolden(r, "straddling copy");
 }
 
 /** Physically overlapping forward copy: the reference loop propagates
  *  freshly written bytes; the fast path must reproduce that. */
 TEST(KmemFast, CopyOverlapPropagates)
 {
-    HandRig fast(true), ref(false);
+    HandRig r;
     hw::Vaddr base = hw::kernelBase + 20 * hw::pageSize;
-    for (HandRig *r : {&fast, &ref}) {
-        for (uint64_t i = 0; i < 128; i++)
-            r->mem.write8(20 * hw::pageSize + i, uint8_t(i + 1));
-        ASSERT_TRUE(r->kmem.copy(base + 1, base, 64));
-    }
+    for (uint64_t i = 0; i < 128; i++)
+        r.mem.write8(20 * hw::pageSize + i, uint8_t(i + 1));
+    ASSERT_TRUE(r.kmem.copy(base + 1, base, 64));
     // Forward byte copy with dst = src+1 smears byte 0 over the range.
     for (uint64_t i = 0; i <= 64; i++)
-        ASSERT_EQ(fast.mem.read8(20 * hw::pageSize + i), 1u)
-            << "byte " << i;
-    expectIdentical(fast, ref, "overlapping copy");
+        ASSERT_EQ(r.mem.read8(20 * hw::pageSize + i), 1u) << "byte " << i;
+    expectGolden(r, "overlapping copy");
 }
 
 /** src/dst in the same TLB set: the reference loop walk-thrashes on
  *  every byte; the fast path must charge identically. */
 TEST(KmemFast, CopyTlbSetThrash)
 {
-    HandRig fast(true), ref(false);
-    for (HandRig *r : {&fast, &ref}) {
-        r->map(kUserVa, 8, true);
-        r->map(kCollideVa, 9, true);
-        r->mmu.setRoot(0);
-        for (uint64_t i = 0; i < 256; i++)
-            r->mem.write8(8 * hw::pageSize + i, uint8_t(i ^ 0x5a));
-        ASSERT_TRUE(r->kmem.copy(kCollideVa, kUserVa, 256));
-    }
+    HandRig r;
+    r.map(kUserVa, 8, true);
+    r.map(kCollideVa, 9, true);
+    r.mmu.setRoot(0);
     for (uint64_t i = 0; i < 256; i++)
-        ASSERT_EQ(fast.mem.read8(9 * hw::pageSize + i),
-                  uint8_t(i ^ 0x5a));
+        r.mem.write8(8 * hw::pageSize + i, uint8_t(i ^ 0x5a));
+    ASSERT_TRUE(r.kmem.copy(kCollideVa, kUserVa, 256));
+    for (uint64_t i = 0; i < 256; i++)
+        ASSERT_EQ(r.mem.read8(9 * hw::pageSize + i), uint8_t(i ^ 0x5a));
     // Reference walk-thrash: every byte misses on both pages.
-    EXPECT_GE(fast.ctx.stats().get("mmu.tlb_misses"), 2 * 256u);
-    expectIdentical(fast, ref, "tlb-set thrash copy");
+    EXPECT_GE(r.ctx.stats().get("mmu.tlb_misses"), 2 * 256u);
+    expectGolden(r, "tlb-set thrash copy");
 }
 
 /** A denied store partway through a copy leaves the same prefix
  *  written and the same blocked-store count as the reference. */
 TEST(KmemFast, CopyBlockedStoreAtChunkBoundary)
 {
-    HandRig fast(true), ref(false);
-    for (HandRig *r : {&fast, &ref}) {
-        for (int i = 0; i < 4; i++)
-            r->map(kUserVa + uint64_t(i) * hw::pageSize,
-                   hw::Frame(8 + i), true);
-        r->mmu.setRoot(0);
-        // Frame 9 (second dst page) becomes VM-owned: stores refused.
-        r->vm.frames()[9].type = sva::FrameType::Ghost;
-        for (uint64_t i = 0; i < 2 * hw::pageSize; i++)
-            r->mem.write8(10 * hw::pageSize + i, uint8_t(i + 9));
-    }
+    HandRig r;
+    for (int i = 0; i < 4; i++)
+        r.map(kUserVa + uint64_t(i) * hw::pageSize, hw::Frame(8 + i),
+              true);
+    r.mmu.setRoot(0);
+    // Frame 9 (second dst page) becomes VM-owned: stores refused.
+    r.vm.frames()[9].type = sva::FrameType::Ghost;
+    for (uint64_t i = 0; i < 2 * hw::pageSize; i++)
+        r.mem.write8(10 * hw::pageSize + i, uint8_t(i + 9));
 
     // dst pages 8,9; src pages 10,11. Fails entering frame 9.
-    bool okF = fast.kmem.copy(kUserVa, kUserVa + 2 * hw::pageSize,
-                              2 * hw::pageSize);
-    bool okR = ref.kmem.copy(kUserVa, kUserVa + 2 * hw::pageSize,
-                             2 * hw::pageSize);
-    EXPECT_FALSE(okF);
-    EXPECT_EQ(okF, okR);
-    EXPECT_EQ(fast.ctx.stats().get("kmem.blocked_stores"), 1u);
-    expectIdentical(fast, ref, "blocked store");
+    EXPECT_FALSE(r.kmem.copy(kUserVa, kUserVa + 2 * hw::pageSize,
+                             2 * hw::pageSize));
+    EXPECT_EQ(r.ctx.stats().get("kmem.blocked_stores"), 1u);
+    expectGolden(r, "blocked store");
 }
 
 /** A TLB-resident entry that lacks the requested permission re-walks
  *  and is counted as a perm rewalk, not a (phantom) TLB miss. */
 TEST(KmemFast, PermissionRewalkCountedSeparately)
 {
-    HandRig r(true);
+    HandRig r;
     r.map(kUserVa, 8, false); // read-only
     r.mmu.setRoot(0);
 
@@ -322,9 +324,11 @@ TEST(KmemFast, BcacheGetZeroedStatSymmetry)
 }
 
 // --------------------------------------------------------------------
-// Differential sweep: a full SVA-booted machine, random kernel memory
+// Golden sweep: a full SVA-booted machine, random kernel memory
 // traffic over every address class interleaved with TLB-shootdown
-// events, fast vs reference in lockstep.
+// events. Every op's result and the clock after it fold into the
+// digest, so the lockstep agreement the reference path once checked
+// op by op is still checked op by op.
 // --------------------------------------------------------------------
 
 namespace
@@ -341,8 +345,8 @@ struct SweepRig
     kern::Kmem kmem;
     std::deque<hw::Frame> freeFrames;
 
-    explicit SweepRig(bool fast)
-        : ctx(cfgFor(fast)), mem(512), mmu(mem, ctx), iommu(mem, ctx),
+    SweepRig()
+        : ctx(rigConfig()), mem(512), mmu(mem, ctx), iommu(mem, ctx),
           tpm({'k', 'f'}), vm(ctx, mem, mmu, iommu, tpm),
           kmem(ctx, mem, mmu, vm)
     {
@@ -409,55 +413,49 @@ randomVa(crypto::CtrDrbg &rng)
 
 } // namespace
 
-class KmemFastSweep : public ::testing::TestWithParam<int>
+/** Sweep digests per seed, recorded from the per-access reference
+ *  path. */
+const std::map<int, uint64_t> kKmemGolden = {
+    {1, 0xebc716fce3a77c12ull},
+    {2, 0x9583cd2e28ca87e0ull},
+    {3, 0xc83c7a8b82b94247ull},
+    {4, 0x44e32a7529bce112ull},
+};
+
+class KmemGoldenSweep : public ::testing::TestWithParam<int>
 {};
 
-TEST_P(KmemFastSweep, MatchesReferencePath)
+TEST_P(KmemGoldenSweep, MatchesRecordedDigest)
 {
     crypto::CtrDrbg rng({uint8_t(GetParam()), 'k', 'm'});
-    SweepRig fast(true);
-    SweepRig ref(false);
-
-    std::vector<uint8_t> bufF(3 * hw::pageSize);
-    std::vector<uint8_t> bufR(3 * hw::pageSize);
-    sva::SvaError errF, errR;
+    SweepRig r;
+    std::vector<uint8_t> buf(3 * hw::pageSize);
+    sva::SvaError err;
+    test::Golden ops;
 
     for (int op = 0; op < 1500; op++) {
         switch (rng.nextBounded(12)) {
           case 0: { // native kernel load
             hw::Vaddr va = randomVa(rng);
             unsigned bytes = 1u << rng.nextBounded(4);
-            uint64_t vF = 0, vR = 0;
-            bool okF = fast.kmem.kread(va, bytes, vF);
-            bool okR = ref.kmem.kread(va, bytes, vR);
-            ASSERT_EQ(okF, okR) << "op " << op;
-            ASSERT_EQ(vF, vR) << "op " << op;
+            uint64_t v = 0;
+            ops.u64(r.kmem.kread(va, bytes, v)).u64(v);
             break;
           }
           case 1: { // native kernel store
             hw::Vaddr va = randomVa(rng);
             unsigned bytes = 1u << rng.nextBounded(4);
-            uint64_t val = rng.next64();
-            ASSERT_EQ(fast.kmem.kwrite(va, bytes, val),
-                      ref.kmem.kwrite(va, bytes, val))
-                << "op " << op;
+            ops.u64(r.kmem.kwrite(va, bytes, rng.next64()));
             break;
           }
           case 2: { // module-port load
-            hw::Vaddr va = randomVa(rng);
-            uint64_t vF = 0, vR = 0;
-            bool okF = fast.kmem.read(va, 8, vF);
-            bool okR = ref.kmem.read(va, 8, vR);
-            ASSERT_EQ(okF, okR) << "op " << op;
-            ASSERT_EQ(vF, vR) << "op " << op;
+            uint64_t v = 0;
+            ops.u64(r.kmem.read(randomVa(rng), 8, v)).u64(v);
             break;
           }
           case 3: { // module-port store
             hw::Vaddr va = randomVa(rng);
-            uint64_t val = rng.next64();
-            ASSERT_EQ(fast.kmem.write(va, 4, val),
-                      ref.kmem.write(va, 4, val))
-                << "op " << op;
+            ops.u64(r.kmem.write(va, 4, rng.next64()));
             break;
           }
           case 4:
@@ -465,92 +463,60 @@ TEST_P(KmemFastSweep, MatchesReferencePath)
             hw::Vaddr src = randomVa(rng);
             hw::Vaddr dst = randomVa(rng);
             uint64_t len = rng.nextBounded(3 * hw::pageSize) + 1;
-            ASSERT_EQ(fast.kmem.copy(dst, src, len),
-                      ref.kmem.copy(dst, src, len))
-                << "op " << op;
+            ops.u64(r.kmem.copy(dst, src, len));
             break;
           }
           case 6: { // copyin
             hw::Vaddr va = randomVa(rng);
-            uint64_t len = rng.nextBounded(bufF.size()) + 1;
-            std::memset(bufF.data(), 0xee, len);
-            std::memset(bufR.data(), 0xee, len);
-            bool okF = fast.kmem.copyIn(va, bufF.data(), len);
-            bool okR = ref.kmem.copyIn(va, bufR.data(), len);
-            ASSERT_EQ(okF, okR) << "op " << op;
-            ASSERT_EQ(std::memcmp(bufF.data(), bufR.data(), len), 0)
-                << "op " << op;
+            uint64_t len = rng.nextBounded(buf.size()) + 1;
+            std::memset(buf.data(), 0xee, len);
+            ops.u64(r.kmem.copyIn(va, buf.data(), len));
+            ops.bytes(buf.data(), len);
             break;
           }
           case 7: { // copyout
             hw::Vaddr va = randomVa(rng);
-            uint64_t len = rng.nextBounded(bufF.size()) + 1;
+            uint64_t len = rng.nextBounded(buf.size()) + 1;
             for (uint64_t i = 0; i < len; i++)
-                bufF[i] = bufR[i] = uint8_t(rng.nextBounded(256));
-            ASSERT_EQ(fast.kmem.copyOut(va, bufF.data(), len),
-                      ref.kmem.copyOut(va, bufR.data(), len))
-                << "op " << op;
+                buf[i] = uint8_t(rng.nextBounded(256));
+            ops.u64(r.kmem.copyOut(va, buf.data(), len));
             break;
           }
-          case 8: { // invlpg
-            hw::Vaddr va = randomVa(rng);
-            fast.mmu.invalidatePage(va);
-            ref.mmu.invalidatePage(va);
+          case 8: // invlpg
+            r.mmu.invalidatePage(randomVa(rng));
             break;
-          }
           case 9: // TLB flush or CR3 reload
-            if (rng.nextBounded(2) == 0) {
-                fast.mmu.flushTlb();
-                ref.mmu.flushTlb();
-            } else {
-                ASSERT_EQ(fast.vm.loadRoot(0, &errF),
-                          ref.vm.loadRoot(0, &errR))
-                    << "op " << op;
-            }
+            if (rng.nextBounded(2) == 0)
+                r.mmu.flushTlb();
+            else
+                ops.u64(r.vm.loadRoot(0, &err));
             break;
           case 10: { // remap / protect a hot user page
             hw::Vaddr va =
                 hw::pageOf(kUserVa + rng.nextBounded(8 * hw::pageSize));
             bool writable = rng.nextBounded(2) == 0;
-            ASSERT_EQ(fast.vm.protectPage(0, va, writable, true, &errF),
-                      ref.vm.protectPage(0, va, writable, true, &errR))
-                << "op " << op;
+            ops.u64(r.vm.protectPage(0, va, writable, true, &err));
             break;
           }
           default: { // unmap + remap a hot user page
             int i = int(rng.nextBounded(8));
             hw::Vaddr va = kUserVa + uint64_t(i) * hw::pageSize;
-            ASSERT_EQ(fast.vm.unmapPage(0, va, &errF),
-                      ref.vm.unmapPage(0, va, &errR))
-                << "op " << op;
-            ASSERT_EQ(fast.vm.mapPage(0, va, hw::Frame(448 + i), true,
-                                      true, true, &errF),
-                      ref.vm.mapPage(0, va, hw::Frame(448 + i), true,
-                                     true, true, &errR))
-                << "op " << op;
+            ops.u64(r.vm.unmapPage(0, va, &err));
+            ops.u64(r.vm.mapPage(0, va, hw::Frame(448 + i), true, true,
+                                 true, &err));
             break;
           }
         }
-
-        // Lockstep: simulated time must agree after *every* op.
-        ASSERT_EQ(fast.ctx.clock().now(), ref.ctx.clock().now())
-            << "op " << op;
+        ops.u64(r.ctx.clock().now());
     }
 
-    // Full-state agreement: stats, deflections, every byte of RAM.
-    EXPECT_EQ(fast.ctx.stats().all(), ref.ctx.stats().all());
-    EXPECT_EQ(fast.kmem.deflections(), ref.kmem.deflections());
-    std::vector<uint8_t> a(hw::pageSize), b(hw::pageSize);
-    for (uint64_t pa = 0; pa < fast.mem.sizeBytes();
-         pa += hw::pageSize) {
-        fast.mem.readBytes(pa, a.data(), a.size());
-        ref.mem.readBytes(pa, b.data(), b.size());
-        ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
-            << "frame " << (pa >> hw::pageShift);
-    }
-    // The fast path must actually have been exercised.
-    EXPECT_GT(fast.ctx.stats().get("mmu.tlb_hits"), 0u);
+    // Per-op trail plus full state: stats, deflections, all of RAM.
+    test::Golden g = stateDigest(r.ctx, r.mem, r.kmem);
+    g.u64(ops.h);
+    EXPECT_TRUE(test::matchesGolden(g.h, kKmemGolden.at(GetParam())));
+    // The translation cache must actually have been exercised.
+    EXPECT_GT(r.ctx.stats().get("mmu.tlb_hits"), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, KmemFastSweep,
+INSTANTIATE_TEST_SUITE_P(Seeds, KmemGoldenSweep,
                          ::testing::Values(1, 2, 3, 4));

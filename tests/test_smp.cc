@@ -4,9 +4,9 @@
  *
  * Three layers of guarantees:
  *
- *  1. Equivalence: with vcpus=1 the SMP scheduler must be stat- and
- *     time-identical to the legacy single-CPU loop (differential sweep
- *     over mixed workloads, in the style of KmemFastSweep).
+ *  1. Golden: with vcpus=1 the scheduler's clock, full stat map and
+ *     exit codes over mixed workloads match digests recorded from the
+ *     retired single-queue loop, which they were proven identical to.
  *  2. Shootdown safety: under random remap/retype/invlpg storms across
  *     2-4 vCPUs, no vCPU's TLB ever references a freed frame, and
  *     frame retypes are refused while a stale translation survives.
@@ -19,6 +19,7 @@
 
 #include <cstring>
 #include <deque>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -34,6 +35,8 @@
 #include "sim/log.hh"
 #include "sva/vm.hh"
 
+#include "golden.hh"
+
 using namespace vg;
 using namespace vg::kern;
 
@@ -41,12 +44,11 @@ namespace
 {
 
 SystemConfig
-smpConfig(unsigned vcpus, bool smp_scheduler = true)
+smpConfig(unsigned vcpus)
 {
     SystemConfig cfg;
     cfg.vg = sim::VgConfig::full();
     cfg.vg.vcpus = vcpus;
-    cfg.vg.smpScheduler = smp_scheduler;
     cfg.memFrames = 4096;  // 16 MB
     cfg.diskBlocks = 4096; // 16 MB
     cfg.rsaBits = 384;
@@ -64,7 +66,7 @@ makespan(System &sys)
 }
 
 /**
- * Mixed workload for the differential sweep: an ssh-like echo session,
+ * Mixed workload for the golden sweep: an ssh-like echo session,
  * postmark-style file churn, fork/signal traffic, ghost memory, and
  * compute bursts long enough to draw timer preemptions. Fully
  * deterministic given @p seed.
@@ -182,30 +184,46 @@ runMixedWorkload(System &sys, int seed)
 } // namespace
 
 // --------------------------------------------------------------------
-// 1. vcpus=1 differential sweep: SMP scheduler vs legacy loop.
+// 1. vcpus=1 golden sweep.
 // --------------------------------------------------------------------
 
-class SmpEquivalenceSweep : public ::testing::TestWithParam<int>
-{};
-
-TEST_P(SmpEquivalenceSweep, SingleCpuMatchesLegacyScheduler)
+namespace
 {
-    System smp(smpConfig(1, true));
-    System legacy(smpConfig(1, false));
-    smp.boot();
-    legacy.boot();
 
-    runMixedWorkload(smp, GetParam());
-    runMixedWorkload(legacy, GetParam());
-
-    // Bit-identical time and the *full* stat map.
-    EXPECT_EQ(smp.ctx().clock().now(), legacy.ctx().clock().now());
-    EXPECT_EQ(smp.ctx().stats().all(), legacy.ctx().stats().all());
-    EXPECT_EQ(smp.kernel().exitCodes(), legacy.kernel().exitCodes());
+/** Clock, full stat map and exit codes of a finished machine. */
+uint64_t
+machineDigest(System &sys)
+{
+    test::Golden g;
+    g.machine(sys.ctx());
+    for (const auto &[pid, code] : sys.kernel().exitCodes())
+        g.u64(pid).u64(uint64_t(int64_t(code)));
+    return g.h;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SmpEquivalenceSweep,
-                         ::testing::Values(1, 2, 3));
+/** Recorded per seed from the single-queue scheduler, which produced
+ *  the same digests before it was retired. */
+const std::map<int, uint64_t> kSmpGolden = {
+    {1, 0x073c750bc7962af2ull},
+    {2, 0x117fdb20a86589a4ull},
+    {3, 0x9346e861d289bfb0ull},
+};
+
+} // namespace
+
+class SmpGoldenSweep : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(SmpGoldenSweep, SingleCpuMatchesRecordedDigest)
+{
+    System sys(smpConfig(1));
+    sys.boot();
+    runMixedWorkload(sys, GetParam());
+    EXPECT_TRUE(
+        test::matchesGolden(machineDigest(sys), kSmpGolden.at(GetParam())));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmpGoldenSweep, ::testing::Values(1, 2, 3));
 
 /** Single-CPU machines must not grow per-CPU stat namespaces: the
  *  vcpus=1 stat map stays literally what it was before SMP. */

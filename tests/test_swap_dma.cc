@@ -203,7 +203,7 @@ TEST(DmaAttack, PageTableAndSvaFramesAlsoProtected)
 }
 
 // --------------------------------------------------------------------
-// Ring attacks (VgConfig::asyncIo): the descriptor-ring interface is a
+// Ring attacks: the descriptor-ring interface is a
 // new hostile-OS surface — a descriptor can aim the device's DMA at a
 // ghost frame, and the completion interface can be fed stale indices.
 // Both must be blocked and counted, with zero disclosure.

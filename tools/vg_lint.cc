@@ -548,10 +548,9 @@ dumpRings()
     sys.disk().submit(rd);
 
     const sim::VgConfig &vg = sys.ctx().config();
-    std::printf("vg_lint: async I/O %s; ring size %u; coalescing "
-                "window %u us (%.0f cycles)\n",
-                vg.asyncIo ? "on" : "off", vg.ringSize,
-                vg.irqCoalesceUs,
+    std::printf("vg_lint: ring size %u; coalescing window %u us "
+                "(%.0f cycles)\n",
+                vg.ringSize, vg.irqCoalesceUs,
                 vg.irqCoalesceUs * sim::Clock::cyclesPerUsec);
     printRing("nicA.tx", sys.nicA().txRing());
     printRing("nicA.rx", sys.nicA().rxRing());
@@ -622,10 +621,9 @@ dumpSwap()
 
         const sim::VgConfig &vg = sys.ctx().config();
         const kern::SwapArea *swap = sys.kernel().swapArea();
-        std::printf("vg_lint: ghost swap: fast-path %s, eviction "
-                    "batch %u page(s), read cluster %u slot(s), "
-                    "seal-key gen %llu\n",
-                    vg.swapFastPath ? "on" : "off", vg.swapBatchPages,
+        std::printf("vg_lint: ghost swap: eviction batch %u page(s), "
+                    "read cluster %u slot(s), seal-key gen %llu\n",
+                    vg.swapBatchPages,
                     kern::SwapArea::readaheadSlots,
                     (unsigned long long)sys.vm().sealKeyGeneration());
         std::printf("vg_lint: swap area: %llu slot(s) x %llu blocks "
