@@ -315,6 +315,20 @@ Kernel::handleUserAccess(Process &proc, hw::Vaddr va, hw::Access access,
 }
 
 void
+Kernel::releaseUserPages(Process &proc, hw::Vaddr lo, hw::Vaddr hi)
+{
+    sva::SvaError err;
+    auto first = proc.userPages.lower_bound(lo);
+    auto last = proc.userPages.lower_bound(hi);
+    for (auto it = first; it != last; ++it) {
+        if (_vm.unmapPage(proc.rootFrame, it->first, &err) &&
+            _vm.frames()[it->second.frame].mapCount == 0)
+            _frames->free(it->second.frame);
+    }
+    proc.userPages.erase(first, last);
+}
+
+void
 Kernel::teardownAddressSpace(Process &proc)
 {
     sva::SvaError err;
@@ -322,12 +336,7 @@ Kernel::teardownAddressSpace(Process &proc)
     if (_swap)
         _swap->releaseAll(proc.pid);
     _vm.releaseGhostMemory(proc.pid, proc.rootFrame);
-    for (const auto &[va, page] : proc.userPages) {
-        if (_vm.unmapPage(proc.rootFrame, va, &err) &&
-            _vm.frames()[page.frame].mapCount == 0)
-            _frames->free(page.frame);
-    }
-    proc.userPages.clear();
+    releaseUserPages(proc);
     // Retire page-table pages child-level first (reverse creation).
     for (auto it = proc.ptLinks.rbegin(); it != proc.ptLinks.rend();
          ++it) {
@@ -965,26 +974,23 @@ Kernel::moduleFunctionAddr(const std::string &module_name,
     return fit->second.entryAddr;
 }
 
-bool
-Kernel::moduleDispatch(Sys sys, const std::vector<uint64_t> &args,
-                       int64_t &result)
+std::optional<int64_t>
+Kernel::moduleDispatch(Sys sys, std::initializer_list<uint64_t> args)
 {
     auto it = _interposed.find(int(sys));
     if (it == _interposed.end())
-        return false;
-    cc::ExecResult r = it->second.module->executor->call(*it->second.fn,
-                                                         args);
+        return std::nullopt;
+    cc::ExecResult r =
+        it->second.module->executor->call(*it->second.fn, args);
     if (!r.ok) {
         // A faulting handler terminates the kernel thread servicing
         // the syscall (S 4.5); the syscall itself fails.
         _ctx.stats().add("kernel.module_faults");
         sim::debug("module handler fault: %s (%s)",
                    faultName(r.fault), r.detail.c_str());
-        result = -1;
-        return true;
+        return -1;
     }
-    result = int64_t(r.value);
-    return true;
+    return int64_t(r.value);
 }
 
 } // namespace vg::kern

@@ -17,6 +17,7 @@
 #ifndef VG_KERNEL_KERNEL_HH
 #define VG_KERNEL_KERNEL_HH
 
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -124,7 +125,10 @@ struct ProcessExit
 /**
  * The system-call and runtime interface handed to application code.
  * Application functions receive a UserApi bound to their process; all
- * kernel interaction flows through it.
+ * kernel interaction flows through it. Every system call runs inside
+ * syscall(), the single SVA gate; the user-memory, ghost-memory, key,
+ * randomness and compute helpers are application-side work and do not
+ * cross it.
  */
 class UserApi
 {
@@ -210,8 +214,6 @@ class UserApi
     int listen(int fd);
     int accept(int fd);
     int connect(uint16_t port);
-    int64_t send(int fd, hw::Vaddr buf, uint64_t len);
-    int64_t recv(int fd, hw::Vaddr buf, uint64_t len);
     /** Host-buffer variants (zero user-page staging) for servers that
      *  keep data in traditional memory. */
     int64_t sendHost(int fd, const void *buf, uint64_t len);
@@ -237,13 +239,15 @@ class UserApi
     /** Yield the CPU voluntarily. */
     void yield();
 
-    /** Append to the system console. */
-    void log(const std::string &text);
-
     Kernel &kernel() { return _kernel; }
     Process &proc() { return _proc; }
 
   private:
+    /** The syscall gate: sysEnter(), @p body, sysExit(); returns what
+     *  @p body returns. Every gated entry point goes through here. */
+    template <class F>
+    auto syscall(F &&body);
+
     /** Syscall prologue: gate cost + dispatcher work. */
     void sysEnter();
 
@@ -439,7 +443,9 @@ class Kernel
      *  folded into the all-idle virtual-time advance. */
     uint64_t earliestSoftirq() const;
     void yieldCurrent(Process &proc);
-    void deliverPushedCalls(Process &proc, UserApi &api);
+    /** Take the timer preemption if the active vCPU's quantum ran out. */
+    void preemptIfDue(Process &proc);
+    void deliverPushedCalls(Process &proc);
     void executeUserContextCode(Process &proc, uint64_t code_addr,
                                 uint64_t arg);
     void setupModuleExterns();
@@ -451,11 +457,31 @@ class Kernel
     void buildAddressSpace(Process &proc);
     void teardownAddressSpace(Process &proc);
     void copyAddressSpace(Process &parent, Process &child);
+    /** Unmap @p proc's materialized user pages in [lo, hi) and free
+     *  the frames no other mapping holds. */
+    void releaseUserPages(Process &proc, hw::Vaddr lo = 0,
+                          hw::Vaddr hi = ~hw::Vaddr(0));
+
+    /** Copy @p len bytes between @p buf and @p proc's user memory at
+     *  @p va with user privilege (Access::Read fills @p buf,
+     *  Access::Write stores it). Every page is translated and
+     *  demand-faulted on its own, so the copy fails at the first page
+     *  that cannot be mapped. */
+    bool userCopy(Process &proc, hw::Vaddr va, void *buf, uint64_t len,
+                  hw::Access access);
+
+    /** The same over @p proc's ghost memory: a page that does not
+     *  translate traps and is swapped back in, once, before the copy
+     *  gives up. */
+    bool ghostCopy(Process &proc, hw::Vaddr va, void *buf, uint64_t len,
+                   hw::Access access);
 
     // --- syscall internals ---------------------------------------------
     int64_t doRead(Process &proc, int fd, hw::Vaddr buf, uint64_t len);
     int64_t doWrite(Process &proc, int fd, hw::Vaddr buf, uint64_t len);
     std::shared_ptr<OpenFile> file(Process &proc, int fd);
+    /** The socket behind @p fd, or null if @p fd is not a socket. */
+    std::shared_ptr<Socket> socketOf(Process &proc, int fd);
     int64_t socketSend(Process &proc, Socket &sock, const uint8_t *data,
                        uint64_t len);
     /** Ring-based transmit used by socketSend/doSendfile: posts one
@@ -464,7 +490,7 @@ class Kernel
      *  readyAt stamps and arms the RX softirq. @p zero_copy skips the
      *  kmem staging-copy charge (sendfile with the sandbox proof).
      *  Returns bytes actually segmented (stops at window-full). */
-    uint64_t ringTransmit(Socket &sock, const std::shared_ptr<Socket> &peer,
+    uint64_t ringTransmit(const std::shared_ptr<Socket> &peer,
                           const uint8_t *data, uint64_t len,
                           bool zero_copy);
     int64_t socketRecv(Process &proc, Socket &sock, uint8_t *data,
@@ -473,10 +499,11 @@ class Kernel
                        uint64_t len);
     void postSignal(Process &target, int signum);
 
-    /** Dispatch through a module interposition if one is installed;
-     *  returns true if handled (result in @p result). */
-    bool moduleDispatch(Sys sys, const std::vector<uint64_t> &args,
-                        int64_t &result);
+    /** Run @p sys's module interposition on @p args if one is
+     *  installed and return its result; nullopt means no hook, so the
+     *  native handler runs. */
+    std::optional<int64_t>
+    moduleDispatch(Sys sys, std::initializer_list<uint64_t> args);
 
     /** Seal + evict @p pages of @p pid in batches of up to
      *  VgConfig::swapBatchPages and store them in the swap area.

@@ -68,12 +68,8 @@ Kernel::setupModuleExterns()
             Process *proc = process(args[0]);
             if (!proc)
                 return uint64_t(0);
-            uint64_t npages =
-                (args[1] + hw::pageSize - 1) / hw::pageSize;
-            hw::Vaddr va = proc->mmapCursor;
-            proc->mmapCursor += (npages + 1) * hw::pageSize;
-            proc->areas[va] = {va, npages};
-            return uint64_t(va);
+            return uint64_t(proc->reserveArea(
+                (args[1] + hw::pageSize - 1) / hw::pageSize));
         };
 
     // k_install_handler(pid, signum, addr): rewrite the victim's
@@ -137,12 +133,7 @@ Kernel::setupModuleExterns()
             if (_fs->lookup("/exfil", ino) != FsStatus::Ok &&
                 _fs->create("/exfil", ino) != FsStatus::Ok)
                 return uint64_t(-1);
-            auto of = std::make_shared<OpenFile>();
-            of->kind = OpenFile::Kind::File;
-            of->ino = ino;
-            int fd = proc->nextFd++;
-            proc->fds[fd] = of;
-            return uint64_t(fd);
+            return uint64_t(proc->addFd(ino));
         };
 
     // k_exfil_fd(pid, fd, va, len): write victim-side data to an fd

@@ -197,6 +197,32 @@ class Process
     {
         return state != ProcState::Zombie && state != ProcState::Dead;
     }
+
+    /** Open the next free descriptor on file @p ino, or on @p sock
+     *  when one is given; returns the descriptor. */
+    int
+    addFd(Ino ino, std::shared_ptr<Socket> sock = nullptr)
+    {
+        auto of = std::make_shared<OpenFile>();
+        of->kind = sock ? OpenFile::Kind::Socket : OpenFile::Kind::File;
+        of->ino = ino;
+        of->sock = std::move(sock);
+        int fd = nextFd++;
+        fds[fd] = std::move(of);
+        return fd;
+    }
+
+    /** Reserve @p npages at the mmap cursor, followed by an unmapped
+     *  guard page, backed by @p ino (0 = anonymous demand-zero).
+     *  Returns the start va. */
+    hw::Vaddr
+    reserveArea(uint64_t npages, Ino ino = 0)
+    {
+        hw::Vaddr va = mmapCursor;
+        mmapCursor += (npages + 1) * hw::pageSize;
+        areas[va] = {va, npages, ino, 0};
+        return va;
+    }
 };
 
 } // namespace vg::kern

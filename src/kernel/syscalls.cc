@@ -3,10 +3,11 @@
  * System-call implementations (UserApi) and the signal-delivery and
  * user-context-execution paths.
  *
- * Every syscall passes through the SVA gate (Interrupt Context saved
- * into VM memory, registers zeroed — cost-accounted) and a dispatcher
- * that first consults module interpositions, so a loaded rootkit can
- * replace handlers exactly as in S 7 of the paper.
+ * Every gated UserApi entry runs its body inside UserApi::syscall(),
+ * the one SVA gate (Interrupt Context saved into VM memory, registers
+ * zeroed — cost-accounted). read, write and sendfile first consult
+ * module interpositions, so a loaded rootkit can replace handlers
+ * exactly as in S 7 of the paper.
  */
 
 #include <cstring>
@@ -42,22 +43,37 @@ void
 UserApi::sysExit()
 {
     _kernel._vm.syscallExit(_proc.tid);
-    _kernel.deliverPushedCalls(_proc, *this);
+    _kernel.deliverPushedCalls(_proc);
 
     if (_proc.killRequested)
         exit(137);
 
-    if (_kernel.curTimer().due()) {
-        _kernel.curTimer().acknowledge();
-        _kernel._ctx.chargeTrap();
-        _kernel.yieldCurrent(_proc);
+    _kernel.preemptIfDue(_proc);
+}
+
+template <class F>
+auto
+UserApi::syscall(F &&body)
+{
+    sysEnter();
+    auto r = body();
+    sysExit();
+    return r;
+}
+
+void
+Kernel::preemptIfDue(Process &proc)
+{
+    if (curTimer().due()) {
+        curTimer().acknowledge();
+        _ctx.chargeTrap();
+        yieldCurrent(proc);
     }
 }
 
 void
-Kernel::deliverPushedCalls(Process &proc, UserApi &api)
+Kernel::deliverPushedCalls(Process &proc)
 {
-    (void)api;
     sva::SvaThread *t = _vm.thread(proc.tid);
     if (!t)
         return;
@@ -94,33 +110,18 @@ namespace
 class UserPort : public cc::MemPort
 {
   public:
-    UserPort(Kernel &kernel, Process &proc)
-        : _kernel(kernel), _proc(proc)
-    {}
+    UserPort(Kernel &kernel, Process &proc) : _api(kernel, proc) {}
 
     bool
     read(uint64_t va, unsigned bytes, uint64_t &out) override
     {
-        hw::Paddr pa = 0;
-        if (!_kernel.handleUserAccess(_proc, va, hw::Access::Read, pa))
-            return false;
-        out = 0;
-        for (unsigned i = 0; i < bytes; i++)
-            out |= uint64_t(_kernel.vm().mem().read8(pa + i))
-                   << (8 * i);
-        return true;
+        return _api.peek(va, bytes, out);
     }
 
     bool
     write(uint64_t va, unsigned bytes, uint64_t val) override
     {
-        hw::Paddr pa = 0;
-        if (!_kernel.handleUserAccess(_proc, va, hw::Access::Write,
-                                      pa))
-            return false;
-        for (unsigned i = 0; i < bytes; i++)
-            _kernel.vm().mem().write8(pa + i, uint8_t(val >> (8 * i)));
-        return true;
+        return _api.poke(va, bytes, val);
     }
 
     bool
@@ -135,8 +136,7 @@ class UserPort : public cc::MemPort
     }
 
   private:
-    Kernel &_kernel;
-    Process &_proc;
+    UserApi _api;
 };
 
 } // namespace
@@ -192,38 +192,37 @@ Kernel::file(Process &proc, int fd)
     return it == proc.fds.end() ? nullptr : it->second;
 }
 
+std::shared_ptr<Socket>
+Kernel::socketOf(Process &proc, int fd)
+{
+    auto of = file(proc, fd);
+    return of && of->kind == OpenFile::Kind::Socket ? of->sock : nullptr;
+}
+
 int
 UserApi::open(const std::string &path, bool create)
 {
-    sysEnter();
-    Kernel &k = _kernel;
-    k._ctx.chargeKernelWork(140, 70, 16); // vnode locks, name cache
-
-    int result = -1;
-    Ino ino = 0;
-    FsStatus s = k._fs->lookup(path, ino);
-    if (s == FsStatus::NotFound && create)
-        s = k._fs->create(path, ino);
-    if (s == FsStatus::Ok) {
-        auto of = std::make_shared<OpenFile>();
-        of->kind = OpenFile::Kind::File;
-        of->ino = ino;
-        int fd = _proc.nextFd++;
-        _proc.fds[fd] = of;
-        result = fd;
-    }
-    sysExit();
-    return result;
+    return syscall([&] {
+        Kernel &k = _kernel;
+        k._ctx.chargeKernelWork(140, 70, 16); // vnode locks, name cache
+        Ino ino = 0;
+        FsStatus s = k._fs->lookup(path, ino);
+        if (s == FsStatus::NotFound && create)
+            s = k._fs->create(path, ino);
+        if (s != FsStatus::Ok)
+            return -1;
+        return _proc.addFd(ino);
+    });
 }
 
 int
 UserApi::close(int fd)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(60, 24, 8);
-    int result = -1;
-    auto it = _proc.fds.find(fd);
-    if (it != _proc.fds.end()) {
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(60, 24, 8);
+        auto it = _proc.fds.find(fd);
+        if (it == _proc.fds.end())
+            return -1;
         auto of = it->second;
         if (of->kind == OpenFile::Kind::Socket && of->sock) {
             // Tear down the connection.
@@ -237,10 +236,8 @@ UserApi::close(int fd)
             of->sock->state = Socket::State::Closed;
         }
         _proc.fds.erase(it);
-        result = 0;
-    }
-    sysExit();
-    return result;
+        return 0;
+    });
 }
 
 int64_t
@@ -286,104 +283,95 @@ Kernel::doWrite(Process &proc, int fd, hw::Vaddr buf, uint64_t len)
 int64_t
 UserApi::read(int fd, hw::Vaddr buf, uint64_t len)
 {
-    sysEnter();
-    int64_t result;
-    // Page in the destination before the kernel writes it (the real
-    // kernel faults during copyout; we front-load it).
-    for (hw::Vaddr va = hw::pageOf(buf); va < buf + len;
-         va += hw::pageSize) {
-        hw::Paddr pa;
-        _kernel.handleUserAccess(_proc, va, hw::Access::Write, pa);
-    }
-    std::vector<uint64_t> args = {uint64_t(fd), buf, len, _proc.pid};
-    if (!_kernel.moduleDispatch(Sys::read, args, result))
-        result = _kernel.doRead(_proc, fd, buf, len);
-    sysExit();
-    return result;
+    return syscall([&] {
+        // Page in the destination before the kernel writes it (the
+        // real kernel faults during copyout; we front-load it).
+        for (hw::Vaddr va = hw::pageOf(buf); va < buf + len;
+             va += hw::pageSize) {
+            hw::Paddr pa;
+            _kernel.handleUserAccess(_proc, va, hw::Access::Write, pa);
+        }
+        if (auto hooked = _kernel.moduleDispatch(
+                Sys::read, {uint64_t(fd), buf, len, _proc.pid}))
+            return *hooked;
+        return _kernel.doRead(_proc, fd, buf, len);
+    });
 }
 
 int64_t
 UserApi::write(int fd, hw::Vaddr buf, uint64_t len)
 {
-    sysEnter();
-    int64_t result;
-    std::vector<uint64_t> args = {uint64_t(fd), buf, len, _proc.pid};
-    if (!_kernel.moduleDispatch(Sys::write, args, result))
-        result = _kernel.doWrite(_proc, fd, buf, len);
-    sysExit();
-    return result;
+    return syscall([&] {
+        if (auto hooked = _kernel.moduleDispatch(
+                Sys::write, {uint64_t(fd), buf, len, _proc.pid}))
+            return *hooked;
+        return _kernel.doWrite(_proc, fd, buf, len);
+    });
 }
 
 int64_t
 UserApi::lseek(int fd, int64_t off, int whence)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(30, 12, 4);
-    int64_t result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::File) {
+    return syscall([&]() -> int64_t {
+        _kernel._ctx.chargeKernelWork(30, 12, 4);
+        auto of = _kernel.file(_proc, fd);
+        if (!of || of->kind != OpenFile::Kind::File)
+            return -1;
         FileStat st;
         _kernel._fs->stat(of->ino, st);
         int64_t base = whence == 0   ? 0
                        : whence == 1 ? int64_t(of->offset)
                                      : int64_t(st.size);
         int64_t pos = base + off;
-        if (pos >= 0) {
-            of->offset = uint64_t(pos);
-            result = pos;
-        }
-    }
-    sysExit();
-    return result;
+        if (pos < 0)
+            return -1;
+        of->offset = uint64_t(pos);
+        return pos;
+    });
 }
 
 int
 UserApi::unlink(const std::string &path)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(120, 48, 12);
-    FsStatus s = _kernel._fs->unlink(path);
-    sysExit();
-    return s == FsStatus::Ok ? 0 : -1;
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(120, 48, 12);
+        return _kernel._fs->unlink(path) == FsStatus::Ok ? 0 : -1;
+    });
 }
 
 int
 UserApi::mkdir(const std::string &path)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(110, 44, 12);
-    Ino ino = 0;
-    FsStatus s = _kernel._fs->mkdir(path, ino);
-    sysExit();
-    return s == FsStatus::Ok ? 0 : -1;
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(110, 44, 12);
+        Ino ino = 0;
+        return _kernel._fs->mkdir(path, ino) == FsStatus::Ok ? 0 : -1;
+    });
 }
 
 int
 UserApi::stat(const std::string &path, FileStat &out)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(90, 36, 10);
-    Ino ino = 0;
-    FsStatus s = _kernel._fs->lookup(path, ino);
-    if (s == FsStatus::Ok)
-        s = _kernel._fs->stat(ino, out);
-    sysExit();
-    return s == FsStatus::Ok ? 0 : -1;
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(90, 36, 10);
+        Ino ino = 0;
+        FsStatus s = _kernel._fs->lookup(path, ino);
+        if (s == FsStatus::Ok)
+            s = _kernel._fs->stat(ino, out);
+        return s == FsStatus::Ok ? 0 : -1;
+    });
 }
 
 int
 UserApi::fsync(int fd)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(50, 20, 6);
-    int result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of) {
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(50, 20, 6);
+        if (!_kernel.file(_proc, fd))
+            return -1;
         _kernel._fs->sync();
-        result = 0;
-    }
-    sysExit();
-    return result;
+        return 0;
+    });
 }
 
 // --------------------------------------------------------------------
@@ -393,110 +381,90 @@ UserApi::fsync(int fd)
 hw::Vaddr
 UserApi::mmap(uint64_t len)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(160, 88, 21); // vm_map entry insert
-    hw::Vaddr result = 0;
-    uint64_t npages = (len + hw::pageSize - 1) / hw::pageSize;
-    if (npages > 0) {
-        hw::Vaddr va = _proc.mmapCursor;
-        _proc.mmapCursor += (npages + 1) * hw::pageSize; // guard gap
-        _proc.areas[va] = {va, npages};
-        result = va;
-    }
-    sysExit();
-    return result;
+    return syscall([&]() -> hw::Vaddr {
+        _kernel._ctx.chargeKernelWork(160, 88, 21); // vm_map entry insert
+        uint64_t npages = (len + hw::pageSize - 1) / hw::pageSize;
+        return npages > 0 ? _proc.reserveArea(npages) : 0;
+    });
 }
 
 hw::Vaddr
 UserApi::mmapFile(int fd, uint64_t len)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(200, 80, 20); // vnode pager setup
-    hw::Vaddr result = 0;
-    auto of = _kernel.file(_proc, fd);
-    uint64_t npages = (len + hw::pageSize - 1) / hw::pageSize;
-    if (of && of->kind == OpenFile::Kind::File && npages > 0) {
-        hw::Vaddr va = _proc.mmapCursor;
-        _proc.mmapCursor += (npages + 1) * hw::pageSize;
-        VmArea area;
-        area.start = va;
-        area.npages = npages;
-        area.backingIno = of->ino;
-        area.backingOff = 0;
-        _proc.areas[va] = area;
-        result = va;
-    }
-    sysExit();
-    return result;
+    return syscall([&]() -> hw::Vaddr {
+        _kernel._ctx.chargeKernelWork(200, 80, 20); // vnode pager setup
+        auto of = _kernel.file(_proc, fd);
+        uint64_t npages = (len + hw::pageSize - 1) / hw::pageSize;
+        if (!of || of->kind != OpenFile::Kind::File || npages == 0)
+            return 0;
+        return _proc.reserveArea(npages, of->ino);
+    });
 }
 
 int
 UserApi::munmap(hw::Vaddr va, uint64_t len)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(120, 48, 12);
-    int result = -1;
-    auto it = _proc.areas.find(va);
-    uint64_t npages = (len + hw::pageSize - 1) / hw::pageSize;
-    if (it != _proc.areas.end() && it->second.npages == npages) {
-        sva::SvaError err;
-        for (uint64_t i = 0; i < npages; i++) {
-            hw::Vaddr page = va + i * hw::pageSize;
-            auto pg = _proc.userPages.find(page);
-            if (pg != _proc.userPages.end()) {
-                hw::Frame frame = pg->second.frame;
-                if (_kernel._vm.unmapPage(_proc.rootFrame, page,
-                                          &err) &&
-                    _kernel._vm.frames()[frame].mapCount == 0)
-                    _kernel._frames->free(frame);
-                _proc.userPages.erase(pg);
-            }
-        }
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(120, 48, 12);
+        auto it = _proc.areas.find(va);
+        uint64_t npages = (len + hw::pageSize - 1) / hw::pageSize;
+        if (it == _proc.areas.end() || it->second.npages != npages)
+            return -1;
+        _kernel.releaseUserPages(_proc, va, va + npages * hw::pageSize);
         _proc.areas.erase(it);
-        result = 0;
+        return 0;
+    });
+}
+
+bool
+Kernel::userCopy(Process &proc, hw::Vaddr va, void *buf, uint64_t len,
+                 hw::Access access)
+{
+    uint8_t *bytes = static_cast<uint8_t *>(buf);
+    for (uint64_t off = 0; off < len;) {
+        hw::Paddr pa = 0;
+        if (!handleUserAccess(proc, va + off, access, pa))
+            return false;
+        uint64_t chunk = std::min<uint64_t>(
+            len - off, hw::pageSize - hw::pageOffset(va + off));
+        if (access == hw::Access::Write)
+            _mem.writeBytes(pa, bytes + off, chunk);
+        else
+            _mem.readBytes(pa, bytes + off, chunk);
+        off += chunk;
     }
-    sysExit();
-    return result;
+    return true;
 }
 
 bool
 UserApi::peek(hw::Vaddr va, unsigned bytes, uint64_t &out)
 {
-    hw::Paddr pa = 0;
-    if (!_kernel.handleUserAccess(_proc, va, hw::Access::Read, pa))
+    uint8_t b[8] = {};
+    if (!_kernel.userCopy(_proc, va, b, std::min(bytes, 8u),
+                          hw::Access::Read))
         return false;
     out = 0;
-    for (unsigned i = 0; i < bytes; i++)
-        out |= uint64_t(_kernel._mem.read8(pa + i)) << (8 * i);
+    for (unsigned i = 0; i < 8; i++)
+        out |= uint64_t(b[i]) << (8 * i);
     return true;
 }
 
 bool
 UserApi::poke(hw::Vaddr va, unsigned bytes, uint64_t val)
 {
-    hw::Paddr pa = 0;
-    if (!_kernel.handleUserAccess(_proc, va, hw::Access::Write, pa))
-        return false;
-    for (unsigned i = 0; i < bytes; i++)
-        _kernel._mem.write8(pa + i, uint8_t(val >> (8 * i)));
-    return true;
+    uint8_t b[8];
+    for (unsigned i = 0; i < 8; i++)
+        b[i] = uint8_t(val >> (8 * i));
+    return _kernel.userCopy(_proc, va, b, std::min(bytes, 8u),
+                            hw::Access::Write);
 }
 
 bool
 UserApi::copyToUser(hw::Vaddr va, const void *src, uint64_t len)
 {
-    const uint8_t *in = static_cast<const uint8_t *>(src);
-    uint64_t off = 0;
-    while (off < len) {
-        hw::Paddr pa = 0;
-        if (!_kernel.handleUserAccess(_proc, va + off,
-                                      hw::Access::Write, pa))
-            return false;
-        uint64_t chunk = std::min<uint64_t>(
-            len - off, hw::pageSize - hw::pageOffset(va + off));
-        _kernel._mem.writeBytes(pa, in + off, chunk);
-        off += chunk;
-    }
+    if (!_kernel.userCopy(_proc, va, const_cast<void *>(src), len,
+                          hw::Access::Write))
+        return false;
     _kernel._ctx.chargeUserWork(len / 16 + 1);
     return true;
 }
@@ -504,18 +472,8 @@ UserApi::copyToUser(hw::Vaddr va, const void *src, uint64_t len)
 bool
 UserApi::copyFromUser(hw::Vaddr va, void *dst, uint64_t len)
 {
-    uint8_t *out = static_cast<uint8_t *>(dst);
-    uint64_t off = 0;
-    while (off < len) {
-        hw::Paddr pa = 0;
-        if (!_kernel.handleUserAccess(_proc, va + off, hw::Access::Read,
-                                      pa))
-            return false;
-        uint64_t chunk = std::min<uint64_t>(
-            len - off, hw::pageSize - hw::pageOffset(va + off));
-        _kernel._mem.readBytes(pa, out + off, chunk);
-        off += chunk;
-    }
+    if (!_kernel.userCopy(_proc, va, dst, len, hw::Access::Read))
+        return false;
     _kernel._ctx.chargeUserWork(len / 16 + 1);
     return true;
 }
@@ -527,61 +485,70 @@ UserApi::copyFromUser(hw::Vaddr va, void *dst, uint64_t len)
 hw::Vaddr
 UserApi::allocGhost(uint64_t npages)
 {
-    sysEnter(); // allocgm is a VM call but still crosses the gate
-    hw::Vaddr va = _proc.ghostCursor;
-    // Frame pressure: make room (plus page-table headroom) before the
-    // VM starts pulling frames from the allocator.
-    _kernel.ensureGhostHeadroom(npages + npages / 512 + 3);
-    sva::SvaError err;
-    bool ok = _kernel._vm.allocGhostMemory(_proc.pid, _proc.rootFrame,
-                                           va, npages, &err);
-    if (ok) {
+    // allocgm is a VM call but still crosses the gate.
+    return syscall([&]() -> hw::Vaddr {
+        hw::Vaddr va = _proc.ghostCursor;
+        // Frame pressure: make room (plus page-table headroom) before
+        // the VM starts pulling frames from the allocator.
+        _kernel.ensureGhostHeadroom(npages + npages / 512 + 3);
+        sva::SvaError err;
+        if (!_kernel._vm.allocGhostMemory(_proc.pid, _proc.rootFrame, va,
+                                          npages, &err))
+            return 0;
         _proc.ghostCursor += npages * hw::pageSize;
         _kernel.noteGhostAlloc(_proc.pid, va, npages);
-    }
-    sysExit();
-    return ok ? va : 0;
+        return va;
+    });
 }
 
 bool
 UserApi::freeGhost(hw::Vaddr va, uint64_t npages)
 {
-    sysEnter();
-    sva::SvaError err;
-    bool ok = _kernel._vm.freeGhostMemory(_proc.pid, _proc.rootFrame,
-                                          va, npages, &err);
-    if (ok)
-        _kernel.noteGhostFree(_proc.pid, va, npages);
-    sysExit();
-    return ok;
+    return syscall([&] {
+        sva::SvaError err;
+        bool ok = _kernel._vm.freeGhostMemory(_proc.pid, _proc.rootFrame,
+                                              va, npages, &err);
+        if (ok)
+            _kernel.noteGhostFree(_proc.pid, va, npages);
+        return ok;
+    });
 }
 
 bool
-UserApi::ghostWrite(hw::Vaddr va, const void *src, uint64_t len)
+Kernel::ghostCopy(Process &proc, hw::Vaddr va, void *buf, uint64_t len,
+                  hw::Access access)
 {
     // Application-side access: user privilege; a fault on a
     // swapped-out ghost page goes to the OS, which asks the VM to
     // verify and restore it (S 3.3).
-    const uint8_t *in = static_cast<const uint8_t *>(src);
-    uint64_t off = 0;
-    while (off < len) {
-        auto r = _kernel.curMmu().translate(va + off, hw::Access::Write,
-                                            hw::Privilege::User);
+    uint8_t *bytes = static_cast<uint8_t *>(buf);
+    for (uint64_t off = 0; off < len;) {
+        auto r = curMmu().translate(va + off, access, hw::Privilege::User);
         if (!r.ok) {
-            _kernel._ctx.chargeTrap();
-            if (!_kernel.swapInGhost(_proc.pid,
-                                     hw::pageOf(va + off)))
+            _ctx.chargeTrap();
+            if (!swapInGhost(proc.pid, hw::pageOf(va + off)))
                 return false;
-            r = _kernel.curMmu().translate(va + off, hw::Access::Write,
-                                           hw::Privilege::User);
+            r = curMmu().translate(va + off, access, hw::Privilege::User);
         }
         if (!r.ok)
             return false;
         uint64_t chunk = std::min<uint64_t>(
             len - off, hw::pageSize - hw::pageOffset(va + off));
-        _kernel._mem.writeBytes(r.paddr, in + off, chunk);
+        if (access == hw::Access::Write)
+            _mem.writeBytes(r.paddr, bytes + off, chunk);
+        else
+            _mem.readBytes(r.paddr, bytes + off, chunk);
         off += chunk;
     }
+    return true;
+}
+
+bool
+UserApi::ghostWrite(hw::Vaddr va, const void *src, uint64_t len)
+{
+    if (!_kernel.ghostCopy(_proc, va, const_cast<void *>(src), len,
+                           hw::Access::Write))
+        return false;
     _kernel._ctx.chargeUserWork(len / 16 + 1);
     return true;
 }
@@ -589,26 +556,8 @@ UserApi::ghostWrite(hw::Vaddr va, const void *src, uint64_t len)
 bool
 UserApi::ghostRead(hw::Vaddr va, void *dst, uint64_t len)
 {
-    uint8_t *out = static_cast<uint8_t *>(dst);
-    uint64_t off = 0;
-    while (off < len) {
-        auto r = _kernel.curMmu().translate(va + off, hw::Access::Read,
-                                            hw::Privilege::User);
-        if (!r.ok) {
-            _kernel._ctx.chargeTrap();
-            if (!_kernel.swapInGhost(_proc.pid,
-                                     hw::pageOf(va + off)))
-                return false;
-            r = _kernel.curMmu().translate(va + off, hw::Access::Read,
-                                           hw::Privilege::User);
-        }
-        if (!r.ok)
-            return false;
-        uint64_t chunk = std::min<uint64_t>(
-            len - off, hw::pageSize - hw::pageOffset(va + off));
-        _kernel._mem.readBytes(r.paddr, out + off, chunk);
-        off += chunk;
-    }
+    if (!_kernel.ghostCopy(_proc, va, dst, len, hw::Access::Read))
+        return false;
     _kernel._ctx.chargeUserWork(len / 16 + 1);
     return true;
 }
@@ -628,25 +577,26 @@ UserApi::secureRandom(void *out, size_t len)
 void
 UserApi::osRandom(void *out, size_t len)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(40, 16, 4);
-    uint8_t *p = static_cast<uint8_t *>(out);
-    if (_kernel._ctx.config().secureRng) {
-        // VG routes randomness requests to the trusted generator.
-        _kernel._vm.secureRandom(out, len);
-    } else if (_kernel._rngRigged) {
-        // Hostile kernel: predictable bytes (Iago attack on
-        // /dev/random, S 2.2.5).
-        std::memset(p, 0x41, len);
-    } else {
-        for (size_t i = 0; i < len; i++) {
-            _kernel._osRngState =
-                _kernel._osRngState * 6364136223846793005ull +
-                1442695040888963407ull;
-            p[i] = uint8_t(_kernel._osRngState >> 33);
+    syscall([&] {
+        Kernel &k = _kernel;
+        k._ctx.chargeKernelWork(40, 16, 4);
+        uint8_t *p = static_cast<uint8_t *>(out);
+        if (k._ctx.config().secureRng) {
+            // VG routes randomness requests to the trusted generator.
+            k._vm.secureRandom(out, len);
+        } else if (k._rngRigged) {
+            // Hostile kernel: predictable bytes (Iago attack on
+            // /dev/random, S 2.2.5).
+            std::memset(p, 0x41, len);
+        } else {
+            for (size_t i = 0; i < len; i++) {
+                k._osRngState = k._osRngState * 6364136223846793005ull +
+                                1442695040888963407ull;
+                p[i] = uint8_t(k._osRngState >> 33);
+            }
         }
-    }
-    sysExit();
+        return 0; // osRandom() itself has no result
+    });
 }
 
 // --------------------------------------------------------------------
@@ -656,90 +606,82 @@ UserApi::osRandom(void *out, size_t len)
 uint64_t
 UserApi::fork(std::function<int(UserApi &)> child_main)
 {
-    sysEnter();
-    Kernel &k = _kernel;
-    // proc-table entry, uarea, fd table duplication.
-    k._ctx.chargeKernelWork(2200, 900, 180);
+    return syscall([&] {
+        Kernel &k = _kernel;
+        // proc-table entry, uarea, fd table duplication.
+        k._ctx.chargeKernelWork(2200, 900, 180);
 
-    uint64_t child_pid = k._nextPid++;
-    auto child_owner = std::make_unique<Process>();
-    Process &child = *child_owner;
-    child.pid = child_pid;
-    child.parent = _proc.pid;
-    child.name = _proc.name + "+";
-    child.mainFn = std::move(child_main);
-    child.state = ProcState::Runnable;
-    child.cpu = k._nextCpuAssign++ % k._ctx.vcpuCount();
-    child.sigHandlers = _proc.sigHandlers;
-    child.handlerFns = _proc.handlerFns;
-    child.nextHandlerToken = _proc.nextHandlerToken;
-    child.fds = _proc.fds; // shared open-file descriptions
-    child.nextFd = _proc.nextFd;
+        uint64_t child_pid = k._nextPid++;
+        auto child_owner = std::make_unique<Process>();
+        Process &child = *child_owner;
+        child.pid = child_pid;
+        child.parent = _proc.pid;
+        child.name = _proc.name + "+";
+        child.mainFn = std::move(child_main);
+        child.state = ProcState::Runnable;
+        child.cpu = k._nextCpuAssign++ % k._ctx.vcpuCount();
+        child.sigHandlers = _proc.sigHandlers;
+        child.handlerFns = _proc.handlerFns;
+        child.nextHandlerToken = _proc.nextHandlerToken;
+        child.fds = _proc.fds; // shared open-file descriptions
+        child.nextFd = _proc.nextFd;
 
-    sva::SvaError err;
-    sva::SvaThread *t = k._vm.newThread(child_pid,
-                                        0xffffff8000100000ull,
-                                        _proc.tid, &err);
-    if (!t)
-        sim::panic("fork: %s", err.message.c_str());
-    child.tid = t->id;
+        sva::SvaError err;
+        sva::SvaThread *t = k._vm.newThread(
+            child_pid, 0xffffff8000100000ull, _proc.tid, &err);
+        if (!t)
+            sim::panic("fork: %s", err.message.c_str());
+        child.tid = t->id;
 
-    k.buildAddressSpace(child);
-    k.copyAddressSpace(_proc, child);
-    k.attachFiber(child);
+        k.buildAddressSpace(child);
+        k.copyAddressSpace(_proc, child);
+        k.attachFiber(child);
 
-    k._procs[child_pid] = std::move(child_owner);
-    sim::StatSet::add(k._hForks);
-    sysExit();
-    return child_pid;
+        k._procs[child_pid] = std::move(child_owner);
+        sim::StatSet::add(k._hForks);
+        return child_pid;
+    });
 }
 
 int
 UserApi::execve(const sva::AppBinary *binary,
                 std::function<int(UserApi &)> new_main)
 {
-    sysEnter();
-    Kernel &k = _kernel;
-    // Image load: vnode lookup, ELF headers, argument copy.
-    k._ctx.chargeKernelWork(5200, 2500, 500);
-    // Map a fresh text+stack image (demand-paged) — charge the copy
-    // of the program image from the buffer cache.
-    k._ctx.chargeKernelBulk(32 * 1024);
+    bool loaded = syscall([&] {
+        Kernel &k = _kernel;
+        // Image load: vnode lookup, ELF headers, argument copy.
+        k._ctx.chargeKernelWork(5200, 2500, 500);
+        // Map a fresh text+stack image (demand-paged) — charge the
+        // copy of the program image from the buffer cache.
+        k._ctx.chargeKernelBulk(32 * 1024);
 
-    if (binary) {
         sva::SvaError err;
-        if (!k._vm.bindProcessToApp(_proc.pid, *binary, &err)) {
-            // Validation failure prevents startup (S 4.4).
-            sysExit();
-            return -1;
-        }
-    }
+        // Validation failure prevents startup (S 4.4).
+        if (binary && !k._vm.bindProcessToApp(_proc.pid, *binary, &err))
+            return false;
 
-    // Reset the address space and Interrupt Context. The old image's
-    // ghost memory dies here: clock entries and swap slots go with it.
-    sva::SvaError err;
-    k._ghostClock.removePid(_proc.pid);
-    if (k._swap)
-        k._swap->releaseAll(_proc.pid);
-    k._vm.reinitIcontext(_proc.tid, 0x400000, 0x7fffffff0000ull,
-                         _proc.rootFrame, &err);
-    for (const auto &[va, page] : _proc.userPages) {
-        if (k._vm.unmapPage(_proc.rootFrame, va, &err) &&
-            k._vm.frames()[page.frame].mapCount == 0)
-            k._frames->free(page.frame);
-    }
-    _proc.userPages.clear();
-    _proc.areas.clear();
-    _proc.mmapCursor = 0x0000100000000000ull;
-    _proc.ghostCursor = hw::ghostBase;
-    _proc.sigHandlers.clear();
-    _proc.handlerFns.clear();
-    sim::StatSet::add(k._hExecs);
-    sysExit();
+        // Reset the address space and Interrupt Context. The old
+        // image's ghost memory dies here: clock entries and swap slots
+        // go with it.
+        k._ghostClock.removePid(_proc.pid);
+        if (k._swap)
+            k._swap->releaseAll(_proc.pid);
+        k._vm.reinitIcontext(_proc.tid, 0x400000, 0x7fffffff0000ull,
+                             _proc.rootFrame, &err);
+        k.releaseUserPages(_proc);
+        _proc.areas.clear();
+        _proc.mmapCursor = 0x0000100000000000ull;
+        _proc.ghostCursor = hw::ghostBase;
+        _proc.sigHandlers.clear();
+        _proc.handlerFns.clear();
+        sim::StatSet::add(k._hExecs);
+        return true;
+    });
+    if (!loaded)
+        return -1;
 
     // Run the new image; when it finishes, the process exits.
-    int code = new_main(*this);
-    exit(code);
+    exit(new_main(*this));
 }
 
 void
@@ -752,31 +694,27 @@ UserApi::exit(int code)
 int
 UserApi::waitpid(uint64_t pid, int &status)
 {
-    sysEnter();
-    Kernel &k = _kernel;
-    k._ctx.chargeKernelWork(80, 32, 10);
-    int result = -1;
-    while (true) {
-        Process *child = k.process(pid);
-        if (!child) {
-            auto it = k._exitCodes.find(pid);
-            if (it != k._exitCodes.end()) {
+    return syscall([&] {
+        Kernel &k = _kernel;
+        k._ctx.chargeKernelWork(80, 32, 10);
+        while (true) {
+            Process *child = k.process(pid);
+            if (!child) {
+                auto it = k._exitCodes.find(pid);
+                if (it == k._exitCodes.end())
+                    return -1;
                 status = it->second;
-                result = 0;
+                return 0;
             }
-            break;
+            if (child->state == ProcState::Zombie) {
+                status = child->exitCode;
+                child->state = ProcState::Dead;
+                return 0;
+            }
+            k.blockCurrent(_proc,
+                           reinterpret_cast<const void *>(uintptr_t(pid)));
         }
-        if (child->state == ProcState::Zombie) {
-            status = child->exitCode;
-            child->state = ProcState::Dead;
-            result = 0;
-            break;
-        }
-        k.blockCurrent(_proc,
-                       reinterpret_cast<const void *>(uintptr_t(pid)));
-    }
-    sysExit();
-    return result;
+    });
 }
 
 void
@@ -814,16 +752,14 @@ Kernel::postSignal(Process &target, int signum)
 int
 UserApi::kill(uint64_t pid, int signum)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(90, 36, 10);
-    int result = -1;
-    Process *target = _kernel.process(pid);
-    if (target && target->alive()) {
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(90, 36, 10);
+        Process *target = _kernel.process(pid);
+        if (!target || !target->alive())
+            return -1;
         _kernel.postSignal(*target, signum);
-        result = 0;
-    }
-    sysExit();
-    return result;
+        return 0;
+    });
 }
 
 uint64_t
@@ -831,16 +767,16 @@ UserApi::installSignalHandler(int signum,
                               std::function<void(int)> handler,
                               bool permit_with_sva)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(70, 18, 5); // sigaction bookkeeping
-    uint64_t token = _proc.nextHandlerToken;
-    _proc.nextHandlerToken += 0x100;
-    _proc.handlerFns[token] = std::move(handler);
-    _proc.sigHandlers[signum] = token;
-    if (permit_with_sva)
-        _kernel._vm.permitFunction(_proc.pid, token);
-    sysExit();
-    return token;
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(70, 18, 5); // sigaction bookkeeping
+        uint64_t token = _proc.nextHandlerToken;
+        _proc.nextHandlerToken += 0x100;
+        _proc.handlerFns[token] = std::move(handler);
+        _proc.sigHandlers[signum] = token;
+        if (permit_with_sva)
+            _kernel._vm.permitFunction(_proc.pid, token);
+        return token;
+    });
 }
 
 // --------------------------------------------------------------------
@@ -858,91 +794,72 @@ constexpr uint64_t sockWindow = 256 * 1024;
 int
 UserApi::socket()
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(120, 48, 14);
-    auto of = std::make_shared<OpenFile>();
-    of->kind = OpenFile::Kind::Socket;
-    of->sock = std::make_shared<Socket>();
-    int fd = _proc.nextFd++;
-    _proc.fds[fd] = of;
-    sysExit();
-    return fd;
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(120, 48, 14);
+        return _proc.addFd(0, std::make_shared<Socket>());
+    });
 }
 
 int
 UserApi::bind(int fd, uint16_t port)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(60, 24, 8);
-    int result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::Socket) {
-        of->sock->localPort = port;
-        result = 0;
-    }
-    sysExit();
-    return result;
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(60, 24, 8);
+        auto sock = _kernel.socketOf(_proc, fd);
+        if (!sock)
+            return -1;
+        sock->localPort = port;
+        return 0;
+    });
 }
 
 int
 UserApi::listen(int fd)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelWork(60, 24, 8);
-    int result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::Socket &&
-        of->sock->localPort != 0) {
-        of->sock->state = Socket::State::Listening;
-        _kernel._listeners[of->sock->localPort] = of->sock;
-        result = 0;
-    }
-    sysExit();
-    return result;
+    return syscall([&] {
+        _kernel._ctx.chargeKernelWork(60, 24, 8);
+        auto sock = _kernel.socketOf(_proc, fd);
+        if (!sock || sock->localPort == 0)
+            return -1;
+        sock->state = Socket::State::Listening;
+        _kernel._listeners[sock->localPort] = sock;
+        return 0;
+    });
 }
 
 int
 UserApi::accept(int fd)
 {
-    sysEnter();
-    Kernel &k = _kernel;
-    k._ctx.chargeKernelWork(150, 60, 16);
-    int result = -1;
-    auto of = k.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::Socket &&
-        of->sock->state == Socket::State::Listening) {
-        Socket &lsock = *of->sock;
-        while (lsock.acceptQueue.empty())
-            k.blockCurrent(_proc, &lsock);
-        auto conn = lsock.acceptQueue.front();
-        lsock.acceptQueue.pop_front();
+    return syscall([&] {
+        Kernel &k = _kernel;
+        k._ctx.chargeKernelWork(150, 60, 16);
+        auto lsock = k.socketOf(_proc, fd);
+        if (!lsock || lsock->state != Socket::State::Listening)
+            return -1;
+        while (lsock->acceptQueue.empty())
+            k.blockCurrent(_proc, lsock.get());
+        auto conn = lsock->acceptQueue.front();
+        lsock->acceptQueue.pop_front();
         // Adopt the established connection by id — an O(1) hash
         // lookup, independent of how many connections are live.
         if (conn->connId != 0) {
             if (auto adopted = k.connLookup(conn->connId))
                 conn = adopted;
         }
-        auto conn_of = std::make_shared<OpenFile>();
-        conn_of->kind = OpenFile::Kind::Socket;
-        conn_of->sock = conn;
-        int nfd = _proc.nextFd++;
-        _proc.fds[nfd] = conn_of;
-        result = nfd;
-    }
-    sysExit();
-    return result;
+        return _proc.addFd(0, std::move(conn));
+    });
 }
 
 int
 UserApi::connect(uint16_t port)
 {
-    sysEnter();
-    Kernel &k = _kernel;
-    k._ctx.chargeKernelWork(400, 160, 40); // handshake processing
-    int result = -1;
-    auto it = k._listeners.find(port);
-    if (it != k._listeners.end() &&
-        it->second->state == Socket::State::Listening) {
+    return syscall([&] {
+        Kernel &k = _kernel;
+        k._ctx.chargeKernelWork(400, 160, 40); // handshake processing
+        auto it = k._listeners.find(port);
+        if (it == k._listeners.end() ||
+            it->second->state != Socket::State::Listening)
+            return -1;
         // Model the three-way handshake on the wire; each leg is a
         // synchronous round trip, so the client waits it out.
         for (int leg = 0; leg < 3; leg++) {
@@ -961,29 +878,20 @@ UserApi::connect(uint16_t port)
         client->peer = server;
         server->peer = client;
         server->localPort = port;
-        // Register the established connection: O(1) hash insert with a
-        // free-listed id, no scan of the connection population.
+        // Register the established connection: O(1) hash insert with
+        // a free-listed id, no scan of the connection population.
         k.connRegister(server);
         client->connId = server->connId;
         it->second->acceptQueue.push_back(server);
         k.wakeup(it->second.get());
-
-        auto of = std::make_shared<OpenFile>();
-        of->kind = OpenFile::Kind::Socket;
-        of->sock = client;
-        int fd = _proc.nextFd++;
-        _proc.fds[fd] = of;
-        result = fd;
-    }
-    sysExit();
-    return result;
+        return _proc.addFd(0, std::move(client));
+    });
 }
 
 uint64_t
-Kernel::ringTransmit(Socket &sock, const std::shared_ptr<Socket> &peer,
+Kernel::ringTransmit(const std::shared_ptr<Socket> &peer,
                      const uint8_t *data, uint64_t len, bool zero_copy)
 {
-    (void)sock;
     // Post a descriptor per segment (at most one MTU less headers) for
     // as much of @p len as the peer window and the TX ring allow, then
     // cross the device boundary once for the whole batch.
@@ -1051,7 +959,7 @@ Kernel::socketSend(Process &proc, Socket &sock, const uint8_t *data,
                 return int64_t(sent);
             blockCurrent(proc, &sock);
         }
-        sent += ringTransmit(sock, peer, data + sent, len - sent,
+        sent += ringTransmit(peer, data + sent, len - sent,
                              /*zero_copy=*/false);
     }
     sim::StatSet::add(_hNetBytesSent, len);
@@ -1109,107 +1017,64 @@ Kernel::socketRecv(Process &proc, Socket &sock, uint8_t *data,
     return int64_t(n);
 }
 
-int64_t
-UserApi::send(int fd, hw::Vaddr buf, uint64_t len)
-{
-    sysEnter();
-    int64_t result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::Socket) {
-        std::vector<uint8_t> tmp(len);
-        if (_kernel._kmem->copyIn(buf, tmp.data(), len))
-            result = _kernel.socketSend(_proc, *of->sock, tmp.data(),
-                                        len);
-    }
-    sysExit();
-    return result;
-}
-
-int64_t
-UserApi::recv(int fd, hw::Vaddr buf, uint64_t len)
-{
-    sysEnter();
-    int64_t result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::Socket) {
-        std::vector<uint8_t> tmp(len);
-        int64_t n = _kernel.socketRecv(_proc, *of->sock, tmp.data(),
-                                       len);
-        if (n >= 0 &&
-            (n == 0 ||
-             _kernel._kmem->copyOut(buf, tmp.data(), uint64_t(n))))
-            result = n;
-    }
-    sysExit();
-    return result;
-}
 
 int64_t
 UserApi::sendHost(int fd, const void *buf, uint64_t len)
 {
-    sysEnter();
-    _kernel._ctx.chargeKernelBulk(len); // copyin from "user"
-    int64_t result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::Socket)
-        result = _kernel.socketSend(
-            _proc, *of->sock, static_cast<const uint8_t *>(buf), len);
-    sysExit();
-    return result;
+    return syscall([&]() -> int64_t {
+        _kernel._ctx.chargeKernelBulk(len); // copyin from "user"
+        auto sock = _kernel.socketOf(_proc, fd);
+        if (!sock)
+            return -1;
+        return _kernel.socketSend(_proc, *sock,
+                                  static_cast<const uint8_t *>(buf), len);
+    });
 }
 
 int64_t
 UserApi::recvHost(int fd, void *buf, uint64_t len)
 {
-    sysEnter();
-    int64_t result = -1;
-    auto of = _kernel.file(_proc, fd);
-    if (of && of->kind == OpenFile::Kind::Socket) {
-        result = _kernel.socketRecv(_proc, *of->sock,
-                                    static_cast<uint8_t *>(buf), len);
-        if (result > 0)
-            _kernel._ctx.chargeKernelBulk(uint64_t(result));
-    }
-    sysExit();
-    return result;
+    return syscall([&]() -> int64_t {
+        auto sock = _kernel.socketOf(_proc, fd);
+        if (!sock)
+            return -1;
+        int64_t n = _kernel.socketRecv(_proc, *sock,
+                                       static_cast<uint8_t *>(buf), len);
+        if (n > 0)
+            _kernel._ctx.chargeKernelBulk(uint64_t(n));
+        return n;
+    });
 }
 
 int64_t
 UserApi::readHost(int fd, void *buf, uint64_t len)
 {
-    sysEnter();
-    int64_t result = -1;
-    Kernel &k = _kernel;
-    auto of = k.file(_proc, fd);
-    if (of) {
+    return syscall([&]() -> int64_t {
+        Kernel &k = _kernel;
+        auto of = k.file(_proc, fd);
+        if (!of)
+            return -1;
+        int64_t n;
         if (of->kind == OpenFile::Kind::Socket) {
-            result = k.socketRecv(_proc, *of->sock,
-                                  static_cast<uint8_t *>(buf), len);
-            if (result > 0)
-                k._ctx.chargeKernelBulk(uint64_t(result));
+            n = k.socketRecv(_proc, *of->sock, static_cast<uint8_t *>(buf),
+                             len);
         } else {
-            int64_t n =
-                k._fs->read(of->ino, of->offset, buf, len);
-            if (n >= 0) {
+            n = k._fs->read(of->ino, of->offset, buf, len);
+            if (n >= 0)
                 of->offset += uint64_t(n);
-                if (n > 0)
-                    k._ctx.chargeKernelBulk(uint64_t(n)); // copyout
-                result = n;
-            }
         }
-    }
-    sysExit();
-    return result;
+        if (n > 0)
+            k._ctx.chargeKernelBulk(uint64_t(n)); // copyout
+        return n < 0 ? -1 : n;
+    });
 }
 
 int64_t
 Kernel::doSendfile(Process &proc, int out_fd, int in_fd, uint64_t len)
 {
-    auto out = file(proc, out_fd);
+    auto out = socketOf(proc, out_fd);
     auto in = file(proc, in_fd);
-    if (!out || out->kind != OpenFile::Kind::Socket || !out->sock)
-        return -1;
-    if (!in || in->kind != OpenFile::Kind::File)
+    if (!out || !in || in->kind != OpenFile::Kind::File)
         return -1;
 
     // Zero-copy proof obligation: handing a bcache buffer straight to
@@ -1235,8 +1100,7 @@ Kernel::doSendfile(Process &proc, int out_fd, int in_fd, uint64_t len)
             sim::StatSet::add(_hZeroCopySends);
         else
             _ctx.chargeKernelBulk(uint64_t(got)); // staging copy
-        int64_t n = socketSend(proc, *out->sock, scratch.data(),
-                               uint64_t(got));
+        int64_t n = socketSend(proc, *out, scratch.data(), uint64_t(got));
         if (n < 0)
             return sent ? int64_t(sent) : -1;
         sent += uint64_t(n);
@@ -1249,54 +1113,50 @@ Kernel::doSendfile(Process &proc, int out_fd, int in_fd, uint64_t len)
 int64_t
 UserApi::sendfile(int out_fd, int in_fd, uint64_t len)
 {
-    sysEnter();
-    int64_t result;
-    std::vector<uint64_t> args = {uint64_t(out_fd), uint64_t(in_fd),
-                                  len, _proc.pid};
-    if (!_kernel.moduleDispatch(Sys::sendfile, args, result))
-        result = _kernel.doSendfile(_proc, out_fd, in_fd, len);
-    sysExit();
-    return result;
+    return syscall([&] {
+        if (auto hooked = _kernel.moduleDispatch(
+                Sys::sendfile,
+                {uint64_t(out_fd), uint64_t(in_fd), len, _proc.pid}))
+            return *hooked;
+        return _kernel.doSendfile(_proc, out_fd, in_fd, len);
+    });
 }
 
 int
 UserApi::select(const std::vector<int> &read_fds, uint64_t timeout_us)
 {
-    sysEnter();
-    Kernel &k = _kernel;
-    uint64_t deadline =
-        k._ctx.clock().now() +
-        sim::Cycles(double(timeout_us) * sim::Clock::cyclesPerUsec);
-
-    int ready = 0;
-    while (true) {
-        ready = 0;
-        std::vector<const void *> channels;
-        for (int fd : read_fds) {
-            // Per-descriptor poll work: this is what LMBench's select
-            // benchmark measures.
-            k._ctx.chargeKernelWork(28, 6, 1);
-            auto of = k.file(_proc, fd);
-            if (!of)
-                continue;
-            if (of->kind == OpenFile::Kind::File) {
-                ready++;
-            } else if (of->sock) {
-                if (of->sock->readReady())
+    return syscall([&] {
+        Kernel &k = _kernel;
+        uint64_t deadline =
+            k._ctx.clock().now() +
+            sim::Cycles(double(timeout_us) * sim::Clock::cyclesPerUsec);
+        while (true) {
+            int ready = 0;
+            std::vector<const void *> channels;
+            for (int fd : read_fds) {
+                // Per-descriptor poll work: this is what LMBench's
+                // select benchmark measures.
+                k._ctx.chargeKernelWork(28, 6, 1);
+                auto of = k.file(_proc, fd);
+                if (!of)
+                    continue;
+                if (of->kind == OpenFile::Kind::File) {
                     ready++;
-                else
-                    channels.push_back(of->sock.get());
+                } else if (of->sock) {
+                    if (of->sock->readReady())
+                        ready++;
+                    else
+                        channels.push_back(of->sock.get());
+                }
             }
+            if (ready > 0 || timeout_us == 0 ||
+                k._ctx.clock().now() >= deadline)
+                return ready;
+            _proc.multiWait = channels;
+            k.blockCurrentTimed(_proc, nullptr, deadline);
+            _proc.multiWait.clear();
         }
-        if (ready > 0 || timeout_us == 0 ||
-            k._ctx.clock().now() >= deadline)
-            break;
-        _proc.multiWait = channels;
-        k.blockCurrentTimed(_proc, nullptr, deadline);
-        _proc.multiWait.clear();
-    }
-    sysExit();
-    return ready;
+    });
 }
 
 // --------------------------------------------------------------------
@@ -1306,34 +1166,24 @@ UserApi::select(const std::vector<int> &read_fds, uint64_t timeout_us)
 int
 UserApi::getpid()
 {
-    sysEnter();
-    // The null syscall: the gate plus a trivial body.
-    _kernel._ctx.chargeKernelWork(6, 2, 1);
-    sysExit();
-    return int(_proc.pid);
+    return syscall([&] {
+        // The null syscall: the gate plus a trivial body.
+        _kernel._ctx.chargeKernelWork(6, 2, 1);
+        return int(_proc.pid);
+    });
 }
 
 void
 UserApi::compute(uint64_t insts)
 {
     _kernel._ctx.chargeUserWork(insts);
-    if (_kernel.curTimer().due()) {
-        _kernel.curTimer().acknowledge();
-        _kernel._ctx.chargeTrap();
-        _kernel.yieldCurrent(_proc);
-    }
+    _kernel.preemptIfDue(_proc);
 }
 
 void
 UserApi::yield()
 {
     _kernel.yieldCurrent(_proc);
-}
-
-void
-UserApi::log(const std::string &text)
-{
-    _kernel._console.write(text);
 }
 
 } // namespace vg::kern

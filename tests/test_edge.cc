@@ -344,6 +344,49 @@ TEST(KernelEdge, UnmappedUserAccessFails)
     });
 }
 
+TEST(KernelEdge, PageStraddlingUserAccessTranslatesEachPage)
+{
+    System sys(tinyConfig(4096));
+    sys.boot();
+    hw::PhysMem &mem = sys.mem();
+    sys.runProcess("straddle", [&mem](UserApi &api) {
+        const uint64_t val = 0x1122334455667788ull;
+
+        // One page, then the unmapped guard gap mmap leaves after it:
+        // the upper four bytes would land in the gap and must fault,
+        // not spill into whatever frame sits next in physical memory.
+        hw::Vaddr one = api.mmap(hw::pageSize);
+        EXPECT_TRUE(api.poke(one, 8, 0));
+        hw::Paddr pa = 0;
+        EXPECT_TRUE(api.kernel().handleUserAccess(
+            api.proc(), one, hw::Access::Read, pa));
+        hw::Paddr next_frame = hw::pageOf(pa) + hw::pageSize;
+        std::vector<uint8_t> before(8), after(8);
+        mem.readBytes(next_frame, before.data(), before.size());
+        uint64_t v = 0;
+        EXPECT_FALSE(api.poke(one + hw::pageSize - 4, 8, val));
+        EXPECT_FALSE(api.peek(one + hw::pageSize - 4, 8, v));
+        mem.readBytes(next_frame, after.data(), after.size());
+        EXPECT_EQ(before, after);
+
+        // Two mapped pages, faulted in back to front so they do not
+        // sit in adjacent frames: a straddling access reads and writes
+        // the bytes of both virtual pages.
+        hw::Vaddr two = api.mmap(2 * hw::pageSize);
+        EXPECT_TRUE(api.poke(two + hw::pageSize, 4, 0xaabbccdd));
+        EXPECT_TRUE(api.poke(two + hw::pageSize - 4, 4, 0x01020304));
+        EXPECT_TRUE(api.peek(two + hw::pageSize - 4, 8, v));
+        EXPECT_EQ(v, 0xaabbccdd01020304ull);
+        EXPECT_TRUE(api.poke(two + hw::pageSize - 4, 8, val));
+        uint64_t lo = 0, hi = 0;
+        EXPECT_TRUE(api.peek(two + hw::pageSize - 4, 4, lo));
+        EXPECT_TRUE(api.peek(two + hw::pageSize, 4, hi));
+        EXPECT_EQ(lo, val & 0xffffffffu);
+        EXPECT_EQ(hi, val >> 32);
+        return 0;
+    });
+}
+
 TEST(KernelEdge, MunmapWrongLengthRejected)
 {
     System sys(tinyConfig(4096));

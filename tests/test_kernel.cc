@@ -8,8 +8,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <tuple>
 
+#include "golden.hh"
 #include "kernel/system.hh"
+#include "sim/interleave.hh"
 
 using namespace vg;
 using namespace vg::kern;
@@ -419,6 +423,111 @@ entry:
     EXPECT_GT(sys.ctx().stats().get("exec.insts"), 0u);
 }
 
+namespace
+{
+
+/** Every value a module logged through klog, in order. */
+std::vector<uint64_t>
+loggedValues(const std::string &console)
+{
+    std::vector<uint64_t> values;
+    const std::string needle = "[module] value=0x";
+    for (size_t pos = console.find(needle); pos != std::string::npos;
+         pos = console.find(needle, pos)) {
+        pos += needle.size();
+        values.push_back(std::stoull(console.substr(pos), nullptr, 16));
+    }
+    return values;
+}
+
+/** Handlers that log their four arguments and answer by themselves
+ *  (len + 7000 for write, len + 9000 for sendfile). */
+const char *kSpyModule = R"(
+module "spy"
+
+func @spy_write(4) {
+entry:
+  %4 = call @klog(%0)
+  %5 = call @klog(%1)
+  %6 = call @klog(%2)
+  %7 = call @klog(%3)
+  %8 = const 7000
+  %9 = add %2, %8
+  ret %9
+}
+
+func @spy_sendfile(4) {
+entry:
+  %4 = call @klog(%0)
+  %5 = call @klog(%1)
+  %6 = call @klog(%2)
+  %7 = call @klog(%3)
+  %8 = const 9000
+  %9 = add %2, %8
+  ret %9
+}
+)";
+
+} // namespace
+
+TEST(Kernel, ModuleInterposesWriteAndSendfile)
+{
+    System sys(smallConfig());
+    sys.boot();
+    Kernel &k = sys.kernel();
+    std::string err;
+    ASSERT_TRUE(k.loadModule("spy", kSpyModule, &err)) << err;
+    ASSERT_TRUE(k.interposeSyscall(Sys::write, "spy", "spy_write"));
+    ASSERT_TRUE(k.interposeSyscall(Sys::sendfile, "spy", "spy_sendfile"));
+
+    int code = sys.runProcess("spied", [&k](UserApi &api) {
+        sim::StatSet &stats = k.ctx().stats();
+        int fd = api.open("/spied", true);
+        hw::Vaddr buf = api.mmap(4096);
+        api.copyToUser(buf, "hello", 5);
+        FileStat st;
+
+        // Hooked write: the handler gets (fd, buf, len, pid), its
+        // return value is the result, and the native path never runs.
+        k.console().clear();
+        EXPECT_EQ(api.write(fd, buf, 5), 7005);
+        EXPECT_EQ(loggedValues(k.console().output()),
+                  (std::vector<uint64_t>{uint64_t(fd), buf, 5, api.pid()}));
+        EXPECT_EQ(api.stat("/spied", st), 0);
+        EXPECT_EQ(st.size, 0u);
+
+        k.clearInterposition(Sys::write);
+        EXPECT_EQ(api.write(fd, buf, 5), 5);
+        EXPECT_EQ(api.stat("/spied", st), 0);
+        EXPECT_EQ(st.size, 5u);
+
+        int ls = api.socket();
+        api.bind(ls, 8080);
+        api.listen(ls);
+        int client = api.connect(8080);
+        int server = api.accept(ls);
+        api.lseek(fd, 0, 0);
+
+        // Hooked sendfile: the handler gets (out_fd, in_fd, len, pid)
+        // and nothing goes on the wire.
+        uint64_t sent = stats.get("net.bytes_sent");
+        k.console().clear();
+        EXPECT_EQ(api.sendfile(client, fd, 5), 9005);
+        EXPECT_EQ(loggedValues(k.console().output()),
+                  (std::vector<uint64_t>{uint64_t(client), uint64_t(fd), 5,
+                                         api.pid()}));
+        EXPECT_EQ(stats.get("net.bytes_sent"), sent);
+
+        k.clearInterposition(Sys::sendfile);
+        EXPECT_EQ(api.sendfile(client, fd, 5), 5);
+        char back[8] = {};
+        EXPECT_EQ(api.recvHost(server, back, sizeof(back)), 5);
+        EXPECT_EQ(std::memcmp(back, "hello", 5), 0);
+        return 0;
+    });
+    EXPECT_EQ(code, 0);
+}
+
 TEST(Kernel, UnsignedModuleTextRefused)
 {
     System sys(smallConfig());
@@ -616,3 +725,251 @@ TEST(FiberLifecycle, DeepRecursionFitsTheFiberStack)
     EXPECT_EQ(code, 0);
     EXPECT_EQ(frames, 2049u);
 }
+
+// --------------------------------------------------------------------
+// Syscall entry path: every gated UserApi entry, digest-pinned
+// --------------------------------------------------------------------
+
+namespace
+{
+
+/** Interposes the three hookable calls: read chains to the native
+ *  handler, write chains through k_exfil_fd, sendfile answers itself. */
+const char *kSweepModule = R"(
+module "sweep"
+
+func @hook_read(4) {
+entry:
+  %4 = call @k_read_native(%0, %1, %2, %3)
+  ret %4
+}
+
+func @hook_write(4) {
+entry:
+  %4 = call @k_exfil_fd(%3, %0, %1, %2)
+  ret %4
+}
+
+func @hook_sendfile(4) {
+entry:
+  %4 = call @k_stat_add(%2)
+  ret %2
+}
+)";
+
+/** Gated UserApi entries sweepEveryEntry() calls, each exactly once. */
+constexpr uint64_t kGatedCalls = 31;
+
+/**
+ * One process calls every gated UserApi entry once, with sizes drawn
+ * from @p seed, and every ungated one at least once. Each gated call
+ * must cross the gate exactly once (sva.syscalls + 1); each ungated
+ * call must not cross it at all.
+ */
+int
+sweepEveryEntry(UserApi &api, uint64_t seed)
+{
+    sim::StatSet &stats = api.kernel().ctx().stats();
+    sim::SplitMix64 rng(seed);
+    const uint64_t len = 64 + rng.next() % 3000;
+    const uint64_t msg = 16 + rng.next() % (len - 16);
+    const uint64_t burst = 1000 + rng.next() % 50000;
+    const uint16_t port = uint16_t(2000 + rng.next() % 1000);
+    std::vector<uint8_t> data(len);
+    for (uint8_t &b : data)
+        b = uint8_t(rng.next());
+    std::vector<uint8_t> back(len);
+
+    auto gated = [&stats](const char *name, auto &&call) {
+        uint64_t before = stats.get("sva.syscalls");
+        auto r = call();
+        EXPECT_EQ(stats.get("sva.syscalls"), before + 1) << name;
+        return r;
+    };
+    auto ungated = [&stats](const char *name, auto &&call) {
+        uint64_t before = stats.get("sva.syscalls");
+        auto r = call();
+        EXPECT_EQ(stats.get("sva.syscalls"), before) << name;
+        return r;
+    };
+
+    const uint64_t pid = api.pid();
+    EXPECT_EQ(gated("getpid", [&] { return api.getpid(); }), int(pid));
+
+    int signals = 0;
+    gated("installSignalHandler", [&] {
+        return api.installSignalHandler(
+            10, [&signals](int) { signals++; }, true);
+    });
+    EXPECT_EQ(gated("kill", [&] { return api.kill(pid, 10); }), 0);
+    EXPECT_EQ(signals, 1);
+
+    uint8_t rnd[16];
+    gated("osRandom", [&] {
+        api.osRandom(rnd, sizeof(rnd));
+        return 0;
+    });
+    ungated("secureRandom", [&] {
+        api.secureRandom(rnd, sizeof(rnd));
+        return 0;
+    });
+    ungated("getKey", [&] { return api.getKey().has_value(); });
+    ungated("compute", [&] {
+        api.compute(burst);
+        return 0;
+    });
+    ungated("yield", [&] {
+        api.yield();
+        return 0;
+    });
+
+    // Files through user memory; read and write are hooked.
+    int fd = gated("open", [&] { return api.open("/sweep", true); });
+    EXPECT_GE(fd, 0);
+    hw::Vaddr va = gated("mmap", [&] { return api.mmap(2 * len); });
+    EXPECT_NE(va, 0u);
+    EXPECT_TRUE(ungated("copyToUser", [&] {
+        return api.copyToUser(va, data.data(), len);
+    }));
+    uint64_t word = 0;
+    EXPECT_TRUE(ungated("poke", [&] { return api.poke(va + len, 8, ~0ull); }));
+    EXPECT_TRUE(ungated("peek", [&] { return api.peek(va + len, 8, word); }));
+    EXPECT_EQ(word, ~0ull);
+    EXPECT_EQ(gated("write", [&] { return api.write(fd, va, len); }),
+              int64_t(len));
+    EXPECT_EQ(gated("lseek", [&] { return api.lseek(fd, 0, 0); }), 0);
+    const uint64_t half = len / 2;
+    EXPECT_EQ(gated("readHost",
+                    [&] { return api.readHost(fd, back.data(), half); }),
+              int64_t(half));
+    EXPECT_EQ(gated("read",
+                    [&] { return api.read(fd, va + len, len - half); }),
+              int64_t(len - half));
+    EXPECT_TRUE(ungated("copyFromUser", [&] {
+        return api.copyFromUser(va + len, back.data() + half, len - half);
+    }));
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(gated("fsync", [&] { return api.fsync(fd); }), 0);
+    FileStat st;
+    EXPECT_EQ(gated("stat", [&] { return api.stat("/sweep", st); }), 0);
+    EXPECT_EQ(st.size, len);
+    EXPECT_EQ(gated("mkdir", [&] { return api.mkdir("/sweep.d"); }), 0);
+    hw::Vaddr fva = gated("mmapFile", [&] { return api.mmapFile(fd, len); });
+    EXPECT_NE(fva, 0u);
+    EXPECT_TRUE(ungated("peek", [&] { return api.peek(fva, 1, word); }));
+    EXPECT_EQ(word, data[0]);
+    EXPECT_EQ(gated("munmap", [&] { return api.munmap(fva, len); }), 0);
+
+    // Ghost memory.
+    hw::Vaddr ghost = gated("allocGhost", [&] { return api.allocGhost(1); });
+    EXPECT_NE(ghost, 0u);
+    EXPECT_TRUE(ungated("ghostWrite", [&] {
+        return api.ghostWrite(ghost, data.data(), len);
+    }));
+    std::vector<uint8_t> gback(len);
+    EXPECT_TRUE(ungated("ghostRead", [&] {
+        return api.ghostRead(ghost, gback.data(), len);
+    }));
+    EXPECT_EQ(gback, data);
+    EXPECT_TRUE(gated("freeGhost", [&] { return api.freeGhost(ghost, 1); }));
+
+    // Sockets: a loopback connection to ourselves; sendfile is hooked.
+    int ls = gated("socket", [&] { return api.socket(); });
+    EXPECT_EQ(gated("bind", [&] { return api.bind(ls, port); }), 0);
+    EXPECT_EQ(gated("listen", [&] { return api.listen(ls); }), 0);
+    int client = gated("connect", [&] { return api.connect(port); });
+    int server = gated("accept", [&] { return api.accept(ls); });
+    EXPECT_GE(client, 0);
+    EXPECT_GE(server, 0);
+    EXPECT_EQ(gated("sendHost",
+                    [&] { return api.sendHost(client, data.data(), msg); }),
+              int64_t(msg));
+    EXPECT_EQ(gated("select", [&] { return api.select({server}, 1000000); }),
+              1);
+    EXPECT_GT(gated("recvHost",
+                    [&] { return api.recvHost(server, back.data(), msg); }),
+              0);
+    EXPECT_EQ(gated("sendfile",
+                    [&] { return api.sendfile(client, fd, len); }),
+              int64_t(len));
+    EXPECT_EQ(gated("close", [&] { return api.close(client); }), 0);
+    EXPECT_EQ(gated("unlink", [&] { return api.unlink("/sweep"); }), 0);
+
+    // Processes.
+    uint64_t child = gated("fork", [&] {
+        return api.fork([](UserApi &) { return 3; });
+    });
+    int status = -1;
+    EXPECT_EQ(gated("waitpid", [&] { return api.waitpid(child, status); }),
+              0);
+    EXPECT_EQ(status, 3);
+
+    uint64_t before_exec = stats.get("sva.syscalls");
+    return api.execve(nullptr, [&stats, before_exec](UserApi &) {
+        EXPECT_EQ(stats.get("sva.syscalls"), before_exec + 1) << "execve";
+        return 5;
+    });
+}
+
+/** Machine digests (vCPU clocks + stat map), recorded before the
+ *  entry points were folded into one gate; key is (seed, vcpus). */
+const std::map<std::pair<int, unsigned>, uint64_t> kSyscallGolden = {
+    {{1, 1}, 0x973e87ab8e747a95ull},
+    {{1, 2}, 0x45da21d2a97b762eull},
+    {{1, 4}, 0x82a7d9714f32beeeull},
+    {{2, 1}, 0x5f0b5ca7072ce4bdull},
+    {{2, 2}, 0x1ef89ad437c6ab98ull},
+    {{2, 4}, 0x586dfcb1f9009d58ull},
+    {{3, 1}, 0x3fe16304e164b085ull},
+    {{3, 2}, 0xd32c98be92dfb671ull},
+    {{3, 4}, 0x33ed0eb9b7d6b731ull},
+};
+
+} // namespace
+
+class SyscallGoldenSweep
+    : public ::testing::TestWithParam<std::tuple<int, unsigned>>
+{};
+
+TEST_P(SyscallGoldenSweep, EveryEntryCrossesTheGateOnce)
+{
+    auto [seed, vcpus] = GetParam();
+    SystemConfig cfg = smallConfig();
+    cfg.vg.seed = uint64_t(seed);
+    cfg.vg.vcpus = vcpus;
+    System sys(cfg);
+    sys.boot();
+    Kernel &k = sys.kernel();
+    std::string err;
+    ASSERT_TRUE(k.loadModule("sweep", kSweepModule, &err)) << err;
+    ASSERT_TRUE(k.interposeSyscall(Sys::read, "sweep", "hook_read"));
+    ASSERT_TRUE(k.interposeSyscall(Sys::write, "sweep", "hook_write"));
+    ASSERT_TRUE(k.interposeSyscall(Sys::sendfile, "sweep", "hook_sendfile"));
+
+    uint64_t before = sys.ctx().stats().get("sva.syscalls");
+    int code = sys.runProcess("sweep", [seed](UserApi &api) {
+        return sweepEveryEntry(api, uint64_t(seed));
+    });
+    EXPECT_EQ(code, 5);
+    EXPECT_EQ(sys.ctx().stats().get("sva.syscalls"), before + kGatedCalls);
+
+    // Machine digest without the verifiers' host-time counters
+    // (*.wall_ns, different on every run) and without never-bumped
+    // counters (the trace tier registers its own only when enabled,
+    // and CI also runs tier-1 with it disabled).
+    std::map<std::string, uint64_t> stats = sys.ctx().stats().all();
+    std::erase_if(stats, [](const auto &kv) {
+        return kv.second == 0 || kv.first.ends_with(".wall_ns");
+    });
+    test::Golden g;
+    for (unsigned c = 0; c < sys.ctx().vcpuCount(); c++)
+        g.u64(sys.ctx().clockOf(c).now());
+    g.stats(stats).str(k.console().output());
+    EXPECT_TRUE(test::matchesGolden(
+        g.h, kSyscallGolden.at({seed, vcpus})));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SyscallGoldenSweep,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(1u, 2u, 4u)));
