@@ -2,13 +2,11 @@
  * @file
  * Host-side throughput of the execution engine: interpreted
  * instructions per wall-clock second for the same workload module
- * under three configurations:
+ * under two configurations:
  *
  *   - native:           no instrumentation (upper bound);
  *   - vg-fused:         full Virtual Ghost instrumentation with the
- *                       fused SandboxAddr masking op (default);
- *   - vg-unfused:       full instrumentation with the 13-instruction
- *                       unfused mask sequence (pre-fusion engine).
+ *                       fused SandboxAddr masking op.
  *
  * Each configuration is measured twice: pure interpreter and with the
  * trace tier enabled (+trace rows), so the superinstruction speedup
@@ -173,9 +171,6 @@ main(int argc, char **argv)
     const uint64_t iters = smoke ? 200 : 2000;
     const double minSeconds = smoke ? 0.05 : 0.5;
 
-    sim::VgConfig unfused = sim::VgConfig::full();
-    unfused.fuseSandboxMasks = false;
-
     std::vector<Result> results;
     results.push_back(
         measure("native", sim::VgConfig::native(), iters, minSeconds));
@@ -185,10 +180,6 @@ main(int argc, char **argv)
         measure("vg-fused", sim::VgConfig::full(), iters, minSeconds));
     results.push_back(measure("vg-fused+trace", sim::VgConfig::full(),
                               iters, minSeconds, true));
-    results.push_back(measure("vg-unfused", unfused, iters,
-                              minSeconds));
-    results.push_back(measure("vg-unfused+trace", unfused, iters,
-                              minSeconds, true));
 
     std::printf("%-18s %14s %12s %18s %8s\n", "config", "insts/call",
                 "us/call", "host insts/sec", "traces");
@@ -199,11 +190,6 @@ main(int argc, char **argv)
                     r.hostInstsPerSec,
                     (unsigned long long)r.tracesFormed);
 
-    const Result &fused = results[2];
-    const Result &unf = results[4];
-    double speedup = unf.usPerCall / fused.usPerCall;
-    std::printf("fused vs unfused host speedup: %.2fx\n", speedup);
-
     // Interpreter vs trace tier, per config (same insts/call by
     // construction — the tier only changes host time).
     auto traceSpeedup = [&](size_t off, size_t on) {
@@ -211,10 +197,8 @@ main(int argc, char **argv)
     };
     double trNative = traceSpeedup(0, 1);
     double trFused = traceSpeedup(2, 3);
-    double trUnfused = traceSpeedup(4, 5);
-    std::printf("trace tier speedup: native %.2fx, vg-fused %.2fx, "
-                "vg-unfused %.2fx\n",
-                trNative, trFused, trUnfused);
+    std::printf("trace tier speedup: native %.2fx, vg-fused %.2fx\n",
+                trNative, trFused);
 
     std::FILE *f = std::fopen("BENCH_exec.json", "w");
     if (!f) {
@@ -259,13 +243,10 @@ main(int argc, char **argv)
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"fused_vs_unfused_speedup\": %.3f,\n",
-                 speedup);
     std::fprintf(f,
                  "  \"trace_speedup\": %.3f,\n"
-                 "  \"trace_speedup_native\": %.3f,\n"
-                 "  \"trace_speedup_unfused\": %.3f,\n",
-                 trFused, trNative, trUnfused);
+                 "  \"trace_speedup_native\": %.3f,\n",
+                 trFused, trNative);
     const double host = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();

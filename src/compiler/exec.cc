@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "compiler/passes.hh"
 #include "compiler/translator.hh"
 #include "hw/layout.hh"
 #include "sim/log.hh"
@@ -267,16 +266,6 @@ cmpEval(vir::CmpPred pred, uint64_t a, uint64_t b)
     return 0;
 }
 
-/** SandboxAddr semantics (identical to the interpreter case). */
-uint64_t
-sandboxVal(uint64_t a)
-{
-    uint64_t masked = a | (uint64_t(a >= hw::ghostBase) << 39);
-    uint64_t keep =
-        uint64_t(!(masked >= hw::svaBase && masked < hw::svaEnd));
-    return masked * keep;
-}
-
 } // namespace
 
 void
@@ -334,63 +323,11 @@ Executor::compileTrace(TraceRt &t)
         u.c = m.c;
         u.imm = m.imm;
         size_t used = 1;
-        // Unfused masking sequence (fuseSandboxMasks = false): collapse
-        // the recognized 13-instruction ghost/SVA sequence into one
-        // dispatch. The runner replays every architectural register
-        // write in program order, so side exits — and any register
-        // aliasing — observe state identical to the interpreter's. The
-        // whole sequence must sit inside the block with no in-block
-        // branch landing past its head.
-        bool seqFused = false;
-        if (m.op == MOp::ConstI &&
-            i + size_t(sandboxMaskSeqLen) <= end) {
-            int seqDst = -1;
-            int seqAddr = matchSandboxMaskSeq(_img->code, i, seqDst);
-            bool clear = seqAddr >= 0;
-            uint32_t csum = 0;
-            for (size_t k = 0; clear && k < size_t(sandboxMaskSeqLen);
-                 k++) {
-                if (k && isTarget[i + k - head])
-                    clear = false;
-                csum += _decoded[i + k].cost;
-            }
-            if (clear && csum <= 255) {
-                MaskSeq s;
-                s.addr = seqAddr;
-                for (size_t k = 0; k < size_t(sandboxMaskSeqLen); k++)
-                    s.d[k] = _decoded[i + k].dst;
-                u.kind = UOp::K::SandboxSeq;
-                u.seq = uint32_t(t.seqs.size());
-                t.seqs.push_back(s);
-                u.c1 = uint8_t(csum);
-                used = size_t(sandboxMaskSeqLen);
-                const DInst *p =
-                    (i + used < end && !isTarget[i + used - head])
-                        ? &_decoded[i + used]
-                        : nullptr;
-                if (p && p->op == MOp::Load && p->a == seqDst) {
-                    u.kind = UOp::K::SeqLoad;
-                    u.dst2 = p->dst;
-                    u.w2 = uint8_t(vir::widthBytes(p->width));
-                    u.c2 = p->cost;
-                    used++;
-                } else if (p && p->op == MOp::Store &&
-                           p->a == seqDst) {
-                    u.kind = UOp::K::SeqStore;
-                    u.b2 = p->b;
-                    u.w2 = uint8_t(vir::widthBytes(p->width));
-                    u.c2 = p->cost;
-                    used++;
-                }
-                seqFused = true;
-            }
-        }
         // Candidate fusion partner: the next instruction, unless some
         // in-block branch can land on it.
         const DInst *n = (i + 1 < end && !isTarget[i + 1 - head])
                              ? &_decoded[i + 1]
                              : nullptr;
-        if (!seqFused)
         switch (m.op) {
           case MOp::ConstI:
             u.kind = UOp::K::Const;
@@ -564,8 +501,6 @@ Executor::compileTrace(TraceRt &t)
           case UOp::K::MaskStore:
           case UOp::K::FrameLoad:
           case UOp::K::FrameStore:
-          case UOp::K::SeqLoad:
-          case UOp::K::SeqStore:
             return 1;
           case UOp::K::StoreLoad:
             return 2;
@@ -769,7 +704,7 @@ Executor::runTraceBlock(uint32_t ti, ExecResult &result)
             break;
           }
           case UOp::K::Sandbox:
-            set(u.dst, sandboxVal(reg(u.a)));
+            set(u.dst, hw::sandboxAddress(reg(u.a)));
             break;
           case UOp::K::FrameAddr:
             set(u.dst, framePtr + u.imm);
@@ -777,7 +712,7 @@ Executor::runTraceBlock(uint32_t ti, ExecResult &result)
           case UOp::K::FrameMask: {
             uint64_t fa = framePtr + u.imm;
             set(u.dst, fa);
-            set(u.dst2, sandboxVal(fa));
+            set(u.dst2, hw::sandboxAddress(fa));
             break;
           }
           case UOp::K::Load: {
@@ -802,7 +737,7 @@ Executor::runTraceBlock(uint32_t ti, ExecResult &result)
             }
             break;
           case UOp::K::MaskLoad: {
-            uint64_t addr = sandboxVal(reg(u.a));
+            uint64_t addr = hw::sandboxAddress(reg(u.a));
             set(u.dst, addr);
             uint64_t v = 0;
             if (!_mem.read(addr, u.w2, v)) {
@@ -817,7 +752,7 @@ Executor::runTraceBlock(uint32_t ti, ExecResult &result)
             break;
           }
           case UOp::K::MaskStore: {
-            uint64_t addr = sandboxVal(reg(u.a));
+            uint64_t addr = hw::sandboxAddress(reg(u.a));
             set(u.dst, addr);
             if (!_mem.write(addr, u.w2, reg(u.b2))) {
                 fault(ExecFault::MemFault,
@@ -854,52 +789,6 @@ Executor::runTraceBlock(uint32_t ti, ExecResult &result)
                       u.instsBefore + u.c1 + u.c2,
                       u.cyclesBefore + u.c1 + u.c2);
                 return SIZE_MAX;
-            }
-            break;
-          }
-          case UOp::K::SandboxSeq:
-          case UOp::K::SeqLoad:
-          case UOp::K::SeqStore: {
-            // Replay of the unfused masking sequence: one dispatch,
-            // all thirteen architectural writes in program order, each
-            // operand read back from the register file exactly when
-            // the interpreter would read it.
-            const MaskSeq &S = t.seqs[u.seq];
-            set(S.d[0], hw::ghostBase);
-            set(S.d[1], reg(S.addr) >= reg(S.d[0]) ? 1 : 0);
-            set(S.d[2], 39);
-            set(S.d[3], reg(S.d[1]) << (reg(S.d[2]) & 63));
-            set(S.d[4], reg(S.addr) | reg(S.d[3]));
-            set(S.d[5], hw::svaBase);
-            set(S.d[6], hw::svaEnd);
-            set(S.d[7], reg(S.d[4]) >= reg(S.d[5]) ? 1 : 0);
-            set(S.d[8], reg(S.d[4]) < reg(S.d[6]) ? 1 : 0);
-            set(S.d[9], reg(S.d[7]) & reg(S.d[8]));
-            set(S.d[10], 1);
-            set(S.d[11], reg(S.d[9]) ^ reg(S.d[10]));
-            set(S.d[12], reg(S.d[4]) * reg(S.d[11]));
-            if (u.kind == UOp::K::SeqLoad) {
-                uint64_t addr = reg(S.d[12]);
-                uint64_t v = 0;
-                if (!_mem.read(addr, u.w2, v)) {
-                    fault(ExecFault::MemFault,
-                          sim::strprintf("load fault at %#lx",
-                                         (unsigned long)addr),
-                          u.instsBefore + u.c1 + u.c2,
-                          u.cyclesBefore + u.c1 + u.c2);
-                    return SIZE_MAX;
-                }
-                set(u.dst2, v);
-            } else if (u.kind == UOp::K::SeqStore) {
-                uint64_t addr = reg(S.d[12]);
-                if (!_mem.write(addr, u.w2, reg(u.b2))) {
-                    fault(ExecFault::MemFault,
-                          sim::strprintf("store fault at %#lx",
-                                         (unsigned long)addr),
-                          u.instsBefore + u.c1 + u.c2,
-                          u.cyclesBefore + u.c1 + u.c2);
-                    return SIZE_MAX;
-                }
             }
             break;
           }
@@ -1262,17 +1151,11 @@ Executor::run(const FuncInfo &entry_fn, const std::vector<uint64_t> &args)
             set(m.dst, v ? 1 : 0);
             break;
           }
-          case MOp::SandboxAddr: {
+          case MOp::SandboxAddr:
             // Fused ghost/SVA masking sequence; bit-identical to the
-            // unfused 13-instruction form (see peephole.cc).
-            uint64_t a = reg(m.a);
-            uint64_t masked =
-                a | (uint64_t(a >= hw::ghostBase) << 39);
-            uint64_t keep = uint64_t(
-                !(masked >= hw::svaBase && masked < hw::svaEnd));
-            set(m.dst, masked * keep);
+            // 13-instruction form sandboxPass emits (see peephole.cc).
+            set(m.dst, hw::sandboxAddress(reg(m.a)));
             break;
-          }
           case MOp::Load: {
             uint64_t v = 0;
             if (!_mem.read(reg(m.a), unsigned(widthBytes(m.width)),

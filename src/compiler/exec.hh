@@ -223,13 +223,6 @@ class Executor
             FrameLoad,  ///< FrameAddr + Load from it
             FrameStore, ///< FrameAddr + Store to it
             StoreLoad,  ///< adjacent Store then Load
-            // Unfused masking sequence (fuseSandboxMasks = false):
-            // the 13-instruction ghost/SVA sequence emulated in one
-            // dispatch, every architectural register write performed
-            // in order so side exits observe identical state.
-            SandboxSeq, ///< the bare 13-inst sequence
-            SeqLoad,    ///< sequence + Load through its result
-            SeqStore,   ///< sequence + Store through its result
         };
         K kind = K::Nop;
         MOp op2 = MOp::ConstI; ///< sub-op selector for Arith/ArithImm
@@ -244,22 +237,10 @@ class Executor
         uint64_t imm = 0;
         uint32_t next = 0;   ///< fallthrough / fused-jump successor
         uint32_t target = 0; ///< branch-taken successor
-        uint32_t seq = 0;    ///< MaskSeq index (SandboxSeq/SeqLoad/
-                             ///< SeqStore only)
         /** Per-iteration prefixes (exclusive / inclusive of this µop;
          *  inclusive cycles count success extras). */
         uint32_t instsBefore = 0, instsAfter = 0;
         uint64_t cyclesBefore = 0, cyclesAfter = 0;
-    };
-
-    /** Register wiring of one recognized unfused masking sequence:
-     *  the address operand plus the thirteen destination registers in
-     *  program order. The runner replays the writes sequentially, so
-     *  behaviour is bit-identical even when registers alias. */
-    struct MaskSeq
-    {
-        int32_t addr = -1;
-        int32_t d[13] = {};
     };
 
     /** Runtime descriptor of one formed superinstruction block. */
@@ -273,7 +254,6 @@ class Executor
                                ///< pre-check bound per iteration)
         uint64_t iterCycles = 0; ///< static cycle sum per iteration
         std::vector<UOp> uops; ///< compiled superinstruction form
-        std::vector<MaskSeq> seqs; ///< unfused-mask sequence wirings
     };
 
     /** In-flight hot-path recording. */

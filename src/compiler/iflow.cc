@@ -30,7 +30,6 @@
 #include <map>
 #include <set>
 
-#include "compiler/passes.hh"
 #include "hw/layout.hh"
 #include "sva/iflow_meta.hh"
 
@@ -542,8 +541,7 @@ class Analysis
      * trace blocks must not perturb them.
      */
     void
-    transfer(const FuncRange &r, size_t idx, State &s,
-             const std::vector<int> &maskGen, bool summarize)
+    transfer(const FuncRange &r, size_t idx, State &s, bool summarize)
     {
         const MInst &m = _img.code[idx];
         const int numRegs = (int)s.regs.size();
@@ -564,15 +562,12 @@ class Analysis
                     list.push_back(rn);
         }
 
-        // A matched unfused mask sequence behaves like SandboxAddr at
-        // its final instruction: dst := sandbox(src). Masking is
-        // address-formation glue, not laundering — taint passes
-        // through without the via-arith stamp, and a ghost pointer
-        // comes out relocated into the kernel half (Ptr::None).
-        int seqSrc = maskGen.empty() ? -1 : maskGen[idx - r.begin];
-        if (m.op == MOp::SandboxAddr || seqSrc >= 0) {
-            int srcReg = m.op == MOp::SandboxAddr ? m.a : seqSrc;
-            AbsVal v = reg(srcReg);
+        // SandboxAddr: dst := sandbox(src). Masking is address-
+        // formation glue, not laundering — taint passes through
+        // without the via-arith stamp, and a ghost pointer comes out
+        // relocated into the kernel half (Ptr::None).
+        if (m.op == MOp::SandboxAddr) {
+            AbsVal v = reg(m.a);
             if (v.ptr == Ptr::Ghost)
                 v.ptr = Ptr::None;
             if (v.constKnown)
@@ -798,51 +793,6 @@ class Analysis
         return t;
     }
 
-    /** Precompute the unfused mask-sequence generators for an extent
-     *  (same criteria as mverify: no jump may enter the interior). */
-    std::vector<int>
-    maskGenFor(const FuncRange &r) const
-    {
-        const size_t n = r.end - r.begin;
-        std::vector<int> gen(n, -1);
-        std::vector<bool> isJumpTarget(n, false);
-        auto targetIdx = [&](const MInst &m) -> size_t {
-            if (!_img.contains(m.imm))
-                return SIZE_MAX;
-            size_t idx =
-                (size_t)((m.imm - _img.codeBase) / mInstBytes);
-            if (idx < r.begin || idx >= r.end)
-                return SIZE_MAX;
-            return idx;
-        };
-        for (size_t i = r.begin; i < r.end; i++) {
-            const MInst &m = _img.code[i];
-            if (m.op != MOp::Jump && m.op != MOp::JumpIfZero)
-                continue;
-            size_t t = targetIdx(m);
-            if (t != SIZE_MAX)
-                isJumpTarget[t - r.begin] = true;
-        }
-        for (size_t i = 0; i < n; i++) {
-            int dst = -1;
-            if (i + sandboxMaskSeqLen <= n &&
-                matchSandboxMaskSeq(_img.code, r.begin + i, dst) >=
-                    0) {
-                bool enterable = false;
-                for (size_t k = 1; k < sandboxMaskSeqLen; k++)
-                    enterable |= isJumpTarget[i + k];
-                if (!enterable) {
-                    // Record the sequence's SOURCE register at its
-                    // final instruction; transfer() reads it there.
-                    int src = matchSandboxMaskSeq(
-                        _img.code, r.begin + i, dst);
-                    gen[i + sandboxMaskSeqLen - 1] = src;
-                }
-            }
-        }
-        return gen;
-    }
-
     /** Intra-function worklist fixpoint from @p entry. Reports
      *  findings/facts only when _collect/_facts are armed and
      *  @p summarize is false (the stable reporting pass). */
@@ -855,8 +805,6 @@ class Analysis
         flow.reached.assign(n, false);
         if (n == 0)
             return flow;
-
-        std::vector<int> maskGen = maskGenFor(r);
 
         auto targetIdx = [&](const MInst &m) -> size_t {
             if (!_img.contains(m.imm))
@@ -902,7 +850,7 @@ class Analysis
             work.pop_back();
             inWork[i] = false;
             State state = flow.in[i];
-            transfer(r, r.begin + i, state, maskGen, summarize);
+            transfer(r, r.begin + i, state, summarize);
             size_t succ[2];
             int cnt = successors(i, succ);
             for (int k = 0; k < cnt; k++) {
@@ -932,7 +880,7 @@ class Analysis
                 if (!flow.reached[i])
                     continue;
                 State state = flow.in[i];
-                transfer(r, r.begin + i, state, maskGen, false);
+                transfer(r, r.begin + i, state, false);
             }
         }
         return flow;

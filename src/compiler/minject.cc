@@ -14,7 +14,6 @@
 #include <algorithm>
 
 #include "compiler/iflow.hh"
-#include "compiler/passes.hh"
 #include "sva/iflow_meta.hh"
 
 namespace vg::cc
@@ -66,22 +65,13 @@ isCallOp(MOp op)
            op == MOp::CallInd || op == MOp::CallIndChecked;
 }
 
-/** The register a mask-producing instruction at @p idx defines, or -1
- *  when code[idx] is neither a SandboxAddr nor the final Mul of an
- *  unfused masking sequence. */
+/** The register the SandboxAddr at @p idx defines, or -1 when code[idx]
+ *  is not a SandboxAddr. */
 int
 maskDefReg(const MachineImage &image, size_t idx)
 {
     const MInst &m = image.code[idx];
-    if (m.op == MOp::SandboxAddr)
-        return m.dst;
-    if (m.op == MOp::Mul && idx + 1 >= sandboxMaskSeqLen) {
-        int dst = -1;
-        if (matchSandboxMaskSeq(image.code,
-                                idx - (sandboxMaskSeqLen - 1), dst) >= 0)
-            return dst;
-    }
-    return -1;
+    return m.op == MOp::SandboxAddr ? m.dst : -1;
 }
 
 /** Indices of all mask-producing instructions. */

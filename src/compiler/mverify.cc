@@ -16,11 +16,10 @@
  *     the instruction-granularity CFG. The abstract state is the set of
  *     registers proven masked; the meet at join points is intersection
  *     (a register is masked only if masked on every incoming path).
- *     SandboxAddr generates its destination; so does the final Mul of a
- *     matched unfused mask sequence, but only when no jump targets the
- *     sequence interior (a mid-sequence entry would skip part of the
- *     mask). Mov propagates maskedness; every other definition kills
- *     it. At the fixpoint every reachable Load/Store/Memcpy address
+ *     SandboxAddr generates its destination — the translator always
+ *     fuses the masking sequence, so SandboxAddr is the only mask this
+ *     layer knows. Mov propagates maskedness; every other definition
+ *     kills it. At the fixpoint every reachable Load/Store/Memcpy address
  *     register must be in the masked set.
  *
  * Layer 1 runs unconditionally because layers 2 and 3 assume registers
@@ -34,7 +33,6 @@
 #include <cstdio>
 #include <map>
 
-#include "compiler/passes.hh"
 #include "compiler/trace.hh"
 
 namespace vg::cc
@@ -256,36 +254,6 @@ maskFlow(const MachineImage &img, const FuncRange &r, int numRegs,
         return idx;
     };
 
-    std::vector<bool> isJumpTarget(n, false);
-    for (size_t i = r.begin; i < r.end; i++) {
-        const MInst &m = img.code[i];
-        if (m.op != MOp::Jump && m.op != MOp::JumpIfZero)
-            continue;
-        size_t t = targetIdx(m);
-        if (t != SIZE_MAX)
-            isJumpTarget[t - r.begin] = true;
-    }
-
-    // Mask generators: SandboxAddr, and the final Mul of a matched
-    // unfused sequence whose interior no jump can enter.
-    std::vector<int> maskGen(n, -1);
-    for (size_t i = 0; i < n; i++) {
-        const MInst &m = img.code[r.begin + i];
-        if (m.op == MOp::SandboxAddr) {
-            maskGen[i] = m.dst;
-            continue;
-        }
-        int dst = -1;
-        if (i + sandboxMaskSeqLen <= n &&
-            matchSandboxMaskSeq(img.code, r.begin + i, dst) >= 0) {
-            bool enterable = false;
-            for (size_t k = 1; k < sandboxMaskSeqLen; k++)
-                enterable |= isJumpTarget[i + k];
-            if (!enterable)
-                maskGen[i + sandboxMaskSeqLen - 1] = dst;
-        }
-    }
-
     out.in[0] = entry;
     out.reached[0] = true;
 
@@ -294,14 +262,13 @@ maskFlow(const MachineImage &img, const FuncRange &r, int numRegs,
     // the home's own layer-1 outcome.
     auto transfer = [&](size_t i, RegSet &state) {
         const MInst &m = img.code[r.begin + i];
-        bool movMasked = m.op == MOp::Mov && m.a >= 0 && m.a < numRegs &&
-                         state.test(m.a);
+        bool masks = m.op == MOp::SandboxAddr ||
+                     (m.op == MOp::Mov && m.a >= 0 && m.a < numRegs &&
+                      state.test(m.a));
         int d = defReg(m);
         if (d >= 0 && d < numRegs)
             state.clear(d);
-        if (maskGen[i] >= 0 && maskGen[i] < numRegs)
-            state.set(maskGen[i]);
-        else if (movMasked && m.dst >= 0 && m.dst < numRegs)
+        if (masks && m.dst >= 0 && m.dst < numRegs)
             state.set(m.dst);
     };
 

@@ -9,9 +9,9 @@
  * installed, that
  *
  *  - every Load/Store/Memcpy address register is dominated by a
- *    SandboxAddr (or the equivalent unfused 13-instruction mask
- *    sequence) with no clobbering redefinition between mask and use
- *    (rule group VG-SB),
+ *    SandboxAddr with no clobbering redefinition between mask and use
+ *    (rule group VG-SB); the translator always fuses the masking
+ *    sequence, so an unfused 13-instruction sequence proves nothing,
  *  - no raw Ret or CallInd survives — only CheckRet/CallIndChecked —
  *    and a CfiLabel sits at every function entry and return site, with
  *    cfiLabelValue never forged as a non-label immediate (VG-CFI),
@@ -21,11 +21,11 @@
  *
  * The sandbox rules run under a forward may-be-unmasked dataflow
  * analysis: the state is the set of registers proven masked, the meet
- * over CFG join points is set intersection, SandboxAddr (or the final
- * Mul of a matched unfused sequence) generates, Mov propagates, and any
- * other definition kills. A finding is a structured diagnostic (rule,
- * severity, function, absolute code address, message) so vg_lint and
- * the translator gate can render it uniformly.
+ * over CFG join points is set intersection, SandboxAddr generates, Mov
+ * propagates, and any other definition kills. A finding is a
+ * structured diagnostic (rule, severity, function, absolute code
+ * address, message) so vg_lint and the translator gate can render it
+ * uniformly.
  */
 
 #ifndef VG_COMPILER_MVERIFY_HH

@@ -66,11 +66,12 @@ PassStats cfiPass(std::vector<MInst> &code);
 PassStats fuseSandboxPass(std::vector<MInst> &code);
 
 /**
- * If the sandboxMaskSeqLen-instruction unfused masking sequence emitted
- * by sandboxPass starts at code[i], return the source address register
+ * If the sandboxMaskSeqLen-instruction masking sequence emitted by
+ * sandboxPass starts at code[i], return the source address register
  * and set @p dst to the final (masked) register; return -1 otherwise.
- * Shared between the fusing peephole and the load-time machine-code
- * verifier (mverify.cc), which must recognize exactly the same shape.
+ * Exported for fuseSandboxPass and its tests only: the translator
+ * always fuses, so the verifiers and the executor know SandboxAddr as
+ * the only mask.
  */
 int matchSandboxMaskSeq(const std::vector<MInst> &code, size_t i,
                         int &dst);

@@ -11,6 +11,7 @@
  * SandboxAddr instruction that the executor dispatches once.
  *
  * Semantics are byte-identical by construction: SandboxAddr computes
+ * hw::sandboxAddress,
  *
  *   masked = a | (uint64(a >= ghostBase) << 39)
  *   dst    = masked * uint64(!(svaBase <= masked < svaEnd))

@@ -9,9 +9,8 @@
  * module turns that recording into machine code: a trace block appended
  * to a copy of the image in which
  *
- *  - non-control instructions are copied verbatim (so sandbox-mask
- *    sequences and CFI labels survive byte-for-byte and
- *    matchSandboxMaskSeq still recognizes them),
+ *  - non-control instructions are copied verbatim (so SandboxAddr
+ *    masks and CFI labels survive byte-for-byte),
  *  - the recorded direction of every branch falls through to the next
  *    block slot, while the other direction becomes a side-exit jump to
  *    its original address in the home function,
@@ -24,8 +23,8 @@
  * the instructions and cycles the interpreter would have. The block is
  * registered as a pseudo-function so the machine-code verifier proves
  * it with the same rules as any function (plus the VG-TR side-exit
- * rules); nothing here is trusted — Translator::spliceTraces re-runs
- * the verifier on the result before signing it.
+ * rules); nothing here is trusted — Translator::spliceTrace re-runs
+ * both verifiers on the result before signing it.
  */
 
 #ifndef VG_COMPILER_TRACE_HH

@@ -11,8 +11,7 @@ namespace vg::cc
 
 Translator::Translator(const std::vector<uint8_t> &signing_key,
                        sim::SimContext &ctx)
-    : _signingKey(signing_key),
-      _signer(signing_key), _ctx(ctx)
+    : _signer(signing_key), _ctx(ctx)
 {}
 
 crypto::Digest
@@ -31,6 +30,59 @@ Translator::verifySignature(const MachineImage &image) const
     return crypto::digestEqual(expect, image.signature);
 }
 
+bool
+Translator::gate(const MachineImage &image, TranslateResult &result,
+                 const char *what)
+{
+    using Clock = std::chrono::steady_clock;
+    auto wallNs = [](Clock::time_point t0) {
+        return (uint64_t)std::chrono::duration_cast<
+                   std::chrono::nanoseconds>(Clock::now() - t0)
+            .count();
+    };
+    sim::StatSet &stats = _ctx.stats();
+
+    if (_ctx.config().verifyMcode) {
+        auto t0 = Clock::now();
+        McodeVerifier verifier(McodePolicy::fromConfig(_ctx.config()));
+        result.mverify = verifier.verify(image);
+        uint64_t wall = wallNs(t0);
+        stats.add("mverify.functions", result.mverify.functionsChecked);
+        stats.add("mverify.insts", result.mverify.instsChecked);
+        stats.add("mverify.findings", result.mverify.findings.size());
+        stats.add("mverify.wall_ns", wall);
+        if (!result.mverify.ok()) {
+            result.error = std::string("mcode verifier rejected ") +
+                           what + " '" + image.moduleName + "':\n" +
+                           result.mverify.message();
+            stats.add("translator.mverify_rejected");
+            return false;
+        }
+    }
+
+    // The confidentiality gate: prove ghost-derived data cannot reach
+    // an OS-visible channel unsealed. Same contract as verifyMcode —
+    // findings mean no signature, no cache entry, no install.
+    if (_ctx.config().verifyIflow) {
+        auto t0 = Clock::now();
+        IflowVerifier verifier;
+        result.iflow = verifier.verify(image);
+        uint64_t wall = wallNs(t0);
+        stats.add("iflow.functions", result.iflow.functionsChecked);
+        stats.add("iflow.insts", result.iflow.instsChecked);
+        stats.add("iflow.findings", result.iflow.findings.size());
+        stats.add("iflow.wall_ns", wall);
+        if (!result.iflow.ok()) {
+            result.error = std::string("iflow verifier rejected ") +
+                           what + " '" + image.moduleName + "':\n" +
+                           result.iflow.message();
+            stats.add("translator.iflow_rejected");
+            return false;
+        }
+    }
+    return true;
+}
+
 TranslateResult
 Translator::translateText(const std::string &text, uint64_t code_base)
 {
@@ -39,8 +91,7 @@ Translator::translateText(const std::string &text, uint64_t code_base)
     h.update(text.data(), text.size());
     h.update(&code_base, sizeof(code_base));
     uint8_t flags = uint8_t((_ctx.config().sandboxMemory ? 1 : 0) |
-                            (_ctx.config().cfi ? 2 : 0) |
-                            (_ctx.config().fuseSandboxMasks ? 4 : 0));
+                            (_ctx.config().cfi ? 2 : 0));
     h.update(&flags, 1);
     std::string key = crypto::toHex(h.final());
 
@@ -119,56 +170,11 @@ Translator::spliceTrace(const MachineImage &base, const TraceRequest &req)
         _postLayoutHook(*image);
 
     // Same gate as a fresh translation: the trace builder is untrusted,
-    // so nothing spliced is signed (or installed) unless the verifier
-    // re-proves the whole image — including the new block's side exits.
-    if (_ctx.config().verifyMcode) {
-        auto t0 = std::chrono::steady_clock::now();
-        McodeVerifier verifier(McodePolicy::fromConfig(_ctx.config()));
-        result.mverify = verifier.verify(*image);
-        auto wall = std::chrono::steady_clock::now() - t0;
-        sim::StatSet &stats = _ctx.stats();
-        stats.add("mverify.functions", result.mverify.functionsChecked);
-        stats.add("mverify.insts", result.mverify.instsChecked);
-        stats.add("mverify.findings", result.mverify.findings.size());
-        stats.add("mverify.wall_ns",
-                  (uint64_t)std::chrono::duration_cast<
-                      std::chrono::nanoseconds>(wall)
-                      .count());
-        if (!result.mverify.ok()) {
-            result.error = "mcode verifier rejected spliced image '" +
-                           image->moduleName + "':\n" +
-                           result.mverify.message();
-            stats.add("translator.mverify_rejected");
-            return result;
-        }
-    }
-
-    // Trace adoption re-runs the information-flow verifier over the
-    // whole spliced image: a superinstruction block that smuggles
-    // ghost taint past a sink (or carries taint out a side exit the
-    // interpreter path never saw) is refused, never signed and never
-    // cached.
-    if (_ctx.config().verifyIflow) {
-        auto t0 = std::chrono::steady_clock::now();
-        IflowVerifier verifier;
-        result.iflow = verifier.verify(*image);
-        auto wall = std::chrono::steady_clock::now() - t0;
-        sim::StatSet &stats = _ctx.stats();
-        stats.add("iflow.functions", result.iflow.functionsChecked);
-        stats.add("iflow.insts", result.iflow.instsChecked);
-        stats.add("iflow.findings", result.iflow.findings.size());
-        stats.add("iflow.wall_ns",
-                  (uint64_t)std::chrono::duration_cast<
-                      std::chrono::nanoseconds>(wall)
-                      .count());
-        if (!result.iflow.ok()) {
-            result.error = "iflow verifier rejected spliced image '" +
-                           image->moduleName + "':\n" +
-                           result.iflow.message();
-            stats.add("translator.iflow_rejected");
-            return result;
-        }
-    }
+    // so nothing spliced is signed (or installed) unless both verifiers
+    // re-prove the whole image — including the new block's side exits
+    // and any taint it could carry out of them.
+    if (!gate(*image, result, "spliced image"))
+        return result;
 
     image->signature = sign(*image);
     _cache[key] = image;
@@ -200,8 +206,7 @@ Translator::translateModule(vir::Module mod, uint64_t code_base)
     lowered.reserve(mod.functions.size());
     for (const auto &fn : mod.functions) {
         LoweredFunc lf = lowerFunction(fn);
-        if (_ctx.config().sandboxMemory &&
-            _ctx.config().fuseSandboxMasks) {
+        if (_ctx.config().sandboxMemory) {
             PassStats s = fuseSandboxPass(lf.code);
             result.fuseStats.sitesInstrumented += s.sitesInstrumented;
             result.fuseStats.instsRemoved += s.instsRemoved;
@@ -222,55 +227,11 @@ Translator::translateModule(vir::Module mod, uint64_t code_base)
         _postLayoutHook(*image);
 
     // The load-time gate: nothing gets signed (and therefore nothing
-    // gets installed) unless the verifier can prove the instrumentation
-    // invariants on the final bytes. This is what makes the passes
-    // above untrusted.
-    if (_ctx.config().verifyMcode) {
-        auto t0 = std::chrono::steady_clock::now();
-        McodeVerifier verifier(McodePolicy::fromConfig(_ctx.config()));
-        result.mverify = verifier.verify(*image);
-        auto wall = std::chrono::steady_clock::now() - t0;
-        sim::StatSet &stats = _ctx.stats();
-        stats.add("mverify.functions", result.mverify.functionsChecked);
-        stats.add("mverify.insts", result.mverify.instsChecked);
-        stats.add("mverify.findings", result.mverify.findings.size());
-        stats.add("mverify.wall_ns",
-                  (uint64_t)std::chrono::duration_cast<
-                      std::chrono::nanoseconds>(wall)
-                      .count());
-        if (!result.mverify.ok()) {
-            result.error = "mcode verifier rejected module '" +
-                           image->moduleName + "':\n" +
-                           result.mverify.message();
-            stats.add("translator.mverify_rejected");
-            return result;
-        }
-    }
-
-    // The confidentiality gate: prove ghost-derived data cannot reach
-    // an OS-visible channel unsealed. Same contract as verifyMcode —
-    // findings mean no signature, no cache entry, no install.
-    if (_ctx.config().verifyIflow) {
-        auto t0 = std::chrono::steady_clock::now();
-        IflowVerifier verifier;
-        result.iflow = verifier.verify(*image);
-        auto wall = std::chrono::steady_clock::now() - t0;
-        sim::StatSet &stats = _ctx.stats();
-        stats.add("iflow.functions", result.iflow.functionsChecked);
-        stats.add("iflow.insts", result.iflow.instsChecked);
-        stats.add("iflow.findings", result.iflow.findings.size());
-        stats.add("iflow.wall_ns",
-                  (uint64_t)std::chrono::duration_cast<
-                      std::chrono::nanoseconds>(wall)
-                      .count());
-        if (!result.iflow.ok()) {
-            result.error = "iflow verifier rejected module '" +
-                           image->moduleName + "':\n" +
-                           result.iflow.message();
-            stats.add("translator.iflow_rejected");
-            return result;
-        }
-    }
+    // gets installed) unless the verifiers can prove the instrumentation
+    // and confidentiality invariants on the final bytes. This is what
+    // makes the passes above untrusted.
+    if (!gate(*image, result, "module"))
+        return result;
 
     image->signature = sign(*image);
 

@@ -114,8 +114,18 @@ class Translator
   private:
     crypto::Digest sign(const MachineImage &image) const;
 
-    std::vector<uint8_t> _signingKey;
-    /** Precomputed HMAC pad states for _signingKey. */
+    /**
+     * The load-time gate shared by fresh translations and trace
+     * splices: run the machine-code verifier (VgConfig::verifyMcode)
+     * and then the information-flow verifier (VgConfig::verifyIflow)
+     * over @p image, recording stats and reports in @p result. On a
+     * finding, sets result.error ("<verifier> rejected <what> '<name>'")
+     * and returns false; the caller must then neither sign nor cache.
+     */
+    bool gate(const MachineImage &image, TranslateResult &result,
+              const char *what);
+
+    /** Precomputed HMAC pad states for the VM's signing key. */
     crypto::HmacSha256 _signer;
     sim::SimContext &_ctx;
     std::map<std::string, std::shared_ptr<const MachineImage>> _cache;

@@ -70,18 +70,19 @@ isUserAddr(Vaddr va)
 }
 
 /**
- * The load/store sandboxing transform (S 5): ghost-or-higher addresses
- * are ORed with 2^39 so they cannot land in [ghostBase, ghostEnd);
- * SVA-internal addresses are rewritten to 0.
+ * The load/store sandboxing transform (S 5), the single definition the
+ * compiled SandboxAddr op, the executor and the kernel's sandboxed
+ * accessors share: ghost-or-higher addresses are ORed with 2^39 so
+ * they cannot land in [ghostBase, ghostEnd); a result inside SVA
+ * internal memory is then rewritten to 0. The SVA check runs after
+ * the OR, so ghost addresses the OR carries into SVA memory are
+ * zeroed too. Branch-free, like the 13-instruction sequence it models.
  */
 constexpr Vaddr
 sandboxAddress(Vaddr va)
 {
-    if (isSvaAddr(va))
-        return 0;
-    if (va >= ghostBase)
-        return va | sandboxOrMask;
-    return va;
+    Vaddr masked = va | (Vaddr(va >= ghostBase) * sandboxOrMask);
+    return masked * Vaddr(!isSvaAddr(masked));
 }
 
 /** Page number of a virtual address. */

@@ -22,14 +22,6 @@ struct VgConfig
     /** Load/store sandboxing instrumentation on kernel code (S 4.3.1). */
     bool sandboxMemory = true;
 
-    /**
-     * Fuse the sandbox masking sequence into one machine op during
-     * lowering (modelling the paper's few-instruction native masking).
-     * Semantics and simulated cost are identical to the unfused
-     * sequence; disabling this exists for differential testing only.
-     */
-    bool fuseSandboxMasks = true;
-
     /** Control-flow integrity labels and checks on kernel code. */
     bool cfi = true;
 

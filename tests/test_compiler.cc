@@ -759,25 +759,43 @@ entry:
   ret %4
 }
 )";
-    std::vector<std::shared_ptr<const MachineImage>> images;
-    for (bool fuse : {true, false}) {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.fuseSandboxMasks = fuse;
-        sim::SimContext ctx(cfg);
-        Translator translator(kKey, ctx);
-        // The translator's own verifyMcode gate is on: translation
-        // succeeding already implies 0 findings.
-        auto tr = translator.translateText(src, kCodeBase);
-        ASSERT_TRUE(tr.ok) << tr.error;
-        EXPECT_EQ(tr.mverify.findings.size(), 0u);
-        images.push_back(tr.image);
+    sim::SimContext ctx(sim::VgConfig::full());
+    Translator translator(kKey, ctx);
+    // The translator's own verifyMcode gate is on: translation
+    // succeeding already implies 0 findings.
+    auto tr = translator.translateText(src, kCodeBase);
+    ASSERT_TRUE(tr.ok) << tr.error;
+    EXPECT_EQ(tr.mverify.findings.size(), 0u);
+    const MachineImage &fused = *tr.image;
+
+    // Reference: the same pipeline with fuseSandboxPass skipped.
+    auto parsed = vir::parse(src);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    sandboxPass(parsed.module);
+    std::vector<LoweredFunc> lowered;
+    for (const auto &fn : parsed.module.functions) {
+        LoweredFunc lf = lowerFunction(fn);
+        cfiPass(lf.code);
+        lowered.push_back(std::move(lf));
     }
+    MachineImage unfused =
+        layoutImage(parsed.module.name, std::move(lowered), kCodeBase);
+
+    // The structural and CFI layers accept both; the sandbox layer
+    // knows only SandboxAddr (McodeVerify.UnfusedMaskSequenceDoes-
+    // NotCountAsMasked covers the unfused image's rejection).
+    McodePolicy cfiOnly;
+    cfiOnly.requireSandbox = false;
+    auto res = McodeVerifier(cfiOnly).verify(unfused);
+    EXPECT_TRUE(res.ok()) << res.message();
+
     // Fusion must not change the CFI skeleton, only compress masks.
-    EXPECT_EQ(countOp(images[0]->code, MOp::CfiLabel),
-              countOp(images[1]->code, MOp::CfiLabel));
-    EXPECT_EQ(countOp(images[0]->code, MOp::CheckRet),
-              countOp(images[1]->code, MOp::CheckRet));
-    EXPECT_GT(countOp(images[0]->code, MOp::SandboxAddr), 0u);
-    EXPECT_EQ(countOp(images[1]->code, MOp::SandboxAddr), 0u);
-    EXPECT_LT(images[0]->code.size(), images[1]->code.size());
+    EXPECT_EQ(countOp(fused.code, MOp::CfiLabel),
+              countOp(unfused.code, MOp::CfiLabel));
+    EXPECT_EQ(countOp(fused.code, MOp::CheckRet),
+              countOp(unfused.code, MOp::CheckRet));
+    EXPECT_GT(countOp(fused.code, MOp::SandboxAddr), 0u);
+    EXPECT_EQ(countOp(unfused.code, MOp::SandboxAddr), 0u);
+    EXPECT_EQ(fused.code.size() + tr.fuseStats.instsRemoved,
+              unfused.code.size());
 }

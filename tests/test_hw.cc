@@ -96,6 +96,26 @@ TEST(Layout, SandboxTransform)
     EXPECT_EQ(kern | sandboxOrMask, kern); // already has bit 39 set
 }
 
+TEST(Layout, GhostSliceThatOrsIntoSvaMasksToZero)
+{
+    // The ghost slice [svaBase - 2^39, svaEnd - 2^39) lies below
+    // bit 39, so the OR carries it into SVA internal memory: the SVA
+    // check must run after the OR and rewrite the result to 0, exactly
+    // as the compiled 13-instruction sequence does.
+    const Vaddr lo = svaBase & ~sandboxOrMask;
+    const Vaddr hi = svaEnd & ~sandboxOrMask;
+    EXPECT_EQ(lo, 0xffffff6000000000ull);
+    EXPECT_EQ(hi, 0xffffff6040000000ull);
+    for (Vaddr va : {lo, lo + (hi - lo) / 2 + 0x123, hi - 1}) {
+        ASSERT_TRUE(isGhostAddr(va)) << std::hex << va;
+        EXPECT_EQ(sandboxAddress(va), 0u) << std::hex << va;
+        EXPECT_FALSE(isSvaAddr(sandboxAddress(va))) << std::hex << va;
+    }
+    // Just outside the slice the OR result stays a kernel address.
+    EXPECT_EQ(sandboxAddress(hi), hi | sandboxOrMask);
+    EXPECT_EQ(sandboxAddress(lo - 1), (lo - 1) | sandboxOrMask);
+}
+
 TEST(Mmu, TranslateMappedPage)
 {
     sim::SimContext ctx;

@@ -5,10 +5,10 @@
  * IflowVerifySweep is the PR's acceptance property: across a corpus of
  * ghost-handling modules and every instrumentation configuration, the
  * clean compiler produces 0 findings, while every injected leak
- * miscompile (every iflow kind at every site, fused and unfused, plus
- * the trace-smuggle kind on spliced images) is detected — and each of
- * those injected images still passes the McodeVerifier, proving the
- * two verifiers check disjoint properties. The remaining tests pin
+ * miscompile (every iflow kind at every site, plus the trace-smuggle
+ * kind on spliced images) is detected — and each of those injected
+ * images still passes the McodeVerifier, proving the two verifiers
+ * check disjoint properties. The remaining tests pin
  * down the five rules individually, the translator/kernel gating, the
  * trace-splice re-verification and the stats surface.
  */
@@ -155,6 +155,51 @@ entry:
   ret %5
 }
 )",
+    // two ghost values, one sealed to the NIC and one HMACed to disk,
+    // with the seal output spilled and reloaded on the way, and a stat
+    // sink fed a clean value while both raw values are live
+    R"(
+func @mirror(2) {
+entry:
+  %2 = call @sva_ghost_read(%0)
+  %3 = call @sva_ghost_read(%1)
+  %4 = call @sva_seal(%2)
+  %5 = alloca 8
+  store.i64 %5, %4
+  %6 = load.i64 %5
+  %7 = call @k_nic_tx(%6)
+  %8 = call @sva_hmac(%3)
+  %9 = call @k_disk_write(%1, %8)
+  %10 = call @k_stat_add(%1)
+  %11 = add %7, %9
+  ret %11
+}
+)",
+    // a loop that seals each ghost word before logging and swapping
+    // it, bumping a stat counter with the clean loop index
+    R"(
+func @drain(2) {
+entry:
+  %2 = const 0
+  br head
+head:
+  %3 = icmp ult %2, %1
+  condbr %3, body, done
+body:
+  %4 = add %0, %2
+  %5 = call @sva_ghost_read(%4)
+  %6 = call @sva_seal(%5)
+  %7 = call @klog(%6)
+  %8 = call @k_swap_slot_ptr(%2)
+  store.i64 %8, %6
+  %9 = call @k_stat_add(%2)
+  %10 = const 1
+  %2 = add %2, %10
+  br head
+done:
+  ret %2
+}
+)",
 };
 
 /** Hot loop for the trace tests: taint (%2) stays live across the
@@ -192,18 +237,13 @@ std::vector<NamedConfig>
 allConfigs()
 {
     std::vector<NamedConfig> out;
-    out.push_back({"full-fused", sim::VgConfig::full()});
+    out.push_back({"full", sim::VgConfig::full()});
     sim::VgConfig c = sim::VgConfig::full();
-    c.fuseSandboxMasks = false;
-    out.push_back({"full-unfused", c});
-    c = sim::VgConfig::full();
     c.sandboxMemory = false;
     out.push_back({"cfi-only", c});
     c = sim::VgConfig::full();
     c.cfi = false;
-    out.push_back({"sandbox-only-fused", c});
-    c.fuseSandboxMasks = false;
-    out.push_back({"sandbox-only-unfused", c});
+    out.push_back({"sandbox-only", c});
     out.push_back({"native", sim::VgConfig::native()});
     return out;
 }
@@ -318,40 +358,35 @@ TEST(IflowVerifySweep, CleanCorpusHasZeroFindingsUnderAllConfigs)
 
 TEST(IflowVerifySweep, EveryInjectedLeakIsDetected)
 {
-    // Fused and unfused pipelines, every iflow kind, every site, every
-    // module: 100% detection by the IflowVerifier — while the
-    // McodeVerifier stays green on the very same injected images (the
-    // leak kinds are sandbox- and CFI-preserving by design).
+    // Every iflow kind, every site, every module: 100% detection by
+    // the IflowVerifier — while the McodeVerifier stays green on the
+    // very same injected images (the leak kinds are sandbox- and
+    // CFI-preserving by design).
     IflowVerifier verifier;
     McodeVerifier mverifier{McodePolicy{}};
     size_t injected = 0;
     std::map<Miscompile, size_t> perKind;
 
-    for (bool fuse : {true, false}) {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.fuseSandboxMasks = fuse;
-        for (const char *text : kGhostCorpus) {
-            auto image = compileUngated(text, cfg);
-            ASSERT_TRUE(image);
-            for (Miscompile kind : kIflowKinds) {
-                size_t sites = miscompileSites(*image, kind).size();
-                for (size_t s = 0; s < sites; s++) {
-                    MachineImage bad = *image;
-                    ASSERT_TRUE(injectMiscompile(bad, kind, s));
-                    auto res = verifier.verify(bad);
-                    EXPECT_FALSE(res.ok())
-                        << miscompileName(kind) << " site " << s
-                        << (fuse ? " (fused)" : " (unfused)")
-                        << " went undetected on:\n"
-                        << text;
-                    auto mres = mverifier.verify(bad);
-                    EXPECT_TRUE(mres.ok())
-                        << miscompileName(kind) << " site " << s
-                        << " should be invisible to mverify:\n"
-                        << mres.message();
-                    injected++;
-                    perKind[kind]++;
-                }
+    for (const char *text : kGhostCorpus) {
+        auto image = compileUngated(text, sim::VgConfig::full());
+        ASSERT_TRUE(image);
+        for (Miscompile kind : kIflowKinds) {
+            size_t sites = miscompileSites(*image, kind).size();
+            for (size_t s = 0; s < sites; s++) {
+                MachineImage bad = *image;
+                ASSERT_TRUE(injectMiscompile(bad, kind, s));
+                auto res = verifier.verify(bad);
+                EXPECT_FALSE(res.ok())
+                    << miscompileName(kind) << " site " << s
+                    << " went undetected on:\n"
+                    << text;
+                auto mres = mverifier.verify(bad);
+                EXPECT_TRUE(mres.ok())
+                    << miscompileName(kind) << " site " << s
+                    << " should be invisible to mverify:\n"
+                    << mres.message();
+                injected++;
+                perKind[kind]++;
             }
         }
     }

@@ -5,10 +5,10 @@
  * The McodeVerifySweep suite is the PR's acceptance property: across a
  * corpus of modules and every instrumentation configuration, the clean
  * compiler produces 0 findings, while every injected miscompile (every
- * kind at every site, fused and unfused) is detected. The remaining
- * tests pin down the gating behaviour: the translator refuses to sign
- * or cache unverifiable images, kernel module loading surfaces the
- * refusal, and VgConfig::verifyMcode turns the gate off.
+ * kind at every site) is detected. The remaining tests pin down the
+ * gating behaviour: the translator refuses to sign or cache
+ * unverifiable images, kernel module loading surfaces the refusal, and
+ * VgConfig::verifyMcode turns the gate off.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "compiler/translator.hh"
 #include "kernel/system.hh"
 #include "sim/context.hh"
+#include "vir/text.hh"
 
 using namespace vg;
 using namespace vg::cc;
@@ -144,6 +145,66 @@ done:
   ret %3
 }
 )",
+    // mixed-width loads and stores plus two memcpys
+    R"(
+func @mixed(3) {
+entry:
+  %3 = alloca 32
+  store.i8 %3, %0
+  %4 = const 2
+  %5 = add %3, %4
+  store.i16 %5, %1
+  %6 = const 4
+  %7 = add %3, %6
+  store.i32 %7, %2
+  %8 = const 16
+  memcpy %0, %3, %8
+  %9 = const 8
+  memcpy %1, %0, %9
+  %10 = load.i8 %3
+  %11 = load.i16 %5
+  %12 = load.i32 %7
+  %13 = load.i64 %1
+  %14 = add %10, %11
+  %15 = add %14, %12
+  %16 = add %15, %13
+  ret %16
+}
+)",
+    // load/store loop with calls in the body
+    R"(
+func @bump(1) {
+entry:
+  %1 = load.i64 %0
+  %2 = const 1
+  %3 = add %1, %2
+  store.i64 %0, %3
+  ret %3
+}
+
+func @walk(2) {
+entry:
+  %2 = const 0
+  %3 = const 0
+  br head
+head:
+  %4 = icmp ult %3, %1
+  condbr %4, body, done
+body:
+  %5 = const 8
+  %6 = mul %3, %5
+  %7 = add %0, %6
+  %8 = load.i64 %7
+  %9 = call @bump(%7)
+  store.i64 %7, %8
+  %2 = add %2, %9
+  %10 = const 1
+  %3 = add %3, %10
+  br head
+done:
+  ret %2
+}
+)",
 };
 
 struct NamedConfig
@@ -156,20 +217,37 @@ std::vector<NamedConfig>
 allConfigs()
 {
     std::vector<NamedConfig> out;
-    out.push_back({"full-fused", sim::VgConfig::full()});
+    out.push_back({"full", sim::VgConfig::full()});
     sim::VgConfig c = sim::VgConfig::full();
-    c.fuseSandboxMasks = false;
-    out.push_back({"full-unfused", c});
-    c = sim::VgConfig::full();
     c.sandboxMemory = false;
     out.push_back({"cfi-only", c});
     c = sim::VgConfig::full();
     c.cfi = false;
-    out.push_back({"sandbox-only-fused", c});
-    c.fuseSandboxMasks = false;
-    out.push_back({"sandbox-only-unfused", c});
+    out.push_back({"sandbox-only", c});
     out.push_back({"native", sim::VgConfig::native()});
     return out;
+}
+
+/** Test-side reference image: the translator's pipeline without
+ *  fuseSandboxPass (sandboxPass -> lowerFunction -> cfiPass ->
+ *  layoutImage), so every mask stays the 13-instruction sequence
+ *  sandboxPass emits. Unverified and unsigned. */
+MachineImage
+unfusedImage(const char *text)
+{
+    vir::ParseResult parsed = vir::parse(text);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    sandboxPass(parsed.module);
+    std::vector<LoweredFunc> lowered;
+    for (const auto &fn : parsed.module.functions) {
+        LoweredFunc lf = lowerFunction(fn);
+        cfiPass(lf.code);
+        lowered.push_back(std::move(lf));
+    }
+    MachineImage image =
+        layoutImage(parsed.module.name, std::move(lowered), kCodeBase);
+    image.instrumented = true;
+    return image;
 }
 
 /** Translate under @p cfg with the verifier gate disabled, so sweeps
@@ -272,37 +350,31 @@ TEST(McodeVerifySweep, CleanCorpusHasZeroFindingsUnderAllConfigs)
 
 TEST(McodeVerifySweep, EveryInjectedMiscompileIsDetected)
 {
-    // Fused and unfused pipelines, every kind, every site, every
-    // module: 100% detection, each with the kind's signature rule.
+    // Every kind, every site, every module: 100% detection, each with
+    // the kind's signature rule.
     McodeVerifier verifier{McodePolicy{}};
     size_t injected = 0;
     std::vector<size_t> perKind(allMiscompiles().size(), 0);
 
-    for (bool fuse : {true, false}) {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.fuseSandboxMasks = fuse;
-        for (const char *text : kCorpus) {
-            auto image = compileUngated(text, cfg);
-            ASSERT_TRUE(image);
-            for (size_t k = 0; k < allMiscompiles().size(); k++) {
-                Miscompile kind = allMiscompiles()[k];
-                size_t sites = miscompileSites(*image, kind).size();
-                for (size_t s = 0; s < sites; s++) {
-                    MachineImage bad = *image;
-                    ASSERT_TRUE(injectMiscompile(bad, kind, s));
-                    auto res = verifier.verify(bad);
-                    EXPECT_FALSE(res.ok())
-                        << miscompileName(kind) << " site " << s
-                        << (fuse ? " (fused)" : " (unfused)")
-                        << " went undetected";
-                    EXPECT_TRUE(hasRule(res, expectedRule(kind)))
-                        << miscompileName(kind) << " site " << s
-                        << " detected, but without rule "
-                        << ruleId(expectedRule(kind)) << ":\n"
-                        << res.message();
-                    injected++;
-                    perKind[k]++;
-                }
+    for (const char *text : kCorpus) {
+        auto image = compileUngated(text, sim::VgConfig::full());
+        ASSERT_TRUE(image);
+        for (size_t k = 0; k < allMiscompiles().size(); k++) {
+            Miscompile kind = allMiscompiles()[k];
+            size_t sites = miscompileSites(*image, kind).size();
+            for (size_t s = 0; s < sites; s++) {
+                MachineImage bad = *image;
+                ASSERT_TRUE(injectMiscompile(bad, kind, s));
+                auto res = verifier.verify(bad);
+                EXPECT_FALSE(res.ok()) << miscompileName(kind) << " site "
+                                       << s << " went undetected";
+                EXPECT_TRUE(hasRule(res, expectedRule(kind)))
+                    << miscompileName(kind) << " site " << s
+                    << " detected, but without rule "
+                    << ruleId(expectedRule(kind)) << ":\n"
+                    << res.message();
+                injected++;
+                perKind[k]++;
             }
         }
     }
@@ -447,38 +519,31 @@ entry:
         << tr.error;
 }
 
-TEST(McodeVerify, MidSequenceJumpDoesNotCountAsMasked)
+TEST(McodeVerify, UnfusedMaskSequenceDoesNotCountAsMasked)
 {
-    // Hand-build an image where a jump enters the unfused mask
-    // sequence partway: the sequence's result must NOT be treated as
-    // masked, because the skipped prefix never executed.
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.fuseSandboxMasks = false;
-    auto clean = compileUngated(kCorpus[2], cfg); // store_load
-    ASSERT_TRUE(clean);
-    MachineImage image = *clean;
-
-    size_t mulIdx = SIZE_MAX;
-    for (size_t i = 0; i + sandboxMaskSeqLen <= image.code.size(); i++) {
+    // The translator always fuses, so SandboxAddr is the only mask the
+    // verifier knows. An image that keeps sandboxPass's 13-instruction
+    // sequence computes the same addresses, but nothing proves its
+    // loads and stores masked: the sandbox layer rejects it, while the
+    // structural and CFI layers stay clean.
+    MachineImage image = unfusedImage(kCorpus[2]); // store_load
+    size_t seqs = 0;
+    for (size_t i = 0; i < image.code.size(); i++) {
         int dst = -1;
-        if (matchSandboxMaskSeq(image.code, i, dst) >= 0) {
-            mulIdx = i + sandboxMaskSeqLen - 1;
-            break;
-        }
+        seqs += matchSandboxMaskSeq(image.code, i, dst) >= 0;
+        EXPECT_NE(image.code[i].op, MOp::SandboxAddr);
     }
-    ASSERT_NE(mulIdx, SIZE_MAX) << "corpus lost its mask sequence";
-
-    // Append a Jump into the sequence interior. The module is a single
-    // function, so the appended slot extends it; a trailing Jump is a
-    // legal function end, keeping every other rule quiet.
-    MInst jump;
-    jump.op = MOp::Jump;
-    jump.imm = image.codeBase + (mulIdx - 2) * mInstBytes;
-    image.code.push_back(jump);
+    ASSERT_EQ(seqs, 4u) << "corpus lost its mask sequences";
 
     McodeVerifier verifier{McodePolicy{}};
     auto res = verifier.verify(image);
+    EXPECT_FALSE(res.ok());
     EXPECT_TRUE(hasRule(res, MRule::UnmaskedAccess)) << res.message();
+
+    McodePolicy cfiOnly;
+    cfiOnly.requireSandbox = false;
+    auto rest = McodeVerifier(cfiOnly).verify(image);
+    EXPECT_TRUE(rest.ok()) << rest.message();
 }
 
 TEST(McodeVerify, StatsRecordVerificationWork)

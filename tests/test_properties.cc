@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 
@@ -496,12 +497,34 @@ class NullFaultPort : public MemPort
     std::vector<uint64_t> touched;
 };
 
+/** Test-side reference image: the translator's pipeline without
+ *  fuseSandboxPass (sandboxPass -> lowerFunction -> cfiPass ->
+ *  layoutImage), so every mask stays the 13-instruction sequence
+ *  sandboxPass emits. Unverified and unsigned: only run directly. */
+MachineImage
+unfusedImage(const char *text)
+{
+    vir::ParseResult parsed = vir::parse(text);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    sandboxPass(parsed.module);
+    std::vector<LoweredFunc> lowered;
+    for (const auto &fn : parsed.module.functions) {
+        LoweredFunc lf = lowerFunction(fn);
+        cfiPass(lf.code);
+        lowered.push_back(std::move(lf));
+    }
+    MachineImage image =
+        layoutImage(parsed.module.name, std::move(lowered), kCodeBase);
+    image.instrumented = true;
+    return image;
+}
+
 } // namespace
 
-/** Sweep: the fused SandboxAddr machine op and the unfused
- *  13-instruction masking sequence produce identical final addresses,
- *  identical fault behavior, identical instruction counts and
- *  identical simulated cycles for every address class. */
+/** Sweep: the fused SandboxAddr machine op and the 13-instruction
+ *  masking sequence sandboxPass emits produce identical final
+ *  addresses, identical fault behavior, identical instruction counts
+ *  and identical simulated cycles for every address class. */
 class FusionSweep : public ::testing::TestWithParam<int>
 {};
 
@@ -520,34 +543,36 @@ entry:
 }
 )";
 
-    sim::VgConfig unfused_cfg = sim::VgConfig::full();
-    unfused_cfg.fuseSandboxMasks = false;
     sim::SimContext fctx(sim::VgConfig::full());
-    sim::SimContext uctx(unfused_cfg);
+    sim::SimContext uctx(sim::VgConfig::full());
     Translator ftr(std::vector<uint8_t>(32, 9), fctx);
-    Translator utr(std::vector<uint8_t>(32, 9), uctx);
     auto ft = ftr.translateText(src, kCodeBase);
-    auto ut = utr.translateText(src, kCodeBase);
     ASSERT_TRUE(ft.ok) << ft.error;
-    ASSERT_TRUE(ut.ok) << ut.error;
+    const MachineImage unfused = unfusedImage(src);
 
     // Fusion actually happened: 5 masked operands (load, store,
     // memcpy dst+src, load), 12 insts saved each.
     EXPECT_EQ(ft.fuseStats.sitesInstrumented, 5u);
     EXPECT_EQ(ft.image->code.size() + ft.fuseStats.instsRemoved,
-              ut.image->code.size());
+              unfused.code.size());
+    EXPECT_EQ(std::count_if(unfused.code.begin(), unfused.code.end(),
+                            [](const MInst &m) {
+                                return m.op == MOp::SandboxAddr;
+                            }),
+              0);
 
     NullFaultPort fport, uport;
     ExternTable externs;
     Executor fexec(*ft.image, fport, externs, fctx, kStackBase, 1 << 20);
-    Executor uexec(*ut.image, uport, externs, uctx, kStackBase, 1 << 20);
+    Executor uexec(unfused, uport, externs, uctx, kStackBase, 1 << 20);
 
     for (int i = 0; i < 120; i++) {
         uint64_t a = rng.next64();
         uint64_t b = rng.next64();
         // Cycle both operands through the address classes: ghost,
-        // SVA-internal, kernel, user, and fully random.
-        switch (i % 5) {
+        // SVA-internal, kernel, user, the ghost slice whose 2^39 OR
+        // lands in SVA memory, and fully random.
+        switch (i % 6) {
           case 0:
             a = hw::ghostBase + (a % (hw::ghostEnd - hw::ghostBase));
             break;
@@ -561,6 +586,12 @@ entry:
           case 3:
             a %= hw::userEnd;
             b = hw::ghostBase + (b % (hw::ghostEnd - hw::ghostBase));
+            break;
+          case 4:
+            a = (hw::svaBase & ~hw::sandboxOrMask) +
+                (a % (hw::svaEnd - hw::svaBase));
+            b = (hw::svaBase & ~hw::sandboxOrMask) +
+                (b % (hw::svaEnd - hw::svaBase));
             break;
           default:
             break;

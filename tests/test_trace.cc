@@ -413,14 +413,6 @@ TEST(TraceEquivalenceSweep, FullConfig)
         expectEquivalent(sc, sim::VgConfig::full(), "full");
 }
 
-TEST(TraceEquivalenceSweep, UnfusedMasks)
-{
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.fuseSandboxMasks = false;
-    for (const Scenario &sc : corpus())
-        expectEquivalent(sc, cfg, "unfused");
-}
-
 TEST(TraceEquivalenceSweep, NativeConfig)
 {
     for (const Scenario &sc : corpus())

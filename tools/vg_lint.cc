@@ -8,7 +8,7 @@
  *
  *     vg_lint: <function> @ 0x<addr>: [VG-xx-nn] <message>
  *
- * Compilation flags (--no-sandbox/--no-cfi/--no-fuse/--native) and the
+ * Compilation flags (--no-sandbox/--no-cfi/--native) and the
  * verification policy (--require-sandbox/--require-cfi) are controlled
  * independently, so a module compiled without CFI can be linted against
  * a CFI-requiring policy — that is the CI known-bad fixture. --inject
@@ -124,7 +124,6 @@ printUsage(std::FILE *out)
         "  --native          compile with all instrumentation off\n"
         "  --no-sandbox      disable the sandboxing pass\n"
         "  --no-cfi          disable the CFI pass\n"
-        "  --no-fuse         keep the unfused 13-inst mask sequence\n"
         "\n"
         "verification policy (defaults follow the compilation flags):\n"
         "  --require-sandbox enforce VG-SB rules regardless of flags\n"
@@ -865,8 +864,6 @@ main(int argc, char **argv)
             opt.config.sandboxMemory = false;
         else if (arg == "--no-cfi")
             opt.config.cfi = false;
-        else if (arg == "--no-fuse")
-            opt.config.fuseSandboxMasks = false;
         else if (arg == "--require-sandbox")
             opt.requireSandbox = true;
         else if (arg == "--require-cfi")
