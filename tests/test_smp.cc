@@ -6,7 +6,9 @@
  *
  *  1. Golden: with vcpus=1 the scheduler's clock, full stat map and
  *     exit codes over mixed workloads match digests recorded from the
- *     retired single-queue loop, which they were proven identical to.
+ *     retired single-queue loop, which they were proven identical to;
+ *     at 2 and 4 vCPUs they match digests that pin the vCPU pick
+ *     order and idle balancing.
  *  2. Shootdown safety: under random remap/retype/invlpg storms across
  *     2-4 vCPUs, no vCPU's TLB ever references a freed frame, and
  *     frame retypes are refused while a stale translation survives.
@@ -21,6 +23,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "crypto/drbg.hh"
@@ -184,7 +187,7 @@ runMixedWorkload(System &sys, int seed)
 } // namespace
 
 // --------------------------------------------------------------------
-// 1. vcpus=1 golden sweep.
+// 1. Golden sweeps at 1, 2 and 4 vCPUs.
 // --------------------------------------------------------------------
 
 namespace
@@ -224,6 +227,43 @@ TEST_P(SmpGoldenSweep, SingleCpuMatchesRecordedDigest)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SmpGoldenSweep, ::testing::Values(1, 2, 3));
+
+namespace
+{
+
+/** The same workload at 2 and 4 vCPUs, keyed by (vcpus, seed):
+ *  pins the vCPU pick order, idle balancing and wake stamps. */
+const std::map<std::pair<unsigned, int>, uint64_t> kSmpMultiCpuGolden = {
+    {{2, 1}, 0xf24a42f8bd132f3dull},
+    {{2, 2}, 0x9364e6f4480fc904ull},
+    {{2, 3}, 0xa638f2efc16d9b8dull},
+    {{4, 1}, 0xe4f626549112a670ull},
+    {{4, 2}, 0x9d106fa640a0dc63ull},
+    {{4, 3}, 0x175fdbdb462dd829ull},
+};
+
+} // namespace
+
+class SmpMultiCpuGoldenSweep
+    : public ::testing::TestWithParam<std::tuple<unsigned, int>>
+{};
+
+TEST_P(SmpMultiCpuGoldenSweep, MatchesRecordedDigest)
+{
+    auto [vcpus, seed] = GetParam();
+    System sys(smpConfig(vcpus));
+    sys.boot();
+    runMixedWorkload(sys, seed);
+    // Two vCPUs start unbalanced, so the idle balancer is exercised.
+    if (vcpus == 2)
+        EXPECT_GT(sys.ctx().stats().get("kernel.migrations"), 0u);
+    EXPECT_TRUE(test::matchesGolden(machineDigest(sys),
+                                    kSmpMultiCpuGolden.at({vcpus, seed})));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmpMultiCpuGoldenSweep,
+                         ::testing::Combine(::testing::Values(2u, 4u),
+                                            ::testing::Values(1, 2, 3)));
 
 /** Single-CPU machines must not grow per-CPU stat namespaces: the
  *  vcpus=1 stat map stays literally what it was before SMP. */
