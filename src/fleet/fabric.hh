@@ -12,8 +12,8 @@
  * end-to-end request latency.
  *
  * Cross-machine determinism: the fabric owns a SeededInterleaver —
- * the machine-level extension of the per-vCPU round-robin interleaver
- * — which draws each round's machine-step order from a SplitMix64
+ * the machine-level extension of the kernel's per-vCPU round-robin
+ * pick — which draws each round's machine-step order from a SplitMix64
  * stream seeded by VgConfig::seed. Machines are internally
  * deterministic, so the whole fleet replays bit-identically from
  * (workload, config, seed).

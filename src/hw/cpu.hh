@@ -10,8 +10,8 @@
  *
  * Only one vCPU executes at a time (the sim is single-threaded); the
  * scheduler marks the running CPU through SimContext::setActiveCpu()
- * and the deterministic interleaver in sim/interleave.hh decides who
- * goes next.
+ * and its deterministic pick (Kernel::pickNext) decides who goes
+ * next.
  */
 
 #ifndef VG_HW_CPU_HH

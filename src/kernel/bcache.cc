@@ -62,9 +62,7 @@ BufferCache::ringRead(Buf &buf)
     _disk.reapAll();
     // The caller needs the bytes now: stall to the completion. The
     // win stays with writebacks, which never stall.
-    auto &clk = _ctx.clock();
-    if (done > clk.now())
-        clk.advance(done - clk.now());
+    _ctx.clock().advanceTo(done);
 }
 
 Buf *
@@ -150,9 +148,7 @@ BufferCache::sync()
     // Durability barrier: an fsync-style caller must not return before
     // the queued writebacks hit the media. Deep NCQ means the whole
     // batch completes one request-latency after the last doorbell.
-    auto &clk = _ctx.clock();
-    if (_flushDone > clk.now())
-        clk.advance(_flushDone - clk.now());
+    _ctx.clock().advanceTo(_flushDone);
 }
 
 void

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/interleave.hh"
 #include "sim/log.hh"
 
 namespace vg::kern
@@ -385,35 +384,45 @@ uint64_t
 Kernel::spawn(const std::string &name,
               std::function<int(UserApi &)> main_fn)
 {
-    uint64_t pid = _nextPid++;
-    auto proc = std::make_unique<Process>();
-    Process &p = *proc;
-    p.pid = pid;
-    p.name = name;
-    p.mainFn = std::move(main_fn);
-    p.state = ProcState::Runnable;
-    p.cpu = _nextCpuAssign++ % _ctx.vcpuCount();
-
-    sva::SvaError err;
-    sva::SvaThread *t =
-        _vm.newThread(pid, 0xffffff8000100000ull, 0, &err);
-    if (!t)
-        sim::panic("spawn: %s", err.message.c_str());
-    p.tid = t->id;
-
-    buildAddressSpace(p);
-    attachFiber(p);
-
-    _procs[pid] = std::move(proc);
+    uint64_t pid = newProcess(name, std::move(main_fn), nullptr).pid;
     sim::StatSet::add(_hSpawns);
     return pid;
 }
 
-void
-Kernel::attachFiber(Process &proc)
+Process &
+Kernel::newProcess(const std::string &name,
+                   std::function<int(UserApi &)> main_fn, Process *parent)
 {
-    proc.fiber =
-        std::make_unique<Fiber>([this, &proc]() { processMain(proc); });
+    auto owner = std::make_unique<Process>();
+    Process &p = *owner;
+    p.pid = _nextPid++;
+    p.name = name;
+    p.mainFn = std::move(main_fn);
+    p.cpu = _nextCpuAssign++ % _ctx.vcpuCount();
+    if (parent) {
+        p.parent = parent->pid;
+        p.sigHandlers = parent->sigHandlers;
+        p.handlerFns = parent->handlerFns;
+        p.nextHandlerToken = parent->nextHandlerToken;
+        p.fds = parent->fds; // shared open-file descriptions
+        p.nextFd = parent->nextFd;
+    }
+
+    sva::SvaError err;
+    sva::SvaThread *t = _vm.newThread(p.pid, 0xffffff8000100000ull,
+                                      parent ? parent->tid : 0, &err);
+    if (!t)
+        sim::panic("%s: %s", parent ? "fork" : "spawn",
+                   err.message.c_str());
+    p.tid = t->id;
+
+    buildAddressSpace(p);
+    if (parent)
+        copyAddressSpace(*parent, p);
+    p.fiber = std::make_unique<Fiber>([this, &p]() { processMain(p); });
+
+    _procs[p.pid] = std::move(owner);
+    return p;
 }
 
 void
@@ -451,7 +460,6 @@ Kernel::liveFiberStacks() const
 void
 Kernel::switchTo(Process &proc)
 {
-    proc.state = ProcState::Running;
     // Execute on the process's home vCPU. Causality: this CPU cannot
     // resume the process before the waker (possibly on another CPU)
     // produced the wakeup, so its clock catches up to the wake stamp.
@@ -477,14 +485,15 @@ Kernel::backToScheduler(Process &proc)
 {
     // Hand the baton to the scheduler; returns once dispatched again.
     proc.fiber->suspend();
-    proc.state = ProcState::Running;
 }
 
 void
-Kernel::blockCurrent(Process &proc, const void *channel)
+Kernel::blockCurrent(Process &proc, const void *channel,
+                     uint64_t wake_time)
 {
     proc.state = ProcState::Blocked;
     proc.waitChannel = channel;
+    proc.wakeTime = wake_time;
     backToScheduler(proc);
     proc.wakeTime = 0;
     // A fatal signal aborts the sleep and unwinds to the exit path
@@ -494,11 +503,13 @@ Kernel::blockCurrent(Process &proc, const void *channel)
 }
 
 void
-Kernel::blockCurrentTimed(Process &proc, const void *channel,
-                          uint64_t wake_time)
+Kernel::makeRunnable(Process &proc, uint64_t stamp)
 {
-    proc.wakeTime = wake_time;
-    blockCurrent(proc, channel);
+    proc.state = ProcState::Runnable;
+    proc.waitChannel = nullptr;
+    proc.multiWait.clear();
+    proc.wakeTime = 0;
+    proc.readyStamp = std::max(proc.readyStamp, stamp);
 }
 
 unsigned
@@ -512,14 +523,9 @@ Kernel::wakeup(const void *channel)
         for (const void *c : proc->multiWait)
             hit = hit || c == channel;
         if (hit) {
-            proc->state = ProcState::Runnable;
-            proc->waitChannel = nullptr;
-            proc->multiWait.clear();
-            proc->wakeTime = 0;
             // Stamp the waker's clock: the sleeper's CPU must not
             // observe the wakeup earlier than it was produced.
-            proc->readyStamp =
-                std::max(proc->readyStamp, uint64_t(_ctx.clock().now()));
+            makeRunnable(*proc, _ctx.clock().now());
             woke++;
         }
     }
@@ -527,28 +533,17 @@ Kernel::wakeup(const void *channel)
 }
 
 void
-Kernel::postSoftirq(unsigned cpu, uint64_t due_at, const void *channel)
+Kernel::postSoftirq(unsigned cpu, const void *channel)
 {
-    _softirq[cpu % _softirq.size()].push_back(Softirq{due_at, channel});
+    _softirq[cpu % _softirq.size()].push_back(channel);
 }
 
-uint64_t
-Kernel::earliestSoftirq() const
-{
-    uint64_t min_due = 0;
-    for (const auto &q : _softirq)
-        for (const Softirq &s : q)
-            if (min_due == 0 || s.dueAt < min_due)
-                min_due = s.dueAt;
-    return min_due;
-}
-
-uint64_t
+void
 Kernel::serviceSoftirqs(unsigned cpu)
 {
-    std::deque<Softirq> &q = _softirq[cpu];
+    std::vector<const void *> &q = _softirq[cpu];
     if (q.empty())
-        return 0;
+        return;
     uint64_t now = _ctx.clockOf(cpu).now();
 
     // Deliver eagerly, in post order. An idle vCPU's local clock can
@@ -557,53 +552,42 @@ Kernel::serviceSoftirqs(unsigned cpu)
     // early is safe because a reader re-checks its segment's arrival
     // time and puts itself back to sleep until then.
     std::vector<const void *> due;
-    for (const Softirq &s : q)
-        due.push_back(s.channel);
-    q.clear();
+    due.swap(q);
 
-    if (!due.empty()) {
-        unsigned prev_cpu = _ctx.activeCpu();
-        _ctx.setActiveCpu(cpu);
-        unsigned woke = 0;
-        const void *last = nullptr;
-        for (const void *ch : due) {
-            if (ch == last)
-                continue; // adjacent completions for one queue
-            woke += wakeup(ch);
-            last = ch;
-        }
-        if (woke > 0) {
-            // NAPI discipline: the interrupt is armed only while
-            // someone is blocked on the queue. Within the coalescing
-            // holdoff the still-running bottom half reaps further
-            // completions without a fresh trap.
-            uint64_t window =
-                uint64_t(double(_ctx.config().irqCoalesceUs) *
-                         sim::Clock::cyclesPerUsec);
-            if (_lastIrqAt[cpu] == 0 || now - _lastIrqAt[cpu] > window) {
-                _ctx.chargeTrap();
-                sim::StatSet::add(_hDeviceIrqs);
-            } else {
-                sim::StatSet::add(_hIrqsCoalesced);
-            }
-            _lastIrqAt[cpu] = now;
-            _ctx.clockOf(cpu).advance(_ctx.costs().softirqDispatch);
-            sim::StatSet::add(_hSoftirqWakes, woke);
-        }
-        _ctx.setActiveCpu(prev_cpu);
-        // The bottom half has drained this CPU's queues: acknowledge
-        // device lines steered here whose completions were due.
-        for (hw::IrqLine *line : _cpus[cpu].irqLines())
-            if (line->pending() && line->cpu() == cpu &&
-                line->pendingAt() <= now)
-                line->ack();
+    unsigned prev_cpu = _ctx.activeCpu();
+    _ctx.setActiveCpu(cpu);
+    unsigned woke = 0;
+    const void *last = nullptr;
+    for (const void *ch : due) {
+        if (ch == last)
+            continue; // adjacent completions for one queue
+        woke += wakeup(ch);
+        last = ch;
     }
-
-    uint64_t min_due = 0;
-    for (const Softirq &s : q)
-        if (min_due == 0 || s.dueAt < min_due)
-            min_due = s.dueAt;
-    return min_due;
+    if (woke > 0) {
+        // NAPI discipline: the interrupt is armed only while someone
+        // is blocked on the queue. Within the coalescing holdoff the
+        // still-running bottom half reaps further completions without
+        // a fresh trap.
+        uint64_t window = uint64_t(double(_ctx.config().irqCoalesceUs) *
+                                   sim::Clock::cyclesPerUsec);
+        if (_lastIrqAt[cpu] == 0 || now - _lastIrqAt[cpu] > window) {
+            _ctx.chargeTrap();
+            sim::StatSet::add(_hDeviceIrqs);
+        } else {
+            sim::StatSet::add(_hIrqsCoalesced);
+        }
+        _lastIrqAt[cpu] = now;
+        _ctx.clockOf(cpu).advance(_ctx.costs().softirqDispatch);
+        sim::StatSet::add(_hSoftirqWakes, woke);
+    }
+    _ctx.setActiveCpu(prev_cpu);
+    // The bottom half has drained this CPU's queues: acknowledge
+    // device lines steered here whose completions were due.
+    for (hw::IrqLine *line : _cpus[cpu].irqLines())
+        if (line->pending() && line->cpu() == cpu &&
+            line->pendingAt() <= now)
+            line->ack();
 }
 
 void
@@ -613,99 +597,99 @@ Kernel::yieldCurrent(Process &proc)
     backToScheduler(proc);
 }
 
+Process *
+Kernel::pickNext()
+{
+    unsigned ncpus = _ctx.vcpuCount();
+    std::vector<std::vector<Process *>> queues(ncpus);
+    for (auto &[pid, proc] : _procs)
+        if (proc->state == ProcState::Runnable)
+            queues[proc->cpu % ncpus].push_back(proc.get());
+
+    // Idle balancing: an idle CPU pulls the youngest process off the
+    // longest queue holding at least two. Deterministic (idle CPUs
+    // scanned in index order, ties to the lowest donor), so runs stay
+    // bit-reproducible.
+    for (unsigned c = 0; c < ncpus; c++) {
+        if (!queues[c].empty())
+            continue;
+        unsigned busiest = c;
+        size_t best = 1;
+        for (unsigned o = 0; o < ncpus; o++) {
+            if (queues[o].size() > best) {
+                busiest = o;
+                best = queues[o].size();
+            }
+        }
+        if (busiest == c)
+            continue;
+        Process *mig = queues[busiest].back();
+        queues[busiest].pop_back();
+        mig->cpu = c;
+        queues[c].push_back(mig);
+        _ctx.stats().add("kernel.migrations");
+    }
+
+    // Round-robin over the vCPUs with work, starting at the cursor, so
+    // every CPU with work gets a turn before any CPU gets two; each
+    // CPU rotates through its own queue.
+    for (unsigned i = 0; i < ncpus; i++) {
+        unsigned cpu = (_cpuCursor + i) % ncpus;
+        std::vector<Process *> &q = queues[cpu];
+        if (q.empty())
+            continue;
+        _cpuCursor = (cpu + 1) % ncpus;
+        return q[_queueCursors[cpu]++ % q.size()];
+    }
+    return nullptr;
+}
+
+bool
+Kernel::idleAdvance()
+{
+    // Everyone blocked: advance every vCPU's clock to the earliest
+    // timed wake (never backwards), then release the sleepers that are
+    // due on their home CPU.
+    bool any_blocked = false;
+    uint64_t min_wake = 0;
+    for (auto &[pid, proc] : _procs) {
+        if (proc->state != ProcState::Blocked)
+            continue;
+        any_blocked = true;
+        if (proc->wakeTime != 0 &&
+            (min_wake == 0 || proc->wakeTime < min_wake))
+            min_wake = proc->wakeTime;
+    }
+    if (!any_blocked)
+        return false;
+    if (min_wake == 0)
+        sim::panic("scheduler: all processes blocked (deadlock)");
+    unsigned ncpus = _ctx.vcpuCount();
+    for (unsigned c = 0; c < ncpus; c++)
+        _ctx.clockOf(c).advanceTo(sim::Cycles(min_wake));
+    for (auto &[pid, proc] : _procs)
+        if (proc->state == ProcState::Blocked && proc->wakeTime != 0 &&
+            proc->wakeTime <= _ctx.clockOf(proc->cpu % ncpus).now())
+            makeRunnable(*proc, 0);
+    return true;
+}
+
 void
 Kernel::run()
 {
     unsigned ncpus = _ctx.vcpuCount();
-    sim::RoundRobinInterleaver ilv(ncpus);
-    std::vector<uint64_t> cursors(ncpus, 0);
+    _cpuCursor = 0;
+    _queueCursors.assign(ncpus, 0);
     while (true) {
-        // Run due bottom halves on every vCPU first so their wakeups
-        // are visible when the run queues are built. Delivery order is
-        // CPU-index order, then post order — deterministic under the
-        // interleaver.
+        // Run bottom halves on every vCPU first so their wakeups are
+        // visible to the pick. Delivery order is CPU-index order, then
+        // post order.
         for (unsigned c = 0; c < ncpus; c++)
             serviceSoftirqs(c);
-
-        // Build per-CPU run queues in pid order.
-        std::vector<std::vector<Process *>> queues(ncpus);
-        bool any_alive = false;
-        for (auto &[pid, proc] : _procs) {
-            if (proc->alive())
-                any_alive = true;
-            if (proc->state == ProcState::Runnable)
-                queues[proc->cpu % ncpus].push_back(proc.get());
-        }
-
-        if (!any_alive)
+        if (Process *p = pickNext())
+            switchTo(*p);
+        else if (!idleAdvance())
             break;
-
-        // Idle balancing: an idle CPU pulls the youngest process off
-        // the longest queue holding at least two. Deterministic (idle
-        // CPUs scanned in index order, ties to the lowest donor), so
-        // runs stay bit-reproducible.
-        for (unsigned c = 0; c < ncpus; c++) {
-            if (!queues[c].empty())
-                continue;
-            unsigned busiest = c;
-            size_t best = 1;
-            for (unsigned o = 0; o < ncpus; o++) {
-                if (queues[o].size() > best) {
-                    busiest = o;
-                    best = queues[o].size();
-                }
-            }
-            if (busiest == c)
-                continue;
-            Process *mig = queues[busiest].back();
-            queues[busiest].pop_back();
-            mig->cpu = c;
-            queues[c].push_back(mig);
-            _ctx.stats().add("kernel.migrations");
-        }
-
-        std::vector<uint8_t> has_work(ncpus, 0);
-        for (unsigned c = 0; c < ncpus; c++)
-            has_work[c] = queues[c].empty() ? 0 : 1;
-        int cpu = ilv.next(has_work);
-
-        if (cpu < 0) {
-            // Everyone blocked: advance every vCPU's clock to the
-            // earliest timed wake or pending device completion (never
-            // backwards), then release the sleepers that are due on
-            // their home CPU.
-            uint64_t min_wake = 0;
-            for (auto &[pid, proc] : _procs) {
-                if (proc->state == ProcState::Blocked &&
-                    proc->wakeTime != 0 &&
-                    (min_wake == 0 || proc->wakeTime < min_wake))
-                    min_wake = proc->wakeTime;
-            }
-            uint64_t soft = earliestSoftirq();
-            if (soft != 0 && (min_wake == 0 || soft < min_wake))
-                min_wake = soft;
-            if (min_wake == 0)
-                sim::panic("scheduler: all processes blocked "
-                           "(deadlock)");
-            for (unsigned c = 0; c < ncpus; c++)
-                _ctx.clockOf(c).advanceTo(sim::Cycles(min_wake));
-            for (auto &[pid, proc] : _procs) {
-                if (proc->state == ProcState::Blocked &&
-                    proc->wakeTime != 0 &&
-                    proc->wakeTime <=
-                        _ctx.clockOf(proc->cpu % ncpus).now()) {
-                    proc->state = ProcState::Runnable;
-                    proc->waitChannel = nullptr;
-                    proc->wakeTime = 0;
-                }
-            }
-            continue;
-        }
-
-        std::vector<Process *> &q = queues[cpu];
-        Process *next = q[cursors[cpu] % q.size()];
-        cursors[cpu]++;
-        switchTo(*next);
     }
 }
 

@@ -70,18 +70,6 @@ enum class Sys : int
 };
 
 /**
- * One pending bottom-half wakeup on a vCPU's completion queue: when
- * the vCPU's clock reaches dueAt, the softirq runs there (charged as a
- * device interrupt, coalesced per VgConfig::irqCoalesceUs) and wakes
- * every process blocked on the channel.
- */
-struct Softirq
-{
-    uint64_t dueAt = 0;
-    const void *channel = nullptr;
-};
-
-/**
  * Established-connection registry. Every connected socket pair gets a
  * connection id at handshake time; the id indexes an O(1) hash table
  * (accept adopts by id, close erases by id) and ids are recycled
@@ -272,13 +260,13 @@ class Kernel
     /** Boot: wire SVA callbacks, mkfs, init console. */
     void boot();
 
-    /** Create a process (Embryo -> Runnable). */
+    /** Create a Runnable process; returns its pid. */
     uint64_t spawn(const std::string &name,
                    std::function<int(UserApi &)> main_fn);
 
-    /** Run the scheduler until every process has exited: per-CPU run
-     *  queues, deterministic round-robin interleaving across vCPUs,
-     *  idle balancing. */
+    /** Run the scheduler until no process is Runnable or Blocked:
+     *  service softirqs, then dispatch pickNext()'s choice or, when
+     *  nothing is runnable, idleAdvance() the clocks. */
     void run();
 
     /** Load an (untrusted) kernel module shipped as VIR text.
@@ -311,9 +299,12 @@ class Kernel
     Kmem &kmem() { return *_kmem; }
     sim::SimContext &ctx() { return _ctx; }
     hw::Console &console() { return _console; }
+    /** The process with @p pid, or null once waitpid has reaped it
+     *  (or if it never existed). */
     Process *process(uint64_t pid);
 
-    /** Exit codes of reaped processes (pid -> code). */
+    /** Exit codes of every process that has exited, reaped or not
+     *  (pid -> code). */
     const std::map<uint64_t, int> &exitCodes() const
     {
         return _exitCodes;
@@ -398,14 +389,10 @@ class Kernel
     /** The live registry (vg_lint --dump-fleet, fleet LB telemetry). */
     const ConnTable &connTable() const { return _connTable; }
 
-    /** Enqueue a bottom-half wakeup on @p cpu's completion queue. */
-    void postSoftirq(unsigned cpu, uint64_t due_at, const void *channel);
-
-    /** Per-CPU completion queue (for tests and --dump-rings). */
-    const std::deque<Softirq> &softirqQueue(unsigned cpu) const
-    {
-        return _softirq[cpu % _softirq.size()];
-    }
+    /** Enqueue a bottom-half wakeup of @p channel on @p cpu's
+     *  completion queue; the scheduler delivers it at the top of its
+     *  next iteration. */
+    void postSoftirq(unsigned cpu, const void *channel);
 
     /** Cycle of the last device interrupt taken on @p cpu (the
      *  coalescing holdoff anchor; 0 if none yet). */
@@ -420,8 +407,12 @@ class Kernel
 
   private:
     // --- scheduling ---------------------------------------------------
-    /** Give a new process (spawn or fork) the fiber it runs on. */
-    void attachFiber(Process &proc);
+    /** Create a Runnable process for spawn or fork: pid, home CPU,
+     *  SVA thread, address space (a copy-on-write copy of @p parent's
+     *  when forking), then the fiber it runs on. */
+    Process &newProcess(const std::string &name,
+                        std::function<int(UserApi &)> main_fn,
+                        Process *parent);
     /** A process's whole life on its fiber: main, then the exit path. */
     void processMain(Process &proc);
     /** Dispatch @p proc and run it until it hands the baton back;
@@ -430,18 +421,29 @@ class Kernel
     /** On @p proc's fiber: hand the baton to the scheduler; returns
      *  when @p proc is dispatched again. */
     void backToScheduler(Process &proc);
-    void blockCurrent(Process &proc, const void *channel);
-    void blockCurrentTimed(Process &proc, const void *channel,
-                           uint64_t wake_time);
+    /** Sleep on @p channel until a wakeup, or until simulated time
+     *  @p wake_time when it is nonzero. */
+    void blockCurrent(Process &proc, const void *channel,
+                      uint64_t wake_time = 0);
+    /** Make every process blocked on @p channel runnable, stamped with
+     *  the waker's clock; returns how many woke. */
     unsigned wakeup(const void *channel);
-    /** Deliver due completion-queue entries on @p cpu (bottom half:
-     *  IRQ trap at most once per coalescing window, softirq dispatch
-     *  per batch, wakeups). Returns the earliest still-pending dueAt
-     *  on that queue (0 when empty). */
-    uint64_t serviceSoftirqs(unsigned cpu);
-    /** Earliest pending softirq dueAt across every vCPU (0 if none) —
-     *  folded into the all-idle virtual-time advance. */
-    uint64_t earliestSoftirq() const;
+    /** The one wake primitive: clear @p proc's waits and make it
+     *  Runnable no earlier than @p stamp. */
+    void makeRunnable(Process &proc, uint64_t stamp);
+    /** Drain @p cpu's completion queue (bottom half: IRQ trap at most
+     *  once per coalescing window, softirq dispatch per batch,
+     *  wakeups). */
+    void serviceSoftirqs(unsigned cpu);
+    /** The scheduler's pick: build the per-CPU run queues in pid
+     *  order, let idle CPUs pull work, then take the next vCPU with
+     *  work round-robin and its next process. Null if none is
+     *  runnable. */
+    Process *pickNext();
+    /** Nothing runnable: advance every clock to the earliest timed
+     *  wake and release the sleepers due on their home CPU. Returns
+     *  false when no process is Blocked, i.e. the run is over. */
+    bool idleAdvance();
     void yieldCurrent(Process &proc);
     /** Take the timer preemption if the active vCPU's quantum ran out. */
     void preemptIfDue(Process &proc);
@@ -542,15 +544,20 @@ class Kernel
     uint64_t _nextPid = 1;
     /** Round-robin home-CPU assignment for new processes. */
     unsigned _nextCpuAssign = 0;
+    /** pickNext's rotation: the vCPU to try first, and each vCPU's
+     *  dispatch count into its run queue. Reset by run(). */
+    unsigned _cpuCursor = 0;
+    std::vector<uint64_t> _queueCursors;
 
     std::map<uint16_t, std::shared_ptr<Socket>> _listeners;
 
     /** Established-connection registry (O(1) accept/close). */
     ConnTable _connTable;
 
-    /** Per-CPU softirq completion queues and the cycle each
-     *  CPU last took a device interrupt (coalescing anchor). */
-    std::vector<std::deque<Softirq>> _softirq;
+    /** Per-CPU softirq completion queues (channels to wake, in post
+     *  order) and the cycle each CPU last took a device interrupt
+     *  (coalescing anchor). */
+    std::vector<std::vector<const void *>> _softirq;
     std::vector<uint64_t> _lastIrqAt;
 
     /** On-disk swap area for sealed ghost pages (carved from the disk

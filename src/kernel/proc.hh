@@ -24,15 +24,14 @@ namespace vg::kern
 
 class UserApi;
 
-/** Process lifecycle states. */
+/** Process lifecycle states. A process is created Runnable (and
+ *  stays so while it runs); waitpid erases a Zombie from the process
+ *  table. */
 enum class ProcState
 {
-    Embryo,
     Runnable,
-    Running,
     Blocked,
     Zombie,
-    Dead,
 };
 
 /** One in-flight or delivered stream segment. A segment becomes
@@ -134,7 +133,7 @@ class Process
     uint64_t tid = 0; ///< SVA thread id
     uint64_t parent = 0;
     std::string name;
-    ProcState state = ProcState::Embryo;
+    ProcState state{ProcState::Runnable};
     int exitCode = 0;
     bool killRequested = false;
 
@@ -195,7 +194,7 @@ class Process
     bool
     alive() const
     {
-        return state != ProcState::Zombie && state != ProcState::Dead;
+        return state != ProcState::Zombie;
     }
 
     /** Open the next free descriptor on file @p ino, or on @p sock

@@ -104,9 +104,7 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
         // A previous cluster already pulled this slot off the media —
         // consume the staged ciphertext, stalling only if its disk
         // read has not completed yet.
-        auto &clk = _ctx.clock();
-        if (staged->second.readyAt > clk.now())
-            clk.advance(staged->second.readyAt - clk.now());
+        _ctx.clock().advanceTo(staged->second.readyAt);
         bytes = std::move(staged->second.bytes);
         _staged.erase(staged);
     } else {
@@ -146,9 +144,7 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
         }
         uint64_t done = _disk.doorbell();
         _disk.reapAll();
-        auto &clk = _ctx.clock();
-        if (done > clk.now())
-            clk.advance(done - clk.now());
+        _ctx.clock().advanceTo(done);
 
         bytes = std::move(targets.front().buf);
         for (size_t i = 1; i < targets.size(); i++) {

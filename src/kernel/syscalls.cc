@@ -611,35 +611,10 @@ UserApi::fork(std::function<int(UserApi &)> child_main)
         // proc-table entry, uarea, fd table duplication.
         k._ctx.chargeKernelWork(2200, 900, 180);
 
-        uint64_t child_pid = k._nextPid++;
-        auto child_owner = std::make_unique<Process>();
-        Process &child = *child_owner;
-        child.pid = child_pid;
-        child.parent = _proc.pid;
-        child.name = _proc.name + "+";
-        child.mainFn = std::move(child_main);
-        child.state = ProcState::Runnable;
-        child.cpu = k._nextCpuAssign++ % k._ctx.vcpuCount();
-        child.sigHandlers = _proc.sigHandlers;
-        child.handlerFns = _proc.handlerFns;
-        child.nextHandlerToken = _proc.nextHandlerToken;
-        child.fds = _proc.fds; // shared open-file descriptions
-        child.nextFd = _proc.nextFd;
-
-        sva::SvaError err;
-        sva::SvaThread *t = k._vm.newThread(
-            child_pid, 0xffffff8000100000ull, _proc.tid, &err);
-        if (!t)
-            sim::panic("fork: %s", err.message.c_str());
-        child.tid = t->id;
-
-        k.buildAddressSpace(child);
-        k.copyAddressSpace(_proc, child);
-        k.attachFiber(child);
-
-        k._procs[child_pid] = std::move(child_owner);
+        Process &child =
+            k.newProcess(_proc.name + "+", std::move(child_main), &_proc);
         sim::StatSet::add(k._hForks);
-        return child_pid;
+        return child.pid;
     });
 }
 
@@ -699,16 +674,12 @@ UserApi::waitpid(uint64_t pid, int &status)
         k._ctx.chargeKernelWork(80, 32, 10);
         while (true) {
             Process *child = k.process(pid);
-            if (!child) {
-                auto it = k._exitCodes.find(pid);
-                if (it == k._exitCodes.end())
-                    return -1;
-                status = it->second;
-                return 0;
-            }
+            if (!child)
+                return -1;
             if (child->state == ProcState::Zombie) {
+                // Reap: the pid is gone once its status is collected.
                 status = child->exitCode;
-                child->state = ProcState::Dead;
+                k._procs.erase(pid);
                 return 0;
             }
             k.blockCurrent(_proc,
@@ -738,12 +709,8 @@ Kernel::postSignal(Process &target, int signum)
     } else if (signum == sigKill || signum == sigTerm) {
         target.killRequested = true;
         // Abort whatever sleep the victim is in.
-        if (target.state == ProcState::Blocked) {
-            target.state = ProcState::Runnable;
-            target.waitChannel = nullptr;
-            target.multiWait.clear();
-            target.wakeTime = 0;
-        }
+        if (target.state == ProcState::Blocked)
+            makeRunnable(target, 0);
     }
     wakeup(&target);
     wakeup(reinterpret_cast<const void *>(uintptr_t(target.pid)));
@@ -867,8 +834,7 @@ UserApi::connect(uint16_t port)
             hw::Nic &rx = leg % 2 == 0 ? k._nicB : k._nicA;
             uint64_t ready = tx.send(std::vector<uint8_t>(64, 0));
             rx.receive();
-            if (ready > k._ctx.clock().now())
-                k._ctx.clock().advance(ready - k._ctx.clock().now());
+            k._ctx.clock().advanceTo(ready);
         }
 
         auto client = std::make_shared<Socket>();
@@ -918,7 +884,7 @@ Kernel::ringTransmit(const std::shared_ptr<Socket> &peer,
     std::vector<hw::RingCompletion> comps = _nicA.txReapAll();
 
     uint64_t sent = 0;
-    unsigned steer = peer->irqSteer % _softirq.size();
+    unsigned steer = peer->irqSteer;
     for (size_t i = 0; i < chunks.size() && i < comps.size(); i++) {
         uint64_t ready_at = comps[i].doneAt;
         _nicB.receive();
@@ -936,7 +902,7 @@ Kernel::ringTransmit(const std::shared_ptr<Socket> &peer,
         // the IRQ is acked without a trap charge.
         _nicB.irq().wireTo(steer);
         _nicB.irq().raise(ready_at);
-        postSoftirq(steer, ready_at, peer.get());
+        postSoftirq(steer, peer.get());
     }
     return sent;
 }
@@ -984,7 +950,7 @@ Kernel::socketRecv(Process &proc, Socket &sock, uint8_t *data,
             uint64_t ready_at = sock.rxBuf.front().readyAt;
             if (ready_at <= _ctx.clock().now())
                 break;
-            blockCurrentTimed(proc, &sock, ready_at);
+            blockCurrent(proc, &sock, ready_at);
             continue;
         }
         if (sock.peerClosed)
@@ -1153,7 +1119,7 @@ UserApi::select(const std::vector<int> &read_fds, uint64_t timeout_us)
                 k._ctx.clock().now() >= deadline)
                 return ready;
             _proc.multiWait = channels;
-            k.blockCurrentTimed(_proc, nullptr, deadline);
+            k.blockCurrent(_proc, nullptr, deadline);
             _proc.multiWait.clear();
         }
     });

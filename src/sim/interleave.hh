@@ -1,13 +1,12 @@
 /**
  * @file
- * Deterministic vCPU interleaver.
+ * Deterministic fleet interleaving: the SplitMix64 stream and the
+ * seeded machine-step schedule built on it.
  *
- * The simulated machine has N vCPUs but the simulation itself is
- * single-threaded: exactly one vCPU executes at a time and the
- * interleaver decides which one goes next. Round-robin rotation makes
- * every run bit-reproducible regardless of host scheduling — the same
- * workload always produces the same interleaving, the same stats and
- * the same per-CPU clocks.
+ * Within one machine the kernel's scheduler (Kernel::pickNext) decides
+ * which vCPU runs next; across a fleet SeededInterleaver decides which
+ * machine steps next. Both are pure functions of their inputs, so every
+ * run is bit-reproducible regardless of host scheduling.
  */
 
 #ifndef VG_SIM_INTERLEAVE_HH
@@ -79,51 +78,10 @@ class SplitMix64
 };
 
 /**
- * Rotating round-robin picker over N vCPUs.
+ * Cross-machine extension of the kernel's deterministic vCPU pick: a
+ * seeded step schedule over N machines.
  *
- * next() returns the first CPU at or after the rotation cursor that
- * has work, then advances the cursor past it so every CPU with work
- * gets a turn before any CPU gets two. With n == 1 it always returns
- * CPU 0, matching the single-CPU model trivially.
- */
-class RoundRobinInterleaver
-{
-  public:
-    explicit RoundRobinInterleaver(unsigned n) : _n(n ? n : 1) {}
-
-    /**
-     * Pick the next vCPU to run.
-     *
-     * @param has_work  per-CPU flag, nonzero if that CPU has a
-     *                  runnable task (size must be >= n)
-     * @return chosen CPU index, or -1 if no CPU has work
-     */
-    int
-    next(const std::vector<uint8_t> &has_work)
-    {
-        for (unsigned i = 0; i < _n; i++) {
-            unsigned cpu = (_cursor + i) % _n;
-            if (has_work[cpu]) {
-                _cursor = (cpu + 1) % _n;
-                return static_cast<int>(cpu);
-            }
-        }
-        return -1;
-    }
-
-    /** Reset the rotation cursor (test isolation). */
-    void reset() { _cursor = 0; }
-
-  private:
-    unsigned _n;
-    unsigned _cursor = 0;
-};
-
-/**
- * Cross-machine extension of the deterministic interleaver: a seeded
- * step schedule over N machines.
- *
- * Where RoundRobinInterleaver decides which *vCPU* of one machine runs
+ * Where Kernel::pickNext decides which *vCPU* of one machine runs
  * next, SeededInterleaver decides which *machine* of a fleet steps
  * next. Each round it draws a Fisher-Yates permutation of the machines
  * that have work from a SplitMix64 stream, so the whole-fleet step

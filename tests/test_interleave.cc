@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the deterministic interleavers (sim/interleave.hh):
- * SplitMix64 sub-stream forking and the SeededInterleaver's fork-tree
- * determinism, seed sensitivity and child-stream independence. These
- * are the reproducibility primitives under every fleet run — a
- * regression here silently breaks bit-identical replays.
+ * Unit tests for the fleet's deterministic schedule primitives
+ * (sim/interleave.hh): SplitMix64 sub-stream forking and the
+ * SeededInterleaver's fork-tree determinism, seed sensitivity and
+ * child-stream independence. These are the reproducibility primitives
+ * under every fleet run — a regression here silently breaks
+ * bit-identical replays.
  */
 
 #include <gtest/gtest.h>

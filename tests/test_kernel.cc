@@ -662,6 +662,29 @@ TEST(FiberLifecycle, ForkExitWaitRoundsLeaveNoStacks)
     EXPECT_EQ(sys.kernel().liveFiberStacks(), 0u);
 }
 
+TEST(FiberLifecycle, WaitpidReapsTheChild)
+{
+    System sys(smallConfig());
+    sys.boot();
+    int first = -2, status = -1, second = -2;
+    bool reaped = false;
+    int code = sys.runProcess("reaper", [&](UserApi &api) {
+        uint64_t child =
+            api.fork([](UserApi &capi) -> int { capi.exit(3); });
+        first = api.waitpid(child, status);
+        reaped = sys.kernel().process(child) == nullptr;
+        // The pid is gone: a second wait fails instead of sleeping.
+        int again = -1;
+        second = api.waitpid(child, again);
+        return 0;
+    });
+    EXPECT_EQ(code, 0);
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(status, 3);
+    EXPECT_TRUE(reaped);
+    EXPECT_EQ(second, -1);
+}
+
 TEST(FiberLifecycle, KillWhileBlockedInRecvUnwindsTheFiber)
 {
     System sys(smallConfig());

@@ -255,8 +255,9 @@ TEST_P(SmpMultiCpuGoldenSweep, MatchesRecordedDigest)
     sys.boot();
     runMixedWorkload(sys, seed);
     // Two vCPUs start unbalanced, so the idle balancer is exercised.
-    if (vcpus == 2)
+    if (vcpus == 2) {
         EXPECT_GT(sys.ctx().stats().get("kernel.migrations"), 0u);
+    }
     EXPECT_TRUE(test::matchesGolden(machineDigest(sys),
                                     kSmpMultiCpuGolden.at({vcpus, seed})));
 }
