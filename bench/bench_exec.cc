@@ -8,10 +8,6 @@
  *   - vg-fused:         full Virtual Ghost instrumentation with the
  *                       fused SandboxAddr masking op.
  *
- * Each configuration is measured twice: pure interpreter and with the
- * trace tier enabled (+trace rows), so the superinstruction speedup
- * and its trace.* counters land in BENCH_exec.json per config.
- *
  * Unlike bench_micro this is a standalone harness: it prints a small
  * table and writes machine-readable results to BENCH_exec.json in the
  * current directory. Pass --smoke (or set VG_BENCH_SCALE=smoke) for a
@@ -85,21 +81,13 @@ struct Result {
     uint64_t iflowInsts = 0;
     uint64_t iflowFindings = 0;
     double iflowWallUs = 0;
-    // Trace-tier counters (zero for interpreter-only rows).
-    bool traceTier = false;
-    uint64_t tracesFormed = 0;
-    uint64_t traceExecuted = 0;
-    uint64_t traceSideExits = 0;
-    uint64_t traceRetired = 0;
 };
 
 /** Translate kModuleSrc under @p vg, then call work(N) repeatedly for
- *  at least @p minSeconds of wall clock. With @p traceTier the
- *  executor's trace tier is enabled, so hot-loop passes run as
- *  verified superinstruction blocks. */
+ *  at least @p minSeconds of wall clock. */
 Result
 measure(const std::string &name, const sim::VgConfig &vg,
-        uint64_t iters, double minSeconds, bool traceTier = false)
+        uint64_t iters, double minSeconds)
 {
     sim::SimContext ctx(vg);
     std::vector<uint8_t> key(32, 1);
@@ -114,12 +102,8 @@ measure(const std::string &name, const sim::VgConfig &vg,
     cc::ExternTable externs;
     cc::Executor exec(*r.image, port, externs, ctx,
                       0xffffffa000000000ull, 1 << 20);
-    if (traceTier)
-        exec.enableTraceTier(tr);
 
-    // Warm up (also captures the per-call instruction count and, with
-    // the tier on, crosses the hot threshold so traces are formed and
-    // re-verified before timing starts).
+    // Warm up (also checks the workload runs to completion).
     auto warm = exec.call("work", {iters});
     if (!warm.ok) {
         std::fprintf(stderr, "%s: workload faulted: %s\n",
@@ -152,11 +136,6 @@ measure(const std::string &name, const sim::VgConfig &vg,
     out.iflowFindings = ctx.stats().get("iflow.findings");
     out.iflowWallUs =
         double(ctx.stats().get("iflow.wall_ns")) / 1e3;
-    out.traceTier = traceTier;
-    out.tracesFormed = exec.tracesFormed();
-    out.traceExecuted = ctx.stats().get("trace.executed");
-    out.traceSideExits = ctx.stats().get("trace.side_exits");
-    out.traceRetired = ctx.stats().get("trace.retired_insts");
     return out;
 }
 
@@ -174,31 +153,15 @@ main(int argc, char **argv)
     std::vector<Result> results;
     results.push_back(
         measure("native", sim::VgConfig::native(), iters, minSeconds));
-    results.push_back(measure("native+trace", sim::VgConfig::native(),
-                              iters, minSeconds, true));
     results.push_back(
         measure("vg-fused", sim::VgConfig::full(), iters, minSeconds));
-    results.push_back(measure("vg-fused+trace", sim::VgConfig::full(),
-                              iters, minSeconds, true));
 
-    std::printf("%-18s %14s %12s %18s %8s\n", "config", "insts/call",
-                "us/call", "host insts/sec", "traces");
+    std::printf("%-18s %14s %12s %18s\n", "config", "insts/call",
+                "us/call", "host insts/sec");
     for (const auto &r : results)
-        std::printf("%-18s %14llu %12.2f %18.3e %8llu\n",
-                    r.name.c_str(),
+        std::printf("%-18s %14llu %12.2f %18.3e\n", r.name.c_str(),
                     (unsigned long long)r.instsPerCall, r.usPerCall,
-                    r.hostInstsPerSec,
-                    (unsigned long long)r.tracesFormed);
-
-    // Interpreter vs trace tier, per config (same insts/call by
-    // construction — the tier only changes host time).
-    auto traceSpeedup = [&](size_t off, size_t on) {
-        return results[off].usPerCall / results[on].usPerCall;
-    };
-    double trNative = traceSpeedup(0, 1);
-    double trFused = traceSpeedup(2, 3);
-    std::printf("trace tier speedup: native %.2fx, vg-fused %.2fx\n",
-                trNative, trFused);
+                    r.hostInstsPerSec);
 
     std::FILE *f = std::fopen("BENCH_exec.json", "w");
     if (!f) {
@@ -221,11 +184,7 @@ main(int argc, char **argv)
                      " \"mverify_wall_us\": %.3f,"
                      " \"iflow_insts\": %llu,"
                      " \"iflow_findings\": %llu,"
-                     " \"iflow_wall_us\": %.3f,"
-                     " \"trace_tier\": %s,"
-                     " \"trace\": {\"formed\": %llu,"
-                     " \"executed\": %llu, \"side_exits\": %llu,"
-                     " \"retired_insts\": %llu}}%s\n",
+                     " \"iflow_wall_us\": %.3f}%s\n",
                      r.name.c_str(),
                      (unsigned long long)r.instsPerCall, r.usPerCall,
                      r.hostInstsPerSec,
@@ -234,19 +193,9 @@ main(int argc, char **argv)
                      r.mverifyWallUs,
                      (unsigned long long)r.iflowInsts,
                      (unsigned long long)r.iflowFindings,
-                     r.iflowWallUs,
-                     r.traceTier ? "true" : "false",
-                     (unsigned long long)r.tracesFormed,
-                     (unsigned long long)r.traceExecuted,
-                     (unsigned long long)r.traceSideExits,
-                     (unsigned long long)r.traceRetired,
-                     i + 1 < results.size() ? "," : "");
+                     r.iflowWallUs, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"trace_speedup\": %.3f,\n"
-                 "  \"trace_speedup_native\": %.3f,\n",
-                 trFused, trNative);
     const double host = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();

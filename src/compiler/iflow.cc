@@ -4,12 +4,11 @@
  *
  * Structure mirrors mverify.cc: function extents are recovered from
  * the sorted FuncInfo entry addresses, each function runs a worklist
- * forward dataflow at instruction granularity, and trace blocks are
- * pseudo-functions whose entry state is the home function's fixpoint
- * at the anchor. On top of that sits an interprocedural fixpoint:
+ * forward dataflow at instruction granularity. On top of that sits
+ * an interprocedural fixpoint:
  *
  *   repeat until no summary changes:
- *       for each non-trace function, in address order:
+ *       for each function, in address order:
  *           run the intra-function dataflow from its current entry
  *           summary; direct calls push argument taint into callee
  *           entry summaries and pull callee return taint into the
@@ -327,12 +326,11 @@ class Analysis
         while (changed) {
             changed = false;
             for (const FuncRange &r : _funcs) {
-                if (!r.info || _traceAt.count(r.info->entryAddr))
+                if (!r.info)
                     continue;
-                Flow flow = analyze(r, entryState(r), true);
+                analyze(r, true);
                 changed |= _summariesChanged;
                 _summariesChanged = false;
-                (void)flow;
             }
         }
 
@@ -344,21 +342,10 @@ class Analysis
             facts->visibleStoreAt.assign(_img.code.size(), 0);
             _facts = facts;
         }
-        std::map<std::string, Flow> flows;
-        for (const FuncRange &r : _funcs) {
-            if (!r.info || _traceAt.count(r.info->entryAddr))
-                continue;
-            flows[r.info->name] = analyze(r, entryState(r), false);
-            result.functionsChecked++;
-            result.instsChecked += r.end - r.begin;
-        }
         for (const FuncRange &r : _funcs) {
             if (!r.info)
                 continue;
-            auto tIt = _traceAt.find(r.info->entryAddr);
-            if (tIt == _traceAt.end())
-                continue;
-            analyzeTrace(r, *tIt->second, flows);
+            analyze(r, false);
             result.functionsChecked++;
             result.instsChecked += r.end - r.begin;
         }
@@ -409,11 +396,6 @@ class Analysis
                                mInstBytes)
                     : _img.code.size();
         }
-        for (const TraceInfo &t : _img.traces)
-            _traceAt[t.entryAddr] = &t;
-        for (const FuncRange &r : _funcs)
-            if (r.info)
-                _rangeByName[r.info->name] = &r;
         for (const FuncRange &r : _funcs)
             if (r.info)
                 _funcByEntry[r.info->entryAddr] = r.info;
@@ -428,8 +410,7 @@ class Analysis
             if (m.op != MOp::ConstI)
                 continue;
             auto it = _funcByEntry.find(m.imm);
-            if (it != _funcByEntry.end() &&
-                !_traceAt.count(it->second->entryAddr))
+            if (it != _funcByEntry.end())
                 _addressTaken.insert(it->second->name);
         }
     }
@@ -537,8 +518,7 @@ class Analysis
      * absolute instruction index; updates @p s in place, reporting
      * findings/facts when in the collection pass. @p summarize gates
      * interprocedural summary propagation (fixpoint phase only) —
-     * during the reporting pass summaries are already stable and
-     * trace blocks must not perturb them.
+     * during the reporting pass summaries are already stable.
      */
     void
     transfer(const FuncRange &r, size_t idx, State &s, bool summarize)
@@ -793,18 +773,18 @@ class Analysis
         return t;
     }
 
-    /** Intra-function worklist fixpoint from @p entry. Reports
-     *  findings/facts only when _collect/_facts are armed and
+    /** Intra-function worklist fixpoint from the entry summary.
+     *  Reports findings/facts only when _collect/_facts are armed and
      *  @p summarize is false (the stable reporting pass). */
-    Flow
-    analyze(const FuncRange &r, const State &entry, bool summarize)
+    void
+    analyze(const FuncRange &r, bool summarize)
     {
         const size_t n = r.end - r.begin;
         Flow flow;
         flow.in.assign(n, State{});
         flow.reached.assign(n, false);
         if (n == 0)
-            return flow;
+            return;
 
         auto targetIdx = [&](const MInst &m) -> size_t {
             if (!_img.contains(m.imm))
@@ -832,7 +812,7 @@ class Analysis
             return cnt;
         };
 
-        flow.in[0] = entry;
+        flow.in[0] = entryState(r);
         flow.reached[0] = true;
 
         // Fixpoint phase: no findings/facts. Collection is deferred
@@ -883,87 +863,10 @@ class Analysis
                 transfer(r, r.begin + i, state, false);
             }
         }
-        return flow;
-    }
-
-    /** Analyze one trace pseudo-function: entry state is the home's
-     *  fixpoint at the anchor; side exits must not carry taint the
-     *  interpreter path never saw at the landing. */
-    void
-    analyzeTrace(const FuncRange &r, const TraceInfo &trace,
-                 const std::map<std::string, Flow> &homeFlows)
-    {
-        auto hIt = _rangeByName.find(trace.home);
-        auto fIt = homeFlows.find(trace.home);
-        State entry;
-        entry.regs.assign((size_t)std::max(r.info->numRegs, 0),
-                          AbsVal{});
-        const FuncRange *home = nullptr;
-        const Flow *homeFlow = nullptr;
-        if (hIt != _rangeByName.end() && fIt != homeFlows.end()) {
-            home = hIt->second;
-            homeFlow = &fIt->second;
-            if (_img.contains(trace.anchorAddr)) {
-                size_t a = (size_t)((trace.anchorAddr -
-                                     _img.codeBase) /
-                                    mInstBytes);
-                if (a >= home->begin && a < home->end &&
-                    homeFlow->reached[a - home->begin]) {
-                    entry = homeFlow->in[a - home->begin];
-                    entry.regs.resize(
-                        (size_t)std::max(r.info->numRegs, 0));
-                }
-            }
-        }
-
-        Flow flow = analyze(r, entry, false);
-
-        // VG-IF-05 (laundering via the trace tier): a side exit whose
-        // taint state is strictly richer than the interpreter path at
-        // the landing smuggles ghost data into code verified without
-        // it. Honest splices replay home instructions, so their exit
-        // taint is one path's contribution to the home join and can
-        // never exceed it.
-        if (!home || !homeFlow)
-            return;
-        const size_t n = r.end - r.begin;
-        for (size_t i = 0; i < n; i++) {
-            if (!flow.reached[i])
-                continue;
-            const MInst &m = _img.code[r.begin + i];
-            if (m.op != MOp::Jump && m.op != MOp::JumpIfZero)
-                continue;
-            if (!_img.contains(m.imm))
-                continue;
-            size_t t =
-                (size_t)((m.imm - _img.codeBase) / mInstBytes);
-            if (t >= r.begin && t < r.end)
-                continue; // stays inside the trace
-            if (t < home->begin || t >= home->end ||
-                !homeFlow->reached[t - home->begin])
-                continue;
-            const State &landing = homeFlow->in[t - home->begin];
-            size_t lim = std::min(flow.in[i].regs.size(),
-                                  landing.regs.size());
-            for (size_t rn = 0; rn < lim; rn++) {
-                if (flow.in[i].regs[rn].taint.t &&
-                    !landing.regs[rn].taint.t) {
-                    report(IfRule::ArithLeak, r, r.begin + i,
-                           "side exit carries ghost taint in "
-                           "register %" +
-                               std::to_string(rn) +
-                               " that the interpreter path never "
-                               "verified at the landing");
-                    break;
-                }
-            }
-        }
     }
 
     const MachineImage &_img;
     std::vector<FuncRange> _funcs;
-    std::map<uint64_t, const TraceInfo *> _traceAt;
-    std::map<std::string, const FuncRange *> _rangeByName;
     std::map<uint64_t, const FuncInfo *> _funcByEntry;
     std::set<std::string> _addressTaken;
     std::map<std::string, FuncSummary> _summaries;

@@ -36,9 +36,6 @@
  * into the callee's entry state and the callee's return taint back
  * into the call result (both stamped with the via-call provenance);
  * checked indirect calls join over every address-taken function.
- * Trace blocks are analyzed like mverify's VG-TR mode: entry state is
- * the home function's fixpoint at the anchor, and a side exit must not
- * carry *more* taint than the interpreter path at the landing.
  */
 
 #ifndef VG_COMPILER_IFLOW_HH

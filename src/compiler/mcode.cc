@@ -51,18 +51,6 @@ MachineImage::serializeForSigning() const
         put64(out, uint64_t(info.numParams));
         put64(out, uint64_t(info.numRegs));
     }
-    put64(out, traces.size());
-    for (const TraceInfo &t : traces) {
-        putStr(out, t.name);
-        putStr(out, t.home);
-        put64(out, t.anchorAddr);
-        put64(out, t.entryAddr);
-        put64(out, t.length);
-        put64(out, t.guards);
-        put64(out, t.freeOffs.size());
-        for (uint32_t off : t.freeOffs)
-            put64(out, off);
-    }
     out.push_back(instrumented ? 1 : 0);
     return out;
 }

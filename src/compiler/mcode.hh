@@ -110,35 +110,6 @@ struct FuncInfo
     int numRegs = 0;
 };
 
-/**
- * Metadata for one spliced trace block.
- *
- * A trace block is ordinary machine code appended to the image by the
- * trace tier: a verbatim copy of one hot path through @ref home, with
- * on-trace branches rewritten to fall through and off-trace directions
- * turned into side-exit jumps back into the home function. The block is
- * registered as a pseudo-function (so the machine-code verifier proves
- * it like any other function) and this record carries what the verifier
- * and the executor's superinstruction runner additionally need: which
- * function it was cut from, where the hot path was anchored, and which
- * instructions are pure dispatch glue that models zero machine cost.
- */
-struct TraceInfo
-{
-    std::string name;     ///< pseudo-function name ("home$tr0")
-    std::string home;     ///< function the trace was recorded in
-    uint64_t anchorAddr = 0; ///< loop head / entry the trace covers
-    uint64_t entryAddr = 0;  ///< first instruction of the block
-    uint32_t length = 0;     ///< block length in instructions
-    uint32_t guards = 0;     ///< conditional side-exit guard count
-    /** Offsets (within the block) of dispatch-glue instructions the
-     *  trace runner models at zero cost; their count is the per-pass
-     *  folded dispatch saving. */
-    std::vector<uint32_t> freeOffs;
-
-    uint32_t foldSavings() const { return uint32_t(freeOffs.size()); }
-};
-
 /** A compiled, relocated, signed translation of one module. */
 struct MachineImage
 {
@@ -146,10 +117,6 @@ struct MachineImage
     uint64_t codeBase = 0;
     std::vector<MInst> code;
     std::map<std::string, FuncInfo> functions;
-
-    /** Spliced trace blocks, in splice order (empty until the trace
-     *  tier forms traces; covered by the signature). */
-    std::vector<TraceInfo> traces;
 
     /** Translation signature (HMAC by the VM's translation key). */
     crypto::Digest signature{};

@@ -114,39 +114,6 @@ overwriteWithNop(MachineImage &image, size_t idx)
     image.code[idx] = std::move(nop);
 }
 
-/** A trace block's extent as instruction indices, or {0,0} when its
- *  entry is not inside the image. */
-std::pair<size_t, size_t>
-traceRange(const MachineImage &image, const TraceInfo &t)
-{
-    if (!image.contains(t.entryAddr))
-        return {0, 0};
-    size_t b = (size_t)((t.entryAddr - image.codeBase) / mInstBytes);
-    size_t e = std::min(b + t.length, image.code.size());
-    return {b, e};
-}
-
-/** Indices of side-exit jumps (targets leaving the block) in all trace
- *  blocks. */
-std::vector<size_t>
-traceSideExitSites(const MachineImage &image)
-{
-    std::vector<size_t> out;
-    for (const TraceInfo &t : image.traces) {
-        auto [b, e] = traceRange(image, t);
-        for (size_t i = b; i < e; i++) {
-            const MInst &m = image.code[i];
-            if (m.op != MOp::Jump && m.op != MOp::JumpIfZero)
-                continue;
-            uint64_t lo = image.codeBase + b * mInstBytes;
-            uint64_t hi = image.codeBase + e * mInstBytes;
-            if (m.imm < lo || m.imm >= hi)
-                out.push_back(i);
-        }
-    }
-    return out;
-}
-
 /** Taint facts of the pre-injection image; the iflow kinds pick their
  *  sites from the verifier's own fixpoint so every site is detectable
  *  by construction. */
@@ -234,10 +201,8 @@ allMiscompiles()
         Miscompile::StripEntryLabel,  Miscompile::StripReturnLabel,
         Miscompile::RawRet,           Miscompile::RawIndirectCall,
         Miscompile::BadJumpTarget,    Miscompile::ForgeLabel,
-        Miscompile::TraceExitHijack,  Miscompile::TraceDropMask,
-        Miscompile::TraceStripHeadLabel,
         Miscompile::IflowDropSeal,    Miscompile::IflowRawStore,
-        Miscompile::IflowStatLeak,    Miscompile::IflowTraceSmuggle,
+        Miscompile::IflowStatLeak,
     };
     return kinds;
 }
@@ -254,13 +219,9 @@ miscompileName(Miscompile kind)
     case Miscompile::RawIndirectCall: return "raw-callind";
     case Miscompile::BadJumpTarget: return "bad-jump-target";
     case Miscompile::ForgeLabel: return "forge-label";
-    case Miscompile::TraceExitHijack: return "trace-exit-hijack";
-    case Miscompile::TraceDropMask: return "trace-drop-mask";
-    case Miscompile::TraceStripHeadLabel: return "trace-strip-head-label";
     case Miscompile::IflowDropSeal: return "iflow-drop-seal";
     case Miscompile::IflowRawStore: return "iflow-raw-store";
     case Miscompile::IflowStatLeak: return "iflow-stat-leak";
-    case Miscompile::IflowTraceSmuggle: return "iflow-trace-smuggle";
     }
     return "?";
 }
@@ -343,29 +304,6 @@ miscompileSites(const MachineImage &image, Miscompile kind)
                 out.push_back(i);
         return out;
 
-    case Miscompile::TraceExitHijack: return traceSideExitSites(image);
-
-    case Miscompile::TraceDropMask:
-        for (const TraceInfo &t : image.traces) {
-            auto [b, e] = traceRange(image, t);
-            for (size_t d : maskDefSites(image)) {
-                if (d < b || d >= e)
-                    continue;
-                int reg = maskDefReg(image, d);
-                if (findAddrConsumer(image, d, e, reg) != SIZE_MAX)
-                    out.push_back(d);
-            }
-        }
-        return out;
-
-    case Miscompile::TraceStripHeadLabel:
-        for (const TraceInfo &t : image.traces) {
-            auto [b, e] = traceRange(image, t);
-            if (b < e && image.code[b].op == MOp::CfiLabel)
-                out.push_back(b);
-        }
-        return out;
-
     case Miscompile::IflowDropSeal: {
         const IflowFacts facts = iflowFactsFor(image);
         for (size_t i = 0; i < image.code.size(); i++) {
@@ -399,25 +337,6 @@ miscompileSites(const MachineImage &image, Miscompile kind)
                 continue;
             if (taintedOtherAt(facts, i, m.args[0]) >= 0)
                 out.push_back(i);
-        }
-        return out;
-    }
-
-    case Miscompile::IflowTraceSmuggle: {
-        const IflowFacts facts = iflowFactsFor(image);
-        for (const TraceInfo &t : image.traces) {
-            auto [b, e] = traceRange(image, t);
-            for (size_t i = b; i < e; i++) {
-                const MInst &m = image.code[i];
-                if (m.op != MOp::Store)
-                    continue;
-                if (i >= facts.visibleStoreAt.size() ||
-                    !facts.visibleStoreAt[i])
-                    continue;
-                if (!taintedAt(facts, i, m.b) &&
-                    taintedOtherAt(facts, i, m.b) >= 0)
-                    out.push_back(i);
-            }
         }
         return out;
     }
@@ -487,43 +406,6 @@ injectMiscompile(MachineImage &image, Miscompile kind, size_t siteIdx)
         m.imm = cfiLabelValue;
         return true;
 
-    case Miscompile::TraceExitHijack: {
-        // Redirect the side exit to another function's entry — a valid
-        // code address, but one the interpreter path never verified as
-        // a landing for this trace. Fall back to past-the-end when the
-        // image has nothing else to aim at.
-        uint64_t target = image.codeEnd();
-        const TraceInfo *owner = nullptr;
-        for (const TraceInfo &t : image.traces) {
-            auto [b, e] = traceRange(image, t);
-            if (i >= b && i < e)
-                owner = &t;
-        }
-        for (const auto &[name, fi] : image.functions) {
-            if (owner && (name == owner->name || name == owner->home))
-                continue;
-            if (image.contains(fi.entryAddr)) {
-                target = fi.entryAddr;
-                break;
-            }
-        }
-        m.imm = target;
-        return true;
-    }
-
-    case Miscompile::TraceDropMask: {
-        MInst mov;
-        mov.op = MOp::Mov;
-        mov.dst = m.dst;
-        mov.a = m.a;
-        image.code[i] = std::move(mov);
-        return true;
-    }
-
-    case Miscompile::TraceStripHeadLabel:
-        overwriteWithNop(image, i);
-        return true;
-
     case Miscompile::IflowDropSeal: {
         // The "seal" becomes an identity move: the raw ghost value
         // flows onward under the name the sealed result would have
@@ -556,18 +438,6 @@ injectMiscompile(MachineImage &image, Miscompile kind, size_t siteIdx)
         // The stat counter is fed a live ghost-derived register
         // instead of the innocuous value the source asked for.
         m.args[0] = reg;
-        return true;
-    }
-
-    case Miscompile::IflowTraceSmuggle: {
-        const IflowFacts facts = iflowFactsFor(image);
-        int reg = taintedOtherAt(facts, i, m.b);
-        if (reg < 0)
-            return false;
-        // Inside the fused superinstruction block, the store's value
-        // operand is swapped for a register carrying ghost taint the
-        // interpreter path never writes here.
-        m.b = reg;
         return true;
     }
     }

@@ -39,13 +39,6 @@ enum class Miscompile : uint8_t
     BadJumpTarget,    ///< jump immediate knocked off the inst boundary
     ForgeLabel,       ///< a data constant rewritten to cfiLabelValue
 
-    // Trace-splice miscompiles: ways a buggy (or hostile) trace builder
-    // could corrupt a superinstruction block. Sites exist only on
-    // images that carry spliced traces.
-    TraceExitHijack,    ///< side exit retargeted outside trace + home
-    TraceDropMask,      ///< mask inside a trace degraded to a plain Mov
-    TraceStripHeadLabel,///< trace head CfiLabel removed
-
     // Information-flow miscompiles: ways a buggy pipeline could leak
     // ghost data while still emitting perfectly sandboxed, CFI-clean
     // code (invisible to the McodeVerifier; caught by IflowVerifier).
@@ -53,7 +46,6 @@ enum class Miscompile : uint8_t
     IflowDropSeal,     ///< a seal/HMAC call degraded to a plain Mov
     IflowRawStore,     ///< sealed store redirected to the raw payload
     IflowStatLeak,     ///< ghost bytes copied into a stat-counter sink
-    IflowTraceSmuggle, ///< taint smuggled through a superinstruction
 };
 
 /** All kinds, for sweeping. */

@@ -31,9 +31,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
-
-#include "compiler/trace.hh"
 
 namespace vg::cc
 {
@@ -52,9 +49,6 @@ ruleId(MRule rule)
     case MRule::BadCallTarget: return "VG-ST-02";
     case MRule::BadRegister: return "VG-ST-03";
     case MRule::FallsOffEnd: return "VG-ST-04";
-    case MRule::SideExitEscape: return "VG-TR-01";
-    case MRule::SideExitWeakerState: return "VG-TR-02";
-    case MRule::TraceBadOp: return "VG-TR-03";
     }
     return "VG-??";
 }
@@ -121,16 +115,6 @@ class RegSet
             _words[i] = w;
         }
         return changed;
-    }
-
-    /** True when every register set in @p other is also set here. */
-    bool
-    covers(const RegSet &other) const
-    {
-        for (size_t i = 0; i < _words.size(); i++)
-            if (other._words[i] & ~_words[i])
-                return false;
-        return true;
     }
 
   private:
@@ -227,7 +211,7 @@ isCallOp(MOp op)
 }
 
 /** Fixpoint of the forward masked-register dataflow over one function
- *  extent (see file header), from a given entry state. */
+ *  extent (see file header), entered with no register masked. */
 struct MaskFlow
 {
     std::vector<RegSet> in;
@@ -235,8 +219,7 @@ struct MaskFlow
 };
 
 MaskFlow
-maskFlow(const MachineImage &img, const FuncRange &r, int numRegs,
-         const RegSet &entry)
+maskFlow(const MachineImage &img, const FuncRange &r, int numRegs)
 {
     const size_t n = r.end - r.begin;
     MaskFlow out;
@@ -254,12 +237,9 @@ maskFlow(const MachineImage &img, const FuncRange &r, int numRegs,
         return idx;
     };
 
-    out.in[0] = entry;
+    out.in[0] = RegSet(numRegs, false);
     out.reached[0] = true;
 
-    // Register bounds are re-checked here (not just in layer 1) because
-    // a trace checker runs this over its home function regardless of
-    // the home's own layer-1 outcome.
     auto transfer = [&](size_t i, RegSet &state) {
         const MInst &m = img.code[r.begin + i];
         bool masks = m.op == MOp::SandboxAddr ||
@@ -323,21 +303,12 @@ maskFlow(const MachineImage &img, const FuncRange &r, int numRegs,
 class FuncChecker
 {
   public:
-    /**
-     * @param trace non-null when @p range is a spliced trace block;
-     *              enables the VG-TR rules and relaxes VG-ST-01 for
-     *              side exits into @p home.
-     * @param home  extent of the trace's home function (trace mode).
-     */
     FuncChecker(const MachineImage &image, const FuncRange &range,
                 const McodePolicy &policy,
                 const std::vector<uint64_t> &entryAddrs,
-                std::vector<McodeFinding> &findings,
-                const TraceInfo *trace = nullptr,
-                const FuncRange *home = nullptr)
+                std::vector<McodeFinding> &findings)
         : _img(image), _r(range), _policy(policy),
-          _entryAddrs(entryAddrs), _findings(findings), _trace(trace),
-          _home(home)
+          _entryAddrs(entryAddrs), _findings(findings)
     {
     }
 
@@ -414,23 +385,7 @@ class FuncChecker
         return idx;
     }
 
-    /** Resolve a jump immediate into the home function, or SIZE_MAX
-     *  (trace mode only). */
-    size_t
-    homeTargetIdx(const MInst &m) const
-    {
-        if (!_home || !_img.contains(m.imm))
-            return SIZE_MAX;
-        size_t idx = (size_t)((m.imm - _img.codeBase) / mInstBytes);
-        if (idx < _home->begin || idx >= _home->end)
-            return SIZE_MAX;
-        return idx;
-    }
-
-    /** Layer 1b: branch/call targets and function termination. In
-     *  trace mode, jumps may also side-exit into the home function
-     *  (VG-TR-01 otherwise) and call/return ops are banned outright
-     *  (VG-TR-03). */
+    /** Layer 1b: branch/call targets and function termination. */
     void
     checkStructure()
     {
@@ -443,27 +398,7 @@ class FuncChecker
             char hex[32];
             std::snprintf(hex, sizeof(hex), "0x%llx",
                           (unsigned long long)m.imm);
-            if (_trace && !traceableOp(m.op)) {
-                report(MRule::TraceBadOp, i,
-                       "trace block contains a call or return "
-                       "(traces may only leave through side exits)");
-                continue;
-            }
             if (m.op == MOp::Jump || m.op == MOp::JumpIfZero) {
-                if (_trace) {
-                    if (!_img.contains(m.imm))
-                        report(MRule::SideExitEscape, i,
-                               std::string("side exit target ") + hex +
-                                   " is not an instruction boundary "
-                                   "in the code region");
-                    else if (jumpTargetIdx(m) == SIZE_MAX &&
-                             homeTargetIdx(m) == SIZE_MAX)
-                        report(MRule::SideExitEscape, i,
-                               std::string("side exit target ") + hex +
-                                   " lands outside the trace and its "
-                                   "home function");
-                    continue;
-                }
                 if (!_img.contains(m.imm))
                     report(MRule::BadBranchTarget, i,
                            std::string("jump target ") + hex +
@@ -531,45 +466,14 @@ class FuncChecker
         }
     }
 
-    /** Layer 3: forward masked-register dataflow (see file header).
-     *
-     * Trace mode differs in two ways. First, the entry state is the
-     * home function's fixpoint state at the anchor — exactly what the
-     * interpreter can rely on at the moment the trace is entered —
-     * instead of the empty set. Second, VG-TR-02: at every side exit
-     * the trace's state must cover the home's fixpoint state at the
-     * landing point, so code downstream of the landing keeps every
-     * masking fact it was verified under. An honest splice satisfies
-     * this by construction (it replays the very instructions the home
-     * path executes); a splice that drops or clobbers a mask does not.
-     */
+    /** Layer 3: forward masked-register dataflow (see file header). */
     void
     checkSandbox()
     {
         const size_t n = _r.end - _r.begin;
         if (n == 0)
             return;
-        const int numRegs = _r.info->numRegs;
-
-        RegSet entry(numRegs, false);
-        MaskFlow homeFlow;
-        bool haveHome = false;
-        if (_trace && _home && _home->info &&
-            _home->info->numRegs == numRegs) {
-            homeFlow = maskFlow(_img, *_home, numRegs,
-                                RegSet(numRegs, false));
-            haveHome = true;
-            if (_img.contains(_trace->anchorAddr)) {
-                size_t a = (size_t)((_trace->anchorAddr -
-                                     _img.codeBase) /
-                                    mInstBytes);
-                if (a >= _home->begin && a < _home->end &&
-                    homeFlow.reached[a - _home->begin])
-                    entry = homeFlow.in[a - _home->begin];
-            }
-        }
-
-        MaskFlow flow = maskFlow(_img, _r, numRegs, entry);
+        MaskFlow flow = maskFlow(_img, _r, _r.info->numRegs);
 
         // Report at the fixpoint, in address order, so diagnostics are
         // deterministic and never reflect a transient optimistic state.
@@ -593,35 +497,6 @@ class FuncChecker
                 flag(m.b, "memcpy source");
             }
         }
-
-        if (!_trace || !haveHome)
-            return;
-        for (size_t i = 0; i < n; i++) {
-            if (!flow.reached[i])
-                continue;
-            const MInst &m = _img.code[_r.begin + i];
-            if (m.op != MOp::Jump && m.op != MOp::JumpIfZero)
-                continue;
-            if (jumpTargetIdx(m) != SIZE_MAX)
-                continue; // stays inside the trace
-            size_t t = homeTargetIdx(m);
-            if (t == SIZE_MAX || !homeFlow.reached[t - _home->begin])
-                continue;
-            const RegSet &needed = homeFlow.in[t - _home->begin];
-            if (flow.in[i].covers(needed))
-                continue;
-            int missing = -1;
-            for (int reg = 0; reg < numRegs; reg++) {
-                if (needed.test(reg) && !flow.in[i].test(reg)) {
-                    missing = reg;
-                    break;
-                }
-            }
-            report(MRule::SideExitWeakerState, i + _r.begin,
-                   "side exit masked-register state is weaker than "
-                   "the interpreter path at the landing (register %" +
-                       std::to_string(missing) + " unproven)");
-        }
     }
 
     const MachineImage &_img;
@@ -629,8 +504,6 @@ class FuncChecker
     const McodePolicy &_policy;
     const std::vector<uint64_t> &_entryAddrs;
     std::vector<McodeFinding> &_findings;
-    const TraceInfo *_trace = nullptr;
-    const FuncRange *_home = nullptr;
 };
 
 } // namespace
@@ -681,40 +554,11 @@ McodeVerifier::verify(const MachineImage &image) const
                     : image.code.size();
     }
 
-    // Trace blocks are registered as pseudo-functions; match each range
-    // to its TraceInfo by entry address so the checker can apply the
-    // VG-TR rules against the trace's home function extent.
-    std::map<uint64_t, const TraceInfo *> traceAt;
-    for (const TraceInfo &t : image.traces)
-        traceAt[t.entryAddr] = &t;
-    std::map<std::string, const FuncRange *> rangeByName;
-    for (const FuncRange &r : ranges)
-        if (r.info)
-            rangeByName[r.info->name] = &r;
-
     for (const FuncRange &r : ranges) {
         if (!r.info)
             continue;
-        const TraceInfo *trace = nullptr;
-        const FuncRange *home = nullptr;
-        auto tIt = traceAt.find(r.info->entryAddr);
-        if (tIt != traceAt.end()) {
-            trace = tIt->second;
-            auto hIt = rangeByName.find(trace->home);
-            if (hIt == rangeByName.end()) {
-                McodeFinding f;
-                f.rule = MRule::SideExitEscape;
-                f.function = r.info->name;
-                f.addr = r.info->entryAddr;
-                f.message = "trace block's home function '" +
-                            trace->home + "' is not in the image";
-                result.findings.push_back(std::move(f));
-                continue;
-            }
-            home = hIt->second;
-        }
         FuncChecker checker(image, r, _policy, entryAddrs,
-                            result.findings, trace, home);
+                            result.findings);
         checker.run();
         result.functionsChecked++;
         result.instsChecked += r.end - r.begin;

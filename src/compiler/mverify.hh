@@ -42,7 +42,7 @@ namespace vg::cc
 {
 
 /** Verifier rules. Grouped: VG-SB (sandbox), VG-CFI, VG-ST
- *  (structure), VG-TR (trace blocks / side exits). */
+ *  (structure). */
 enum class MRule : uint8_t
 {
     UnmaskedAccess,     ///< VG-SB-01: memory address not provably masked
@@ -55,10 +55,6 @@ enum class MRule : uint8_t
     BadCallTarget,      ///< VG-ST-02: direct call not at a function entry
     BadRegister,        ///< VG-ST-03: operand register out of range
     FallsOffEnd,        ///< VG-ST-04: control can run past function end
-    SideExitEscape,     ///< VG-TR-01: side exit leaves the home function
-    SideExitWeakerState,///< VG-TR-02: masked state at a side exit weaker
-                        ///< than the interpreter path at the landing
-    TraceBadOp,         ///< VG-TR-03: call/return inside a trace block
 };
 
 /** Stable rule identifier, e.g. "VG-SB-01". */

@@ -31,8 +31,7 @@ Translator::verifySignature(const MachineImage &image) const
 }
 
 bool
-Translator::gate(const MachineImage &image, TranslateResult &result,
-                 const char *what)
+Translator::gate(const MachineImage &image, TranslateResult &result)
 {
     using Clock = std::chrono::steady_clock;
     auto wallNs = [](Clock::time_point t0) {
@@ -52,8 +51,8 @@ Translator::gate(const MachineImage &image, TranslateResult &result,
         stats.add("mverify.findings", result.mverify.findings.size());
         stats.add("mverify.wall_ns", wall);
         if (!result.mverify.ok()) {
-            result.error = std::string("mcode verifier rejected ") +
-                           what + " '" + image.moduleName + "':\n" +
+            result.error = "mcode verifier rejected module '" +
+                           image.moduleName + "':\n" +
                            result.mverify.message();
             stats.add("translator.mverify_rejected");
             return false;
@@ -73,8 +72,8 @@ Translator::gate(const MachineImage &image, TranslateResult &result,
         stats.add("iflow.findings", result.iflow.findings.size());
         stats.add("iflow.wall_ns", wall);
         if (!result.iflow.ok()) {
-            result.error = std::string("iflow verifier rejected ") +
-                           what + " '" + image.moduleName + "':\n" +
+            result.error = "iflow verifier rejected module '" +
+                           image.moduleName + "':\n" +
                            result.iflow.message();
             stats.add("translator.iflow_rejected");
             return false;
@@ -121,72 +120,6 @@ Translator::translateText(const std::string &text, uint64_t code_base)
 }
 
 TranslateResult
-Translator::spliceTrace(const MachineImage &base, const TraceRequest &req)
-{
-    TranslateResult result;
-    if (!_ctx.config().traceTier) {
-        result.error = "trace tier is disabled";
-        return result;
-    }
-
-    // Generation key: the base signature identifies the exact signed
-    // translation (source, base address, flags, signing key) the trace
-    // extends; the descriptor pins the recorded path.
-    crypto::Sha256 h;
-    h.update("trace-splice", 12);
-    h.update(base.signature.data(), base.signature.size());
-    h.update(req.home.data(), req.home.size());
-    h.update(&req.anchorAddr, sizeof(req.anchorAddr));
-    h.update(&req.contAddr, sizeof(req.contAddr));
-    uint8_t loop = req.loop ? 1 : 0;
-    h.update(&loop, 1);
-    for (const TraceStep &s : req.steps) {
-        h.update(&s.idx, sizeof(s.idx));
-        h.update(&s.taken, sizeof(s.taken));
-    }
-    std::string key = crypto::toHex(h.final());
-
-    auto it = _cache.find(key);
-    if (it != _cache.end()) {
-        result.ok = true;
-        result.image = it->second;
-        result.fromCache = true;
-        _cacheHits++;
-        _ctx.stats().add("translator.cache_hits");
-        return result;
-    }
-
-    SpliceBuildResult built =
-        buildSplicedImage(base, req, _ctx.config().cfi);
-    if (!built.ok) {
-        result.error = "trace splice rejected: " + built.error;
-        _ctx.stats().add("translator.splice_rejected");
-        return result;
-    }
-    auto image =
-        std::make_shared<MachineImage>(std::move(built.image));
-
-    if (_postLayoutHook)
-        _postLayoutHook(*image);
-
-    // Same gate as a fresh translation: the trace builder is untrusted,
-    // so nothing spliced is signed (or installed) unless both verifiers
-    // re-prove the whole image — including the new block's side exits
-    // and any taint it could carry out of them.
-    if (!gate(*image, result, "spliced image"))
-        return result;
-
-    image->signature = sign(*image);
-    _cache[key] = image;
-
-    _ctx.stats().add("translator.traces_spliced");
-
-    result.ok = true;
-    result.image = std::move(image);
-    return result;
-}
-
-TranslateResult
 Translator::translateModule(vir::Module mod, uint64_t code_base)
 {
     TranslateResult result;
@@ -230,7 +163,7 @@ Translator::translateModule(vir::Module mod, uint64_t code_base)
     // gets installed) unless the verifiers can prove the instrumentation
     // and confidentiality invariants on the final bytes. This is what
     // makes the passes above untrusted.
-    if (!gate(*image, result, "module"))
+    if (!gate(*image, result))
         return result;
 
     image->signature = sign(*image);

@@ -29,7 +29,6 @@
 #include "compiler/mcode.hh"
 #include "compiler/mverify.hh"
 #include "compiler/passes.hh"
-#include "compiler/trace.hh"
 #include "crypto/hmac.hh"
 #include "sim/context.hh"
 #include "vir/module.hh"
@@ -81,20 +80,6 @@ class Translator
      */
     bool verifySignature(const MachineImage &image) const;
 
-    /**
-     * Splice one recorded hot trace into @p base (which must be a
-     * signed translation): lay the trace block out through the same
-     * builder, re-run the machine-code verifier over the whole spliced
-     * image (VgConfig::verifyMcode; a splice the verifier cannot
-     * re-prove is refused, never signed and never cached), re-sign, and
-     * register the result in the translation cache under a key derived
-     * from the base image's signature — its translation generation —
-     * plus the trace descriptor. Repeated formation of the same trace
-     * on the same base is therefore served from cache.
-     */
-    TranslateResult spliceTrace(const MachineImage &base,
-                                const TraceRequest &req);
-
     /** Number of cache hits (stats / tests). */
     uint64_t cacheHits() const { return _cacheHits; }
 
@@ -115,15 +100,14 @@ class Translator
     crypto::Digest sign(const MachineImage &image) const;
 
     /**
-     * The load-time gate shared by fresh translations and trace
-     * splices: run the machine-code verifier (VgConfig::verifyMcode)
-     * and then the information-flow verifier (VgConfig::verifyIflow)
-     * over @p image, recording stats and reports in @p result. On a
-     * finding, sets result.error ("<verifier> rejected <what> '<name>'")
-     * and returns false; the caller must then neither sign nor cache.
+     * The load-time gate: run the machine-code verifier
+     * (VgConfig::verifyMcode) and then the information-flow verifier
+     * (VgConfig::verifyIflow) over @p image, recording stats and
+     * reports in @p result. On a finding, sets result.error
+     * ("<verifier> rejected module '<name>'") and returns false; the
+     * caller must then neither sign nor cache.
      */
-    bool gate(const MachineImage &image, TranslateResult &result,
-              const char *what);
+    bool gate(const MachineImage &image, TranslateResult &result);
 
     /** Precomputed HMAC pad states for the VM's signing key. */
     crypto::HmacSha256 _signer;

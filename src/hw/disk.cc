@@ -22,7 +22,7 @@ diskBytes(uint64_t blocks)
 
 Disk::Disk(uint64_t blocks, Iommu &iommu, sim::SimContext &ctx)
     : _data(diskBytes(blocks)), _iommu(iommu), _ctx(ctx),
-      _queue(ctx.config().ringSize), _irq("disk.irq"),
+      _queue(ringSlots), _irq("disk.irq"),
       _hRequests(ctx.stats().handle("disk.requests")),
       _hBlocks(ctx.stats().handle("disk.blocks")),
       _hRingBlocked(ctx.stats().handle("disk.ring_blocked_dma"))

@@ -7,7 +7,7 @@ namespace vg::hw
 
 Nic::Nic(Iommu &iommu, sim::SimContext &ctx, const char *name)
     : _iommu(iommu), _ctx(ctx), _linkFreeAt(ctx.vcpuCount(), 0),
-      _tx(ctx.config().ringSize), _rx_ring(ctx.config().ringSize),
+      _tx(ringSlots), _rx_ring(ringSlots),
       _irq(std::string(name) + ".irq"),
       _hTxPackets(ctx.stats().handle("nic.tx_packets")),
       _hTxBytes(ctx.stats().handle("nic.tx_bytes")),

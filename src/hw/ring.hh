@@ -101,6 +101,11 @@ struct RingCompletion
     uint32_t gen = 0;      ///< slot generation at completion
 };
 
+/** Descriptor slots per device ring (NIC TX and RX, disk request
+ *  queue). Posting to a full ring reaps completed slots first and, if
+ *  none have completed, waits for the oldest in-flight descriptor. */
+constexpr unsigned ringSlots = 256;
+
 /** Fixed-size descriptor ring with doorbell/completion protocol. */
 class DescRing
 {

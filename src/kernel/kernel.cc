@@ -569,8 +569,8 @@ Kernel::serviceSoftirqs(unsigned cpu)
         // is blocked on the queue. Within the coalescing holdoff the
         // still-running bottom half reaps further completions without
         // a fresh trap.
-        uint64_t window = uint64_t(double(_ctx.config().irqCoalesceUs) *
-                                   sim::Clock::cyclesPerUsec);
+        uint64_t window =
+            uint64_t(double(irqHoldoffUs) * sim::Clock::cyclesPerUsec);
         if (_lastIrqAt[cpu] == 0 || now - _lastIrqAt[cpu] > window) {
             _ctx.chargeTrap();
             sim::StatSet::add(_hDeviceIrqs);
@@ -722,10 +722,6 @@ Kernel::loadModule(const std::string &name, const std::string &text,
     module.executor = std::make_unique<cc::Executor>(
         *module.image, *_kmem, _moduleExterns, _ctx, stack_base,
         1 << 20);
-    // Trace tier: hot paths are spliced through the VM's translator,
-    // which re-proves and re-signs every spliced image before the
-    // executor adopts it — unverified spliced code is never run.
-    module.executor->enableTraceTier(_vm.translator());
     _modules[name] = std::move(module);
     _ctx.stats().add("kernel.modules_loaded");
     return true;
@@ -767,11 +763,11 @@ Kernel::swapOutPages(uint64_t pid, Process &proc,
         pages.resize(_swap->freeSlots());
 
     uint64_t swapped = 0;
-    unsigned batch = std::max(1u, _ctx.config().swapBatchPages);
-    for (size_t i = 0; i < pages.size(); i += batch) {
+    for (size_t i = 0; i < pages.size(); i += evictBatchPages) {
         std::vector<hw::Vaddr> chunk(
             pages.begin() + i,
-            pages.begin() + std::min(pages.size(), i + batch));
+            pages.begin() +
+                std::min<size_t>(pages.size(), i + evictBatchPages));
         sva::SvaError err;
         std::vector<crypto::SealedBlob> blobs =
             _vm.swapOutGhostBatch(pid, proc.rootFrame, chunk, &err);

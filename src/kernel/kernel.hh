@@ -253,6 +253,19 @@ class Kernel
     friend class UserApi;
 
   public:
+    /** Interrupt-coalescing holdoff in simulated microseconds: after a
+     *  device IRQ is taken on a vCPU, further completions that come
+     *  due within this window are reaped by the still-running bottom
+     *  half (softirq charge only) instead of raising a fresh
+     *  interrupt. */
+    static constexpr unsigned irqHoldoffUs = 16;
+
+    /** Maximum pages per ghost-swap eviction batch. Evictions are
+     *  sealed with one scatter-gather AES-CTR + pipelined-HMAC batch
+     *  (key schedule and MAC-state setup amortised across the batch)
+     *  and written back through the disk's ring with one doorbell. */
+    static constexpr unsigned evictBatchPages = 32;
+
     Kernel(sim::SimContext &ctx, hw::PhysMem &mem, hw::CpuSet &cpus,
            hw::Iommu &iommu, hw::Tpm &tpm, hw::Disk &disk,
            hw::Nic &nic_a, hw::Nic &nic_b, sva::SvaVm &vm);
@@ -508,7 +521,7 @@ class Kernel
     moduleDispatch(Sys sys, std::initializer_list<uint64_t> args);
 
     /** Seal + evict @p pages of @p pid in batches of up to
-     *  VgConfig::swapBatchPages and store them in the swap area.
+     *  evictBatchPages and store them in the swap area.
      *  Victim set and order are caller-decided. */
     uint64_t swapOutPages(uint64_t pid, Process &proc,
                           std::vector<hw::Vaddr> pages);

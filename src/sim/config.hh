@@ -64,53 +64,6 @@ struct VgConfig
     bool secureRng = true;
 
     /**
-     * Trace-tier superinstruction execution in the Executor: hot loop
-     * heads and function entries (detected by lightweight back-edge /
-     * entry counters) are spliced into superinstruction trace blocks
-     * appended to the image, re-proved by the machine-code verifier,
-     * re-signed, and then run as threaded DInst blocks with folded
-     * cycle-cost bookkeeping. Architectural state, instruction counts,
-     * cycle costs and exec.* stats are bit-identical to the plain
-     * interpreter; disabling this exists for differential testing and
-     * as a perf ablation knob.
-     */
-    bool traceTier = true;
-
-    /** Executions of a back edge / function entry before a trace is
-     *  recorded there (trace-tier knob). */
-    unsigned traceHotThreshold = 50;
-
-    /** Maximum recorded instructions per trace; longer paths are cut
-     *  into a linear trace at the cap (trace-tier knob). */
-    unsigned traceMaxInsts = 512;
-
-    /** Maximum traces spliced into one image (trace-tier knob). */
-    unsigned traceMaxPerImage = 64;
-
-    /** Descriptor slots per device ring (TX, RX, and disk request
-     *  queue) of the interrupt-driven device stack. Posting to a full
-     *  ring reaps completed slots first and, if none have completed,
-     *  waits for the oldest in-flight descriptor. */
-    unsigned ringSize = 256;
-
-    /**
-     * Interrupt-coalescing holdoff in simulated microseconds: after a
-     * device IRQ is taken on a vCPU, further completions that come due
-     * within this window are reaped by the still-running bottom half
-     * (softirq charge only) instead of raising a fresh interrupt.
-     */
-    unsigned irqCoalesceUs = 16;
-
-    /**
-     * Maximum pages per ghost-swap eviction batch. Evictions picked by
-     * the second-chance clock are sealed with a scatter-gather AES-CTR
-     * + pipelined-HMAC batch (key schedule and MAC-state setup
-     * amortised across the batch) and written back through the disk's
-     * NCQ ring with one doorbell per batch.
-     */
-    unsigned swapBatchPages = 32;
-
-    /**
      * Deterministic-schedule seed. Everything in the simulator that
      * draws a "random" decision (fleet machine-step order, traffic
      * arrival times, tenant placement, bench workload shuffles) forks

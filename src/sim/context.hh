@@ -83,12 +83,6 @@ class SimContext
     StatSet &stats() { return _stats; }
     const VgConfig &config() const { return _config; }
     const CostModel &costs() const { return _costs; }
-    CostModel &mutableCosts() { return _costs; }
-
-    /** Replace the protection configuration (tests/ablation only).
-     *  Note: vcpus is fixed at construction; changing it here has no
-     *  effect on the clock count. */
-    void setConfig(const VgConfig &config) { _config = config; }
 
     // --- Charging helpers ---------------------------------------------
 

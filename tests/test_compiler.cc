@@ -1,12 +1,15 @@
 /**
  * @file
  * Compiler pipeline tests: codegen + executor correctness, sandbox
- * pass semantics, CFI enforcement, translation cache and signatures.
+ * pass semantics, CFI enforcement, translation cache and signatures,
+ * the executor's golden corpus and its fuel budget.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "compiler/exec.hh"
 #include "compiler/translator.hh"
@@ -14,6 +17,8 @@
 #include "sim/context.hh"
 #include "vir/builder.hh"
 #include "vir/text.hh"
+
+#include "golden.hh"
 
 using namespace vg;
 using namespace vg::cc;
@@ -798,4 +803,353 @@ entry:
     EXPECT_EQ(countOp(unfused.code, MOp::SandboxAddr), 0u);
     EXPECT_EQ(fused.code.size() + tr.fuseStats.instsRemoved,
               unfused.code.size());
+}
+
+// ---------------------------------------------------------------------
+// Executor golden corpus: loop-heavy modules covering every op class
+// (arith, compares, data-dependent branches, masked memory, memcpy,
+// calls) plus fault and fuel paths. Each scenario's values, faults,
+// retired instructions, cycles and exec.* stats fold into one recorded
+// digest per config, so any change to what the interpreter computes or
+// charges shows up as a mismatch.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Pure arithmetic counted loop. */
+const char *kSumLoop = R"(
+func @sum(1) {
+entry:
+  %1 = const 0
+  %2 = const 0
+  br head
+head:
+  %3 = icmp ult %2, %0
+  condbr %3, body, done
+body:
+  %4 = mul %2, %2
+  %1 = add %1, %4
+  %5 = const 1
+  %2 = add %2, %5
+  br head
+done:
+  ret %1
+}
+)";
+
+/** Store/load loop: sandbox masks inside the hot loop. */
+const char *kMemLoop = R"(
+func @memsum(2) {
+entry:
+  %2 = const 0
+  %3 = const 0
+  br head
+head:
+  %4 = icmp ult %3, %1
+  condbr %4, body, done
+body:
+  %5 = add %0, %3
+  store.i8 %5, %3
+  %6 = load.i8 %5
+  %2 = add %2, %6
+  %7 = const 1
+  %3 = add %3, %7
+  br head
+done:
+  ret %2
+}
+)";
+
+/** Nested loops. */
+const char *kNestedLoop = R"(
+func @nested(1) {
+entry:
+  %1 = const 0
+  %2 = const 0
+  br ohead
+ohead:
+  %3 = icmp ult %2, %0
+  condbr %3, oinit, done
+oinit:
+  %4 = const 0
+  br ihead
+ihead:
+  %5 = icmp ult %4, %0
+  condbr %5, ibody, onext
+ibody:
+  %6 = xor %2, %4
+  %1 = add %1, %6
+  %7 = const 1
+  %4 = add %4, %7
+  br ihead
+onext:
+  %8 = const 1
+  %2 = add %2, %8
+  br ohead
+done:
+  ret %1
+}
+)";
+
+/** Data-dependent branch in the loop body. */
+const char *kBranchyLoop = R"(
+func @branchy(1) {
+entry:
+  %1 = const 0
+  %2 = const 0
+  br head
+head:
+  %3 = icmp ult %2, %0
+  condbr %3, body, done
+body:
+  %4 = const 1
+  %5 = and %2, %4
+  condbr %5, odd, even
+odd:
+  %6 = const 3
+  %7 = mul %2, %6
+  %1 = add %1, %7
+  br next
+even:
+  %1 = sub %1, %2
+  br next
+next:
+  %8 = const 1
+  %2 = add %2, %8
+  br head
+done:
+  ret %1
+}
+)";
+
+/** Direct call in the loop body. */
+const char *kCallLoop = R"(
+func @double(1) {
+entry:
+  %1 = add %0, %0
+  ret %1
+}
+
+func @calls(1) {
+entry:
+  %1 = const 0
+  %2 = const 0
+  br head
+head:
+  %3 = icmp ult %2, %0
+  condbr %3, body, done
+body:
+  %4 = call @double(%2)
+  %1 = add %1, %4
+  %5 = const 1
+  %2 = add %2, %5
+  br head
+done:
+  ret %1
+}
+)";
+
+/** Bulk-copy loop: Memcpy's length-dependent cycle cost. */
+const char *kCopyLoop = R"(
+func @copies(2) {
+entry:
+  %2 = const 0
+  br head
+head:
+  %3 = icmp ult %2, %1
+  condbr %3, body, done
+body:
+  %4 = const 64
+  %5 = add %0, %4
+  memcpy %5, %0, %4
+  %6 = const 1
+  %2 = add %2, %6
+  br head
+done:
+  ret %2
+}
+)";
+
+/** Divides by a shrinking counter: faults DivideByZero mid-loop. */
+const char *kDivFault = R"(
+func @divdown(1) {
+entry:
+  %1 = const 0
+  br head
+head:
+  %2 = udiv %1, %0
+  %1 = add %1, %2
+  %3 = const 1
+  %0 = sub %0, %3
+  br head
+}
+)";
+
+struct ExecScenario
+{
+    const char *name;
+    const char *src;
+    const char *fn;
+    std::vector<std::vector<uint64_t>> calls;
+    uint64_t fuel = 0; ///< 0 = executor default
+    uint64_t fullDigest = 0;   ///< recorded under VgConfig::full()
+    uint64_t nativeDigest = 0; ///< recorded under VgConfig::native()
+};
+
+const std::vector<ExecScenario> kExecCorpus = {
+    {"sum", kSumLoop, "sum", {{0}, {3}, {500}, {7}, {200}}, 0,
+     0xe0fa6a1b3cb88022ull, 0x754a9b6460504febull},
+    {"mem", kMemLoop, "memsum", {{4096, 5}, {4096, 300}, {8192, 128}},
+     0, 0x3790e8f09688d87eull, 0xe2212f6f1226fa43ull},
+    {"nested", kNestedLoop, "nested", {{2}, {25}, {30}}, 0,
+     0x5a699a4e3b7dca12ull, 0x110424f1a7179e33ull},
+    {"branchy", kBranchyLoop, "branchy", {{6}, {400}, {111}}, 0,
+     0xd10a4478abee9ac0ull, 0x1460e8347f1ef1d7ull},
+    {"calls", kCallLoop, "calls", {{5}, {250}, {64}}, 0,
+     0xa73d199fbe858c30ull, 0xe45a63ba94449f4cull},
+    {"copy", kCopyLoop, "copies", {{4096, 4}, {4096, 120}}, 0,
+     0x178df3482abb4a80ull, 0x3a19bd504b75055cull},
+    {"divfault", kDivFault, "divdown", {{40}, {40}, {40}}, 0,
+     0x969a0c62f1a7b2beull, 0xb839b3b789ec543dull},
+    {"fuel", kSumLoop, "sum", {{100000}, {100000}}, 20000,
+     0x5c0849db3b3fa58full, 0x5c0849db3b3fa58full},
+};
+
+/** Run @p sc under @p cfg on a fresh machine and digest everything
+ *  the executor produced: per call (ok, value, fault, retired
+ *  instructions), then the clock and every exec.* stat. */
+uint64_t
+execDigest(const ExecScenario &sc, const sim::VgConfig &cfg)
+{
+    sim::SimContext ctx(cfg);
+    Translator translator(kKey, ctx);
+    auto tr = translator.translateText(sc.src, kCodeBase);
+    EXPECT_TRUE(tr.ok) << sc.name << ": " << tr.error;
+    if (!tr.ok)
+        return 0;
+    FlatPort port;
+    ExternTable externs;
+    Executor exec(*tr.image, port, externs, ctx, kStackBase,
+                  kStackSize);
+    if (sc.fuel)
+        exec.setFuel(sc.fuel);
+
+    test::Golden g;
+    for (const auto &args : sc.calls) {
+        ExecResult r = exec.call(sc.fn, args);
+        g.u64(r.ok).u64(r.value).u64(uint64_t(r.fault));
+        g.u64(r.instsExecuted);
+    }
+    g.u64(ctx.clock().now());
+    std::map<std::string, uint64_t> execStats;
+    for (const auto &[name, value] : ctx.stats().all())
+        if (name.rfind("exec.", 0) == 0)
+            execStats[name] = value;
+    return g.stats(execStats).h;
+}
+
+/** FlatPort that also samples the simulated clock at every load. */
+class ClockProbePort : public FlatPort
+{
+  public:
+    explicit ClockProbePort(sim::SimContext &ctx) : _ctx(ctx) {}
+
+    bool
+    read(uint64_t va, unsigned bytes, uint64_t &out) override
+    {
+        loadClocks.push_back(_ctx.clock().now());
+        return FlatPort::read(va, bytes, out);
+    }
+
+    std::vector<sim::Cycles> loadClocks;
+
+  private:
+    sim::SimContext &_ctx;
+};
+
+} // namespace
+
+TEST(ExecGoldenSweep, FullConfig)
+{
+    for (const ExecScenario &sc : kExecCorpus)
+        EXPECT_TRUE(test::matchesGolden(
+            execDigest(sc, sim::VgConfig::full()), sc.fullDigest))
+            << sc.name;
+}
+
+TEST(ExecGoldenSweep, NativeConfig)
+{
+    for (const ExecScenario &sc : kExecCorpus)
+        EXPECT_TRUE(test::matchesGolden(
+            execDigest(sc, sim::VgConfig::native()), sc.nativeDigest))
+            << sc.name;
+}
+
+/** A MemPort sees the simulated clock advance by the same amount on
+ *  every iteration of a hot loop: the executor charges each
+ *  instruction as it retires, never in deferred batches. */
+TEST(ExecClock, MemPortSeesEvenClockOnEveryHotIteration)
+{
+    sim::SimContext ctx(sim::VgConfig::full());
+    Translator translator(kKey, ctx);
+    auto tr = translator.translateText(kMemLoop, kCodeBase);
+    ASSERT_TRUE(tr.ok) << tr.error;
+    ClockProbePort port(ctx);
+    ExternTable externs;
+    Executor exec(*tr.image, port, externs, ctx, kStackBase,
+                  kStackSize);
+
+    constexpr uint64_t kIters = 400;
+    for (int call = 0; call < 4; call++) {
+        port.loadClocks.clear();
+        ExecResult r = exec.call("memsum", {4096, kIters});
+        ASSERT_TRUE(r.ok) << r.detail;
+        ASSERT_EQ(port.loadClocks.size(), kIters);
+        const sim::Cycles step = port.loadClocks[1] - port.loadClocks[0];
+        EXPECT_GT(step, 0u);
+        for (size_t i = 1; i < kIters; i++)
+            ASSERT_EQ(port.loadClocks[i] - port.loadClocks[i - 1], step)
+                << "call " << call << ", iteration " << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fuel budget: the budget counts modeled machine instructions and is
+// never overshot, even when a single dispatch retires a fused
+// 13-instruction mask sequence.
+// ---------------------------------------------------------------------
+
+TEST(FuelBudget, FusedDispatchNeverOvershoots)
+{
+    sim::VgConfig cfg = sim::VgConfig::full(); // fused masks: cost 13
+    sim::SimContext ctx(cfg);
+    Translator translator(kKey, ctx);
+    auto tr = translator.translateText(kMemLoop, kCodeBase);
+    ASSERT_TRUE(tr.ok) << tr.error;
+    FlatPort port;
+    ExternTable externs;
+
+    Executor probe(*tr.image, port, externs, ctx, kStackBase,
+                   kStackSize);
+    ExecResult full = probe.call("memsum", {4096, 6});
+    ASSERT_TRUE(full.ok);
+    const uint64_t need = full.instsExecuted;
+    ASSERT_GT(need, 13u);
+
+    for (uint64_t fuel = 1; fuel <= need + 1; fuel++) {
+        Executor exec(*tr.image, port, externs, ctx, kStackBase,
+                      kStackSize);
+        exec.setFuel(fuel);
+        ExecResult r = exec.call("memsum", {4096, 6});
+        ASSERT_LE(r.instsExecuted, fuel)
+            << "budget overshot at fuel=" << fuel;
+        if (fuel < need) {
+            EXPECT_FALSE(r.ok);
+            EXPECT_EQ(r.fault, ExecFault::FuelExhausted);
+        } else {
+            EXPECT_TRUE(r.ok);
+            EXPECT_EQ(r.instsExecuted, need);
+        }
+    }
 }

@@ -259,5 +259,9 @@ TEST(IoRing, IoRingGoldenSweep)
 
 TEST(IoRing, RingSizeDefault)
 {
-    EXPECT_GE(sim::VgConfig::full().ringSize, 2u);
+    System sys(sweepConfig(1));
+    EXPECT_GE(hw::ringSlots, 2u);
+    EXPECT_EQ(sys.nicA().txRing().size(), hw::ringSlots);
+    EXPECT_EQ(sys.nicA().rxRing().size(), hw::ringSlots);
+    EXPECT_EQ(sys.disk().queue().size(), hw::ringSlots);
 }

@@ -978,8 +978,7 @@ TEST_P(SyscallGoldenSweep, EveryEntryCrossesTheGateOnce)
 
     // Machine digest without the verifiers' host-time counters
     // (*.wall_ns, different on every run) and without never-bumped
-    // counters (the trace tier registers its own only when enabled,
-    // and CI also runs tier-1 with it disabled).
+    // counters (registering a stat handle alone must not move it).
     std::map<std::string, uint64_t> stats = sys.ctx().stats().all();
     std::erase_if(stats, [](const auto &kv) {
         return kv.second == 0 || kv.first.ends_with(".wall_ns");

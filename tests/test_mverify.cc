@@ -276,27 +276,12 @@ expectedRule(Miscompile kind)
     case Miscompile::RawIndirectCall: return MRule::RawIndirectCall;
     case Miscompile::BadJumpTarget: return MRule::BadBranchTarget;
     case Miscompile::ForgeLabel: return MRule::LabelForgery;
-    case Miscompile::TraceExitHijack: return MRule::SideExitEscape;
-    case Miscompile::TraceDropMask: return MRule::UnmaskedAccess;
-    case Miscompile::TraceStripHeadLabel:
-        return MRule::MissingEntryLabel;
     case Miscompile::IflowDropSeal:
     case Miscompile::IflowRawStore:
     case Miscompile::IflowStatLeak:
-    case Miscompile::IflowTraceSmuggle:
         break; // iflow kinds are invisible to the McodeVerifier
     }
     return MRule::UnmaskedAccess;
-}
-
-/** True for kinds that only have sites on images carrying spliced
- *  traces; those are exercised by the sweep in test_trace.cc. */
-bool
-traceOnlyKind(Miscompile kind)
-{
-    return kind == Miscompile::TraceExitHijack ||
-           kind == Miscompile::TraceDropMask ||
-           kind == Miscompile::TraceStripHeadLabel;
 }
 
 /** True for the information-flow kinds: they only have sites on images
@@ -307,8 +292,7 @@ iflowOnlyKind(Miscompile kind)
 {
     return kind == Miscompile::IflowDropSeal ||
            kind == Miscompile::IflowRawStore ||
-           kind == Miscompile::IflowStatLeak ||
-           kind == Miscompile::IflowTraceSmuggle;
+           kind == Miscompile::IflowStatLeak;
 }
 
 bool
@@ -378,11 +362,10 @@ TEST(McodeVerifySweep, EveryInjectedMiscompileIsDetected)
             }
         }
     }
-    // The corpus must actually exercise every kind (trace-splice kinds
-    // need a spliced image and are swept in test_trace.cc).
+    // The corpus must actually exercise every mcode kind (the iflow
+    // kinds are swept in test_iflow.cc).
     for (size_t k = 0; k < perKind.size(); k++) {
-        if (traceOnlyKind(allMiscompiles()[k]) ||
-            iflowOnlyKind(allMiscompiles()[k]))
+        if (iflowOnlyKind(allMiscompiles()[k]))
             continue;
         EXPECT_GT(perKind[k], 0u)
             << "no sites for " << miscompileName(allMiscompiles()[k]);

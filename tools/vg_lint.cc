@@ -27,7 +27,6 @@
 #include <sstream>
 #include <string>
 
-#include "compiler/exec.hh"
 #include "compiler/iflow.hh"
 #include "compiler/minject.hh"
 #include "compiler/mverify.hh"
@@ -86,8 +85,7 @@ entry:
 
 /** Built-in ghost-handling module for the iflow leg of --self-test:
  *  sealed flows to every channel class, so all three static injection
- *  kinds (drop-seal, raw-store, stat-leak) have sites. The trace-only
- *  smuggle kind needs a spliced image and is covered by test_iflow. */
+ *  kinds (drop-seal, raw-store, stat-leak) have sites. */
 const char *kIflowSelfTestSrc = R"(
 func @beacon(1) {
 entry:
@@ -138,9 +136,8 @@ printUsage(std::FILE *out)
         "                        strip-entry-label, strip-return-label,\n"
         "                        raw-ret, raw-callind, bad-jump-target,\n"
         "                        forge-label, iflow-drop-seal,\n"
-        "                        iflow-raw-store, iflow-stat-leak,\n"
-        "                        iflow-trace-smuggle); SITE defaults\n"
-        "                        to 0\n"
+        "                        iflow-raw-store, iflow-stat-leak);\n"
+        "                        SITE defaults to 0\n"
         "\n"
         "  --self-test       sweep every kind x site on built-in\n"
         "                    modules (mcode kinds against the safety\n"
@@ -154,13 +151,6 @@ printUsage(std::FILE *out)
         "                    lattice (sources, declassifiers, sinks\n"
         "                    and their channels) followed by the\n"
         "                    module's iflow findings; exit 1 if any\n"
-        "\n"
-        "trace tier:\n"
-        "  --dump-traces     execute the module's functions under the\n"
-        "                    trace tier, print each formed trace\n"
-        "                    (anchor PC, length, guards, fold savings)\n"
-        "                    and re-verify the spliced image; exit 1\n"
-        "                    on findings\n"
         "\n"
         "async I/O:\n"
         "  --dump-rings      boot a machine, run a small disk+net\n"
@@ -204,7 +194,6 @@ struct Options
     bool selfTest = false;
     bool iflow = false;
     bool dumpIflow = false;
-    bool dumpTraces = false;
     bool dumpRings = false;
     bool dumpSwap = false;
     bool dumpFleet = false;
@@ -345,81 +334,6 @@ dumpIflow(const Options &opt, const std::string &text)
     return res.findings.empty() ? 0 : 1;
 }
 
-/** Memory that accepts everything: --dump-traces only needs control
- *  flow to run, not a faithful kernel address space. */
-class AcceptAllPort : public cc::MemPort
-{
-  public:
-    bool
-    read(uint64_t, unsigned, uint64_t &out) override
-    {
-        out = 0;
-        return true;
-    }
-    bool write(uint64_t, unsigned, uint64_t) override { return true; }
-    bool copy(uint64_t, uint64_t, uint64_t) override { return true; }
-};
-
-int
-dumpTraces(const Options &opt, const std::string &text)
-{
-    sim::VgConfig cfg = opt.config;
-    cfg.traceTier = true;
-    sim::SimContext ctx(cfg);
-    std::vector<uint8_t> key(32, 0x42);
-    cc::Translator translator(key, ctx);
-    cc::TranslateResult tr = translator.translateText(text, kCodeBase);
-    if (!tr.ok) {
-        std::fprintf(stderr, "vg_lint: translation failed: %s\n",
-                     tr.error.c_str());
-        return 2;
-    }
-
-    AcceptAllPort mem;
-    cc::ExternTable externs;
-    cc::Executor exec(*tr.image, mem, externs, ctx,
-                      0xffffffb000000000ull, 1 << 20);
-    exec.enableTraceTier(translator);
-    exec.setFuel(2'000'000);
-    // Drive every function hot: nonzero arguments so counted loops
-    // iterate, several passes so entry anchors cross the threshold.
-    std::vector<uint64_t> args(8, 4096);
-    for (const auto &[name, fn] : tr.image->functions) {
-        (void)name;
-        for (int pass = 0; pass < 3; pass++)
-            exec.call(fn, args);
-    }
-
-    const cc::MachineImage &img = exec.currentImage();
-    for (const cc::TraceInfo &t : img.traces)
-        std::printf("vg_lint: trace %s: home %s anchor 0x%llx len %u "
-                    "guards %u fold-savings %u\n",
-                    t.name.c_str(), t.home.c_str(),
-                    (unsigned long long)t.anchorAddr, t.length,
-                    t.guards, t.foldSavings());
-    std::printf("vg_lint: %s: %zu trace(s) formed\n",
-                img.moduleName.empty() ? "<module>"
-                                       : img.moduleName.c_str(),
-                img.traces.size());
-
-    // Exit-code contract: like plain linting, a spliced image with
-    // findings exits 1 (the adoption gate should make this
-    // unreachable, which is exactly why it's worth checking).
-    size_t findings = 0;
-    cc::McodeVerifyResult res =
-        cc::McodeVerifier(policyFor(opt)).verify(img);
-    for (const cc::McodeFinding &f : res.findings)
-        std::printf("vg_lint: %s\n", f.render().c_str());
-    findings += res.findings.size();
-    if (opt.iflow) {
-        cc::IflowResult ires = cc::IflowVerifier{}.verify(img);
-        for (const cc::IflowFinding &f : ires.findings)
-            std::printf("vg_lint: %s\n", f.render().c_str());
-        findings += ires.findings.size();
-    }
-    return findings == 0 ? 0 : 1;
-}
-
 const char *
 slotName(hw::DescRing::Slot s)
 {
@@ -546,11 +460,10 @@ dumpRings()
     rd.cookie = 3;
     sys.disk().submit(rd);
 
-    const sim::VgConfig &vg = sys.ctx().config();
     std::printf("vg_lint: ring size %u; coalescing window %u us "
                 "(%.0f cycles)\n",
-                vg.ringSize, vg.irqCoalesceUs,
-                vg.irqCoalesceUs * sim::Clock::cyclesPerUsec);
+                hw::ringSlots, kern::Kernel::irqHoldoffUs,
+                kern::Kernel::irqHoldoffUs * sim::Clock::cyclesPerUsec);
     printRing("nicA.tx", sys.nicA().txRing());
     printRing("nicA.rx", sys.nicA().rxRing());
     printRing("nicB.tx", sys.nicB().txRing());
@@ -618,11 +531,10 @@ dumpSwap()
             if (!api.ghostRead(base + i * hw::pageSize, &v, sizeof(v)))
                 return 1;
 
-        const sim::VgConfig &vg = sys.ctx().config();
         const kern::SwapArea *swap = sys.kernel().swapArea();
         std::printf("vg_lint: ghost swap: eviction batch %u page(s), "
                     "read cluster %u slot(s), seal-key gen %llu\n",
-                    vg.swapBatchPages,
+                    kern::Kernel::evictBatchPages,
                     kern::SwapArea::readaheadSlots,
                     (unsigned long long)sys.vm().sealKeyGeneration());
         std::printf("vg_lint: swap area: %llu slot(s) x %llu blocks "
@@ -874,8 +786,6 @@ main(int argc, char **argv)
             opt.iflow = true;
         else if (arg == "--dump-iflow")
             opt.dumpIflow = true;
-        else if (arg == "--dump-traces")
-            opt.dumpTraces = true;
         else if (arg == "--dump-rings")
             opt.dumpRings = true;
         else if (arg == "--dump-swap")
@@ -941,7 +851,5 @@ main(int argc, char **argv)
     }
     if (opt.dumpIflow)
         return dumpIflow(opt, text);
-    if (opt.dumpTraces)
-        return dumpTraces(opt, text);
     return lint(opt, text);
 }
