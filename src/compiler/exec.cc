@@ -42,9 +42,8 @@ Executor::Executor(const MachineImage &image, MemPort &mem,
     const size_t n = image.code.size();
     _entryOf.assign(n, nullptr);
     for (const auto &[name, info] : image.functions) {
-        size_t idx = size_t((info.entryAddr - image.codeBase) /
-                            mInstBytes);
-        if (idx < n)
+        size_t idx = image.indexOf(info.entryAddr);
+        if (idx != SIZE_MAX)
             _entryOf[idx] = &info;
     }
     _decoded.reserve(n);
@@ -78,23 +77,18 @@ Executor::predecode()
         }
         switch (m.op) {
           case MOp::Jump:
-          case MOp::JumpIfZero:
+          case MOp::JumpIfZero: {
             // Codegen only emits in-image aligned targets; anything
             // else decodes to an index that always fails the bounds
             // check and faults as BadInstruction.
-            d.target = image.contains(m.imm)
-                           ? uint32_t((m.imm - image.codeBase) /
-                                      mInstBytes)
-                           : UINT32_MAX;
+            size_t t = image.indexOf(m.imm);
+            d.target = t == SIZE_MAX ? UINT32_MAX : uint32_t(t);
             break;
+          }
           case MOp::CallDirect:
-            d.fn = image.contains(m.imm)
-                       ? _entryOf[size_t((m.imm - image.codeBase) /
-                                         mInstBytes)]
-                       : nullptr;
+            d.fn = funcAt(m.imm);
             if (d.fn)
-                d.target = uint32_t((d.fn->entryAddr - image.codeBase) /
-                                    mInstBytes);
+                d.target = uint32_t(image.indexOf(d.fn->entryAddr));
             break;
           case MOp::CallExt: {
             auto it = _externs.fns.find(m.callee);
@@ -112,9 +106,8 @@ Executor::predecode()
 const FuncInfo *
 Executor::funcAt(uint64_t entry_addr) const
 {
-    if (!_image.contains(entry_addr))
-        return nullptr;
-    return _entryOf[size_t((entry_addr - _image.codeBase) / mInstBytes)];
+    size_t idx = _image.indexOf(entry_addr);
+    return idx == SIZE_MAX ? nullptr : _entryOf[idx];
 }
 
 ExecResult
@@ -446,11 +439,8 @@ Executor::run(const FuncInfo &entry_fn, const std::vector<uint64_t> &args)
                 // check "masks the target address to ensure that it is
                 // not a user-space address").
                 target |= hw::kernelBase;
-                const DInst *at_target =
-                    _image.contains(target)
-                        ? &code[size_t((target - _image.codeBase) /
-                                       mInstBytes)]
-                        : nullptr;
+                size_t t = _image.indexOf(target);
+                const DInst *at_target = t == SIZE_MAX ? nullptr : &code[t];
                 if (!at_target || at_target->op != MOp::CfiLabel ||
                     at_target->imm != cfiLabelValue) {
                     fault(ExecFault::CfiViolation,

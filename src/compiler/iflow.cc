@@ -2,10 +2,10 @@
  * @file
  * IflowVerifier implementation.
  *
- * Structure mirrors mverify.cc: function extents are recovered from
- * the sorted FuncInfo entry addresses, each function runs a worklist
- * forward dataflow at instruction granularity. On top of that sits
- * an interprocedural fixpoint:
+ * Each function extent from functionExtents() (mcode.hh; a function
+ * whose entry is not an instruction address has none and is not
+ * analysed) runs the forwardFlow worklist dataflow at instruction
+ * granularity. On top of that sits an interprocedural fixpoint:
  *
  *   repeat until no summary changes:
  *       for each function, in address order:
@@ -217,30 +217,6 @@ struct FuncSummary
     Taint ret;                       ///< join over all return values
 };
 
-struct FuncRange
-{
-    const FuncInfo *info = nullptr;
-    size_t begin = 0;
-    size_t end = 0;
-};
-
-/** The destination register an instruction writes, or -1 (mirrors
- *  mverify's defReg; kept local to avoid exporting internals). */
-int
-defReg(const MInst &m)
-{
-    switch (m.op) {
-    case MOp::Store:
-    case MOp::Memcpy:
-    case MOp::Jump:
-    case MOp::JumpIfZero:
-    case MOp::Ret:
-    case MOp::CheckRet:
-    case MOp::CfiLabel: return -1;
-    default: return m.dst;
-    }
-}
-
 const char *
 channelNoun(IfChannel c)
 {
@@ -299,35 +275,35 @@ provTrail(uint8_t prov)
 
 /**
  * The whole-image analysis. One instance per verify() call; holds the
- * recovered ranges, the interprocedural summaries and, during the
+ * function extents, the interprocedural summaries and, during the
  * reporting pass, the findings and exported facts.
  */
 class Analysis
 {
   public:
-    explicit Analysis(const MachineImage &img) : _img(img) {}
+    explicit Analysis(const MachineImage &img)
+        : _img(img), _funcs(functionExtents(img))
+    {
+    }
 
     IflowResult
     run(IflowFacts *facts)
     {
-        recoverRanges();
+        for (const FuncExtent &r : _funcs)
+            _funcByEntry[r.info->entryAddr] = r.info;
         findAddressTaken();
-        for (const FuncRange &r : _funcs)
-            if (r.info)
-                _summaries[r.info->name] = FuncSummary{
-                    std::vector<Taint>((size_t)std::max(
-                        r.info->numParams, 0)),
-                    std::vector<uint8_t>((size_t)std::max(
-                        r.info->numParams, 0)),
-                    Taint{}};
+        for (const FuncExtent &r : _funcs)
+            _summaries[r.info->name] = FuncSummary{
+                std::vector<Taint>((size_t)std::max(r.info->numParams, 0)),
+                std::vector<uint8_t>(
+                    (size_t)std::max(r.info->numParams, 0)),
+                Taint{}};
 
         // Interprocedural fixpoint over the summaries.
         bool changed = true;
         while (changed) {
             changed = false;
-            for (const FuncRange &r : _funcs) {
-                if (!r.info)
-                    continue;
+            for (const FuncExtent &r : _funcs) {
                 analyze(r, true);
                 changed |= _summariesChanged;
                 _summariesChanged = false;
@@ -342,12 +318,10 @@ class Analysis
             facts->visibleStoreAt.assign(_img.code.size(), 0);
             _facts = facts;
         }
-        for (const FuncRange &r : _funcs) {
-            if (!r.info)
-                continue;
+        for (const FuncExtent &r : _funcs) {
             analyze(r, false);
             result.functionsChecked++;
-            result.instsChecked += r.end - r.begin;
+            result.instsChecked += r.size();
         }
         _collect = nullptr;
         _facts = nullptr;
@@ -360,47 +334,6 @@ class Analysis
     }
 
   private:
-    struct Flow
-    {
-        std::vector<State> in;
-        std::vector<bool> reached;
-    };
-
-    void
-    recoverRanges()
-    {
-        _funcs.reserve(_img.functions.size());
-        for (const auto &[name, fi] : _img.functions) {
-            (void)name;
-            FuncRange r;
-            r.info = &fi;
-            _funcs.push_back(r);
-        }
-        std::sort(_funcs.begin(), _funcs.end(),
-                  [](const FuncRange &a, const FuncRange &b) {
-                      return a.info->entryAddr < b.info->entryAddr;
-                  });
-        for (size_t i = 0; i < _funcs.size(); i++) {
-            FuncRange &r = _funcs[i];
-            if (!_img.contains(r.info->entryAddr)) {
-                r.info = nullptr;
-                continue;
-            }
-            r.begin = (size_t)((r.info->entryAddr - _img.codeBase) /
-                               mInstBytes);
-            r.end =
-                i + 1 < _funcs.size() &&
-                        _img.contains(_funcs[i + 1].info->entryAddr)
-                    ? (size_t)((_funcs[i + 1].info->entryAddr -
-                                _img.codeBase) /
-                               mInstBytes)
-                    : _img.code.size();
-        }
-        for (const FuncRange &r : _funcs)
-            if (r.info)
-                _funcByEntry[r.info->entryAddr] = r.info;
-    }
-
     /** Functions whose entry address appears as a ConstI immediate
      *  (funcaddr lowering) — the possible targets of indirect calls. */
     void
@@ -416,7 +349,7 @@ class Analysis
     }
 
     State
-    entryState(const FuncRange &r) const
+    entryState(const FuncExtent &r) const
     {
         State s;
         s.regs.assign((size_t)std::max(r.info->numRegs, 0), AbsVal{});
@@ -439,7 +372,7 @@ class Analysis
     }
 
     void
-    report(IfRule rule, const FuncRange &r, size_t idx,
+    report(IfRule rule, const FuncExtent &r, size_t idx,
            std::string msg)
     {
         if (!_collect)
@@ -453,7 +386,7 @@ class Analysis
     }
 
     void
-    leak(const FuncRange &r, size_t idx, IfChannel channel,
+    leak(const FuncExtent &r, size_t idx, IfChannel channel,
          uint8_t prov, const std::string &what)
     {
         report(ruleFor(channel, prov), r, idx,
@@ -521,7 +454,7 @@ class Analysis
      * during the reporting pass summaries are already stable.
      */
     void
-    transfer(const FuncRange &r, size_t idx, State &s, bool summarize)
+    transfer(const FuncExtent &r, size_t idx, State &s, bool summarize)
     {
         const MInst &m = _img.code[idx];
         const int numRegs = (int)s.regs.size();
@@ -773,90 +706,30 @@ class Analysis
         return t;
     }
 
-    /** Intra-function worklist fixpoint from the entry summary.
+    /** Intra-function fixpoint from the entry summary.
      *  Reports findings/facts only when _collect/_facts are armed and
      *  @p summarize is false (the stable reporting pass). */
     void
-    analyze(const FuncRange &r, bool summarize)
+    analyze(const FuncExtent &r, bool summarize)
     {
-        const size_t n = r.end - r.begin;
-        Flow flow;
-        flow.in.assign(n, State{});
-        flow.reached.assign(n, false);
-        if (n == 0)
-            return;
-
-        auto targetIdx = [&](const MInst &m) -> size_t {
-            if (!_img.contains(m.imm))
-                return SIZE_MAX;
-            size_t idx =
-                (size_t)((m.imm - _img.codeBase) / mInstBytes);
-            if (idx < r.begin || idx >= r.end)
-                return SIZE_MAX;
-            return idx;
-        };
-        auto successors = [&](size_t i, size_t succ[2]) -> int {
-            const MInst &m = _img.code[r.begin + i];
-            int cnt = 0;
-            if (m.op == MOp::Ret || m.op == MOp::CheckRet)
-                return 0;
-            if (m.op == MOp::Jump || m.op == MOp::JumpIfZero) {
-                size_t t = targetIdx(m);
-                if (t != SIZE_MAX)
-                    succ[cnt++] = t - r.begin;
-                if (m.op == MOp::Jump)
-                    return cnt;
-            }
-            if (i + 1 < n)
-                succ[cnt++] = i + 1;
-            return cnt;
-        };
-
-        flow.in[0] = entryState(r);
-        flow.reached[0] = true;
-
         // Fixpoint phase: no findings/facts. Collection is deferred
         // to a replay over the stable in-states below.
         IflowResult *savedCollect = _collect;
         IflowFacts *savedFacts = _facts;
         _collect = nullptr;
         _facts = nullptr;
-
-        std::vector<size_t> work{0};
-        std::vector<bool> inWork(n, false);
-        inWork[0] = true;
-        while (!work.empty()) {
-            size_t i = work.back();
-            work.pop_back();
-            inWork[i] = false;
-            State state = flow.in[i];
-            transfer(r, r.begin + i, state, summarize);
-            size_t succ[2];
-            int cnt = successors(i, succ);
-            for (int k = 0; k < cnt; k++) {
-                size_t sIdx = succ[k];
-                bool changed;
-                if (!flow.reached[sIdx]) {
-                    flow.in[sIdx] = state;
-                    flow.reached[sIdx] = true;
-                    changed = true;
-                } else {
-                    changed = flow.in[sIdx].join(state);
-                }
-                if (changed && !inWork[sIdx]) {
-                    inWork[sIdx] = true;
-                    work.push_back(sIdx);
-                }
-            }
-        }
-
+        Flow<State> flow = forwardFlow(
+            _img, r, entryState(r),
+            [&](size_t idx, State &s) { transfer(r, idx, s, summarize); },
+            [](State &into, const State &from) { return into.join(from); });
         _collect = savedCollect;
         _facts = savedFacts;
+
         if (_collect || _facts) {
             // Replay each reached instruction at its fixpoint
             // in-state, in address order, to emit findings and facts
             // deterministically.
-            for (size_t i = 0; i < n; i++) {
+            for (size_t i = 0; i < r.size(); i++) {
                 if (!flow.reached[i])
                     continue;
                 State state = flow.in[i];
@@ -866,7 +739,7 @@ class Analysis
     }
 
     const MachineImage &_img;
-    std::vector<FuncRange> _funcs;
+    const std::vector<FuncExtent> _funcs;
     std::map<uint64_t, const FuncInfo *> _funcByEntry;
     std::set<std::string> _addressTaken;
     std::map<std::string, FuncSummary> _summaries;

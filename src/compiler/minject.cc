@@ -22,49 +22,6 @@ namespace vg::cc
 namespace
 {
 
-struct Range
-{
-    const FuncInfo *info;
-    size_t begin;
-    size_t end;
-};
-
-std::vector<Range>
-funcRanges(const MachineImage &image)
-{
-    std::vector<Range> out;
-    for (const auto &[name, fi] : image.functions) {
-        (void)name;
-        if (!image.contains(fi.entryAddr))
-            continue;
-        out.push_back(
-            {&fi, (size_t)((fi.entryAddr - image.codeBase) / mInstBytes),
-             image.code.size()});
-    }
-    std::sort(out.begin(), out.end(), [](const Range &a, const Range &b) {
-        return a.begin < b.begin;
-    });
-    for (size_t i = 0; i + 1 < out.size(); i++)
-        out[i].end = out[i + 1].begin;
-    return out;
-}
-
-const Range *
-rangeOf(const std::vector<Range> &ranges, size_t idx)
-{
-    for (const Range &r : ranges)
-        if (idx >= r.begin && idx < r.end)
-            return &r;
-    return nullptr;
-}
-
-bool
-isCallOp(MOp op)
-{
-    return op == MOp::CallDirect || op == MOp::CallExt ||
-           op == MOp::CallInd || op == MOp::CallIndChecked;
-}
-
 /** The register the SandboxAddr at @p idx defines, or -1 when code[idx]
  *  is not a SandboxAddr. */
 int
@@ -162,26 +119,19 @@ isDeclassifierCall(const MInst &m)
  *  register still tainted at the store), or SIZE_MAX. */
 size_t
 sealedStoreSource(const MachineImage &image, const IflowFacts &facts,
-                  const std::vector<Range> &ranges, size_t i)
+                  const std::vector<FuncExtent> &extents, size_t i)
 {
     const MInst &st = image.code[i];
     if (st.op != MOp::Store)
         return SIZE_MAX;
     if (i >= facts.visibleStoreAt.size() || !facts.visibleStoreAt[i])
         return SIZE_MAX;
-    const Range *r = rangeOf(ranges, i);
+    const FuncExtent *r = extentOf(extents, i);
     if (!r)
         return SIZE_MAX;
     for (size_t j = i; j-- > r->begin;) {
         const MInst &m = image.code[j];
-        bool defsValue = m.dst == st.b &&
-                         (m.op == MOp::ConstI || m.op == MOp::Mov ||
-                          m.op == MOp::FrameAddr ||
-                          m.op == MOp::Load ||
-                          m.op == MOp::SandboxAddr ||
-                          isCallOp(m.op) ||
-                          (m.op >= MOp::Add && m.op <= MOp::ICmp));
-        if (!defsValue)
+        if (defReg(m) != st.b)
             continue;
         if (isDeclassifierCall(m) && !m.args.empty() &&
             taintedAt(facts, i, m.args[0]))
@@ -242,14 +192,14 @@ std::vector<size_t>
 miscompileSites(const MachineImage &image, Miscompile kind)
 {
     std::vector<size_t> out;
-    const std::vector<Range> ranges = funcRanges(image);
+    const std::vector<FuncExtent> extents = functionExtents(image);
 
     switch (kind) {
     case Miscompile::DropMask: return maskDefSites(image);
 
     case Miscompile::ClobberMask:
         for (size_t d : maskDefSites(image)) {
-            const Range *r = rangeOf(ranges, d);
+            const FuncExtent *r = extentOf(extents, d);
             if (!r)
                 continue;
             int reg = maskDefReg(image, d);
@@ -265,7 +215,7 @@ miscompileSites(const MachineImage &image, Miscompile kind)
         return out;
 
     case Miscompile::StripEntryLabel:
-        for (const Range &r : ranges)
+        for (const FuncExtent &r : extents)
             if (r.begin < r.end &&
                 image.code[r.begin].op == MOp::CfiLabel)
                 out.push_back(r.begin);
@@ -318,7 +268,7 @@ miscompileSites(const MachineImage &image, Miscompile kind)
     case Miscompile::IflowRawStore: {
         const IflowFacts facts = iflowFactsFor(image);
         for (size_t i = 0; i < image.code.size(); i++)
-            if (sealedStoreSource(image, facts, ranges, i) !=
+            if (sealedStoreSource(image, facts, extents, i) !=
                 SIZE_MAX)
                 out.push_back(i);
         return out;
@@ -366,8 +316,8 @@ injectMiscompile(MachineImage &image, Miscompile kind, size_t siteIdx)
     }
 
     case Miscompile::ClobberMask: {
-        const std::vector<Range> ranges = funcRanges(image);
-        const Range *r = rangeOf(ranges, i);
+        const std::vector<FuncExtent> extents = functionExtents(image);
+        const FuncExtent *r = extentOf(extents, i);
         int reg = maskDefReg(image, i);
         size_t j = findAddrConsumer(image, i, r->end, reg);
         if (j > i + 1) {
@@ -420,8 +370,8 @@ injectMiscompile(MachineImage &image, Miscompile kind, size_t siteIdx)
 
     case Miscompile::IflowRawStore: {
         const IflowFacts facts = iflowFactsFor(image);
-        const std::vector<Range> ranges = funcRanges(image);
-        size_t d = sealedStoreSource(image, facts, ranges, i);
+        size_t d = sealedStoreSource(image, facts,
+                                     functionExtents(image), i);
         if (d == SIZE_MAX)
             return false;
         // The store keeps its (masked) address but writes the seal

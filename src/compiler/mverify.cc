@@ -2,9 +2,10 @@
  * @file
  * McodeVerifier implementation.
  *
- * Verification is per function (function extents are recovered from the
- * sorted FuncInfo entry addresses; layout packs functions contiguously)
- * and proceeds in three layers:
+ * Verification is per function, over the extents functionExtents()
+ * gives (mcode.hh): an extent runs from its entry to the next extent's
+ * entry, and a function whose entry is not an instruction address gets
+ * no extent but a VG-ST-02 finding. It proceeds in three layers:
  *
  *  1. Structural (always): operand registers in range, jump immediates
  *     on instruction boundaries inside the same function, direct-call
@@ -12,15 +13,15 @@
  *  2. CFI (policy.requireCfi): entry + return-site labels, no raw
  *     Ret/CallInd, and label-value uniqueness (cfiLabelValue must not
  *     appear as a forgeable data immediate).
- *  3. Sandbox (policy.requireSandbox): a forward dataflow analysis over
- *     the instruction-granularity CFG. The abstract state is the set of
- *     registers proven masked; the meet at join points is intersection
- *     (a register is masked only if masked on every incoming path).
- *     SandboxAddr generates its destination — the translator always
- *     fuses the masking sequence, so SandboxAddr is the only mask this
- *     layer knows. Mov propagates maskedness; every other definition
- *     kills it. At the fixpoint every reachable Load/Store/Memcpy address
- *     register must be in the masked set.
+ *  3. Sandbox (policy.requireSandbox): a forward dataflow analysis
+ *     (forwardFlow) over the instruction-granularity CFG. The abstract
+ *     state is the set of registers proven masked; the meet at join
+ *     points is intersection (a register is masked only if masked on
+ *     every incoming path). SandboxAddr generates its destination —
+ *     the translator always fuses the masking sequence, so SandboxAddr
+ *     is the only mask this layer knows. Mov propagates maskedness;
+ *     every other definition kills it. At the fixpoint every reachable
+ *     Load/Store/Memcpy address register must be in the masked set.
  *
  * Layer 1 runs unconditionally because layers 2 and 3 assume registers
  * are in range; a function with register errors skips the dataflow to
@@ -121,30 +122,6 @@ class RegSet
     std::vector<uint64_t> _words;
 };
 
-/** A function's extent as instruction indices into image.code. */
-struct FuncRange
-{
-    const FuncInfo *info = nullptr;
-    size_t begin = 0;
-    size_t end = 0;
-};
-
-/** The destination register an instruction writes, or -1. */
-int
-defReg(const MInst &m)
-{
-    switch (m.op) {
-    case MOp::Store:
-    case MOp::Memcpy:
-    case MOp::Jump:
-    case MOp::JumpIfZero:
-    case MOp::Ret:
-    case MOp::CheckRet:
-    case MOp::CfiLabel: return -1;
-    default: return m.dst;
-    }
-}
-
 struct RegUse
 {
     int reg;
@@ -203,45 +180,14 @@ forEachUse(const MInst &m, std::vector<RegUse> &out)
         out.push_back({arg, "arg"});
 }
 
-bool
-isCallOp(MOp op)
-{
-    return op == MOp::CallDirect || op == MOp::CallExt ||
-           op == MOp::CallInd || op == MOp::CallIndChecked;
-}
-
 /** Fixpoint of the forward masked-register dataflow over one function
  *  extent (see file header), entered with no register masked. */
-struct MaskFlow
+Flow<RegSet>
+maskFlow(const MachineImage &img, const FuncExtent &r)
 {
-    std::vector<RegSet> in;
-    std::vector<bool> reached;
-};
-
-MaskFlow
-maskFlow(const MachineImage &img, const FuncRange &r, int numRegs)
-{
-    const size_t n = r.end - r.begin;
-    MaskFlow out;
-    out.in.assign(n, RegSet());
-    out.reached.assign(n, false);
-    if (n == 0)
-        return out;
-
-    auto targetIdx = [&](const MInst &m) -> size_t {
-        if (!img.contains(m.imm))
-            return SIZE_MAX;
-        size_t idx = (size_t)((m.imm - img.codeBase) / mInstBytes);
-        if (idx < r.begin || idx >= r.end)
-            return SIZE_MAX;
-        return idx;
-    };
-
-    out.in[0] = RegSet(numRegs, false);
-    out.reached[0] = true;
-
+    const int numRegs = r.info->numRegs;
     auto transfer = [&](size_t i, RegSet &state) {
-        const MInst &m = img.code[r.begin + i];
+        const MInst &m = img.code[i];
         bool masks = m.op == MOp::SandboxAddr ||
                      (m.op == MOp::Mov && m.a >= 0 && m.a < numRegs &&
                       state.test(m.a));
@@ -251,59 +197,17 @@ maskFlow(const MachineImage &img, const FuncRange &r, int numRegs)
         if (masks && m.dst >= 0 && m.dst < numRegs)
             state.set(m.dst);
     };
-
-    auto successors = [&](size_t i, size_t succ[2]) -> int {
-        const MInst &m = img.code[r.begin + i];
-        int cnt = 0;
-        if (m.op == MOp::Ret || m.op == MOp::CheckRet)
-            return 0;
-        if (m.op == MOp::Jump || m.op == MOp::JumpIfZero) {
-            size_t t = targetIdx(m);
-            if (t != SIZE_MAX)
-                succ[cnt++] = t - r.begin;
-            if (m.op == MOp::Jump)
-                return cnt;
-        }
-        if (i + 1 < n)
-            succ[cnt++] = i + 1;
-        return cnt;
-    };
-
-    std::vector<size_t> work{0};
-    std::vector<bool> inWork(n, false);
-    inWork[0] = true;
-    while (!work.empty()) {
-        size_t i = work.back();
-        work.pop_back();
-        inWork[i] = false;
-        RegSet state = out.in[i];
-        transfer(i, state);
-        size_t succ[2];
-        int cnt = successors(i, succ);
-        for (int k = 0; k < cnt; k++) {
-            size_t s = succ[k];
-            bool changed;
-            if (!out.reached[s]) {
-                out.in[s] = state;
-                out.reached[s] = true;
-                changed = true;
-            } else {
-                changed = out.in[s].intersect(state);
-            }
-            if (changed && !inWork[s]) {
-                inWork[s] = true;
-                work.push_back(s);
-            }
-        }
-    }
-    return out;
+    return forwardFlow(img, r, RegSet(numRegs, false), transfer,
+                       [](RegSet &into, const RegSet &from) {
+                           return into.intersect(from);
+                       });
 }
 
 /** Per-function verification context. */
 class FuncChecker
 {
   public:
-    FuncChecker(const MachineImage &image, const FuncRange &range,
+    FuncChecker(const MachineImage &image, const FuncExtent &range,
                 const McodePolicy &policy,
                 const std::vector<uint64_t> &entryAddrs,
                 std::vector<McodeFinding> &findings)
@@ -373,18 +277,6 @@ class FuncChecker
         return ok;
     }
 
-    /** Resolve a local jump immediate to an index, or SIZE_MAX. */
-    size_t
-    jumpTargetIdx(const MInst &m) const
-    {
-        if (!_img.contains(m.imm))
-            return SIZE_MAX;
-        size_t idx = (size_t)((m.imm - _img.codeBase) / mInstBytes);
-        if (idx < _r.begin || idx >= _r.end)
-            return SIZE_MAX;
-        return idx;
-    }
-
     /** Layer 1b: branch/call targets and function termination. */
     void
     checkStructure()
@@ -404,13 +296,12 @@ class FuncChecker
                            std::string("jump target ") + hex +
                                " is not an instruction boundary in "
                                "the code region");
-                else if (jumpTargetIdx(m) == SIZE_MAX)
+                else if (!_r.contains(_img.indexOf(m.imm)))
                     report(MRule::BadBranchTarget, i,
                            std::string("jump target ") + hex +
                                " escapes the enclosing function");
             } else if (m.op == MOp::CallDirect) {
-                if (!_img.contains(m.imm) ||
-                    !std::binary_search(_entryAddrs.begin(),
+                if (!std::binary_search(_entryAddrs.begin(),
                                         _entryAddrs.end(), m.imm))
                     report(MRule::BadCallTarget, i,
                            std::string("call target ") + hex +
@@ -470,10 +361,8 @@ class FuncChecker
     void
     checkSandbox()
     {
-        const size_t n = _r.end - _r.begin;
-        if (n == 0)
-            return;
-        MaskFlow flow = maskFlow(_img, _r, _r.info->numRegs);
+        const size_t n = _r.size();
+        Flow<RegSet> flow = maskFlow(_img, _r);
 
         // Report at the fixpoint, in address order, so diagnostics are
         // deterministic and never reflect a transient optimistic state.
@@ -500,7 +389,7 @@ class FuncChecker
     }
 
     const MachineImage &_img;
-    const FuncRange &_r;
+    const FuncExtent &_r;
     const McodePolicy &_policy;
     const std::vector<uint64_t> &_entryAddrs;
     std::vector<McodeFinding> &_findings;
@@ -513,55 +402,40 @@ McodeVerifier::verify(const MachineImage &image) const
 {
     McodeVerifyResult result;
 
-    std::vector<FuncRange> ranges;
-    ranges.reserve(image.functions.size());
+    // Functions whose entry is not an instruction address have no
+    // extent; report them first, in address order.
+    std::vector<const FuncInfo *> offGrid;
     for (const auto &[name, fi] : image.functions) {
         (void)name;
-        FuncRange r;
-        r.info = &fi;
-        ranges.push_back(r);
+        if (!image.contains(fi.entryAddr))
+            offGrid.push_back(&fi);
     }
-    std::sort(ranges.begin(), ranges.end(),
-              [](const FuncRange &a, const FuncRange &b) {
-                  return a.info->entryAddr < b.info->entryAddr;
-              });
+    std::stable_sort(offGrid.begin(), offGrid.end(),
+                     [](const FuncInfo *a, const FuncInfo *b) {
+                         return a->entryAddr < b->entryAddr;
+                     });
+    for (const FuncInfo *fi : offGrid) {
+        McodeFinding f;
+        f.rule = MRule::BadCallTarget;
+        f.function = fi->name;
+        f.addr = fi->entryAddr;
+        f.message = "function entry is not an instruction "
+                    "boundary in the code region";
+        result.findings.push_back(std::move(f));
+    }
 
+    const std::vector<FuncExtent> extents = functionExtents(image);
     std::vector<uint64_t> entryAddrs;
-    entryAddrs.reserve(ranges.size());
-    for (const FuncRange &r : ranges)
+    entryAddrs.reserve(extents.size());
+    for (const FuncExtent &r : extents)
         entryAddrs.push_back(r.info->entryAddr);
 
-    for (size_t i = 0; i < ranges.size(); i++) {
-        FuncRange &r = ranges[i];
-        if (!image.contains(r.info->entryAddr)) {
-            McodeFinding f;
-            f.rule = MRule::BadCallTarget;
-            f.function = r.info->name;
-            f.addr = r.info->entryAddr;
-            f.message = "function entry is not an instruction "
-                        "boundary in the code region";
-            result.findings.push_back(std::move(f));
-            r.info = nullptr;
-            continue;
-        }
-        r.begin =
-            (size_t)((r.info->entryAddr - image.codeBase) / mInstBytes);
-        r.end = i + 1 < ranges.size() &&
-                        image.contains(ranges[i + 1].info->entryAddr)
-                    ? (size_t)((ranges[i + 1].info->entryAddr -
-                                image.codeBase) /
-                               mInstBytes)
-                    : image.code.size();
-    }
-
-    for (const FuncRange &r : ranges) {
-        if (!r.info)
-            continue;
+    for (const FuncExtent &r : extents) {
         FuncChecker checker(image, r, _policy, entryAddrs,
                             result.findings);
         checker.run();
         result.functionsChecked++;
-        result.instsChecked += r.end - r.begin;
+        result.instsChecked += r.size();
     }
     return result;
 }

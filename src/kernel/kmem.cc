@@ -246,10 +246,10 @@ Kmem::kwrite(hw::Vaddr va, unsigned bytes, uint64_t val)
 }
 
 bool
-Kmem::copyIn(hw::Vaddr user_va, void *dst, uint64_t len)
+Kmem::copyUser(hw::Vaddr user_va, uint8_t *kbuf, uint64_t len,
+               hw::Access access)
 {
     _ctx.chargeKernelBulk(len);
-    uint8_t *out = static_cast<uint8_t *>(dst);
     uint64_t off = 0;
     while (off < len) {
         hw::Vaddr va = hw::sandboxAddress(user_va + off);
@@ -260,39 +260,36 @@ Kmem::copyIn(hw::Vaddr user_va, void *dst, uint64_t len)
         uint64_t chunk = std::min<uint64_t>(
             len - off, hw::pageSize - hw::pageOffset(va));
         hw::Paddr pa = 0;
-        if (!resolve(va, hw::Access::Read, pa))
+        if (!resolve(va, access, pa))
             return false;
-        _mem.readBytes(pa, out + off, chunk);
+        if (access == hw::Access::Write) {
+            if (!storePermitted(pa)) {
+                sim::StatSet::add(_hBlockedStores);
+                return false;
+            }
+            _mem.writeBytes(pa, kbuf + off, chunk);
+        } else {
+            _mem.readBytes(pa, kbuf + off, chunk);
+        }
         off += chunk;
     }
     return true;
 }
 
 bool
+Kmem::copyIn(hw::Vaddr user_va, void *dst, uint64_t len)
+{
+    return copyUser(user_va, static_cast<uint8_t *>(dst), len,
+                    hw::Access::Read);
+}
+
+bool
 Kmem::copyOut(hw::Vaddr user_va, const void *src, uint64_t len)
 {
-    _ctx.chargeKernelBulk(len);
-    const uint8_t *in = static_cast<const uint8_t *>(src);
-    uint64_t off = 0;
-    while (off < len) {
-        hw::Vaddr va = hw::sandboxAddress(user_va + off);
-        if (va != user_va + off) {
-            _deflections++;
-            sim::StatSet::add(_hDeflections);
-        }
-        uint64_t chunk = std::min<uint64_t>(
-            len - off, hw::pageSize - hw::pageOffset(va));
-        hw::Paddr pa = 0;
-        if (!resolve(va, hw::Access::Write, pa))
-            return false;
-        if (!storePermitted(pa)) {
-            sim::StatSet::add(_hBlockedStores);
-            return false;
-        }
-        _mem.writeBytes(pa, in + off, chunk);
-        off += chunk;
-    }
-    return true;
+    // The write side only reads the kernel buffer.
+    return copyUser(user_va,
+                    static_cast<uint8_t *>(const_cast<void *>(src)), len,
+                    hw::Access::Write);
 }
 
 } // namespace vg::kern

@@ -91,6 +91,13 @@ class Kmem : public cc::MemPort
      */
     bool resolve(hw::Vaddr va, hw::Access access, hw::Paddr &pa);
 
+    /** The one copyin/copyout loop: bulk charge, sandbox masking with
+     *  deflection counting, page chunking and resolve(). @p access
+     *  Read copies user memory into @p kbuf; Write copies @p kbuf out
+     *  and is refused for frames storePermitted() rejects. */
+    bool copyUser(hw::Vaddr user_va, uint8_t *kbuf, uint64_t len,
+                  hw::Access access);
+
     /** Byte-at-a-time copy: copy()'s fallback for TLB-set-thrashing
      *  and physically overlapping chunks. */
     bool copyBytewise(uint64_t dst, uint64_t src, uint64_t len);

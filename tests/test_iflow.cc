@@ -261,7 +261,7 @@ TEST(IflowVerifySweep, EveryInjectedLeakIsDetected)
     for (Miscompile kind : kIflowKinds)
         EXPECT_GT(perKind[kind], 0u)
             << "no sites for " << miscompileName(kind);
-    EXPECT_GE(injected, 10u);
+    EXPECT_EQ(injected, 11u);
 }
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 
+#include "compiler/iflow.hh"
 #include "compiler/minject.hh"
 #include "compiler/mverify.hh"
 #include "compiler/translator.hh"
@@ -370,7 +371,7 @@ TEST(McodeVerifySweep, EveryInjectedMiscompileIsDetected)
         EXPECT_GT(perKind[k], 0u)
             << "no sites for " << miscompileName(allMiscompiles()[k]);
     }
-    EXPECT_GT(injected, 100u);
+    EXPECT_EQ(injected, 118u);
 }
 
 // --------------------------------------------------------------------
@@ -527,6 +528,70 @@ TEST(McodeVerify, UnfusedMaskSequenceDoesNotCountAsMasked)
     cfiOnly.requireSandbox = false;
     auto rest = McodeVerifier(cfiOnly).verify(image);
     EXPECT_TRUE(rest.ok()) << rest.message();
+}
+
+TEST(McodeVerify, OffGridEntryDoesNotWidenItsNeighbour)
+{
+    // Three functions laid out A (indices 0-2), B, C (indices 3-5),
+    // where B's entry codeBase+2 is not an instruction boundary. B gets
+    // no extent, so A must end where C begins: A's jump into C's body
+    // escapes A, and no instruction is checked twice.
+    auto inst = [](MOp op, uint64_t imm = 0, int dst = -1, int a = -1) {
+        MInst m;
+        m.op = op;
+        m.imm = imm;
+        m.dst = dst;
+        m.a = a;
+        return m;
+    };
+    MachineImage image;
+    image.moduleName = "offgrid";
+    image.codeBase = kCodeBase;
+    image.instrumented = true;
+    image.code = {
+        inst(MOp::CfiLabel, cfiLabelValue),
+        inst(MOp::Jump, kCodeBase + 4 * mInstBytes), // into C's body
+        inst(MOp::CheckRet),
+        inst(MOp::CfiLabel, cfiLabelValue),
+        inst(MOp::ConstI, 7, 0),
+        inst(MOp::CheckRet, 0, -1, 0),
+    };
+    auto addFn = [&](const char *name, uint64_t entry, int numRegs) {
+        FuncInfo fi;
+        fi.name = name;
+        fi.entryAddr = entry;
+        fi.numRegs = numRegs;
+        image.functions[name] = fi;
+    };
+    addFn("A", kCodeBase, 0);
+    addFn("B", kCodeBase + 2, 0);
+    addFn("C", kCodeBase + 3 * mInstBytes, 1);
+
+    std::vector<FuncExtent> extents = functionExtents(image);
+    ASSERT_EQ(extents.size(), 2u);
+    EXPECT_EQ(extents[0].info->name, "A");
+    EXPECT_EQ(extents[0].begin, 0u);
+    EXPECT_EQ(extents[0].end, 3u);
+    EXPECT_EQ(extents[1].info->name, "C");
+    EXPECT_EQ(extents[1].begin, 3u);
+    EXPECT_EQ(extents[1].end, 6u);
+
+    McodeVerifier verifier{McodePolicy{}};
+    McodeVerifyResult res = verifier.verify(image);
+    auto has = [&](MRule rule, const char *fn, uint64_t addr) {
+        return std::any_of(res.findings.begin(), res.findings.end(),
+                           [&](const McodeFinding &f) {
+                               return f.rule == rule && f.function == fn &&
+                                      f.addr == addr;
+                           });
+    };
+    EXPECT_TRUE(has(MRule::BadCallTarget, "B", kCodeBase + 2))
+        << res.message();
+    EXPECT_TRUE(has(MRule::BadBranchTarget, "A", kCodeBase + mInstBytes))
+        << res.message();
+    EXPECT_EQ(res.instsChecked, image.code.size());
+    EXPECT_EQ(IflowVerifier().verify(image).instsChecked,
+              image.code.size());
 }
 
 TEST(McodeVerify, StatsRecordVerificationWork)
