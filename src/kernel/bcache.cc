@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/log.hh"
+
 namespace vg::kern
 {
 
@@ -12,15 +14,16 @@ BufferCache::BufferCache(hw::Disk &disk, sim::SimContext &ctx,
       _hMisses(ctx.stats().handle("bcache.misses")),
       _hZeroFills(ctx.stats().handle("bcache.zero_fills")),
       _hWritebacks(ctx.stats().handle("bcache.writebacks"))
-{}
+{
+    if (_capacity < 3)
+        sim::panic("buffer cache of %llu blocks: bmap needs 3 live",
+                   static_cast<unsigned long long>(_capacity));
+}
 
 Buf *
 BufferCache::get(uint64_t block_no)
 {
-    // Hash lookup + LRU maintenance: a handful of instrumented
-    // kernel memory operations.
-    _ctx.chargeKernelWork(10, 5, 1);
-
+    chargeLookups(1);
     auto it = _index.find(block_no);
     if (it != _index.end()) {
         _hits++;
@@ -41,6 +44,14 @@ BufferCache::get(uint64_t block_no)
     Buf *nb = &*_lru.begin();
     ringRead(*nb);
     return nb;
+}
+
+void
+BufferCache::repeatHits(uint64_t n)
+{
+    chargeLookups(n);
+    _hits += n;
+    sim::StatSet::add(_hHits, n);
 }
 
 void
@@ -68,7 +79,7 @@ BufferCache::ringRead(Buf &buf)
 Buf *
 BufferCache::getZeroed(uint64_t block_no)
 {
-    _ctx.chargeKernelWork(10, 5, 1);
+    chargeLookups(1);
     auto it = _index.find(block_no);
     if (it != _index.end()) {
         _hits++;

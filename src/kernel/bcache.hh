@@ -30,7 +30,8 @@ struct Buf
     std::vector<uint8_t> data;
 };
 
-/** LRU write-back cache. */
+/** LRU write-back cache. The capacity must be at least 3: Fs::bmap's
+ *  double-indirect path keeps three blocks live at once. */
 class BufferCache
 {
   public:
@@ -40,6 +41,12 @@ class BufferCache
     /** Get a block, reading from disk on a miss. The pointer stays
      *  valid until the next cache operation. */
     Buf *get(uint64_t block_no);
+
+    /** Account @p n more get()s of blocks already at the LRU front:
+     *  the same charge and hit count as n real hits, with the LRU
+     *  order unchanged. Scans that reread the block they just fetched
+     *  replay their later accesses through this. */
+    void repeatHits(uint64_t n);
 
     /** Get a block that is about to be fully overwritten: on a miss
      *  the buffer is created zeroed *without* touching the device
@@ -68,6 +75,14 @@ class BufferCache
     uint64_t flushBarrier() const { return _flushDone; }
 
   private:
+    /** Hash lookup + LRU maintenance for @p n accesses: a handful of
+     *  instrumented kernel memory operations each. */
+    void
+    chargeLookups(uint64_t n)
+    {
+        _ctx.chargeKernelWork(10 * n, 5 * n, n);
+    }
+
     void evictIfNeeded();
     void writeback(Buf &buf);
     void ringRead(Buf &buf);

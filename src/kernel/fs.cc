@@ -1,11 +1,62 @@
 #include "kernel/fs.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/log.hh"
 
 namespace vg::kern
 {
+
+namespace
+{
+
+bool
+bitSet(const uint8_t *bits, uint64_t i)
+{
+    return bits[i / 8] & (1u << (i % 8));
+}
+
+uint64_t
+word(const uint8_t *bits, uint64_t i)
+{
+    uint64_t w;
+    std::memcpy(&w, bits + i / 8, sizeof(w));
+    return w;
+}
+
+/** First clear bit of @p bits in [lo, hi), or hi if all are set. Full
+ *  64-bit words are skipped whole. */
+uint64_t
+firstClearBit(const uint8_t *bits, uint64_t lo, uint64_t hi)
+{
+    for (uint64_t i = lo; i < hi; i++) {
+        while (i % 64 == 0 && i + 64 <= hi && word(bits, i) == ~0ull)
+            i += 64;
+        if (i < hi && !bitSet(bits, i))
+            return i;
+    }
+    return hi;
+}
+
+/** Number of set bits of @p bits in [lo, hi). */
+uint64_t
+countSetBits(const uint8_t *bits, uint64_t lo, uint64_t hi)
+{
+    uint64_t n = 0;
+    uint64_t i = lo;
+    for (; i < hi && i % 64; i++)
+        n += bitSet(bits, i);
+    for (; i + 64 <= hi; i += 64)
+        n += std::popcount(word(bits, i));
+    for (; i < hi; i++)
+        n += bitSet(bits, i);
+    return n;
+}
+
+
+} // namespace
 
 const char *
 fsStatusName(FsStatus status)
@@ -88,13 +139,17 @@ Fs::mount()
         return false;
     _super = on_disk;
 
-    // Count free blocks from the bitmap.
+    // Count free blocks from the bitmap, one cache block at a time;
+    // the per-bit fetches after each block's first replay as hits.
     _freeBlocks = 0;
-    for (uint64_t b = _super.dataStart; b < _super.nblocks; b++) {
-        Buf *bm = _cache.get(_super.bitmapStart + b / (8 * 4096));
-        uint64_t bit = b % (8 * 4096);
-        if (!(bm->data[bit / 8] & (1 << (bit % 8))))
-            _freeBlocks++;
+    for (uint64_t lo = _super.dataStart; lo < _super.nblocks;) {
+        uint64_t base = lo - lo % bitsPerBlock;
+        uint64_t hi = std::min(_super.nblocks, base + bitsPerBlock);
+        Buf *bm = _cache.get(_super.bitmapStart + lo / bitsPerBlock);
+        _cache.repeatHits(hi - lo - 1);
+        _freeBlocks += hi - lo -
+                       countSetBits(bm->data.data(), lo - base, hi - base);
+        lo = hi;
     }
     _mounted = true;
     return true;
@@ -104,11 +159,17 @@ Fs::mount()
 // Inode table
 // --------------------------------------------------------------------
 
+Buf *
+Fs::inodeBlock(Ino ino)
+{
+    chargeInodeAccesses(1);
+    return _cache.get(_super.inodeStart + ino / inodesPerBlock);
+}
+
 Fs::DiskInode
 Fs::loadInode(Ino ino)
 {
-    _ctx.chargeKernelWork(16, 8, 1);
-    Buf *buf = _cache.get(_super.inodeStart + ino / inodesPerBlock);
+    Buf *buf = inodeBlock(ino);
     DiskInode inode{};
     std::memcpy(&inode,
                 buf->data.data() + (ino % inodesPerBlock) * 128,
@@ -119,8 +180,7 @@ Fs::loadInode(Ino ino)
 void
 Fs::storeInode(Ino ino, const DiskInode &inode)
 {
-    _ctx.chargeKernelWork(16, 8, 1);
-    Buf *buf = _cache.get(_super.inodeStart + ino / inodesPerBlock);
+    Buf *buf = inodeBlock(ino);
     std::memcpy(buf->data.data() + (ino % inodesPerBlock) * 128,
                 &inode, sizeof(inode));
     _cache.markDirty(buf);
@@ -129,16 +189,31 @@ Fs::storeInode(Ino ino, const DiskInode &inode)
 Ino
 Fs::allocInode(FileType type)
 {
+    // One real load per inode-table block; each later inode the
+    // per-inode walk would have loaded from it replays in one charge.
     uint64_t max_ino = _super.inodeBlocks * inodesPerBlock;
-    for (Ino ino = 1; ino < max_ino; ino++) {
-        DiskInode inode = loadInode(ino);
-        if (inode.type == uint16_t(FileType::Free)) {
+    for (uint64_t first = 1; first < max_ino;) {
+        uint64_t end = first - first % inodesPerBlock + inodesPerBlock;
+        const uint8_t *slots = inodeBlock(Ino(first))->data.data();
+        uint64_t ino = first;
+        for (; ino < end; ino++) {
+            DiskInode inode;
+            std::memcpy(&inode, slots + (ino % inodesPerBlock) * 128,
+                        sizeof(inode));
+            if (inode.type == uint16_t(FileType::Free))
+                break;
+        }
+        uint64_t more = std::min(ino, end - 1) - first;
+        chargeInodeAccesses(more);
+        _cache.repeatHits(more);
+        if (ino < end) {
             DiskInode fresh{};
             fresh.type = uint16_t(type);
             fresh.nlink = 1;
-            storeInode(ino, fresh);
-            return ino;
+            storeInode(Ino(ino), fresh);
+            return Ino(ino);
         }
+        first = end;
     }
     return 0;
 }
@@ -158,18 +233,25 @@ std::optional<uint64_t>
 Fs::allocBlock()
 {
     _ctx.chargeKernelWork(30, 16, 2);
-    for (uint64_t b = _super.dataStart; b < _super.nblocks; b++) {
-        Buf *bm = _cache.get(_super.bitmapStart + b / (8 * 4096));
-        uint64_t bit = b % (8 * 4096);
-        uint8_t &byte = bm->data[bit / 8];
-        if (!(byte & (1 << (bit % 8)))) {
-            byte |= uint8_t(1 << (bit % 8));
+    // One real get per bitmap block; every later bit the per-bit walk
+    // would have fetched from that block replays as one cache hit.
+    for (uint64_t lo = _super.dataStart; lo < _super.nblocks;) {
+        uint64_t base = lo - lo % bitsPerBlock;
+        uint64_t hi = std::min(_super.nblocks, base + bitsPerBlock);
+        Buf *bm = _cache.get(_super.bitmapStart + lo / bitsPerBlock);
+        uint64_t b =
+            base + firstClearBit(bm->data.data(), lo - base, hi - base);
+        _cache.repeatHits(std::min(b, hi - 1) - lo);
+        if (b < hi) {
+            uint64_t bit = b - base;
+            bm->data[bit / 8] |= uint8_t(1 << (bit % 8));
             _cache.markDirty(bm);
             _freeBlocks--;
             // Fresh blocks are zero-filled in the cache; no read.
             _cache.getZeroed(b);
             return b;
         }
+        lo = hi;
     }
     return std::nullopt;
 }
@@ -178,8 +260,8 @@ void
 Fs::freeBlock(uint64_t block)
 {
     _ctx.chargeKernelWork(12, 6, 1);
-    Buf *bm = _cache.get(_super.bitmapStart + block / (8 * 4096));
-    uint64_t bit = block % (8 * 4096);
+    Buf *bm = _cache.get(_super.bitmapStart + block / bitsPerBlock);
+    uint64_t bit = block % bitsPerBlock;
     bm->data[bit / 8] &= uint8_t(~(1 << (bit % 8)));
     _cache.markDirty(bm);
     _freeBlocks++;
@@ -192,7 +274,7 @@ Fs::freeBlock(uint64_t block)
 std::optional<uint64_t>
 Fs::bmap(DiskInode &inode, uint64_t file_block, bool allocate)
 {
-    _ctx.chargeKernelWork(8, 4, 1);
+    chargeBmaps(1);
 
     auto get_slot = [&](uint64_t *slot) -> std::optional<uint64_t> {
         if (*slot == 0) {
@@ -296,6 +378,47 @@ Fs::freeFileBlocks(DiskInode &inode)
 // Directories
 // --------------------------------------------------------------------
 
+template <typename Stop>
+Fs::DirScan
+Fs::scanDir(DiskInode &inode, uint64_t insts, uint64_t memops,
+            Stop &&stop)
+{
+    uint64_t entries = inode.size / sizeof(DirEnt);
+    for (uint64_t first = 0; first < entries; first += direntsPerBlock) {
+        // The block's first entry is the real access: its work, its
+        // bmap and its cache get land when the per-entry walk made
+        // them, so any miss, writeback or stall stays put.
+        uint64_t file_block = first / direntsPerBlock;
+        _ctx.chargeKernelWork(insts, memops, 0);
+        auto block = bmap(inode, file_block, false);
+        if (!block)
+            return {.hole = true};
+        Buf *buf = _cache.get(*block);
+        DirEnt *ents = reinterpret_cast<DirEnt *>(buf->data.data());
+        uint64_t count = std::min(direntsPerBlock, entries - first);
+        uint64_t seen = 0;
+        DirEnt *hit = nullptr;
+        while (seen < count && !hit) {
+            if (stop(ents[seen]))
+                hit = &ents[seen];
+            seen++;
+        }
+        // Every later entry of the block reruns the same bmap (its
+        // charge plus 0-2 indirect-block gets) and data-block get, all
+        // hits: one linear charge stands for them.
+        uint64_t more = seen - 1;
+        uint64_t depth = file_block < 10                 ? 0
+                         : file_block < 10 + ptrsPerBlock ? 1
+                                                          : 2;
+        _ctx.chargeKernelWork(more * insts, more * memops);
+        chargeBmaps(more);
+        _cache.repeatHits(more * (1 + depth));
+        if (hit)
+            return {.buf = buf, .ent = hit};
+    }
+    return {};
+}
+
 FsStatus
 Fs::dirLookup(Ino dir, const std::string &name, Ino &out)
 {
@@ -303,25 +426,16 @@ Fs::dirLookup(Ino dir, const std::string &name, Ino &out)
     if (inode.type != uint16_t(FileType::Directory))
         return FsStatus::NotDir;
 
-    uint64_t entries = inode.size / sizeof(DirEnt);
-    for (uint64_t i = 0; i < entries; i++) {
-        // Each entry scanned is instrumented kernel work.
-        _ctx.chargeKernelWork(7, 4, 0);
-        DirEnt ent{};
-        auto block = bmap(inode, i * sizeof(DirEnt) / 4096, false);
-        if (!block)
-            return FsStatus::Invalid;
-        Buf *buf = _cache.get(*block);
-        std::memcpy(&ent,
-                    buf->data.data() + (i * sizeof(DirEnt)) % 4096,
-                    sizeof(ent));
-        if (ent.ino != 0 && ent.nameLen == name.size() &&
-            std::memcmp(ent.name, name.data(), name.size()) == 0) {
-            out = ent.ino;
-            return FsStatus::Ok;
-        }
-    }
-    return FsStatus::NotFound;
+    // Each entry scanned is instrumented kernel work.
+    DirScan scan = scanDir(inode, 7, 4, [&](const DirEnt &ent) {
+        return ent.holds(name);
+    });
+    if (scan.hole)
+        return FsStatus::Invalid;
+    if (!scan.ent)
+        return FsStatus::NotFound;
+    out = scan.ent->ino;
+    return FsStatus::Ok;
 }
 
 FsStatus
@@ -339,24 +453,19 @@ Fs::dirAdd(Ino dir, const std::string &name, Ino target)
     std::memcpy(ent.name, name.data(), name.size());
 
     // Reuse a free slot if there is one.
-    uint64_t entries = inode.size / sizeof(DirEnt);
-    for (uint64_t i = 0; i < entries; i++) {
-        _ctx.chargeKernelWork(6, 3, 0);
-        auto block = bmap(inode, i * sizeof(DirEnt) / 4096, false);
-        if (!block)
-            return FsStatus::Invalid;
-        Buf *buf = _cache.get(*block);
-        DirEnt *slot = reinterpret_cast<DirEnt *>(
-            buf->data.data() + (i * sizeof(DirEnt)) % 4096);
-        if (slot->ino == 0) {
-            *slot = ent;
-            _cache.markDirty(buf);
-            return FsStatus::Ok;
-        }
+    DirScan scan = scanDir(inode, 6, 3,
+                           [](const DirEnt &slot) { return slot.ino == 0; });
+    if (scan.hole)
+        return FsStatus::Invalid;
+    if (scan.ent) {
+        *scan.ent = ent;
+        _cache.markDirty(scan.buf);
+        return FsStatus::Ok;
     }
 
     // Append.
-    auto block = bmap(inode, entries * sizeof(DirEnt) / 4096, true);
+    uint64_t entries = inode.size / sizeof(DirEnt);
+    auto block = bmap(inode, entries / direntsPerBlock, true);
     if (!block)
         return FsStatus::NoSpace;
     Buf *buf = _cache.get(*block);
@@ -375,41 +484,26 @@ Fs::dirRemove(Ino dir, const std::string &name)
     if (inode.type != uint16_t(FileType::Directory))
         return FsStatus::NotDir;
 
-    uint64_t entries = inode.size / sizeof(DirEnt);
-    for (uint64_t i = 0; i < entries; i++) {
-        _ctx.chargeKernelWork(6, 3, 0);
-        auto block = bmap(inode, i * sizeof(DirEnt) / 4096, false);
-        if (!block)
-            return FsStatus::Invalid;
-        Buf *buf = _cache.get(*block);
-        DirEnt *slot = reinterpret_cast<DirEnt *>(
-            buf->data.data() + (i * sizeof(DirEnt)) % 4096);
-        if (slot->ino != 0 && slot->nameLen == name.size() &&
-            std::memcmp(slot->name, name.data(), name.size()) == 0) {
-            slot->ino = 0;
-            _cache.markDirty(buf);
-            return FsStatus::Ok;
-        }
-    }
-    return FsStatus::NotFound;
+    DirScan scan = scanDir(inode, 6, 3, [&](const DirEnt &ent) {
+        return ent.holds(name);
+    });
+    if (scan.hole)
+        return FsStatus::Invalid;
+    if (!scan.ent)
+        return FsStatus::NotFound;
+    scan.ent->ino = 0;
+    _cache.markDirty(scan.buf);
+    return FsStatus::Ok;
 }
 
 bool
 Fs::dirEmpty(Ino dir)
 {
     DiskInode inode = loadInode(dir);
-    uint64_t entries = inode.size / sizeof(DirEnt);
-    for (uint64_t i = 0; i < entries; i++) {
-        auto block = bmap(inode, i * sizeof(DirEnt) / 4096, false);
-        if (!block)
-            return true;
-        Buf *buf = _cache.get(*block);
-        const DirEnt *slot = reinterpret_cast<const DirEnt *>(
-            buf->data.data() + (i * sizeof(DirEnt)) % 4096);
-        if (slot->ino != 0)
-            return false;
-    }
-    return true;
+    // A hole ends the scan like the end of the directory does.
+    return !scanDir(inode, 0, 0, [](const DirEnt &slot) {
+                return slot.ino != 0;
+            }).ent;
 }
 
 // --------------------------------------------------------------------
@@ -546,18 +640,12 @@ Fs::readdir(Ino dir, std::vector<std::string> &names)
     DiskInode inode = loadInode(dir);
     if (inode.type != uint16_t(FileType::Directory))
         return FsStatus::NotDir;
-    uint64_t entries = inode.size / sizeof(DirEnt);
-    for (uint64_t i = 0; i < entries; i++) {
-        _ctx.chargeKernelWork(6, 3, 0);
-        auto block = bmap(inode, i * sizeof(DirEnt) / 4096, false);
-        if (!block)
-            break;
-        Buf *buf = _cache.get(*block);
-        const DirEnt *ent = reinterpret_cast<const DirEnt *>(
-            buf->data.data() + (i * sizeof(DirEnt)) % 4096);
-        if (ent->ino != 0)
-            names.emplace_back(ent->name, ent->nameLen);
-    }
+    // A hole ends the listing early.
+    scanDir(inode, 6, 3, [&](const DirEnt &ent) {
+        if (ent.ino != 0)
+            names.emplace_back(ent.name, ent.nameLen);
+        return false;
+    });
     return FsStatus::Ok;
 }
 
@@ -617,16 +705,19 @@ Fs::write(Ino ino, uint64_t off, const void *buf, uint64_t len)
         uint64_t pos = off + done;
         auto block = bmap(inode, pos / 4096, true);
         if (!block)
-            return done ? int64_t(done) : -1;
+            break;
         uint64_t chunk = std::min(len - done, 4096 - pos % 4096);
         Buf *b = _cache.get(*block);
         std::memcpy(b->data.data() + pos % 4096, in + done, chunk);
         _cache.markDirty(b);
         done += chunk;
     }
-    if (off + len > inode.size)
-        inode.size = off + len;
+    // A short write on a full disk still records the blocks it
+    // allocated and the bytes it placed.
+    inode.size = std::max(inode.size, off + done);
     storeInode(ino, inode);
+    if (done < len)
+        return done ? int64_t(done) : -1;
     sim::StatSet::add(_hBytesWritten, len);
     return int64_t(len);
 }

@@ -19,6 +19,7 @@
 #define VG_KERNEL_FS_HH
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -97,7 +98,7 @@ class Fs
     int64_t read(Ino ino, uint64_t off, void *buf, uint64_t len);
 
     /** Write @p len bytes at @p off, growing the file; bytes written
-     *  or -1 on no-space. */
+     *  (short when the disk fills mid-write) or -1 on no-space. */
     int64_t write(Ino ino, uint64_t off, const void *buf, uint64_t len);
 
     /** Truncate to zero length, freeing data blocks. */
@@ -138,13 +139,51 @@ class Fs
         uint32_t ino;
         uint16_t nameLen;
         char name[58];
+
+        /** Live and named @p n. */
+        bool
+        holds(const std::string &n) const
+        {
+            return ino != 0 && nameLen == n.size() &&
+                   std::memcmp(name, n.data(), n.size()) == 0;
+        }
     };
     static_assert(sizeof(DirEnt) == 64, "dirent must be 64 bytes");
 
     static constexpr uint64_t inodesPerBlock = 4096 / 128;
     static constexpr uint64_t ptrsPerBlock = 4096 / 8;
+    static constexpr uint64_t direntsPerBlock = 4096 / sizeof(DirEnt);
+    static constexpr uint64_t bitsPerBlock = 8 * 4096;
     static constexpr uint64_t magicValue = 0x56474653'2e313030ull;
 
+    /** Where a directory scan ended: the entry it stopped at and that
+     *  entry's block, or no entry when the scan ran to the end or
+     *  (hole) hit an unmapped directory block. */
+    struct DirScan
+    {
+        Buf *buf = nullptr;
+        DirEnt *ent = nullptr;
+        bool hole = false;
+    };
+
+    /** Instrumented work of @p n inode-table accesses, cache gets
+     *  aside. */
+    void
+    chargeInodeAccesses(uint64_t n)
+    {
+        _ctx.chargeKernelWork(16 * n, 8 * n, n);
+    }
+
+    /** Instrumented work of @p n bmap calls, cache gets aside. */
+    void
+    chargeBmaps(uint64_t n)
+    {
+        _ctx.chargeKernelWork(8 * n, 4 * n, n);
+    }
+
+    /** Charge one inode-table access and fetch the block holding
+     *  @p ino. */
+    Buf *inodeBlock(Ino ino);
     DiskInode loadInode(Ino ino);
     void storeInode(Ino ino, const DiskInode &inode);
     Ino allocInode(FileType type);
@@ -157,6 +196,17 @@ class Fs
     std::optional<uint64_t> bmap(DiskInode &inode, uint64_t file_block,
                                  bool allocate);
     void freeFileBlocks(DiskInode &inode);
+
+    /**
+     * Walk the entries of directory @p inode in order, charging
+     * (@p insts, @p memops) of instrumented work per entry scanned,
+     * until @p stop accepts one. The simulated cost is the per-entry
+     * walk's; the host work is one bmap and one cache get per block
+     * (DESIGN §21).
+     */
+    template <typename Stop>
+    DirScan scanDir(DiskInode &inode, uint64_t insts, uint64_t memops,
+                    Stop &&stop);
 
     FsStatus dirLookup(Ino dir, const std::string &name, Ino &out);
     FsStatus dirAdd(Ino dir, const std::string &name, Ino target);
