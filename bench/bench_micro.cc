@@ -32,34 +32,67 @@
 using namespace vg;
 using namespace vg::crypto;
 
+namespace
+{
+
+/** Kernel argument of the crypto throughput benches. */
+enum Kernel : int64_t { kPortable = 0, kHardware = 1 };
+
+const char *const kNoHardware =
+    "cpuid lacks the AES-NI/SHA-NI instructions this kernel needs";
+
+} // namespace
+
+/** SHA-256 of Arg(0) bytes on the portable or SHA-NI kernel (Arg(1)). */
 static void
 BM_Sha256(benchmark::State &state)
 {
+    detail::Sha256Blocks kernel = state.range(1) == kHardware
+                                      ? detail::hardwareSha256()
+                                      : detail::portableSha256;
+    if (!kernel) {
+        state.SkipWithError(kNoHardware);
+        return;
+    }
     std::vector<uint8_t> data(size_t(state.range(0)), 0x5a);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(Sha256::hash(data.data(),
-                                              data.size()));
+        Sha256 h(kernel);
+        h.update(data.data(), data.size());
+        benchmark::DoNotOptimize(h.final());
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(1 << 16);
+BENCHMARK(BM_Sha256)
+    ->ArgsProduct({{64, 4096, 1 << 16}, {kPortable, kHardware}})
+    ->ArgNames({"bytes", "hw"});
 
+/** AES-CTR over Arg(0) bytes on the T-table or AES-NI kernels (Arg(1)). */
 static void
 BM_AesCtr(benchmark::State &state)
 {
+    const detail::AesKernels *kernels = state.range(1) == kHardware
+                                            ? detail::hardwareAes()
+                                            : &detail::portableAes();
+    if (!kernels) {
+        state.SkipWithError(kNoHardware);
+        return;
+    }
     AesKey key{};
-    Aes128 aes(key);
+    Aes128 aes(key, *kernels);
     AesBlock nonce{};
     std::vector<uint8_t> data(size_t(state.range(0)), 0x11);
     for (auto _ : state) {
         aes.ctrCrypt(data.data(), data.size(), nonce);
         benchmark::DoNotOptimize(data.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             state.range(0));
 }
-BENCHMARK(BM_AesCtr)->Arg(4096)->Arg(1 << 16);
+BENCHMARK(BM_AesCtr)
+    ->ArgsProduct({{4096, 1 << 16}, {kPortable, kHardware}})
+    ->ArgNames({"bytes", "hw"});
 
 static void
 BM_HmacSha256(benchmark::State &state)
@@ -420,9 +453,14 @@ BM_CryptoGhostSwap(benchmark::State &state)
     for (auto _ : state) {
         auto blob =
             rig.vm.swapOutGhostPage(1, 0, hw::ghostBase, &err);
-        bool ok = rig.vm.swapInGhostPage(1, 0, hw::ghostBase, *blob,
-                                         &err);
-        benchmark::DoNotOptimize(ok);
+        if (!blob) {
+            state.SkipWithError("swap-out failed");
+            break;
+        }
+        if (!rig.vm.swapInGhostPage(1, 0, hw::ghostBase, *blob, &err)) {
+            state.SkipWithError("swap-in failed");
+            break;
+        }
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(hw::pageSize));

@@ -1,6 +1,12 @@
 #include "crypto/aes.hh"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace vg::crypto
 {
@@ -142,79 +148,42 @@ invMixWord(const Tables &t, uint32_t w)
            t.td[3][t.sbox[w & 0xff]];
 }
 
-} // namespace
-
-Aes128::Aes128(const AesKey &key)
-{
-    const Tables &t = tables();
-    for (int i = 0; i < 4; i++) {
-        _roundKeys[i] = (uint32_t(key[4 * i]) << 24) |
-                        (uint32_t(key[4 * i + 1]) << 16) |
-                        (uint32_t(key[4 * i + 2]) << 8) |
-                        uint32_t(key[4 * i + 3]);
-    }
-    for (int i = 4; i < 44; i++) {
-        uint32_t temp = _roundKeys[i - 1];
-        if (i % 4 == 0) {
-            // RotWord + SubWord + Rcon.
-            temp = (temp << 8) | (temp >> 24);
-            temp = (uint32_t(t.sbox[(temp >> 24) & 0xff]) << 24) |
-                   (uint32_t(t.sbox[(temp >> 16) & 0xff]) << 16) |
-                   (uint32_t(t.sbox[(temp >> 8) & 0xff]) << 8) |
-                   uint32_t(t.sbox[temp & 0xff]);
-            temp ^= uint32_t(kRcon[i / 4]) << 24;
-        }
-        _roundKeys[i] = _roundKeys[i - 4] ^ temp;
-    }
-
-    // Equivalent inverse cipher: decrypt rounds walk the schedule
-    // backwards with InvMixColumns folded into rounds 1..9.
-    for (int c = 0; c < 4; c++) {
-        _decKeys[c] = _roundKeys[40 + c];
-        _decKeys[40 + c] = _roundKeys[c];
-    }
-    for (int r = 1; r < 10; r++)
-        for (int c = 0; c < 4; c++)
-            _decKeys[4 * r + c] =
-                invMixWord(t, _roundKeys[4 * (10 - r) + c]);
-}
-
 // --------------------------------------------------------------------
-// T-table rounds: SubBytes+ShiftRows+MixColumns collapse to four table
-// lookups and three XORs per output word.
+// Portable kernels. T-table rounds: SubBytes+ShiftRows+MixColumns
+// collapse to four table lookups and three XORs per output word.
 // --------------------------------------------------------------------
 
 void
-Aes128::encryptBlock(uint8_t block[16]) const
+tableEncrypt(const uint8_t *encKeys, uint8_t block[16])
 {
     const Tables &t = tables();
-    const uint32_t *rk = _roundKeys.data();
-    uint32_t s0 = be32(block) ^ rk[0];
-    uint32_t s1 = be32(block + 4) ^ rk[1];
-    uint32_t s2 = be32(block + 8) ^ rk[2];
-    uint32_t s3 = be32(block + 12) ^ rk[3];
+    const uint8_t *rk = encKeys;
+    uint32_t s0 = be32(block) ^ be32(rk);
+    uint32_t s1 = be32(block + 4) ^ be32(rk + 4);
+    uint32_t s2 = be32(block + 8) ^ be32(rk + 8);
+    uint32_t s3 = be32(block + 12) ^ be32(rk + 12);
 
     for (int round = 1; round < 10; round++) {
-        rk += 4;
+        rk += 16;
         uint32_t t0 = t.te[0][s0 >> 24] ^ t.te[1][(s1 >> 16) & 0xff] ^
                       t.te[2][(s2 >> 8) & 0xff] ^ t.te[3][s3 & 0xff] ^
-                      rk[0];
+                      be32(rk);
         uint32_t t1 = t.te[0][s1 >> 24] ^ t.te[1][(s2 >> 16) & 0xff] ^
                       t.te[2][(s3 >> 8) & 0xff] ^ t.te[3][s0 & 0xff] ^
-                      rk[1];
+                      be32(rk + 4);
         uint32_t t2 = t.te[0][s2 >> 24] ^ t.te[1][(s3 >> 16) & 0xff] ^
                       t.te[2][(s0 >> 8) & 0xff] ^ t.te[3][s1 & 0xff] ^
-                      rk[2];
+                      be32(rk + 8);
         uint32_t t3 = t.te[0][s3 >> 24] ^ t.te[1][(s0 >> 16) & 0xff] ^
                       t.te[2][(s1 >> 8) & 0xff] ^ t.te[3][s2 & 0xff] ^
-                      rk[3];
+                      be32(rk + 12);
         s0 = t0;
         s1 = t1;
         s2 = t2;
         s3 = t3;
     }
 
-    rk += 4;
+    rk += 16;
     uint32_t o0 = (uint32_t(t.sbox[s0 >> 24]) << 24) |
                   (uint32_t(t.sbox[(s1 >> 16) & 0xff]) << 16) |
                   (uint32_t(t.sbox[(s2 >> 8) & 0xff]) << 8) |
@@ -231,43 +200,43 @@ Aes128::encryptBlock(uint8_t block[16]) const
                   (uint32_t(t.sbox[(s0 >> 16) & 0xff]) << 16) |
                   (uint32_t(t.sbox[(s1 >> 8) & 0xff]) << 8) |
                   uint32_t(t.sbox[s2 & 0xff]);
-    putBe32(block, o0 ^ rk[0]);
-    putBe32(block + 4, o1 ^ rk[1]);
-    putBe32(block + 8, o2 ^ rk[2]);
-    putBe32(block + 12, o3 ^ rk[3]);
+    putBe32(block, o0 ^ be32(rk));
+    putBe32(block + 4, o1 ^ be32(rk + 4));
+    putBe32(block + 8, o2 ^ be32(rk + 8));
+    putBe32(block + 12, o3 ^ be32(rk + 12));
 }
 
 void
-Aes128::decryptBlock(uint8_t block[16]) const
+tableDecrypt(const uint8_t *decKeys, uint8_t block[16])
 {
     const Tables &t = tables();
-    const uint32_t *dk = _decKeys.data();
-    uint32_t s0 = be32(block) ^ dk[0];
-    uint32_t s1 = be32(block + 4) ^ dk[1];
-    uint32_t s2 = be32(block + 8) ^ dk[2];
-    uint32_t s3 = be32(block + 12) ^ dk[3];
+    const uint8_t *dk = decKeys;
+    uint32_t s0 = be32(block) ^ be32(dk);
+    uint32_t s1 = be32(block + 4) ^ be32(dk + 4);
+    uint32_t s2 = be32(block + 8) ^ be32(dk + 8);
+    uint32_t s3 = be32(block + 12) ^ be32(dk + 12);
 
     for (int round = 1; round < 10; round++) {
-        dk += 4;
+        dk += 16;
         uint32_t t0 = t.td[0][s0 >> 24] ^ t.td[1][(s3 >> 16) & 0xff] ^
                       t.td[2][(s2 >> 8) & 0xff] ^ t.td[3][s1 & 0xff] ^
-                      dk[0];
+                      be32(dk);
         uint32_t t1 = t.td[0][s1 >> 24] ^ t.td[1][(s0 >> 16) & 0xff] ^
                       t.td[2][(s3 >> 8) & 0xff] ^ t.td[3][s2 & 0xff] ^
-                      dk[1];
+                      be32(dk + 4);
         uint32_t t2 = t.td[0][s2 >> 24] ^ t.td[1][(s1 >> 16) & 0xff] ^
                       t.td[2][(s0 >> 8) & 0xff] ^ t.td[3][s3 & 0xff] ^
-                      dk[2];
+                      be32(dk + 8);
         uint32_t t3 = t.td[0][s3 >> 24] ^ t.td[1][(s2 >> 16) & 0xff] ^
                       t.td[2][(s1 >> 8) & 0xff] ^ t.td[3][s0 & 0xff] ^
-                      dk[3];
+                      be32(dk + 12);
         s0 = t0;
         s1 = t1;
         s2 = t2;
         s3 = t3;
     }
 
-    dk += 4;
+    dk += 16;
     uint32_t o0 = (uint32_t(t.inv_sbox[s0 >> 24]) << 24) |
                   (uint32_t(t.inv_sbox[(s3 >> 16) & 0xff]) << 16) |
                   (uint32_t(t.inv_sbox[(s2 >> 8) & 0xff]) << 8) |
@@ -284,10 +253,226 @@ Aes128::decryptBlock(uint8_t block[16]) const
                   (uint32_t(t.inv_sbox[(s2 >> 16) & 0xff]) << 16) |
                   (uint32_t(t.inv_sbox[(s1 >> 8) & 0xff]) << 8) |
                   uint32_t(t.inv_sbox[s0 & 0xff]);
-    putBe32(block, o0 ^ dk[0]);
-    putBe32(block + 4, o1 ^ dk[1]);
-    putBe32(block + 8, o2 ^ dk[2]);
-    putBe32(block + 12, o3 ^ dk[3]);
+    putBe32(block, o0 ^ be32(dk));
+    putBe32(block + 4, o1 ^ be32(dk + 4));
+    putBe32(block + 8, o2 ^ be32(dk + 8));
+    putBe32(block + 12, o3 ^ be32(dk + 12));
+}
+
+/** The low 8 bytes of a CTR nonce, as a big-endian counter. */
+inline uint64_t
+counterOf(const uint8_t nonce[16])
+{
+    return (uint64_t(be32(nonce + 8)) << 32) | be32(nonce + 12);
+}
+
+void
+tableCtr(const uint8_t *encKeys, uint8_t *data, size_t len,
+         const uint8_t nonce[16])
+{
+    uint64_t counter = counterOf(nonce);
+    uint8_t keystream[16];
+    for (size_t off = 0; off < len; off += 16, counter++) {
+        std::memcpy(keystream, nonce, 8);
+        putBe32(keystream + 8, uint32_t(counter >> 32));
+        putBe32(keystream + 12, uint32_t(counter));
+        tableEncrypt(encKeys, keystream);
+        size_t n = std::min<size_t>(16, len - off);
+        for (size_t i = 0; i < n; i++)
+            data[off + i] ^= keystream[i];
+    }
+}
+
+constexpr detail::AesKernels kTableKernels = {tableEncrypt, tableDecrypt,
+                                              tableCtr};
+
+// --------------------------------------------------------------------
+// AES-NI kernels: one aesenc/aesdec per round, over the same byte-order
+// schedules the T-table kernels read.
+// --------------------------------------------------------------------
+
+#if defined(__x86_64__)
+
+#define VG_AESNI __attribute__((target("aes,sse4.1")))
+
+VG_AESNI inline void
+loadKeys(const uint8_t *keys, __m128i k[11])
+{
+    for (size_t r = 0; r < 11; r++)
+        k[r] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(keys + 16 * r));
+}
+
+VG_AESNI inline __m128i
+niEncrypt(const __m128i k[11], __m128i b)
+{
+    b = _mm_xor_si128(b, k[0]);
+    for (int r = 1; r < 10; r++)
+        b = _mm_aesenc_si128(b, k[r]);
+    return _mm_aesenclast_si128(b, k[10]);
+}
+
+VG_AESNI void
+niEncryptBlock(const uint8_t *encKeys, uint8_t block[16])
+{
+    __m128i k[11];
+    loadKeys(encKeys, k);
+    auto *p = reinterpret_cast<__m128i *>(block);
+    _mm_storeu_si128(p, niEncrypt(k, _mm_loadu_si128(p)));
+}
+
+VG_AESNI void
+niDecryptBlock(const uint8_t *decKeys, uint8_t block[16])
+{
+    __m128i k[11];
+    loadKeys(decKeys, k);
+    auto *p = reinterpret_cast<__m128i *>(block);
+    __m128i b = _mm_xor_si128(_mm_loadu_si128(p), k[0]);
+    for (int r = 1; r < 10; r++)
+        b = _mm_aesdec_si128(b, k[r]);
+    _mm_storeu_si128(p, _mm_aesdeclast_si128(b, k[10]));
+}
+
+/** XOR one keystream block into @p n <= 16 bytes at @p p. */
+VG_AESNI inline void
+xorBlock(uint8_t *p, __m128i ks, size_t n)
+{
+    auto *v = reinterpret_cast<__m128i *>(p);
+    if (n == 16) {
+        _mm_storeu_si128(v, _mm_xor_si128(_mm_loadu_si128(v), ks));
+        return;
+    }
+    uint8_t bytes[16];
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(bytes), ks);
+    for (size_t i = 0; i < n; i++)
+        p[i] ^= bytes[i];
+}
+
+/**
+ * Eight counter blocks in flight per batch, then one at a time for
+ * the last whole blocks and the partial tail. Block i of a batch
+ * carries the unchanged high half of the nonce and counter + i, so the
+ * low half wraps mod 2^64 inside a batch exactly as the byte-wise
+ * increment does.
+ */
+VG_AESNI void
+niCtr(const uint8_t *encKeys, uint8_t *data, size_t len,
+      const uint8_t nonce[16])
+{
+    __m128i k[11];
+    loadKeys(encKeys, k);
+    long long high;
+    std::memcpy(&high, nonce, 8);
+    uint64_t counter = counterOf(nonce);
+    auto block = [&](uint64_t c) {
+        return _mm_set_epi64x(
+            static_cast<long long>(__builtin_bswap64(c)), high);
+    };
+
+    size_t off = 0;
+    for (; off + 128 <= len; off += 128, counter += 8) {
+        __m128i b[8];
+#pragma GCC unroll 8
+        for (size_t i = 0; i < 8; i++)
+            b[i] = _mm_xor_si128(block(counter + i), k[0]);
+        for (int r = 1; r < 10; r++) {
+#pragma GCC unroll 8
+            for (auto &x : b)
+                x = _mm_aesenc_si128(x, k[r]);
+        }
+#pragma GCC unroll 8
+        for (size_t i = 0; i < 8; i++)
+            xorBlock(data + off + 16 * i,
+                     _mm_aesenclast_si128(b[i], k[10]), 16);
+    }
+    for (; off < len; off += 16, counter++)
+        xorBlock(data + off, niEncrypt(k, block(counter)),
+                 std::min<size_t>(16, len - off));
+}
+
+#undef VG_AESNI
+
+constexpr detail::AesKernels kNiKernels = {niEncryptBlock, niDecryptBlock,
+                                           niCtr};
+
+#endif // __x86_64__
+
+} // namespace
+
+namespace detail
+{
+
+const AesKernels &
+portableAes()
+{
+    return kTableKernels;
+}
+
+const AesKernels *
+hardwareAes()
+{
+#if defined(__x86_64__)
+    static const bool present = [] {
+        unsigned a, b, c, d;
+        return __get_cpuid(1, &a, &b, &c, &d) && (c & bit_AES) &&
+               (c & bit_SSSE3) && (c & bit_SSE4_1);
+    }();
+    return present ? &kNiKernels : nullptr;
+#else
+    return nullptr;
+#endif
+}
+
+} // namespace detail
+
+Aes128::Aes128(const AesKey &key)
+    : Aes128(key, detail::hardwareAes() ? *detail::hardwareAes()
+                                        : detail::portableAes())
+{
+}
+
+Aes128::Aes128(const AesKey &key, const detail::AesKernels &kernels)
+    : _kernels(&kernels)
+{
+    const Tables &t = tables();
+    uint32_t w[44];
+    for (size_t i = 0; i < 4; i++)
+        w[i] = be32(key.data() + 4 * i);
+    for (size_t i = 4; i < 44; i++) {
+        uint32_t temp = w[i - 1];
+        if (i % 4 == 0) {
+            // RotWord + SubWord + Rcon.
+            temp = (temp << 8) | (temp >> 24);
+            temp = (uint32_t(t.sbox[(temp >> 24) & 0xff]) << 24) |
+                   (uint32_t(t.sbox[(temp >> 16) & 0xff]) << 16) |
+                   (uint32_t(t.sbox[(temp >> 8) & 0xff]) << 8) |
+                   uint32_t(t.sbox[temp & 0xff]);
+            temp ^= uint32_t(kRcon[i / 4]) << 24;
+        }
+        w[i] = w[i - 4] ^ temp;
+    }
+
+    // Equivalent inverse cipher: decrypt rounds walk the schedule
+    // backwards with InvMixColumns folded into rounds 1..9.
+    for (size_t i = 0; i < 44; i++) {
+        size_t r = i / 4, c = i % 4;
+        uint32_t src = w[4 * (10 - r) + c];
+        putBe32(_encKeys.data() + 4 * i, w[i]);
+        putBe32(_decKeys.data() + 4 * i,
+                (r == 0 || r == 10) ? src : invMixWord(t, src));
+    }
+}
+
+void
+Aes128::encryptBlock(uint8_t block[16]) const
+{
+    _kernels->encrypt(_encKeys.data(), block);
+}
+
+void
+Aes128::decryptBlock(uint8_t block[16]) const
+{
+    _kernels->decrypt(_decKeys.data(), block);
 }
 
 std::vector<uint8_t>
@@ -344,42 +529,7 @@ Aes128::cbcDecrypt(const std::vector<uint8_t> &cipher, const AesBlock &iv,
 void
 Aes128::ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const
 {
-    uint8_t counter[16];
-    std::memcpy(counter, nonce.data(), 16);
-    uint8_t keystream[16];
-
-    size_t off = 0;
-    // Whole blocks: XOR the keystream in two 64-bit lanes.
-    for (; off + 16 <= len; off += 16) {
-        std::memcpy(keystream, counter, 16);
-        encryptBlock(keystream);
-        uint64_t d0, d1, k0, k1;
-        std::memcpy(&d0, data + off, 8);
-        std::memcpy(&d1, data + off + 8, 8);
-        std::memcpy(&k0, keystream, 8);
-        std::memcpy(&k1, keystream + 8, 8);
-        d0 ^= k0;
-        d1 ^= k1;
-        std::memcpy(data + off, &d0, 8);
-        std::memcpy(data + off + 8, &d1, 8);
-        for (int i = 15; i >= 8; i--) {
-            if (++counter[i] != 0)
-                break;
-        }
-    }
-    // The partial tail block.
-    for (; off < len; off += 16) {
-        std::memcpy(keystream, counter, 16);
-        encryptBlock(keystream);
-        size_t n = std::min<size_t>(16, len - off);
-        for (size_t i = 0; i < n; i++)
-            data[off + i] ^= keystream[i];
-        // Increment the big-endian counter in the low 8 bytes.
-        for (int i = 15; i >= 8; i--) {
-            if (++counter[i] != 0)
-                break;
-        }
-    }
+    _kernels->ctr(_encKeys.data(), data, len, nonce.data());
 }
 
 std::vector<uint8_t>

@@ -7,11 +7,14 @@
  * paper's prototype hard-codes a 128-bit AES application key; we keep
  * the same key size.
  *
- * Rounds use precomputed T-tables (encrypt) and the equivalent
- * inverse cipher (decrypt), with a block-at-a-time CTR mode. The
- * textbook byte-oriented SubBytes/ShiftRows/MixColumns rounds live in
- * the test oracle (tests/crypto_ref.hh), which the known-answer and
- * sweep tests hold this implementation to bit for bit.
+ * Two kernel sets run the rounds, and cpuid picks one per process:
+ * AES-NI (aesenc/aesdec, with CTR keeping eight blocks in flight) when
+ * leaf 1 ECX reports AES, SSSE3 and SSE4.1, and otherwise portable
+ * T-tables (encrypt) and the equivalent inverse cipher (decrypt). Both
+ * read the same round-key schedules, stored in FIPS-197 byte order.
+ * The textbook byte-oriented SubBytes/ShiftRows/MixColumns rounds live
+ * in the test oracle (tests/crypto_ref.hh), which the known-answer and
+ * sweep tests hold both kernel sets to bit for bit.
  */
 
 #ifndef VG_CRYPTO_AES_HH
@@ -42,13 +45,38 @@ namespace detail
  */
 void buildAesSboxes(uint8_t sbox[256], uint8_t inv_sbox[256]);
 
+/**
+ * One implementation of the AES-128 rounds. Every schedule is 11 round
+ * keys of 16 bytes in FIPS-197 byte order; decrypt takes the
+ * equivalent-inverse-cipher schedule. ctr XORs the keystream of
+ * @p nonce, whose low 8 bytes are a big-endian counter that wraps
+ * without carrying into the high 8.
+ */
+struct AesKernels
+{
+    void (*encrypt)(const uint8_t *encKeys, uint8_t block[16]);
+    void (*decrypt)(const uint8_t *decKeys, uint8_t block[16]);
+    void (*ctr)(const uint8_t *encKeys, uint8_t *data, size_t len,
+                const uint8_t nonce[16]);
+};
+
+/** The T-table kernels, which run on every host. */
+const AesKernels &portableAes();
+
+/** The AES-NI kernels, or null when cpuid lacks AES, SSSE3 or SSE4.1. */
+const AesKernels *hardwareAes();
+
 } // namespace detail
 
 /** AES-128 block cipher with expanded round keys. */
 class Aes128
 {
   public:
+    /** Expand @p key for the kernels this host's cpuid selects. */
     explicit Aes128(const AesKey &key);
+
+    /** Expand @p key for @p kernels (tests compare the kernel sets). */
+    Aes128(const AesKey &key, const detail::AesKernels &kernels);
 
     /** Encrypt one 16-byte block in place. */
     void encryptBlock(uint8_t block[16]) const;
@@ -78,9 +106,11 @@ class Aes128
     void ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const;
 
   private:
-    std::array<uint32_t, 44> _roundKeys;
+    const detail::AesKernels *_kernels;
+    /** Encryption round keys. */
+    std::array<uint8_t, 176> _encKeys;
     /** Equivalent-inverse-cipher round keys. */
-    std::array<uint32_t, 44> _decKeys;
+    std::array<uint8_t, 176> _decKeys;
 };
 
 } // namespace vg::crypto

@@ -5,12 +5,15 @@
 namespace vg::crypto
 {
 
-HmacSha256::HmacSha256(const std::vector<uint8_t> &key)
+HmacSha256::HmacSha256(const std::vector<uint8_t> &key, const Sha256 &fresh)
+    : _inner(fresh), _outer(fresh)
 {
     // Normalize the key to one 64-byte block (hash it if longer).
     uint8_t k[64] = {};
     if (key.size() > 64) {
-        Digest kd = Sha256::hash(key.data(), key.size());
+        Sha256 h = fresh;
+        h.update(key.data(), key.size());
+        Digest kd = h.final();
         std::memcpy(k, kd.data(), kd.size());
     } else if (!key.empty()) {
         std::memcpy(k, key.data(), key.size());

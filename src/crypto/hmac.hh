@@ -31,7 +31,10 @@ namespace vg::crypto
 class HmacSha256
 {
   public:
-    explicit HmacSha256(const std::vector<uint8_t> &key);
+    /** Key the MAC; every hash starts as a copy of @p fresh, so its
+     *  compression kernel is the one @p fresh was built on. */
+    explicit HmacSha256(const std::vector<uint8_t> &key,
+                        const Sha256 &fresh = Sha256());
 
     /** Start a streaming MAC: a hasher mid-way through ipad||message. */
     Sha256 begin() const { return _inner; }

@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace vg::crypto
 {
 
@@ -44,7 +49,137 @@ round(uint32_t a, uint32_t b, uint32_t c, uint32_t &d, uint32_t e,
     h = t1 + t2;
 }
 
+#if defined(__x86_64__)
+
+/**
+ * SHA-NI compression. The state lives as ABEF/CDGH lanes for the whole
+ * run of blocks. Group g does rounds 4g..4g+3 with two sha256rnds2;
+ * msg1 and msg2 extend the schedule four words at a time, rotating
+ * through m[0..3].
+ */
+__attribute__((target("sha,sse4.1,ssse3"))) void
+shaNiBlocks(uint32_t state[8], const uint8_t *p, size_t n)
+{
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    auto *st = reinterpret_cast<__m128i *>(state);
+    __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(st), 0xb1);
+    __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(st + 1), 0x1b);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for (; n > 0; n--, p += 64) {
+        const __m128i abefIn = abef, cdghIn = cdgh;
+        __m128i m[4];
+#pragma GCC unroll 16
+        for (size_t g = 0; g < 16; g++) {
+            __m128i &cur = m[g % 4];
+            __m128i &next = m[(g + 1) % 4];
+            __m128i &prev = m[(g + 3) % 4];
+            if (g < 4)
+                cur = _mm_shuffle_epi8(
+                    _mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(p + 16 * g)),
+                    bswap);
+            __m128i wk = _mm_add_epi32(
+                cur, _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                         kRound.data() + 4 * g)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            if (g >= 3 && g < 15)
+                next = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)),
+                    cur);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh,
+                                         _mm_shuffle_epi32(wk, 0x0e));
+            if (g >= 1 && g < 13)
+                prev = _mm_sha256msg1_epu32(prev, cur);
+        }
+        abef = _mm_add_epi32(abef, abefIn);
+        cdgh = _mm_add_epi32(cdgh, cdghIn);
+    }
+
+    __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    _mm_storeu_si128(st, _mm_blend_epi16(feba, dchg, 0xf0));
+    _mm_storeu_si128(st + 1, _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif // __x86_64__
+
 } // namespace
+
+namespace detail
+{
+
+void
+portableSha256(uint32_t state[8], const uint8_t *p, size_t n)
+{
+    for (; n > 0; n--, p += 64) {
+        uint32_t w[64];
+        for (size_t i = 0; i < 16; i++) {
+            w[i] = (uint32_t(p[i * 4]) << 24) |
+                   (uint32_t(p[i * 4 + 1]) << 16) |
+                   (uint32_t(p[i * 4 + 2]) << 8) | uint32_t(p[i * 4 + 3]);
+        }
+        for (int i = 16; i < 64; i++) {
+            uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
+                          (w[i - 15] >> 3);
+            uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
+                          (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+        // Eight rounds per iteration with rotated register roles — no
+        // value shuffling between rounds.
+        for (int i = 0; i < 64; i += 8) {
+            round(a, b, c, d, e, f, g, h, kRound[i + 0], w[i + 0]);
+            round(h, a, b, c, d, e, f, g, kRound[i + 1], w[i + 1]);
+            round(g, h, a, b, c, d, e, f, kRound[i + 2], w[i + 2]);
+            round(f, g, h, a, b, c, d, e, kRound[i + 3], w[i + 3]);
+            round(e, f, g, h, a, b, c, d, kRound[i + 4], w[i + 4]);
+            round(d, e, f, g, h, a, b, c, kRound[i + 5], w[i + 5]);
+            round(c, d, e, f, g, h, a, b, kRound[i + 6], w[i + 6]);
+            round(b, c, d, e, f, g, h, a, kRound[i + 7], w[i + 7]);
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+Sha256Blocks
+hardwareSha256()
+{
+#if defined(__x86_64__)
+    static const bool present = [] {
+        unsigned a, b, c, d;
+        if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_SSSE3) ||
+            !(c & bit_SSE4_1))
+            return false;
+        return __get_cpuid_count(7, 0, &a, &b, &c, &d) && (b & bit_SHA);
+    }();
+    return present ? shaNiBlocks : nullptr;
+#else
+    return nullptr;
+#endif
+}
+
+} // namespace detail
+
+Sha256::Sha256()
+    : Sha256(detail::hardwareSha256() ? detail::hardwareSha256()
+                                      : detail::portableSha256)
+{
+}
 
 void
 Sha256::reset()
@@ -53,50 +188,6 @@ Sha256::reset()
               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
     _totalLen = 0;
     _bufferLen = 0;
-}
-
-void
-Sha256::processBlock(const uint8_t *block)
-{
-    uint32_t w[64];
-    for (int i = 0; i < 16; i++) {
-        w[i] = (uint32_t(block[i * 4]) << 24) |
-               (uint32_t(block[i * 4 + 1]) << 16) |
-               (uint32_t(block[i * 4 + 2]) << 8) |
-               uint32_t(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 64; i++) {
-        uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
-                      (w[i - 15] >> 3);
-        uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
-                      (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    uint32_t a = _state[0], b = _state[1], c = _state[2], d = _state[3];
-    uint32_t e = _state[4], f = _state[5], g = _state[6], h = _state[7];
-
-    // Eight rounds per iteration with rotated register roles — no
-    // value shuffling between rounds.
-    for (int i = 0; i < 64; i += 8) {
-        round(a, b, c, d, e, f, g, h, kRound[i + 0], w[i + 0]);
-        round(h, a, b, c, d, e, f, g, kRound[i + 1], w[i + 1]);
-        round(g, h, a, b, c, d, e, f, kRound[i + 2], w[i + 2]);
-        round(f, g, h, a, b, c, d, e, kRound[i + 3], w[i + 3]);
-        round(e, f, g, h, a, b, c, d, kRound[i + 4], w[i + 4]);
-        round(d, e, f, g, h, a, b, c, kRound[i + 5], w[i + 5]);
-        round(c, d, e, f, g, h, a, b, kRound[i + 6], w[i + 6]);
-        round(b, c, d, e, f, g, h, a, kRound[i + 7], w[i + 7]);
-    }
-
-    _state[0] += a;
-    _state[1] += b;
-    _state[2] += c;
-    _state[3] += d;
-    _state[4] += e;
-    _state[5] += f;
-    _state[6] += g;
-    _state[7] += h;
 }
 
 void
@@ -114,14 +205,15 @@ Sha256::update(const void *data, size_t len)
         p += take;
         len -= take;
         if (_bufferLen == _buffer.size()) {
-            processBlock(_buffer.data());
+            processBlocks(_buffer.data(), 1);
             _bufferLen = 0;
         }
     }
-    while (len >= 64) {
-        processBlock(p);
-        p += 64;
-        len -= 64;
+    if (len >= 64) {
+        size_t whole = len / 64;
+        processBlocks(p, whole);
+        p += 64 * whole;
+        len -= 64 * whole;
     }
     if (len > 0) {
         std::memcpy(_buffer.data(), p, len);
@@ -143,9 +235,7 @@ Sha256::final()
     std::memset(pad + n, 0, total - 8 - n);
     for (int i = 0; i < 8; i++)
         pad[total - 8 + i] = uint8_t(bit_len >> (56 - 8 * i));
-    processBlock(pad);
-    if (total == 128)
-        processBlock(pad + 64);
+    processBlocks(pad, total / 64);
 
     Digest out;
     for (int i = 0; i < 8; i++) {

@@ -5,10 +5,14 @@
  * Used for HMAC integrity tags on swapped ghost pages and translation
  * signatures, and for application file checksums (S 3.3).
  *
- * The finalize pads in one stack buffer and the compression loop is
- * unrolled eight rounds at a time. The textbook rotating round loop
- * and byte-at-a-time padding live in the test oracle
- * (tests/crypto_ref.hh), which this implementation must match.
+ * Two compression kernels exist, and cpuid picks one per process: the
+ * SHA-NI one (sha256rnds2/msg1/msg2) when leaf 7 EBX reports SHA and
+ * leaf 1 ECX reports SSSE3 and SSE4.1, and otherwise a portable loop
+ * unrolled eight rounds at a time. update() hands every run of whole
+ * blocks to the kernel in one call, and final() pads in one stack
+ * buffer. The textbook rotating round loop and byte-at-a-time padding
+ * live in the test oracle (tests/crypto_ref.hh), which both kernels
+ * must match.
  */
 
 #ifndef VG_CRYPTO_SHA256_HH
@@ -26,11 +30,33 @@ namespace vg::crypto
 /** A 32-byte SHA-256 digest. */
 using Digest = std::array<uint8_t, 32>;
 
+namespace detail
+{
+
+/** A compression kernel: absorb @p n whole 64-byte blocks at @p p. */
+using Sha256Blocks = void (*)(uint32_t state[8], const uint8_t *p,
+                              size_t n);
+
+/** The portable kernel, which runs on every host. */
+void portableSha256(uint32_t state[8], const uint8_t *p, size_t n);
+
+/** The SHA-NI kernel, or null when cpuid lacks SHA, SSSE3 or SSE4.1. */
+Sha256Blocks hardwareSha256();
+
+} // namespace detail
+
 /** Incremental SHA-256 hasher. */
 class Sha256
 {
   public:
-    Sha256() { reset(); }
+    /** A hasher on the kernel this host's cpuid selects. */
+    Sha256();
+
+    /** A hasher on @p blocks (tests compare the kernels). */
+    explicit Sha256(detail::Sha256Blocks blocks) : _blocks(blocks)
+    {
+        reset();
+    }
 
     /** Reset to the initial state. */
     void reset();
@@ -52,8 +78,13 @@ class Sha256
     }
 
   private:
-    void processBlock(const uint8_t *block);
+    void
+    processBlocks(const uint8_t *p, size_t n)
+    {
+        _blocks(_state.data(), p, n);
+    }
 
+    detail::Sha256Blocks _blocks;
     std::array<uint32_t, 8> _state;
     std::array<uint8_t, 64> _buffer;
     uint64_t _totalLen;

@@ -2,11 +2,13 @@
  * @file
  * Crypto substrate tests: SHA-256, AES-128, HMAC, DRBG, sealing.
  * Known-answer vectors come from FIPS 197, FIPS 180-4 and RFC 4231 and
- * run against both the production code and the crypto_ref.hh oracle.
+ * run against the production code, the crypto_ref.hh oracle, and the
+ * portable and hardware kernel sets.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/aes.hh"
@@ -397,9 +399,10 @@ TEST(AesSbox, IsAPermutation)
 }
 
 // --------------------------------------------------------------------
-// Known-answer vectors against BOTH the production code and the
-// textbook oracle in crypto_ref.hh. The param selects the
-// implementation.
+// Known-answer vectors against the production code, the textbook
+// oracle in crypto_ref.hh, and each host kernel set reached directly:
+// portable (runs everywhere) and hardware (AES-NI/SHA-NI, skipped when
+// cpuid lacks them). The param selects the implementation.
 // --------------------------------------------------------------------
 
 namespace
@@ -408,18 +411,49 @@ namespace
 struct CryptoImpl
 {
     const char *name;
+    /** Why this host cannot run the row's AES or SHA kernel; null when
+     *  it can. */
+    const char *(*aesMissing)();
+    const char *(*shaMissing)();
     void (*encrypt)(const AesKey &key, uint8_t block[16]);
     void (*decrypt)(const AesKey &key, uint8_t block[16]);
-    Digest (*sha256)(const void *data, size_t len);
+    std::vector<uint8_t> (*ctr)(const AesKey &key,
+                                const std::vector<uint8_t> &data,
+                                const AesBlock &nonce);
+    /** SHA-256 fed by two update() calls split at @p split. */
+    Digest (*sha256)(const void *data, size_t len, size_t split);
     Digest (*hmac)(const std::vector<uint8_t> &key, const void *data,
                    size_t len);
 };
 
+const char *
+runsEverywhere()
+{
+    return nullptr;
+}
+
+template <class Hasher>
+Digest
+splitHash(Hasher h, const void *data, size_t len, size_t split)
+{
+    const auto *p = static_cast<const uint8_t *>(data);
+    h.update(p, split);
+    h.update(p + split, len - split);
+    return h.final();
+}
+
 const CryptoImpl kProduction = {
     "production",
+    runsEverywhere,
+    runsEverywhere,
     [](const AesKey &k, uint8_t b[16]) { Aes128(k).encryptBlock(b); },
     [](const AesKey &k, uint8_t b[16]) { Aes128(k).decryptBlock(b); },
-    [](const void *d, size_t n) { return Sha256::hash(d, n); },
+    [](const AesKey &k, const std::vector<uint8_t> &d, const AesBlock &n) {
+        return Aes128(k).ctrCrypt(d, n);
+    },
+    [](const void *d, size_t n, size_t s) {
+        return splitHash(Sha256(), d, n, s);
+    },
     [](const std::vector<uint8_t> &k, const void *d, size_t n) {
         return hmacSha256(k, d, n);
     },
@@ -427,15 +461,75 @@ const CryptoImpl kProduction = {
 
 const CryptoImpl kReference = {
     "reference",
+    runsEverywhere,
+    runsEverywhere,
     [](const AesKey &k, uint8_t b[16]) {
         vg::crypto_ref::Aes128(k).encryptBlock(b);
     },
     [](const AesKey &k, uint8_t b[16]) {
         vg::crypto_ref::Aes128(k).decryptBlock(b);
     },
-    [](const void *d, size_t n) { return vg::crypto_ref::sha256(d, n); },
+    [](const AesKey &k, const std::vector<uint8_t> &d, const AesBlock &n) {
+        return vg::crypto_ref::Aes128(k).ctrCrypt(d, n);
+    },
+    [](const void *d, size_t n, size_t s) {
+        return splitHash(vg::crypto_ref::Sha256(), d, n, s);
+    },
     [](const std::vector<uint8_t> &k, const void *d, size_t n) {
         return vg::crypto_ref::hmacSha256(k, d, n);
+    },
+};
+
+const CryptoImpl kPortable = {
+    "portable",
+    runsEverywhere,
+    runsEverywhere,
+    [](const AesKey &k, uint8_t b[16]) {
+        Aes128(k, detail::portableAes()).encryptBlock(b);
+    },
+    [](const AesKey &k, uint8_t b[16]) {
+        Aes128(k, detail::portableAes()).decryptBlock(b);
+    },
+    [](const AesKey &k, const std::vector<uint8_t> &d, const AesBlock &n) {
+        return Aes128(k, detail::portableAes()).ctrCrypt(d, n);
+    },
+    [](const void *d, size_t n, size_t s) {
+        return splitHash(Sha256(detail::portableSha256), d, n, s);
+    },
+    [](const std::vector<uint8_t> &k, const void *d, size_t n) {
+        return HmacSha256(k, Sha256(detail::portableSha256)).mac(d, n);
+    },
+};
+
+// The hardware row's AES and SHA entries run only after its
+// aesMissing/shaMissing checks pass, so the kernels are non-null there.
+const CryptoImpl kHardware = {
+    "hardware",
+    [] {
+        return detail::hardwareAes()
+                   ? nullptr
+                   : "cpuid leaf 1 ECX lacks AES (bit 25), SSSE3 or SSE4.1";
+    },
+    [] {
+        return detail::hardwareSha256()
+                   ? nullptr
+                   : "cpuid leaf 7 EBX lacks SHA (bit 29), or leaf 1 "
+                     "ECX lacks SSSE3 or SSE4.1";
+    },
+    [](const AesKey &k, uint8_t b[16]) {
+        Aes128(k, *detail::hardwareAes()).encryptBlock(b);
+    },
+    [](const AesKey &k, uint8_t b[16]) {
+        Aes128(k, *detail::hardwareAes()).decryptBlock(b);
+    },
+    [](const AesKey &k, const std::vector<uint8_t> &d, const AesBlock &n) {
+        return Aes128(k, *detail::hardwareAes()).ctrCrypt(d, n);
+    },
+    [](const void *d, size_t n, size_t s) {
+        return splitHash(Sha256(detail::hardwareSha256()), d, n, s);
+    },
+    [](const std::vector<uint8_t> &k, const void *d, size_t n) {
+        return HmacSha256(k, Sha256(detail::hardwareSha256())).mac(d, n);
     },
 };
 
@@ -448,6 +542,8 @@ class BothPaths : public ::testing::TestWithParam<const CryptoImpl *>
 TEST_P(BothPaths, AesFips197)
 {
     const CryptoImpl &impl = *GetParam();
+    if (const char *missing = impl.aesMissing())
+        GTEST_SKIP() << missing;
     AesKey key = keyFromHex("000102030405060708090a0b0c0d0e0f");
     auto block = fromHexStr("00112233445566778899aabbccddeeff");
     impl.encrypt(key, block.data());
@@ -459,6 +555,8 @@ TEST_P(BothPaths, AesFips197)
 TEST_P(BothPaths, AesNistEcb)
 {
     const CryptoImpl &impl = *GetParam();
+    if (const char *missing = impl.aesMissing())
+        GTEST_SKIP() << missing;
     AesKey key = keyFromHex("2b7e151628aed2a6abf7158809cf4f3c");
     const char *vec[][2] = {
         {"6bc1bee22e409f96e93d7e117393172a",
@@ -482,26 +580,30 @@ TEST_P(BothPaths, AesNistEcb)
 TEST_P(BothPaths, Sha256Nist)
 {
     const CryptoImpl &impl = *GetParam();
-    EXPECT_EQ(toHex(impl.sha256("", 0)),
+    if (const char *missing = impl.shaMissing())
+        GTEST_SKIP() << missing;
+    EXPECT_EQ(toHex(impl.sha256("", 0, 0)),
               "e3b0c44298fc1c149afbf4c8996fb924"
               "27ae41e4649b934ca495991b7852b855");
-    EXPECT_EQ(toHex(impl.sha256("abc", 3)),
+    EXPECT_EQ(toHex(impl.sha256("abc", 3, 0)),
               "ba7816bf8f01cfea414140de5dae2223"
               "b00361a396177a9cb410ff61f20015ad");
     const char *two = "abcdbcdecdefdefgefghfghighijhijkijkljklm"
                       "klmnlmnomnopnopq";
-    EXPECT_EQ(toHex(impl.sha256(two, std::strlen(two))),
+    EXPECT_EQ(toHex(impl.sha256(two, std::strlen(two), 0)),
               "248d6a61d20638b8e5c026930c3e6039"
               "a33ce45964ff2167f6ecedd419db06c1");
     // 56 bytes: the padding tail spills into a second block.
     std::string fiftysix(56, 'a');
-    EXPECT_EQ(impl.sha256(fiftysix.data(), fiftysix.size()),
-              kReference.sha256(fiftysix.data(), fiftysix.size()));
+    EXPECT_EQ(impl.sha256(fiftysix.data(), fiftysix.size(), 0),
+              kReference.sha256(fiftysix.data(), fiftysix.size(), 0));
 }
 
 TEST_P(BothPaths, HmacRfc4231)
 {
     const CryptoImpl &impl = *GetParam();
+    if (const char *missing = impl.shaMissing())
+        GTEST_SKIP() << missing;
     {
         std::vector<uint8_t> key(20, 0x0b);
         EXPECT_EQ(toHex(impl.hmac(key, "Hi There", 8)),
@@ -528,6 +630,8 @@ TEST_P(BothPaths, HmacRfc4231)
 TEST_P(BothPaths, HmacClassMatchesFreeFunction)
 {
     const CryptoImpl &impl = *GetParam();
+    if (const char *missing = impl.shaMissing())
+        GTEST_SKIP() << missing;
     for (size_t key_len : {0u, 4u, 20u, 64u, 131u}) {
         std::vector<uint8_t> key(key_len, 0x0b);
         HmacSha256 ctx(key);
@@ -544,9 +648,56 @@ TEST_P(BothPaths, HmacClassMatchesFreeFunction)
     }
 }
 
+TEST_P(BothPaths, CtrEveryLengthAcrossCounterWrap)
+{
+    const CryptoImpl &impl = *GetParam();
+    if (const char *missing = impl.aesMissing())
+        GTEST_SKIP() << missing;
+    AesKey key = keyFromHex("2b7e151628aed2a6abf7158809cf4f3c");
+    // Low half 2^64 - 3: the counter wraps at block 3, inside the first
+    // batch of eight blocks, and must not carry into the high half.
+    AesBlock nonce;
+    for (size_t i = 0; i < 8; i++)
+        nonce[i] = uint8_t(0xa0 + i);
+    for (size_t i = 8; i < 16; i++)
+        nonce[i] = 0xff;
+    nonce[15] = 0xfd;
+    std::vector<uint8_t> data(287);
+    for (size_t i = 0; i < data.size(); i++)
+        data[i] = uint8_t(i * 7 + 1);
+    for (size_t len = 0; len <= data.size(); len++) {
+        std::vector<uint8_t> msg(data.begin(), data.begin() + long(len));
+        EXPECT_EQ(impl.ctr(key, msg, nonce),
+                  kReference.ctr(key, msg, nonce))
+            << "length " << len;
+    }
+
+    // Block 3's keystream is E(high half || 0): the high half is
+    // unchanged after the wrap.
+    auto ks = impl.ctr(key, std::vector<uint8_t>(64, 0), nonce);
+    uint8_t wrapped[16] = {};
+    std::memcpy(wrapped, nonce.data(), 8);
+    kReference.encrypt(key, wrapped);
+    EXPECT_TRUE(std::equal(wrapped, wrapped + 16, ks.begin() + 48));
+}
+
+TEST_P(BothPaths, Sha256UpdateSplitAtEveryOffset)
+{
+    const CryptoImpl &impl = *GetParam();
+    if (const char *missing = impl.shaMissing())
+        GTEST_SKIP() << missing;
+    std::vector<uint8_t> msg(300);
+    for (size_t i = 0; i < msg.size(); i++)
+        msg[i] = uint8_t(i * 13 + 5);
+    Digest want = kReference.sha256(msg.data(), msg.size(), 0);
+    for (size_t split = 0; split <= 200; split++)
+        EXPECT_EQ(impl.sha256(msg.data(), msg.size(), split), want)
+            << "split at " << split;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    ProductionAndReference, BothPaths,
-    ::testing::Values(&kProduction, &kReference),
+    EveryImpl, BothPaths,
+    ::testing::Values(&kProduction, &kReference, &kPortable, &kHardware),
     [](const ::testing::TestParamInfo<const CryptoImpl *> &info) {
         return std::string(info.param->name);
     });
