@@ -468,17 +468,20 @@ BM_CryptoGhostSwap(benchmark::State &state)
 BENCHMARK(BM_CryptoGhostSwap);
 
 // --------------------------------------------------------------------
-// Process switch: host cost of one simulated context switch. Two
-// processes ping-pong through yield(), with no syscall work in between,
-// on 1 vCPU (Arg 1) and on 4 (Arg 4, the SMP scheduler interleaving two
-// busy CPUs). Only Kernel::run() is timed, not machine set-up;
-// host_ns_per_switch divides that time by sva.context_switches.
+// Process switch: host cost of one simulated context switch. Processes
+// ping-pong through yield(), with no syscall work in between; the first
+// argument is the vCPU count and the second the process count: two on
+// 1 vCPU, two on 4 (the SMP scheduler interleaving two busy CPUs), and
+// 64 on 4 (sixteen-deep run queues). The processes share 10,000 yields
+// in every row, so iteration times stay comparable. Only Kernel::run()
+// is timed, not machine set-up; host_ns_per_switch divides that time
+// by sva.context_switches.
 // --------------------------------------------------------------------
 
 namespace
 {
 
-constexpr int kPingPongYields = 5000;
+constexpr int kPingPongYields = 10000;
 
 } // namespace
 
@@ -489,14 +492,16 @@ BM_ContextSwitch(benchmark::State &state)
     cfg.vg.vcpus = unsigned(state.range(0));
     cfg.memFrames = 4096;
     cfg.diskBlocks = 4096;
+    const int procs = int(state.range(1));
+    const int yields = kPingPongYields / procs;
     double run_s = 0;
     uint64_t switches = 0;
     for (auto _ : state) {
         kern::System sys(cfg);
         sys.boot();
-        for (int p = 0; p < 2; p++)
-            sys.kernel().spawn("pingpong", [](kern::UserApi &api) {
-                for (int i = 0; i < kPingPongYields; i++)
+        for (int p = 0; p < procs; p++)
+            sys.kernel().spawn("pingpong", [yields](kern::UserApi &api) {
+                for (int i = 0; i < yields; i++)
                     api.yield();
                 return 0;
             });
@@ -518,8 +523,10 @@ BM_ContextSwitch(benchmark::State &state)
         switches ? run_s * 1e9 / double(switches) : 0.0;
 }
 BENCHMARK(BM_ContextSwitch)
-    ->Arg(1)
-    ->Arg(4)
+    ->ArgNames({"vcpus", "procs"})
+    ->Args({1, 2})
+    ->Args({4, 2})
+    ->Args({4, 64})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 
 #include "golden.hh"
@@ -734,6 +736,95 @@ TEST(FiberLifecycle, DestroyingSystemWithUnstartedProcessIsClean)
         EXPECT_EQ(sys.kernel().liveFiberStacks(), 1u);
     }
     EXPECT_FALSE(ran);
+}
+
+namespace
+{
+
+/** Keep twelve accumulators live across @p rounds yields under
+ *  rounding mode @p mode, checking the mode (x87 control word) and an
+ *  SSE division (MXCSR) after every switch. Returns 0, or the first
+ *  failed check. */
+int
+yieldWithLiveRegisters(UserApi &api, int mode, uint64_t seed,
+                       uint64_t rounds)
+{
+    if (fesetround(mode) != 0)
+        return 1;
+    volatile double num = 1.0, den = 3.0;
+    const double third = num / den;
+    uint64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0, a4 = 0, a5 = 0;
+    uint64_t a6 = 0, a7 = 0, a8 = 0, a9 = 0, a10 = 0, a11 = 0;
+    for (uint64_t i = 0; i < rounds; i++) {
+        a0 += i * 1 + seed * 0;
+        a1 += i * 3 + seed * 1;
+        a2 += i * 5 + seed * 2;
+        a3 += i * 7 + seed * 3;
+        a4 += i * 9 + seed * 4;
+        a5 += i * 11 + seed * 5;
+        a6 += i * 13 + seed * 6;
+        a7 += i * 15 + seed * 7;
+        a8 += i * 17 + seed * 8;
+        a9 += i * 19 + seed * 9;
+        a10 += i * 21 + seed * 10;
+        a11 += i * 23 + seed * 11;
+        api.yield();
+        if (fegetround() != mode)
+            return 2;
+        if (num / den != third)
+            return 3;
+    }
+    // acc[k] = sum over i of (2k + 1) i + k seed.
+    const uint64_t tri = rounds * (rounds - 1) / 2;
+    const uint64_t got[] = {a0, a1, a2, a3, a4, a5,
+                            a6, a7, a8, a9, a10, a11};
+    for (uint64_t k = 0; k < 12; k++)
+        if (got[k] != (2 * k + 1) * tri + k * seed * rounds)
+            return 4;
+    return 0;
+}
+
+} // namespace
+
+TEST(FiberLifecycle, SwitchKeepsEachProcessesRegistersAndRoundingMode)
+{
+    System sys(smallConfig());
+    sys.boot();
+    Kernel &k = sys.kernel();
+    uint64_t up = k.spawn("up", [](UserApi &api) {
+        return yieldWithLiveRegisters(api, FE_UPWARD, 1001, 1000);
+    });
+    uint64_t down = k.spawn("down", [](UserApi &api) {
+        return yieldWithLiveRegisters(api, FE_DOWNWARD, 7777, 1000);
+    });
+    k.run();
+    EXPECT_EQ(k.exitCodes().at(up), 0);
+    EXPECT_EQ(k.exitCodes().at(down), 0);
+    // The scheduler's own rounding mode never changed either.
+    EXPECT_EQ(fegetround(), FE_TONEAREST);
+}
+
+TEST(FiberLifecycle, ExceptionEscapingABodyIsRethrownFromRun)
+{
+    System sys(smallConfig());
+    sys.boot();
+    Kernel &k = sys.kernel();
+    k.spawn("peer", [](UserApi &api) {
+        for (int i = 0; i < 4; i++)
+            api.yield();
+        return 0;
+    });
+    k.spawn("thrower", [](UserApi &api) -> int {
+        api.yield();
+        throw std::runtime_error("thrown on a fiber");
+    });
+    try {
+        k.run();
+        ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "thrown on a fiber");
+    }
+    // Leaving scope destroys the machine with both fibers unfinished.
 }
 
 TEST(FiberLifecycle, DeepRecursionFitsTheFiberStack)

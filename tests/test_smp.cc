@@ -69,13 +69,93 @@ makespan(System &sys)
 }
 
 /**
- * Mixed workload for the golden sweep: an ssh-like echo session,
- * postmark-style file churn, fork/signal traffic, ghost memory, and
- * compute bursts long enough to draw timer preemptions. Fully
- * deterministic given @p seed.
+ * @p groups groups of five processes each for the wide golden case: an
+ * echo server and its client, a compute/yield worker, and a forker
+ * with its child. Nine groups beside the mixed workload put 50
+ * processes on one machine, so run queues grow deep and the idle
+ * balancer migrates again and again.
  */
 void
-runMixedWorkload(System &sys, int seed)
+spawnWideGroups(Kernel &k, int seed, unsigned groups)
+{
+    crypto::CtrDrbg rng({uint8_t(seed), 'w', 'i', 'd'});
+    for (unsigned g = 0; g < groups; g++) {
+        const uint16_t port = uint16_t(3000 + g);
+        const uint64_t rounds = 2 + rng.nextBounded(4);
+        const uint64_t chunk = 64 + rng.nextBounded(512);
+        const uint64_t work = 20000 + rng.nextBounded(80000);
+        const uint64_t yields = 3 + rng.nextBounded(8);
+
+        k.spawn("echod", [port, rounds, chunk](UserApi &api) {
+            int ls = api.socket();
+            api.bind(ls, port);
+            api.listen(ls);
+            int conn = api.accept(ls);
+            if (conn < 0)
+                return 1;
+            std::vector<char> buf(chunk);
+            for (uint64_t r = 0; r < rounds; r++) {
+                int64_t n = api.recvHost(conn, buf.data(), buf.size());
+                if (n <= 0)
+                    break;
+                api.sendHost(conn, buf.data(), uint64_t(n));
+            }
+            api.close(conn);
+            api.close(ls);
+            return 0;
+        });
+
+        k.spawn("echo", [port, rounds, chunk, work](UserApi &api) {
+            int fd;
+            while ((fd = api.connect(port)) < 0)
+                api.yield(); // the server has not reached listen()
+            std::vector<char> msg(chunk, 'e');
+            for (uint64_t r = 0; r < rounds; r++) {
+                api.sendHost(fd, msg.data(), msg.size());
+                uint64_t got = 0;
+                while (got < chunk) {
+                    int64_t n =
+                        api.recvHost(fd, msg.data() + got, chunk - got);
+                    if (n <= 0)
+                        return 2;
+                    got += uint64_t(n);
+                }
+                api.compute(work / 4);
+            }
+            api.close(fd);
+            return 0;
+        });
+
+        k.spawn("worker", [work, yields](UserApi &api) {
+            for (uint64_t i = 0; i < yields; i++) {
+                api.compute(work);
+                api.yield();
+            }
+            return int(yields);
+        });
+
+        k.spawn("forker", [work, g](UserApi &api) {
+            uint64_t child = api.fork([work, g](UserApi &capi) {
+                capi.compute(work);
+                return int(g);
+            });
+            api.yield();
+            int status = -1;
+            api.waitpid(child, status);
+            return status == int(g) ? 0 : 1;
+        });
+    }
+}
+
+/**
+ * Mixed workload for the golden sweep: an ssh-like echo session,
+ * postmark-style file churn, fork/signal traffic, ghost memory, and
+ * compute bursts long enough to draw timer preemptions, plus
+ * @p wide_groups groups from spawnWideGroups(). Fully deterministic
+ * given @p seed.
+ */
+void
+runMixedWorkload(System &sys, int seed, unsigned wide_groups = 0)
 {
     crypto::CtrDrbg rng({uint8_t(seed), 's', 'm', 'p'});
     uint64_t rounds = 4 + rng.nextBounded(4);
@@ -172,6 +252,7 @@ runMixedWorkload(System &sys, int seed)
         return status == 7 && got == 10 ? 0 : 1;
     });
 
+    spawnWideGroups(k, seed, wide_groups);
     k.run();
 
     // Rootkit attempts: hostile kernel reads/writes aimed at the ghost
@@ -265,6 +346,42 @@ TEST_P(SmpMultiCpuGoldenSweep, MatchesRecordedDigest)
 INSTANTIATE_TEST_SUITE_P(Seeds, SmpMultiCpuGoldenSweep,
                          ::testing::Combine(::testing::Values(2u, 4u),
                                             ::testing::Values(1, 2, 3)));
+
+namespace
+{
+
+/** The workload widened to 50 processes (nine wide groups), keyed by
+ *  vCPU count: pins pick order and migrations over run queues deeper
+ *  than the narrow sweep ever builds. */
+constexpr unsigned kWideGroups = 9;
+const std::map<unsigned, uint64_t> kSmpWideGolden = {
+    {1, 0x6875888687436d77ull},
+    {2, 0xfa61f84250451f3aull},
+    {4, 0x44e861532577c4e0ull},
+};
+
+} // namespace
+
+class SmpWideGoldenSweep : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(SmpWideGoldenSweep, FiftyProcessesMatchRecordedDigest)
+{
+    const unsigned vcpus = GetParam();
+    System sys(smpConfig(vcpus));
+    sys.boot();
+    runMixedWorkload(sys, 1, kWideGroups);
+    const auto &codes = sys.kernel().exitCodes();
+    EXPECT_EQ(codes.size(), 5 + 5 * kWideGroups);
+    if (vcpus > 1) {
+        EXPECT_GT(sys.ctx().stats().get("kernel.migrations"), 0u);
+    }
+    EXPECT_TRUE(test::matchesGolden(machineDigest(sys),
+                                    kSmpWideGolden.at(vcpus)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Vcpus, SmpWideGoldenSweep,
+                         ::testing::Values(1u, 2u, 4u));
 
 /** Single-CPU machines must not grow per-CPU stat namespaces: the
  *  vcpus=1 stat map stays literally what it was before SMP. */
