@@ -2,17 +2,20 @@
  * @file
  * Stackful fibers: what a simulated process runs on.
  *
- * Every simulated process runs on its own Fiber — a POSIX ucontext with
- * a private mmap'd stack — and the kernel scheduler switches between
- * them on the one host thread that called Kernel::run(). A switch is a
- * swapcontext, not a hand-off between OS threads, so the strict baton
+ * Every simulated process runs on its own Fiber — a private mmap'd
+ * stack — and the kernel scheduler switches between them on the one
+ * host thread that called Kernel::run(). A switch is a call into a
+ * hand-written register switch on x86-64 (a ucontext swapcontext
+ * elsewhere), not a hand-off between OS threads, so the strict baton
  * (exactly one process executing at a time) holds by construction.
  */
 
 #ifndef VG_KERNEL_FIBER_HH
 #define VG_KERNEL_FIBER_HH
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <exception>
@@ -53,7 +56,8 @@ class Fiber
     bool finished() const { return _finished; }
 
   private:
-    static void entry(unsigned hi, unsigned lo);
+    /** First frame on the fiber: runs the body, never returns. */
+    static void entry(Fiber *self);
 
     /** Lowest usable stack address (just above the guard page). */
     void *stackBottom() const;
@@ -61,8 +65,14 @@ class Fiber
     std::function<void()> _body;
     void *_map = nullptr; ///< guard page + stack
     size_t _mapBytes = 0;
+#if defined(__x86_64__)
+    void *_sp = nullptr;       ///< the fiber's saved stack pointer
+    void *_callerSp = nullptr; ///< the resumer's saved stack pointer
+#else
+    static void entryHalves(unsigned hi, unsigned lo);
     ucontext_t _ctx{};
     ucontext_t _caller{};
+#endif
     bool _finished = false;
     std::exception_ptr _error;
 
