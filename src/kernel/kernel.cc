@@ -38,6 +38,7 @@ Kernel::Kernel(sim::SimContext &ctx, hw::PhysMem &mem, hw::CpuSet &cpus,
 {
     _softirq.resize(ctx.vcpuCount());
     _lastIrqAt.assign(ctx.vcpuCount(), 0);
+    _runQueues.resize(ctx.vcpuCount());
 }
 
 void
@@ -422,6 +423,7 @@ Kernel::newProcess(const std::string &name,
     p.fiber = std::make_unique<Fiber>([this, &p]() { processMain(p); });
 
     _procs[p.pid] = std::move(owner);
+    enqueue(p);
     return p;
 }
 
@@ -441,6 +443,7 @@ Kernel::processMain(Process &proc)
     _vm.destroyThread(proc.tid);
     connReapProcess(proc);
     proc.fds.clear();
+    dequeue(proc);
     proc.state = ProcState::Zombie;
     _exitCodes[proc.pid] = code;
     proc.exitCode = code;
@@ -491,6 +494,7 @@ void
 Kernel::blockCurrent(Process &proc, const void *channel,
                      uint64_t wake_time)
 {
+    dequeue(proc);
     proc.state = ProcState::Blocked;
     proc.waitChannel = channel;
     proc.wakeTime = wake_time;
@@ -505,6 +509,8 @@ Kernel::blockCurrent(Process &proc, const void *channel,
 void
 Kernel::makeRunnable(Process &proc, uint64_t stamp)
 {
+    if (proc.state == ProcState::Blocked)
+        enqueue(proc);
     proc.state = ProcState::Runnable;
     proc.waitChannel = nullptr;
     proc.multiWait.clear();
@@ -597,14 +603,43 @@ Kernel::yieldCurrent(Process &proc)
     backToScheduler(proc);
 }
 
+namespace
+{
+
+/** Where @p pid sits, or would sit, in the pid-ordered run queue @p q. */
+std::vector<Process *>::iterator
+queueSlot(std::vector<Process *> &q, uint64_t pid)
+{
+    return std::lower_bound(
+        q.begin(), q.end(), pid,
+        [](const Process *p, uint64_t v) { return p->pid < v; });
+}
+
+} // namespace
+
+void
+Kernel::enqueue(Process &proc)
+{
+    std::vector<Process *> &q = _runQueues[proc.cpu % _runQueues.size()];
+    q.insert(queueSlot(q, proc.pid), &proc);
+}
+
+void
+Kernel::dequeue(Process &proc)
+{
+    std::vector<Process *> &q = _runQueues[proc.cpu % _runQueues.size()];
+    auto at = queueSlot(q, proc.pid);
+    if (at == q.end() || *at != &proc)
+        sim::panic("scheduler: pid %llu is not on cpu %u's run queue",
+                   (unsigned long long)proc.pid, proc.cpu);
+    q.erase(at);
+}
+
 Process *
 Kernel::pickNext()
 {
     unsigned ncpus = _ctx.vcpuCount();
-    std::vector<std::vector<Process *>> queues(ncpus);
-    for (auto &[pid, proc] : _procs)
-        if (proc->state == ProcState::Runnable)
-            queues[proc->cpu % ncpus].push_back(proc.get());
+    std::vector<std::vector<Process *>> &queues = _runQueues;
 
     // Idle balancing: an idle CPU pulls the youngest process off the
     // longest queue holding at least two. Deterministic (idle CPUs

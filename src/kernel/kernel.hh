@@ -448,10 +448,15 @@ class Kernel
      *  once per coalescing window, softirq dispatch per batch,
      *  wakeups). */
     void serviceSoftirqs(unsigned cpu);
-    /** The scheduler's pick: build the per-CPU run queues in pid
-     *  order, let idle CPUs pull work, then take the next vCPU with
-     *  work round-robin and its next process. Null if none is
-     *  runnable. */
+    /** Add Runnable @p proc to its home CPU's run queue, in pid
+     *  order. */
+    void enqueue(Process &proc);
+    /** Take @p proc off its home CPU's run queue; panics when it is
+     *  not there. */
+    void dequeue(Process &proc);
+    /** The scheduler's pick: let idle CPUs pull work off the per-CPU
+     *  run queues, then take the next vCPU with work round-robin and
+     *  its next process. Null if none is runnable. */
     Process *pickNext();
     /** Nothing runnable: advance every clock to the earliest timed
      *  wake and release the sleepers due on their home CPU. Returns
@@ -557,6 +562,11 @@ class Kernel
     uint64_t _nextPid = 1;
     /** Round-robin home-CPU assignment for new processes. */
     unsigned _nextCpuAssign = 0;
+    /** Per-CPU run queues: the Runnable processes homed on each vCPU,
+     *  the running one included, in pid order. Kept at every state
+     *  change (newProcess, makeRunnable from Blocked, blockCurrent,
+     *  exit) and by idle balancing, never rebuilt. */
+    std::vector<std::vector<Process *>> _runQueues;
     /** pickNext's rotation: the vCPU to try first, and each vCPU's
      *  dispatch count into its run queue. Reset by run(). */
     unsigned _cpuCursor = 0;
