@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/clock.hh"
+#include "sim/log.hh"
 
 namespace vg::fleet
 {
@@ -68,8 +69,10 @@ Fabric::ringSend(hw::Nic &tx, sim::SimContext &tx_ctx,
     std::copy(frame.begin(), frame.end(), wireframe.begin() + 8);
 
     // Post one descriptor per MTU chunk, one doorbell for the batch —
-    // the PR 7 ring protocol, across the fabric.
+    // the device ring protocol, across the fabric. A frame larger than
+    // the ring doorbells each full ring's worth, reaps and goes on.
     uint64_t t0 = tx_ctx.clock().now();
+    uint64_t ready = 0;
     uint64_t off = 0;
     do {
         uint64_t n =
@@ -79,13 +82,14 @@ Fabric::ringSend(hw::Nic &tx, sim::SimContext &tx_ctx,
         d.host = wireframe.data() + off;
         d.len = uint32_t(n);
         if (!tx.txPost(d)) {
+            ready = std::max(ready, tx.txDoorbell());
             tx.txReapAll();
             if (!tx.txPost(d))
-                return -1.0;
+                sim::panic("Fabric: TX ring still full after a drain");
         }
         off += n;
     } while (off < wireframe.size());
-    uint64_t ready = tx.txDoorbell();
+    ready = std::max(ready, tx.txDoorbell());
     tx.txReapAll();
     uint64_t now = tx_ctx.clock().now();
     uint64_t wire = ready > std::max(t0, now) ? ready - std::max(t0, now)

@@ -56,9 +56,10 @@ class Fabric
 
     /**
      * Push @p frame from the LB node to machine @p m over the
-     * DescRing pair (one posted descriptor + doorbell + reap).
-     * Returns the hop's wire time in microseconds, or a negative
-     * value when the link is down (failure injection).
+     * DescRing pair (one descriptor per MTU chunk, a doorbell per
+     * ring's worth, then reap). Returns the hop's wire time in
+     * microseconds, or a negative value only when the link is down
+     * (failure injection).
      */
     double sendToMachine(unsigned m, const std::vector<uint8_t> &frame);
 

@@ -37,51 +37,6 @@ Disk::check(uint64_t block) const
                    (unsigned long)block, (unsigned long)numBlocks());
 }
 
-void
-Disk::charge(uint64_t blocks)
-{
-    _ctx.clock().advance(_ctx.costs().ssdRequest +
-                         blocks * _ctx.costs().ssdPerBlock);
-    sim::StatSet::add(_hRequests);
-    sim::StatSet::add(_hBlocks, blocks);
-}
-
-void
-Disk::readBlock(uint64_t block, void *out)
-{
-    check(block);
-    charge(1);
-    std::memcpy(out, &_data[block * blockSize], blockSize);
-}
-
-void
-Disk::writeBlock(uint64_t block, const void *in)
-{
-    check(block);
-    charge(1);
-    std::memcpy(&_data[block * blockSize], in, blockSize);
-}
-
-bool
-Disk::dmaReadBlock(uint64_t block, Paddr pa)
-{
-    check(block);
-    charge(1);
-    return _iommu.dmaWrite(pa, &_data[block * blockSize], blockSize);
-}
-
-bool
-Disk::dmaWriteBlock(uint64_t block, Paddr pa)
-{
-    check(block);
-    charge(1);
-    uint8_t buf[blockSize];
-    if (!_iommu.dmaRead(pa, buf, blockSize))
-        return false;
-    std::memcpy(&_data[block * blockSize], buf, blockSize);
-    return true;
-}
-
 uint8_t *
 Disk::rawBlock(uint64_t block)
 {
@@ -97,6 +52,20 @@ Disk::submit(const RingDesc &d)
         return false;
     _ctx.clock().advance(_ctx.costs().ringDescriptor);
     return true;
+}
+
+void
+Disk::submitDraining(const RingDesc &d)
+{
+    if (submit(d))
+        return;
+    // Reaping alone frees nothing posted but never doorbelled.
+    doorbell();
+    reapAll();
+    if (!submit(d))
+        sim::panic("Disk: request queue still full after a drain "
+                   "(%u of %u slots in flight)",
+                   _queue.inFlight(), _queue.size());
 }
 
 uint64_t

@@ -2,12 +2,14 @@
  * @file
  * Simulated SSD block device.
  *
- * Stores 4 KB blocks. Two access paths:
- *  - buffered path (readBlock/writeBlock) used by the kernel's buffer
- *    cache, which copies into kernel-heap buffers;
- *  - DMA path (dmaReadBlock/dmaWriteBlock) that moves data directly
- *    to/from simulated physical frames through the IOMMU — the path a
- *    hostile OS would use to try to read ghost frames via a device.
+ * Stores 4 KB blocks. Data moves between the device and memory only
+ * through the request queue: the driver posts descriptors, rings the
+ * doorbell and reaps completions. A descriptor names either a kernel
+ * host buffer (the buffer cache and swap area hand theirs over) or a
+ * physical address (useDma); every DMA descriptor goes through the
+ * IOMMU, so one aimed at a ghost, page-table or SVA frame — the way a
+ * hostile OS would try to read or corrupt ghost memory through a
+ * device — completes with an error and is counted.
  *
  * Latency is charged per request plus per block, modelling the paper's
  * 256 GB SATA SSD.
@@ -38,18 +40,6 @@ class Disk
 
     uint64_t numBlocks() const { return _data.size() / blockSize; }
 
-    /** Read one block into a kernel buffer (charges device latency). */
-    void readBlock(uint64_t block, void *out);
-
-    /** Write one block from a kernel buffer. */
-    void writeBlock(uint64_t block, const void *in);
-
-    /** DMA a block into RAM at @p pa; false if the IOMMU blocks it. */
-    bool dmaReadBlock(uint64_t block, Paddr pa);
-
-    /** DMA a block out of RAM at @p pa; false if the IOMMU blocks it. */
-    bool dmaWriteBlock(uint64_t block, Paddr pa);
-
     /** Raw peek for tests and for modelling offline (evil-maid) access:
      *  the OS has full read/write access to persistent storage. */
     uint8_t *rawBlock(uint64_t block);
@@ -60,8 +50,13 @@ class Disk
      *  address. False when the queue is full. */
     bool submit(const RingDesc &d);
 
+    /** Post @p d, draining a full queue first: doorbell whatever is
+     *  posted, reap, and post again. The kernel's one way to queue a
+     *  request; a queue still full after the drain panics. */
+    void submitDraining(const RingDesc &d);
+
     /**
-     * Ring the request doorbell. Data moves at submit time (the
+     * Ring the request doorbell. Data moves at doorbell time (the
      * simulator is functional); what the device models is *latency*:
      * each request completes at doorbell-time + ssdRequest +
      * ssdPerBlock, independently of its queue neighbours (deep NCQ —
@@ -80,7 +75,6 @@ class Disk
 
   private:
     void check(uint64_t block) const;
-    void charge(uint64_t blocks);
 
     ZeroedStore _data;
     Iommu &_iommu;

@@ -74,7 +74,7 @@ Nic::txDoorbell()
         if (e.desc.useDma) {
             // Every ring slot's DMA goes through the IOMMU: a hostile
             // OS pointing a descriptor at a ghost frame is blocked
-            // here, exactly like the legacy DMA path.
+            // here, and the slot completes with an error.
             if (!_iommu.dmaRead(e.desc.pa, packet.data(), e.desc.len)) {
                 e.error = true;
                 e.doneAt = _ctx.clock().now();
@@ -172,32 +172,6 @@ Nic::receive()
     std::vector<uint8_t> p = std::move(_rx.front());
     _rx.pop_front();
     return p;
-}
-
-bool
-Nic::sendFromDma(Paddr pa, uint64_t len)
-{
-    if (len > mtu)
-        return false;
-    std::vector<uint8_t> buf(len);
-    if (!_iommu.dmaRead(pa, buf.data(), len))
-        return false;
-    send(buf);
-    return true;
-}
-
-bool
-Nic::receiveToDma(Paddr pa, uint64_t max_len, uint64_t &len_out)
-{
-    if (_rx.empty())
-        return false;
-    const std::vector<uint8_t> &p = _rx.front();
-    uint64_t n = std::min<uint64_t>(p.size(), max_len);
-    if (!_iommu.dmaWrite(pa, p.data(), n))
-        return false;
-    len_out = n;
-    _rx.pop_front();
-    return true;
 }
 
 } // namespace vg::hw

@@ -52,13 +52,6 @@ class Nic
     /** Pop the next received packet (empty if none). */
     std::vector<uint8_t> receive();
 
-    /** DMA a packet payload out of RAM and transmit it; false if the
-     *  IOMMU blocks the read. */
-    bool sendFromDma(Paddr pa, uint64_t len);
-
-    /** Receive into RAM via DMA; false if blocked or no packet. */
-    bool receiveToDma(Paddr pa, uint64_t max_len, uint64_t &len_out);
-
     uint64_t packetsSent() const { return _sent; }
     uint64_t packetsReceived() const { return _received; }
 

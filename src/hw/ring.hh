@@ -12,10 +12,10 @@
  * double-freeing a slot.
  *
  * Data held in a descriptor is either a physical address (useDma), in
- * which case every access goes through the IOMMU exactly like the
- * one-shot DMA paths — a descriptor aimed at a ghost frame is blocked
- * and counted — or a kernel host buffer, the simulator's stand-in for
- * a bcache page handed to the device without an intermediate copy.
+ * which case every access goes through the IOMMU — a descriptor aimed
+ * at a ghost frame is blocked and counted — or a kernel host buffer,
+ * the simulator's stand-in for a bcache page handed to the device
+ * without an intermediate copy.
  *
  * An IrqLine is the device-to-CPU interrupt wiring: raised at the
  * earliest pending completion time, steered (MSI-X style) to the vCPU
@@ -102,8 +102,8 @@ struct RingCompletion
 };
 
 /** Descriptor slots per device ring (NIC TX and RX, disk request
- *  queue). Posting to a full ring reaps completed slots first and, if
- *  none have completed, waits for the oldest in-flight descriptor. */
+ *  queue). Posting to a full ring fails (DescRing::post returns
+ *  false); the driver must doorbell and reap to free slots. */
 constexpr unsigned ringSlots = 256;
 
 /** Fixed-size descriptor ring with doorbell/completion protocol. */

@@ -61,14 +61,7 @@ BufferCache::ringRead(Buf &buf)
     d.block = buf.blockNo;
     d.hostOut = buf.data.data();
     d.len = hw::Disk::blockSize;
-    if (!_disk.submit(d)) {
-        // Ring packed with unreaped writeback slots: drain and retry.
-        _disk.reapAll();
-        if (!_disk.submit(d)) {
-            _disk.readBlock(buf.blockNo, buf.data.data());
-            return;
-        }
-    }
+    _disk.submitDraining(d);
     uint64_t done = _disk.doorbell();
     _disk.reapAll();
     // The caller needs the bytes now: stall to the completion. The
@@ -136,14 +129,7 @@ BufferCache::writeback(Buf &buf)
     d.write = true;
     buf.dirty = false;
     sim::StatSet::add(_hWritebacks);
-    if (!_disk.submit(d)) {
-        _disk.reapAll();
-        if (!_disk.submit(d)) {
-            // Ring packed with unreaped slots: write synchronously.
-            _disk.writeBlock(buf.blockNo, buf.data.data());
-            return;
-        }
-    }
+    _disk.submitDraining(d);
     uint64_t done = _disk.doorbell();
     _disk.reapAll();
     _flushDone = std::max(_flushDone, done);

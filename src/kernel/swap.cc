@@ -72,13 +72,7 @@ SwapArea::storeBatch(const std::vector<StoreReq> &reqs)
             d.host = st.bytes.data() + b * hw::Disk::blockSize;
             d.len = hw::Disk::blockSize;
             d.write = true;
-            if (!_disk.submit(d)) {
-                // Queue packed: push what's posted, drain, retry.
-                _disk.doorbell();
-                _disk.reapAll();
-                if (!_disk.submit(d))
-                    _disk.writeBlock(d.block, d.host);
-            }
+            _disk.submitDraining(d);
         }
     }
     _disk.doorbell();
@@ -134,12 +128,7 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
                 d.block = slotToBlock(t.slot) + b;
                 d.hostOut = t.buf.data() + b * hw::Disk::blockSize;
                 d.len = hw::Disk::blockSize;
-                if (!_disk.submit(d)) {
-                    _disk.doorbell();
-                    _disk.reapAll();
-                    if (!_disk.submit(d))
-                        _disk.readBlock(d.block, d.hostOut);
-                }
+                _disk.submitDraining(d);
             }
         }
         uint64_t done = _disk.doorbell();

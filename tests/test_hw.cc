@@ -1,7 +1,7 @@
 /**
  * @file
  * Hardware substrate tests: physical memory, MMU walker + TLB, IOMMU,
- * disk/NIC DMA, TPM, timer.
+ * disk and NIC descriptor queues, TPM, timer.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +38,41 @@ handMap(PhysMem &mem, Vaddr va, Frame target, bool writable, bool user)
                 pte::make(3, true, true, false));
     mem.write64(3 * pageSize + ptIndex(va, PtLevel::L1) * 8,
                 pte::make(target, writable, user, false));
+}
+
+/** Run one request through @p disk's queue (post, doorbell, reap) and
+ *  return its completion. */
+RingCompletion
+diskRequest(Disk &disk, const RingDesc &d)
+{
+    EXPECT_TRUE(disk.submit(d));
+    disk.doorbell();
+    std::vector<RingCompletion> done = disk.reapAll();
+    EXPECT_EQ(done.size(), 1u);
+    return done.empty() ? RingCompletion{} : done.front();
+}
+
+/** A disk request whose data moves by DMA at @p pa. */
+RingDesc
+dmaDesc(uint64_t block, Paddr pa, bool write)
+{
+    RingDesc d;
+    d.block = block;
+    d.pa = pa;
+    d.write = write;
+    d.useDma = true;
+    return d;
+}
+
+/** A disk read into the host buffer @p out. */
+RingDesc
+hostRead(uint64_t block, std::vector<uint8_t> &out)
+{
+    RingDesc d;
+    d.block = block;
+    d.hostOut = out.data();
+    d.len = uint32_t(out.size());
+    return d;
 }
 
 } // namespace
@@ -263,7 +298,7 @@ TEST(Iommu, DisabledProtectionAllowsDma)
     EXPECT_TRUE(iommu.dmaRead(5 * pageSize, buf, 16));
 }
 
-TEST(Disk, BufferedReadWrite)
+TEST(Disk, HostBufferReadWrite)
 {
     sim::SimContext ctx;
     PhysMem mem(16);
@@ -271,12 +306,21 @@ TEST(Disk, BufferedReadWrite)
     Disk disk(64, iommu, ctx);
 
     std::vector<uint8_t> block(Disk::blockSize, 0x7e);
+    RingDesc wr;
+    wr.block = 3;
+    wr.host = block.data();
+    wr.len = uint32_t(block.size());
+    wr.write = true;
     sim::Cycles before = ctx.clock().now();
-    disk.writeBlock(3, block.data());
-    EXPECT_GT(ctx.clock().now(), before); // latency charged
+    RingCompletion c = diskRequest(disk, wr);
+    EXPECT_FALSE(c.error);
+    EXPECT_GT(ctx.clock().now(), before); // descriptor + doorbell
+    // Media latency is booked on the completion, not the CPU.
+    EXPECT_GE(c.doneAt,
+              before + ctx.costs().ssdRequest + ctx.costs().ssdPerBlock);
 
     std::vector<uint8_t> back(Disk::blockSize);
-    disk.readBlock(3, back.data());
+    EXPECT_FALSE(diskRequest(disk, hostRead(3, back)).error);
     EXPECT_EQ(back, block);
 }
 
@@ -288,12 +332,14 @@ TEST(Disk, DmaPathRespectsIommu)
     Disk disk(64, iommu, ctx);
 
     std::memset(disk.rawBlock(7), 0x42, Disk::blockSize);
-    EXPECT_TRUE(disk.dmaReadBlock(7, 2 * pageSize));
+    EXPECT_FALSE(diskRequest(disk, dmaDesc(7, 2 * pageSize, false)).error);
     EXPECT_EQ(mem.read8(2 * pageSize), 0x42);
 
     iommu.protectFrame(3);
-    EXPECT_FALSE(disk.dmaReadBlock(7, 3 * pageSize));
-    EXPECT_FALSE(disk.dmaWriteBlock(7, 3 * pageSize));
+    EXPECT_TRUE(diskRequest(disk, dmaDesc(7, 3 * pageSize, false)).error);
+    EXPECT_TRUE(diskRequest(disk, dmaDesc(7, 3 * pageSize, true)).error);
+    EXPECT_EQ(disk.ringBlockedDma(), 2u);
+    EXPECT_EQ(iommu.blockedCount(), 2u);
 }
 
 // --- Demand-zero backing store -----------------------------------------
@@ -339,7 +385,7 @@ TEST(BackingStore, FreshRamAndDiskReadZero)
     for (uint64_t b : {uint64_t(0), uint64_t(1024), uint64_t(2047)}) {
         EXPECT_TRUE(blockIsZero(disk, b)) << "block " << b;
         std::vector<uint8_t> out(Disk::blockSize, 0xff);
-        disk.readBlock(b, out.data());
+        EXPECT_FALSE(diskRequest(disk, hostRead(b, out)).error);
         EXPECT_EQ(out, std::vector<uint8_t>(Disk::blockSize, 0));
     }
 }
@@ -367,17 +413,17 @@ TEST(BackingStore, WritesRoundTrip)
     mem.readBytes(pa, back.data(), back.size());
     EXPECT_EQ(back, pattern);
 
-    // rawBlock writes are what the buffered and DMA paths read.
+    // rawBlock writes are what the request queue reads.
     std::memset(disk.rawBlock(127), 0x3c, Disk::blockSize);
     std::vector<uint8_t> blk(Disk::blockSize);
-    disk.readBlock(127, blk.data());
+    EXPECT_FALSE(diskRequest(disk, hostRead(127, blk)).error);
     EXPECT_EQ(blk, std::vector<uint8_t>(Disk::blockSize, 0x3c));
 
-    // RAM -> disk -> RAM through the IOMMU-checked DMA path.
+    // RAM -> disk -> RAM through IOMMU-checked DMA descriptors.
     mem.writeBytes(20 * pageSize, pattern.data(), pageSize);
-    ASSERT_TRUE(disk.dmaWriteBlock(64, 20 * pageSize));
+    ASSERT_FALSE(diskRequest(disk, dmaDesc(64, 20 * pageSize, true)).error);
     EXPECT_EQ(std::memcmp(disk.rawBlock(64), pattern.data(), pageSize), 0);
-    ASSERT_TRUE(disk.dmaReadBlock(64, 30 * pageSize));
+    ASSERT_FALSE(diskRequest(disk, dmaDesc(64, 30 * pageSize, false)).error);
     EXPECT_EQ(std::memcmp(mem.framePtr(30), pattern.data(), pageSize), 0);
     EXPECT_TRUE(frameIsZero(mem, 31));
 }
@@ -477,8 +523,21 @@ TEST(Nic, DmaSendBlockedByIommu)
     Nic a(iommu, ctx), b(iommu, ctx);
     a.connectTo(&b);
     iommu.protectFrame(4);
-    EXPECT_FALSE(a.sendFromDma(4 * pageSize, 100));
-    EXPECT_TRUE(a.sendFromDma(5 * pageSize, 100));
+
+    auto send = [&](Paddr pa) {
+        RingDesc d;
+        d.pa = pa;
+        d.len = 100;
+        d.useDma = true;
+        EXPECT_TRUE(a.txPost(d));
+        a.txDoorbell();
+        std::vector<RingCompletion> done = a.txReapAll();
+        EXPECT_EQ(done.size(), 1u);
+        return !done.empty() && !done.front().error;
+    };
+    EXPECT_FALSE(send(4 * pageSize));
+    EXPECT_FALSE(b.hasPacket());
+    EXPECT_TRUE(send(5 * pageSize));
     EXPECT_TRUE(b.hasPacket());
 }
 

@@ -11,6 +11,11 @@
  *    model did.
  *  - machine: the vCPU clocks and the full stat map. Any change to how
  *    the ring stack charges cycles or wakes sleepers shows up here.
+ *
+ * The disk request queue is the kernel's only path to the media, so
+ * the last tests pack it full before a buffer-cache read and a ghost
+ * swap-out/swap-in: Disk::submitDraining must drain it and the bytes
+ * must still come back.
  */
 
 #include <gtest/gtest.h>
@@ -264,4 +269,87 @@ TEST(IoRing, RingSizeDefault)
     EXPECT_EQ(sys.nicA().txRing().size(), hw::ringSlots);
     EXPECT_EQ(sys.nicA().rxRing().size(), hw::ringSlots);
     EXPECT_EQ(sys.disk().queue().size(), hw::ringSlots);
+}
+
+namespace
+{
+
+/** Act as the OS: fill the disk queue with harmless reads that are
+ *  posted but never doorbelled (vg_lint --dump-rings leaves three). */
+void
+packDiskQueue(System &sys, std::vector<uint8_t> &sink)
+{
+    hw::RingDesc rd;
+    rd.block = 5;
+    rd.hostOut = sink.data();
+    rd.len = uint32_t(sink.size());
+    for (unsigned i = 0; i < hw::ringSlots; i++)
+        ASSERT_TRUE(sys.disk().submit(rd)) << "slot " << i;
+    ASSERT_TRUE(sys.disk().queue().full());
+}
+
+} // namespace
+
+TEST(IoRing, PackedDiskQueueDrainsForBcacheRead)
+{
+    System sys(sweepConfig(1));
+    sys.boot();
+    std::vector<uint8_t> sink(hw::Disk::blockSize);
+    std::vector<uint8_t> data(3 * hw::Disk::blockSize);
+    for (size_t i = 0; i < data.size(); i++)
+        data[i] = uint8_t(i * 13 + 5);
+
+    sys.runProcess("drain", [&](UserApi &api) {
+        int f = api.open("/drain.dat", true);
+        hw::Vaddr va = api.mmap(data.size());
+        EXPECT_TRUE(api.copyToUser(va, data.data(), data.size()));
+        EXPECT_EQ(api.write(f, va, data.size()), int64_t(data.size()));
+        api.fsync(f);
+        api.close(f);
+        sys.kernel().dropCaches();
+
+        packDiskQueue(sys, sink);
+        f = api.open("/drain.dat");
+        std::vector<uint8_t> back(data.size());
+        EXPECT_EQ(api.read(f, va, back.size()), int64_t(back.size()));
+        EXPECT_TRUE(api.copyFromUser(va, back.data(), back.size()));
+        api.close(f);
+        EXPECT_EQ(back, data);
+        EXPECT_EQ(sys.disk().queue().inFlight(), 0u);
+        return 0;
+    });
+}
+
+TEST(IoRing, PackedDiskQueueDrainsForGhostSwap)
+{
+    System sys(sweepConfig(1));
+    sys.boot();
+    std::vector<uint8_t> sink(hw::Disk::blockSize);
+
+    sys.runProcess("drain", [&](UserApi &api) {
+        constexpr uint64_t kPages = 4;
+        hw::Vaddr gva = api.allocGhost(kPages);
+        std::vector<uint8_t> page(hw::pageSize);
+        for (uint64_t p = 0; p < kPages; p++) {
+            std::fill(page.begin(), page.end(), uint8_t(0x30 + p));
+            EXPECT_TRUE(api.ghostWrite(gva + p * hw::pageSize,
+                                       page.data(), page.size()));
+        }
+
+        packDiskQueue(sys, sink);
+        EXPECT_EQ(sys.kernel().swapOutGhost(api.pid(), kPages), kPages);
+        EXPECT_EQ(sys.disk().queue().inFlight(), 0u);
+
+        packDiskQueue(sys, sink);
+        for (uint64_t p = 0; p < kPages; p++) {
+            EXPECT_TRUE(api.ghostRead(gva + p * hw::pageSize,
+                                      page.data(), page.size()));
+            EXPECT_EQ(page, std::vector<uint8_t>(hw::pageSize,
+                                                 uint8_t(0x30 + p)))
+                << "page " << p;
+        }
+        EXPECT_EQ(sys.disk().queue().inFlight(), 0u);
+        EXPECT_EQ(sys.ctx().stats().get("swap.pages_loaded"), kPages);
+        return 0;
+    });
 }
