@@ -27,6 +27,70 @@ mulAddRow(uint32_t *acc, const uint32_t *b, size_t n, uint32_t a)
     return uint32_t(carry);
 }
 
+using u128 = unsigned __int128;
+
+/**
+ * CIOS Montgomery multiply on 64-bit words: out = a * b * R^-1 mod n
+ * with R = 2^(64k). Operands are k words, < n; out may alias a or b.
+ * @p t is k + 2 words of scratch; n0inv = -n[0]^-1 mod 2^64.
+ *
+ * K != 0 fixes k at compile time so the word loops unroll (the key
+ * sizes' moduli and primes); K == 0 takes @p kDyn for any width.
+ */
+template <size_t K>
+void
+cios(uint64_t *out, const uint64_t *a, const uint64_t *b, const uint64_t *n,
+     size_t kDyn, uint64_t n0inv, uint64_t *t)
+{
+    const size_t k = K ? K : kDyn;
+    std::fill(t, t + k + 2, 0);
+    for (size_t i = 0; i < k; i++) {
+        // t += a[i] * b
+        uint64_t carry = 0;
+        for (size_t j = 0; j < k; j++) {
+            u128 cur = u128(a[i]) * b[j] + t[j] + carry;
+            t[j] = uint64_t(cur);
+            carry = uint64_t(cur >> 64);
+        }
+        u128 top = u128(t[k]) + carry;
+        t[k] = uint64_t(top);
+        t[k + 1] = uint64_t(top >> 64);
+
+        // t = (t + m*n) / 2^64 — m chosen so the low word cancels.
+        uint64_t m = t[0] * n0inv;
+        carry = uint64_t((u128(m) * n[0] + t[0]) >> 64);
+        for (size_t j = 1; j < k; j++) {
+            u128 cur = u128(m) * n[j] + t[j] + carry;
+            t[j - 1] = uint64_t(cur);
+            carry = uint64_t(cur >> 64);
+        }
+        top = u128(t[k]) + carry;
+        t[k - 1] = uint64_t(top);
+        t[k] = t[k + 1] + uint64_t(top >> 64);
+    }
+
+    // t < 2n, so at most one final subtraction of n.
+    bool ge = true;
+    if (t[k] == 0) {
+        for (size_t j = k; j-- > 0;) {
+            if (t[j] != n[j]) {
+                ge = t[j] > n[j];
+                break;
+            }
+        }
+    }
+    if (ge) {
+        uint64_t borrow = 0;
+        for (size_t j = 0; j < k; j++) {
+            u128 diff = u128(t[j]) - n[j] - borrow;
+            out[j] = uint64_t(diff);
+            borrow = uint64_t(diff >> 64) & 1;
+        }
+    } else {
+        std::copy(t, t + k, out);
+    }
+}
+
 } // namespace
 
 BigNum::BigNum(uint64_t v)
@@ -48,16 +112,13 @@ BigNum::trim()
 BigNum
 BigNum::fromBytes(const std::vector<uint8_t> &bytes)
 {
+    // Byte i from the end lands in limb i / 4 at bit 8 * (i % 4).
     BigNum n;
-    for (uint8_t b : bytes) {
-        n = n << 8;
-        if (b) {
-            if (n._limbs.empty())
-                n._limbs.push_back(b);
-            else
-                n._limbs[0] |= b;
-        }
-    }
+    n._limbs.assign((bytes.size() + 3) / 4, 0);
+    size_t i = 0;
+    for (auto it = bytes.rbegin(); it != bytes.rend(); ++it, ++i)
+        n._limbs[i / 4] |= uint32_t(*it) << (8 * (i % 4));
+    n.trim();
     return n;
 }
 
@@ -87,25 +148,24 @@ BigNum::toBytesPadded(size_t len) const
 BigNum
 BigNum::fromHex(const std::string &hex)
 {
-    BigNum n;
+    // Non-hex characters are skipped; digit i from the end lands in
+    // limb i / 8 at bit 4 * (i % 8).
+    std::vector<uint8_t> digits;
+    digits.reserve(hex.size());
     for (char c : hex) {
-        uint32_t digit;
         if (c >= '0' && c <= '9')
-            digit = uint32_t(c - '0');
+            digits.push_back(uint8_t(c - '0'));
         else if (c >= 'a' && c <= 'f')
-            digit = uint32_t(c - 'a' + 10);
+            digits.push_back(uint8_t(c - 'a' + 10));
         else if (c >= 'A' && c <= 'F')
-            digit = uint32_t(c - 'A' + 10);
-        else
-            continue;
-        n = n << 4;
-        if (digit) {
-            if (n._limbs.empty())
-                n._limbs.push_back(digit);
-            else
-                n._limbs[0] |= digit;
-        }
+            digits.push_back(uint8_t(c - 'A' + 10));
     }
+    BigNum n;
+    n._limbs.assign((digits.size() + 7) / 8, 0);
+    size_t i = 0;
+    for (auto it = digits.rbegin(); it != digits.rend(); ++it, ++i)
+        n._limbs[i / 8] |= uint32_t(*it) << (4 * (i % 8));
+    n.trim();
     return n;
 }
 
@@ -414,83 +474,46 @@ BigNum::modExpMont(const BigNum &exp, const BigNum &mod) const
 {
     if (exp.isZero())
         return BigNum(1); // mod > 1 here
-    const std::vector<uint32_t> &n = mod._limbs;
-    const size_t k = n.size();
+    // Pack the 32-bit limbs into k 64-bit words; R = 2^(64k).
+    const size_t k = (mod._limbs.size() + 1) / 2;
 
-    // n0inv = -n[0]^-1 mod 2^32 by Newton iteration (n odd: each step
-    // doubles the number of correct low bits, starting from 3).
-    uint32_t inv = n[0];
-    for (int i = 0; i < 4; i++)
-        inv *= 2 - n[0] * inv;
-    const uint32_t n0inv = uint32_t(0) - inv;
+    // Fixed widths for the 384- and 512-bit keys' moduli and primes.
+    auto montMul = k == 3   ? cios<3>
+                   : k == 4 ? cios<4>
+                   : k == 6 ? cios<6>
+                   : k == 8 ? cios<8>
+                            : cios<0>;
 
-    // R = 2^(32k); R^2 mod n converts operands into the Montgomery
-    // domain via one montMul.
-    BigNum r2big = (BigNum(1) << (64 * k)) % mod;
-    std::vector<uint32_t> r2 = r2big._limbs;
-    r2.resize(k, 0);
-
-    // CIOS Montgomery multiply: out = a * b * R^-1 mod n. Operands are
-    // k limbs, < n; out may alias a or b.
-    std::vector<uint32_t> t(k + 2);
-    auto montMul = [&](const std::vector<uint32_t> &a,
-                       const std::vector<uint32_t> &b,
-                       std::vector<uint32_t> &out) {
-        std::fill(t.begin(), t.end(), 0);
-        for (size_t i = 0; i < k; i++) {
-            // t += a[i] * b
-            uint64_t cur = uint64_t(t[k]) +
-                           mulAddRow(t.data(), b.data(), k, a[i]);
-            t[k] = uint32_t(cur);
-            t[k + 1] = uint32_t(cur >> 32);
-
-            // t = (t + m*n) / 2^32 — m chosen so the low word cancels.
-            uint32_t m = t[0] * n0inv;
-            uint64_t carry =
-                (uint64_t(t[0]) + uint64_t(m) * n[0]) >> 32;
-            for (size_t j = 1; j < k; j++) {
-                uint64_t c = uint64_t(t[j]) + uint64_t(m) * n[j] + carry;
-                t[j - 1] = uint32_t(c);
-                carry = c >> 32;
-            }
-            uint64_t c = uint64_t(t[k]) + carry;
-            t[k - 1] = uint32_t(c);
-            t[k] = t[k + 1] + uint32_t(c >> 32);
-        }
-
-        // t < 2n, so at most one final subtraction of n.
-        bool ge = true;
-        if (t[k] == 0) {
-            for (size_t j = k; j-- > 0;) {
-                if (t[j] != n[j]) {
-                    ge = t[j] > n[j];
-                    break;
-                }
-            }
-        }
-        out.resize(k);
-        if (ge) {
-            int64_t borrow = 0;
-            for (size_t j = 0; j < k; j++) {
-                int64_t diff = int64_t(t[j]) - int64_t(n[j]) - borrow;
-                borrow = diff < 0;
-                if (diff < 0)
-                    diff += int64_t(1) << 32;
-                out[j] = uint32_t(diff);
-            }
-        } else {
-            std::copy(t.begin(), t.begin() + long(k), out.begin());
-        }
+    // Every word array lives in one buffer, allocated once per call:
+    // n, a spare operand, base, the 16-entry window table, the
+    // accumulator, and montMul's k + 2 words of scratch.
+    std::vector<uint64_t> ws(21 * k + 2, 0);
+    uint64_t *n = ws.data();
+    uint64_t *spare = n + k;
+    uint64_t *base = spare + k;
+    uint64_t *tbl = base + k; // tbl + i * k = mont(base^i), i >= 1
+    uint64_t *acc = tbl + 16 * k;
+    uint64_t *t = acc + k;
+    auto pack = [](const BigNum &v, uint64_t *w) {
+        for (size_t i = 0; i < v._limbs.size(); i++)
+            w[i / 2] |= uint64_t(v._limbs[i]) << (32 * (i % 2));
     };
+    pack(mod, n);
 
-    // 16-entry window table: tbl[i] = mont(base^i) for i >= 1.
-    BigNum base = *this % mod;
-    std::vector<uint32_t> bm = base._limbs;
-    bm.resize(k, 0);
-    std::vector<std::vector<uint32_t>> tbl(16);
-    montMul(bm, r2, tbl[1]);
-    for (int i = 2; i < 16; i++)
-        montMul(tbl[i - 1], tbl[1], tbl[i]);
+    // n0inv = -n[0]^-1 mod 2^64 by Newton iteration (n odd: each step
+    // doubles the number of correct low bits, starting from 3).
+    uint64_t inv = n[0];
+    for (int i = 0; i < 5; i++)
+        inv *= 2 - n[0] * inv;
+    const uint64_t n0inv = uint64_t(0) - inv;
+
+    // R^2 mod n converts base into the Montgomery domain via one
+    // montMul; then the table is mont(base^1 .. base^15).
+    pack((BigNum(1) << (128 * k)) % mod, spare);
+    pack(*this % mod, base);
+    montMul(tbl + k, base, spare, n, k, n0inv, t);
+    for (size_t i = 2; i < 16; i++)
+        montMul(tbl + i * k, tbl + (i - 1) * k, tbl + k, n, k, n0inv, t);
 
     // 4-bit fixed windows, most significant first. Windows are
     // nibble-aligned so they never straddle a limb.
@@ -503,23 +526,27 @@ BigNum::modExpMont(const BigNum &exp, const BigNum &mod) const
     };
     size_t windows = (exp.bitLength() + 3) / 4;
 
-    std::vector<uint32_t> acc = tbl[nibble(windows - 1)]; // top != 0
+    uint32_t top = nibble(windows - 1); // != 0
+    std::copy(tbl + top * k, tbl + (top + 1) * k, acc);
     for (size_t idx = windows - 1; idx-- > 0;) {
         for (int s = 0; s < 4; s++)
-            montMul(acc, acc, acc);
+            montMul(acc, acc, acc, n, k, n0inv, t);
         uint32_t nib = nibble(idx);
         if (nib)
-            montMul(acc, tbl[nib], acc);
+            montMul(acc, acc, tbl + nib * k, n, k, n0inv, t);
     }
 
     // Convert out of the Montgomery domain: multiply by 1.
-    std::vector<uint32_t> one(k, 0);
-    one[0] = 1;
-    std::vector<uint32_t> res;
-    montMul(acc, one, res);
+    std::fill(spare, spare + k, 0);
+    spare[0] = 1;
+    montMul(acc, acc, spare, n, k, n0inv, t);
 
     BigNum out;
-    out._limbs = std::move(res);
+    out._limbs.resize(2 * k);
+    for (size_t i = 0; i < k; i++) {
+        out._limbs[2 * i] = uint32_t(acc[i]);
+        out._limbs[2 * i + 1] = uint32_t(acc[i] >> 32);
+    }
     out.trim();
     return out;
 }
@@ -617,10 +644,12 @@ BigNum::isProbablePrime(CtrDrbg &rng, int rounds) const
     if (isZero() || *this == BigNum(1))
         return false;
     for (uint32_t p : small_primes) {
-        BigNum bp(p);
-        if (*this == bp)
+        if (_limbs.size() == 1 && _limbs[0] == p)
             return true;
-        if ((*this % bp).isZero())
+        uint64_t rem = 0; // single-word remainder, top limb first
+        for (size_t i = _limbs.size(); i-- > 0;)
+            rem = ((rem << 32) | _limbs[i]) % p;
+        if (rem == 0)
             return false;
     }
     if (!isOdd())

@@ -2,7 +2,8 @@
  * @file
  * Arbitrary-precision unsigned integers for RSA.
  *
- * Little-endian 32-bit limbs. Implements exactly the operations the RSA
+ * Little-endian 32-bit limbs (modExp packs them into 64-bit words for
+ * its Montgomery multiply). Implements exactly the operations the RSA
  * layer needs: comparison, add/sub, multiply, divmod, shifts, modular
  * exponentiation, extended GCD / modular inverse, and Miller-Rabin
  * primality testing.
@@ -82,8 +83,8 @@ class BigNum
     /**
      * Modular exponentiation: this^exp mod mod.
      *
-     * Odd moduli > 1 use Montgomery multiplication with a 4-bit
-     * fixed-window ladder; even moduli (and mod == 1), where Montgomery
+     * Odd moduli > 1 use Montgomery multiplication on 64-bit words
+     * with a 4-bit fixed-window ladder; even moduli (and mod == 1), where Montgomery
      * reduction does not apply, use square-and-multiply.
      */
     BigNum modExp(const BigNum &exp, const BigNum &mod) const;
@@ -109,7 +110,8 @@ class BigNum
   private:
     void trim();
 
-    /** Montgomery-domain modExp; requires odd modulus > 1. */
+    /** Montgomery-domain modExp over 64-bit words; requires odd
+     *  modulus > 1. */
     BigNum modExpMont(const BigNum &exp, const BigNum &mod) const;
 
     /** Little-endian limbs; empty means zero. */

@@ -49,6 +49,26 @@ generatePrime(CtrDrbg &rng, size_t bits)
     }
 }
 
+/**
+ * Derive the CRT exponents and coefficient from (d, p, q). False when
+ * p * q != n, p or q is below 2, or qInv is not q^-1 mod p: the CRT
+ * trusts p and q, so a key they do not factor is rejected.
+ */
+bool
+deriveCrt(RsaPrivateKey &key)
+{
+    BigNum one(1);
+    if (key.p <= one || key.q <= one || key.p * key.q != key.n)
+        return false;
+    key.dP = key.d % (key.p - one);
+    key.dQ = key.d % (key.q - one);
+    // Fermat (p prime): one modExp costs a third of extended Euclid
+    // at 192 bits. The product check rejects a qInv that is not an
+    // inverse, as for a composite p.
+    key.qInv = key.q.modExp(key.p - BigNum(2), key.p);
+    return (key.q * key.qInv) % key.p == one;
+}
+
 } // namespace
 
 std::vector<uint8_t>
@@ -88,7 +108,7 @@ RsaPrivateKey::deserialize(const std::vector<uint8_t> &bytes, bool &ok)
     size_t off = 0;
     ok = getField(bytes, off, key.n) && getField(bytes, off, key.e) &&
          getField(bytes, off, key.d) && getField(bytes, off, key.p) &&
-         getField(bytes, off, key.q);
+         getField(bytes, off, key.q) && deriveCrt(key);
     return key;
 }
 
@@ -119,8 +139,24 @@ rsaGenerate(CtrDrbg &rng, size_t bits)
         key.d = d;
         key.p = p;
         key.q = q;
+        if (!deriveCrt(key))
+            sim::panic("rsaGenerate: distinct primes without a CRT "
+                       "coefficient");
         return key;
     }
+}
+
+BigNum
+rsaPrivateOp(const RsaPrivateKey &key, const BigNum &x)
+{
+    // m1 = x^dP mod p, m2 = x^dQ mod q, then Garner's recombination:
+    // h = qInv * (m1 - m2) mod p and x^d mod n = m2 + h * q.
+    BigNum m1 = x.modExp(key.dP, key.p);
+    BigNum m2 = x.modExp(key.dQ, key.q);
+    BigNum m2p = m2 % key.p;
+    BigNum diff = m1 >= m2p ? m1 - m2p : m1 + key.p - m2p;
+    BigNum h = (key.qInv * diff) % key.p;
+    return m2 + h * key.q;
 }
 
 std::vector<uint8_t>
@@ -162,8 +198,7 @@ rsaDecrypt(const RsaPrivateKey &key, const std::vector<uint8_t> &cipher,
     BigNum c = BigNum::fromBytes(cipher);
     if (c >= key.n)
         return {};
-    BigNum m = c.modExp(key.d, key.n);
-    std::vector<uint8_t> eb = m.toBytesPadded(k);
+    std::vector<uint8_t> eb = rsaPrivateOp(key, c).toBytesPadded(k);
 
     if (eb.size() < 11 || eb[0] != 0x00 || eb[1] != 0x02)
         return {};
@@ -204,8 +239,7 @@ rsaSign(const RsaPrivateKey &key, const std::vector<uint8_t> &message)
 {
     size_t k = key.publicKey().modulusBytes();
     BigNum m = BigNum::fromBytes(signaturePad(message, k));
-    BigNum s = m.modExp(key.d, key.n);
-    return s.toBytesPadded(k);
+    return rsaPrivateOp(key, m).toBytesPadded(k);
 }
 
 bool

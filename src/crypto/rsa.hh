@@ -37,7 +37,12 @@ struct RsaPublicKey
                                     bool &ok);
 };
 
-/** An RSA private key (n, e, d; p and q retained for tests). */
+/**
+ * An RSA private key. The private operation runs by the CRT on p and
+ * q, with dP = d mod (p-1), dQ = d mod (q-1) and qInv = q^-1 mod p
+ * derived by rsaGenerate() and deserialize(); serialize() writes only
+ * (n, e, d, p, q).
+ */
 struct RsaPrivateKey
 {
     BigNum n;
@@ -45,10 +50,14 @@ struct RsaPrivateKey
     BigNum d;
     BigNum p;
     BigNum q;
+    BigNum dP;
+    BigNum dQ;
+    BigNum qInv;
 
     RsaPublicKey publicKey() const { return {n, e}; }
 
     std::vector<uint8_t> serialize() const;
+    /** @p ok is false on truncation or when p * q != n. */
     static RsaPrivateKey deserialize(const std::vector<uint8_t> &bytes,
                                      bool &ok);
 };
@@ -62,6 +71,10 @@ RsaPrivateKey rsaGenerate(CtrDrbg &rng, size_t bits);
  */
 std::vector<uint8_t> rsaEncrypt(const RsaPublicKey &key, CtrDrbg &rng,
                                 const std::vector<uint8_t> &message);
+
+/** The raw private operation x^d mod n (x < n), computed by the CRT;
+ *  rsaDecrypt() and rsaSign() both run it. */
+BigNum rsaPrivateOp(const RsaPrivateKey &key, const BigNum &x);
 
 /** Decrypt; @p ok is false on padding or length failure. */
 std::vector<uint8_t> rsaDecrypt(const RsaPrivateKey &key,

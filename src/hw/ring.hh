@@ -26,6 +26,7 @@
 #ifndef VG_HW_RING_HH
 #define VG_HW_RING_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -160,7 +161,8 @@ class DescRing
         }
     }
 
-    /** Drain every completion in doorbell order, freeing the slots. */
+    /** Drain every completion in doorbell order, freeing the slots.
+     *  Slots already freed by an out-of-order reapAt() are skipped. */
     std::vector<RingCompletion>
     reapAll()
     {
@@ -168,10 +170,12 @@ class DescRing
         _done.clear();
         while (_tail != _doorbell) {
             Entry &e = _slots[_tail % _slots.size()];
-            if (e.state != Slot::Done)
+            if (e.state == Slot::Done) {
+                e.state = Slot::Free;
+                e.gen++;
+            } else if (e.state != Slot::Free) {
                 break;
-            e.state = Slot::Free;
-            e.gen++;
+            }
             _tail++;
         }
         return out;
@@ -193,6 +197,13 @@ class DescRing
             return false;
         e.state = Slot::Free;
         e.gen++;
+        // Its completion is delivered now, not again by reapAll().
+        auto it = std::find_if(_done.begin(), _done.end(),
+                               [&](const RingCompletion &c) {
+                                   return c.index == index && c.gen == gen;
+                               });
+        if (it != _done.end())
+            _done.erase(it);
         while (_tail != _doorbell &&
                _slots[_tail % _slots.size()].state == Slot::Free)
             _tail++;

@@ -1,7 +1,8 @@
 /**
  * @file
  * BigNum arithmetic and RSA tests, including parameterized property
- * sweeps over random operands.
+ * sweeps over random operands and a differential check of the CRT
+ * private operation against plain square-and-multiply.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include "crypto/bignum.hh"
 #include "crypto/drbg.hh"
 #include "crypto/rsa.hh"
+
+#include "crypto_ref.hh"
 
 using namespace vg::crypto;
 
@@ -301,4 +304,78 @@ TEST(Rsa, DeserializeRejectsTruncated)
     bool ok = true;
     RsaPrivateKey::deserialize(bytes, ok);
     EXPECT_FALSE(ok);
+}
+
+TEST(Rsa, DeserializeRejectsWrongFactors)
+{
+    // The CRT private operation trusts p and q, so a key whose p * q
+    // is not n must not load.
+    const RsaPrivateKey &key = testKey();
+    RsaPrivateKey bad = key;
+    bad.q = bad.q + BigNum(2);
+    bool ok = true;
+    RsaPrivateKey::deserialize(bad.serialize(), ok);
+    EXPECT_FALSE(ok);
+
+    bad = key;
+    bad.p = BigNum(1);
+    bad.q = key.n;
+    ok = true;
+    RsaPrivateKey::deserialize(bad.serialize(), ok);
+    EXPECT_FALSE(ok);
+
+    RsaPrivateKey back = RsaPrivateKey::deserialize(key.serialize(), ok);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(back.dP, key.dP);
+    EXPECT_EQ(back.dQ, key.dQ);
+    EXPECT_EQ(back.qInv, key.qInv);
+}
+
+/**
+ * Differential sweep: over many keys, the CRT private operation and
+ * everything built on it give the bytes the plain x^d mod n gives,
+ * including the edges x = 0, x = n - 1 and x sharing a factor with n.
+ */
+TEST(Rsa, CrtMatchesPlainModExp)
+{
+    for (uint8_t seed = 0; seed < 12; seed++) {
+        CtrDrbg rng({'c', 'r', 't', seed});
+        size_t bits = seed % 3 == 2 ? 512 : 384;
+        RsaPrivateKey key = rsaGenerate(rng, bits);
+        size_t k = key.publicKey().modulusBytes();
+        auto plain = [&](const BigNum &x) {
+            return vg::crypto_ref::modExp(x, key.d, key.n);
+        };
+
+        std::vector<BigNum> xs = {BigNum(), BigNum(1),
+                                  key.n - BigNum(1), key.p, key.q,
+                                  key.p * BigNum(3), key.q * BigNum(5),
+                                  BigNum::random(rng, key.n)};
+        for (const BigNum &x : xs)
+            ASSERT_EQ(rsaPrivateOp(key, x), plain(x))
+                << "seed " << int(seed) << " x " << x.toHex();
+
+        std::vector<uint8_t> msg = rng.generate(seed + 1u);
+        std::vector<uint8_t> sig = rsaSign(key, msg);
+        Digest h = Sha256::hash(msg.data(), msg.size());
+        std::vector<uint8_t> eb(k, 0xff);
+        eb[0] = 0x00;
+        eb[1] = 0x01;
+        eb[k - h.size() - 1] = 0x00;
+        std::copy(h.begin(), h.end(), eb.end() - long(h.size()));
+        EXPECT_EQ(sig, plain(BigNum::fromBytes(eb)).toBytesPadded(k))
+            << "seed " << int(seed);
+
+        std::vector<uint8_t> secret = rng.generate(16);
+        std::vector<uint8_t> cipher =
+            rsaEncrypt(key.publicKey(), rng, secret);
+        BigNum m = plain(BigNum::fromBytes(cipher));
+        bool ok = false;
+        EXPECT_EQ(rsaDecrypt(key, cipher, ok), secret);
+        EXPECT_TRUE(ok);
+        std::vector<uint8_t> eb2 = m.toBytesPadded(k);
+        EXPECT_TRUE(std::equal(secret.begin(), secret.end(),
+                               eb2.end() - long(secret.size())))
+            << "seed " << int(seed);
+    }
 }

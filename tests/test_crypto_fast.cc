@@ -63,6 +63,9 @@ const std::map<std::string, std::array<uint64_t, 4>> kCryptoGolden = {
     {"RsaOps",
      {0xd6f3fba66b92140bull, 0x7c8a806d33662393ull,
       0x0bc4285d8f8f9eacull, 0xd0a4e1f4e6e5308cull}},
+    {"RsaKeygen",
+     {0x9105572df5c95924ull, 0x23d243474c3b82cbull,
+      0xedca14854c894401ull, 0xb2a321ca71a174d5ull}},
     {"SealedBlobs",
      {0x1ff8a60be480002eull, 0x98b57ad9d15a6117ull,
       0xf3c423481f1cf2eeull, 0x40c59d269247f61dull}},
@@ -275,6 +278,25 @@ TEST_P(CryptoGoldenSweep, RsaOps)
         g.vec(c);
     }
     expectGolden("RsaOps", g);
+}
+
+// --------------------------------------------------------------------
+// RSA key generation: the DRBG draws, candidate order and Miller-Rabin
+// rounds fix every key, so any drift in the candidate sequence moves
+// this digest.
+// --------------------------------------------------------------------
+
+TEST_P(CryptoGoldenSweep, RsaKeygen)
+{
+    CtrDrbg r = rng();
+    test::Golden g;
+    for (size_t bits : {384, 512}) {
+        RsaPrivateKey key = rsaGenerate(r, bits);
+        EXPECT_EQ(key.n, key.p * key.q);
+        for (const BigNum *v : {&key.n, &key.e, &key.d, &key.p, &key.q})
+            g.vec(v->toBytes());
+    }
+    expectGolden("RsaKeygen", g);
 }
 
 // --------------------------------------------------------------------

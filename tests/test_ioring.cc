@@ -15,7 +15,8 @@
  * The disk request queue is the kernel's only path to the media, so
  * the last tests pack it full before a buffer-cache read and a ghost
  * swap-out/swap-in: Disk::submitDraining must drain it and the bytes
- * must still come back.
+ * must still come back. The last one reaps a ring out of order, as a
+ * hostile OS may, and checks no completion is delivered twice.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "apps/postmark.hh"
 #include "apps/ssh_common.hh"
 #include "apps/thttpd.hh"
+#include "hw/ring.hh"
 #include "kernel/system.hh"
 
 #include "golden.hh"
@@ -352,4 +354,43 @@ TEST(IoRing, PackedDiskQueueDrainsForGhostSwap)
         EXPECT_EQ(sys.ctx().stats().get("swap.pages_loaded"), kPages);
         return 0;
     });
+}
+
+TEST(IoRing, OutOfOrderReapThenReapAll)
+{
+    // A hostile OS may reap one completion by (index, gen) ahead of
+    // the driver's in-order reapAll(); neither may hand a completion
+    // out twice or strand a slot.
+    hw::DescRing ring(4);
+    for (uint64_t cookie = 1; cookie <= 3; cookie++) {
+        hw::RingDesc d;
+        d.cookie = cookie;
+        ASSERT_TRUE(ring.post(d));
+    }
+    ring.processPosted([](hw::DescRing::Entry &e) {
+        e.doneAt = 100 * e.desc.cookie;
+        e.state = hw::DescRing::Slot::Done;
+        return true;
+    });
+    ASSERT_EQ(ring.pendingCompletions(), 3u);
+
+    ASSERT_TRUE(ring.reapAt(1, ring.slot(1).gen));
+    EXPECT_EQ(ring.pendingCompletions(), 2u);
+    EXPECT_EQ(ring.earliestDone(), 100u);
+
+    std::vector<hw::RingCompletion> got = ring.reapAll();
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].cookie, 1u);
+    EXPECT_EQ(got[1].cookie, 3u);
+    EXPECT_EQ(ring.inFlight(), 0u);
+    EXPECT_EQ(ring.pendingCompletions(), 0u);
+    EXPECT_EQ(ring.earliestDone(), 0u);
+    for (uint32_t i = 0; i < ring.size(); i++)
+        EXPECT_EQ(ring.slot(i).state, hw::DescRing::Slot::Free)
+            << "slot " << i;
+
+    // Every slot is postable again.
+    for (unsigned i = 0; i < ring.size(); i++)
+        EXPECT_TRUE(ring.post(hw::RingDesc{})) << "post " << i;
+    EXPECT_TRUE(ring.full());
 }
