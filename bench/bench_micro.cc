@@ -478,13 +478,14 @@ BM_CryptoGhostSwap(benchmark::State &state)
     GhostSwapRig rig;
     sva::SvaError err;
     for (auto _ : state) {
-        auto blob =
-            rig.vm.swapOutGhostPage(1, 0, hw::ghostBase, &err);
-        if (!blob) {
+        std::vector<SealedBlob> blobs =
+            rig.vm.swapOutGhostBatch(1, 0, {hw::ghostBase}, &err);
+        if (blobs.empty()) {
             state.SkipWithError("swap-out failed");
             break;
         }
-        if (!rig.vm.swapInGhostPage(1, 0, hw::ghostBase, *blob, &err)) {
+        if (!rig.vm.swapInGhostPage(1, 0, hw::ghostBase, blobs[0],
+                                    &err)) {
             state.SkipWithError("swap-in failed");
             break;
         }

@@ -332,9 +332,7 @@ void
 Kernel::teardownAddressSpace(Process &proc)
 {
     sva::SvaError err;
-    _ghostClock.removePid(proc.pid);
-    if (_swap)
-        _swap->releaseAll(proc.pid);
+    dropGhostTracking(proc.pid);
     _vm.releaseGhostMemory(proc.pid, proc.rootFrame);
     releaseUserPages(proc);
     // Retire page-table pages child-level first (reverse creation).
@@ -806,23 +804,8 @@ Kernel::swapOutPages(uint64_t pid, Process &proc,
         sva::SvaError err;
         std::vector<crypto::SealedBlob> blobs =
             _vm.swapOutGhostBatch(pid, proc.rootFrame, chunk, &err);
-        if (blobs.empty()) {
-            // A stale va poisons the whole batch; salvage the valid
-            // pages one at a time.
-            for (hw::Vaddr va : chunk) {
-                auto blob =
-                    _vm.swapOutGhostPage(pid, proc.rootFrame, va, &err);
-                if (!blob)
-                    continue;
-                SwapArea::StoreReq req{pid, va,
-                                       _vm.swapGeneration(pid, va),
-                                       &*blob};
-                _swap->storeBatch({req});
-                _ghostClock.remove(pid, va);
-                swapped++;
-            }
-            continue;
-        }
+        if (blobs.empty())
+            continue; // refused: the VM evicted nothing
         std::vector<SwapArea::StoreReq> reqs(chunk.size());
         for (size_t j = 0; j < chunk.size(); j++)
             reqs[j] = {pid, chunk[j], _vm.swapGeneration(pid, chunk[j]),
@@ -959,6 +942,14 @@ Kernel::noteGhostFree(uint64_t pid, hw::Vaddr va, uint64_t npages)
 {
     for (uint64_t i = 0; i < npages; i++)
         _ghostClock.remove(pid, va + i * hw::pageSize);
+}
+
+void
+Kernel::dropGhostTracking(uint64_t pid)
+{
+    _ghostClock.removePid(pid);
+    if (_swap)
+        _swap->releaseAll(pid);
 }
 
 cc::ExecResult

@@ -504,15 +504,14 @@ class Kernel
     std::shared_ptr<Socket> socketOf(Process &proc, int fd);
     int64_t socketSend(Process &proc, Socket &sock, const uint8_t *data,
                        uint64_t len);
-    /** Ring-based transmit used by socketSend/doSendfile: posts one
-     *  descriptor per segment, rings the doorbell
-     *  once per batch, queues peer segments with completion-time
-     *  readyAt stamps and arms the RX softirq. @p zero_copy skips the
-     *  kmem staging-copy charge (sendfile with the sandbox proof).
-     *  Returns bytes actually segmented (stops at window-full). */
+    /** Ring-based transmit behind socketSend (and so doSendfile):
+     *  posts one length-only descriptor per segment, rings the
+     *  doorbell once per batch, queues peer segments carrying the
+     *  payload with completion-time readyAt stamps and arms the RX
+     *  softirq. Returns bytes actually segmented (stops at
+     *  window-full). */
     uint64_t ringTransmit(const std::shared_ptr<Socket> &peer,
-                          const uint8_t *data, uint64_t len,
-                          bool zero_copy);
+                          const uint8_t *data, uint64_t len);
     int64_t socketRecv(Process &proc, Socket &sock, uint8_t *data,
                        uint64_t len);
     int64_t doSendfile(Process &proc, int out_fd, int in_fd,
@@ -534,6 +533,9 @@ class Kernel
     /** Residency-tracking hooks for the eviction clock. */
     void noteGhostAlloc(uint64_t pid, hw::Vaddr va, uint64_t npages);
     void noteGhostFree(uint64_t pid, hw::Vaddr va, uint64_t npages);
+    /** The process's ghost memory dies (exit, execve): drop its clock
+     *  entries and swap slots. */
+    void dropGhostTracking(uint64_t pid);
 
     /** MMU of the vCPU the current process is executing on. */
     hw::Mmu &curMmu() { return _cpus.active().mmu(); }

@@ -638,9 +638,7 @@ UserApi::execve(const sva::AppBinary *binary,
         // Reset the address space and Interrupt Context. The old
         // image's ghost memory dies here: clock entries and swap slots
         // go with it.
-        k._ghostClock.removePid(_proc.pid);
-        if (k._swap)
-            k._swap->releaseAll(_proc.pid);
+        k.dropGhostTracking(_proc.pid);
         k._vm.reinitIcontext(_proc.tid, 0x400000, 0x7fffffff0000ull,
                              _proc.rootFrame, &err);
         k.releaseUserPages(_proc);
@@ -856,7 +854,7 @@ UserApi::connect(uint16_t port)
 
 uint64_t
 Kernel::ringTransmit(const std::shared_ptr<Socket> &peer,
-                     const uint8_t *data, uint64_t len, bool zero_copy)
+                     const uint8_t *data, uint64_t len)
 {
     // Post a descriptor per segment (at most one MTU less headers) for
     // as much of @p len as the peer window and the TX ring allow, then
@@ -870,8 +868,6 @@ Kernel::ringTransmit(const std::shared_ptr<Socket> &peer,
         hw::RingDesc d;
         d.len = uint32_t(chunk + 64);
         d.cookie = reinterpret_cast<uint64_t>(peer.get());
-        if (zero_copy)
-            d.host = data + queued; // bcache buffer handed to the ring
         if (!_nicA.txPost(d))
             break; // ring full: flush this batch, then continue
         chunks.push_back(chunk);
@@ -925,8 +921,7 @@ Kernel::socketSend(Process &proc, Socket &sock, const uint8_t *data,
                 return int64_t(sent);
             blockCurrent(proc, &sock);
         }
-        sent += ringTransmit(peer, data + sent, len - sent,
-                             /*zero_copy=*/false);
+        sent += ringTransmit(peer, data + sent, len - sent);
     }
     sim::StatSet::add(_hNetBytesSent, len);
     return int64_t(sent);
@@ -1043,10 +1038,12 @@ Kernel::doSendfile(Process &proc, int out_fd, int in_fd, uint64_t len)
     if (!out || !in || in->kind != OpenFile::Kind::File)
         return -1;
 
-    // Zero-copy proof obligation: handing a bcache buffer straight to
-    // the NIC ring is safe when kernel memory accesses are already
-    // sandboxed away from ghost frames, or when no sandbox is in force
-    // at all (native). Without a proof, fall back to the staging copy.
+    // Zero-copy proof obligation: skipping the staging copy is safe
+    // when kernel memory accesses are already sandboxed away from ghost
+    // frames, or when no sandbox is in force at all (native). Without a
+    // proof, the staging copy is charged. Either way the ring
+    // descriptors carry lengths and the payload travels in the socket
+    // segment.
     const sim::VgConfig &cfg = _ctx.config();
     bool zero_copy = !cfg.sandboxMemory || cfg.verifyMcode;
 

@@ -92,8 +92,6 @@ struct CostModel
     /** SSD access latency per request (queue + flash). */
     Cycles ssdRequest = 85000; // ~25 us
 
-    /** SSD streaming throughput, bytes per cycle (~500 MB/s). */
-    uint64_t ssdBytesPerCycle = 0; // 0 => use ratio below
     /** SSD cycles per 4 KB block transferred. */
     Cycles ssdPerBlock = 27000; // ~8 us per 4 KB => ~500 MB/s
 

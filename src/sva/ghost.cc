@@ -17,6 +17,7 @@
 
 #include <cstring>
 #include <functional>
+#include <set>
 
 #include "sim/log.hh"
 #include "sva/vm.hh"
@@ -109,6 +110,54 @@ SvaVm::mapGhostPage(hw::Frame root, hw::Vaddr va, hw::Frame frame,
 }
 
 bool
+SvaVm::attachGhostFrame(uint64_t pid, hw::Frame root, hw::Vaddr va,
+                        const uint8_t *contents, const char *op,
+                        SvaError *err)
+{
+    if (!_frameProvider)
+        return failOp(err, std::string(op) + ": no frame provider");
+    std::optional<hw::Frame> frame = _frameProvider();
+    if (!frame)
+        return failOp(err, std::string(op) + ": OS out of frames");
+    FrameMeta &meta = _frames[*frame];
+    // The OS must have removed every mapping to this frame.
+    if (meta.type != FrameType::Free || meta.mapCount != 0) {
+        return failOp(err, sim::strprintf("%s: frame %lu still %s/%u", op,
+                                          (unsigned long)*frame,
+                                          frameTypeName(meta.type),
+                                          meta.mapCount));
+    }
+    if (!frameRetypeSafe(*frame, op, err))
+        return false;
+    if (contents)
+        _mem.writeBytes(*frame * hw::pageSize, contents, hw::pageSize);
+    else
+        _mem.zeroFrame(*frame);
+    meta.type = FrameType::Ghost;
+    meta.owner = pid;
+    _iommu.protectFrame(*frame);
+    if (!mapGhostPage(root, va, *frame, err)) {
+        returnFrame(*frame); // never strand a frame the OS cannot reclaim
+        return false;
+    }
+    _ghostPages[pid].push_back({*frame, va});
+    return true;
+}
+
+void
+SvaVm::returnFrame(hw::Frame frame)
+{
+    _mem.zeroFrame(frame); // no data leaks back to the OS
+    FrameMeta &meta = _frames[frame];
+    meta.type = FrameType::Free;
+    meta.owner = 0;
+    meta.level = 0;
+    _iommu.unprotectFrame(frame);
+    if (_frameReceiver)
+        _frameReceiver(frame);
+}
+
+bool
 SvaVm::allocGhostMemory(uint64_t pid, hw::Frame root, hw::Vaddr va,
                         uint64_t npages, SvaError *err)
 {
@@ -121,32 +170,23 @@ SvaVm::allocGhostMemory(uint64_t pid, hw::Frame root, hw::Vaddr va,
         !hw::isGhostAddr(va + npages * hw::pageSize - 1))
         return failOp(err, "allocgm: range outside the ghost "
                            "partition");
-    if (!_frameProvider)
-        return failOp(err, "allocgm: no frame provider");
 
     for (uint64_t i = 0; i < npages; i++) {
-        hw::Vaddr page_va = va + i * hw::pageSize;
-        std::optional<hw::Frame> frame = _frameProvider();
-        if (!frame)
-            return failOp(err, "allocgm: OS out of frames");
-        FrameMeta &meta = _frames[*frame];
-        // The OS must have removed every mapping to this frame.
-        if (meta.type != FrameType::Free || meta.mapCount != 0) {
-            return failOp(err, sim::strprintf(
-                                   "allocgm: frame %lu still %s/%u",
-                                   (unsigned long)*frame,
-                                   frameTypeName(meta.type),
-                                   meta.mapCount));
+        if (!attachGhostFrame(pid, root, va + i * hw::pageSize, nullptr,
+                              "allocgm", err)) {
+            // All or nothing: hand back what this call already mapped.
+            for (uint64_t j = 0; j < i; j++) {
+                hw::Vaddr page_va = va + j * hw::pageSize;
+                hw::Paddr slot = 0;
+                hw::Frame frame = 0;
+                SvaError undo;
+                if (validateGhostPage(pid, root, page_va, "allocgm", slot,
+                                      frame, &undo))
+                    detachGhostFrame(pid, page_va, slot, frame, "allocgm",
+                                     &undo);
+            }
+            return false;
         }
-        if (!frameRetypeSafe(*frame, "allocgm", err))
-            return false;
-        _mem.zeroFrame(*frame);
-        meta.type = FrameType::Ghost;
-        meta.owner = pid;
-        _iommu.protectFrame(*frame);
-        if (!mapGhostPage(root, page_va, *frame, err))
-            return false;
-        _ghostPages[pid].push_back({*frame, page_va});
         _ctx.clock().advance(_ctx.costs().ghostAllocPerPage);
     }
     sim::StatSet::add(_hGhostAllocated, npages);
@@ -186,40 +226,20 @@ SvaVm::freeGhostMemory(uint64_t pid, hw::Frame root, hw::Vaddr va,
     if (!hw::isGhostAddr(va))
         return failOp(err, "freegm: not a ghost address");
 
+    // Validate the whole range before detaching anything: a page that
+    // is unmapped, swapped out or foreign frees nothing.
+    hw::Paddr slot = 0;
+    hw::Frame frame = 0;
+    for (uint64_t i = 0; i < npages; i++)
+        if (!validateGhostPage(pid, root, va + i * hw::pageSize, "freegm",
+                               slot, frame, err))
+            return false;
     for (uint64_t i = 0; i < npages; i++) {
         hw::Vaddr page_va = va + i * hw::pageSize;
-        hw::Paddr slot = 0;
-        if (!ghostLeafSlot(_mem, _frames, root, page_va, slot))
-            return failOp(err, "freegm: page not mapped");
-        hw::Pte entry = _mem.read64(slot);
-        if (!(entry & hw::pte::present))
-            return failOp(err, "freegm: page not present");
-        hw::Frame frame = hw::pte::frameNum(entry);
-        FrameMeta &meta = _frames[frame];
-        if (meta.type != FrameType::Ghost || meta.owner != pid)
-            return failOp(err, "freegm: page is not this process's "
-                               "ghost memory");
-
-        _mem.write64(slot, 0);
-        invalidateEverywhere(page_va);
-        if (!frameRetypeSafe(frame, "freegm", err))
+        if (!validateGhostPage(pid, root, page_va, "freegm", slot, frame,
+                               err) ||
+            !detachGhostFrame(pid, page_va, slot, frame, "freegm", err))
             return false;
-        _mem.zeroFrame(frame); // no data leaks back to the OS
-        meta.type = FrameType::Free;
-        meta.owner = 0;
-        if (meta.mapCount > 0)
-            meta.mapCount--;
-        _iommu.unprotectFrame(frame);
-        if (_frameReceiver)
-            _frameReceiver(frame);
-
-        auto &pages = _ghostPages[pid];
-        for (auto it = pages.begin(); it != pages.end(); ++it) {
-            if (it->second == page_va) {
-                pages.erase(it);
-                break;
-            }
-        }
         _ctx.clock().advance(_ctx.costs().ghostAllocPerPage);
     }
     sim::StatSet::add(_hGhostFreed, npages);
@@ -252,15 +272,9 @@ SvaVm::detachGhostFrame(uint64_t pid, hw::Vaddr va, hw::Paddr slot,
     invalidateEverywhere(va);
     if (!frameRetypeSafe(frame, op, err))
         return false;
-    FrameMeta &meta = _frames[frame];
-    _mem.zeroFrame(frame);
-    meta.type = FrameType::Free;
-    meta.owner = 0;
-    if (meta.mapCount > 0)
-        meta.mapCount--;
-    _iommu.unprotectFrame(frame);
-    if (_frameReceiver)
-        _frameReceiver(frame);
+    if (_frames[frame].mapCount > 0)
+        _frames[frame].mapCount--;
+    returnFrame(frame);
 
     auto &pages = _ghostPages[pid];
     for (auto it = pages.begin(); it != pages.end(); ++it) {
@@ -269,32 +283,7 @@ SvaVm::detachGhostFrame(uint64_t pid, hw::Vaddr va, hw::Paddr slot,
             break;
         }
     }
-    sim::StatSet::add(_hGhostSwappedOut);
     return true;
-}
-
-std::optional<crypto::SealedBlob>
-SvaVm::swapOutGhostPage(uint64_t pid, hw::Frame root, hw::Vaddr va,
-                        SvaError *err)
-{
-    hw::Paddr slot = 0;
-    hw::Frame frame = 0;
-    if (!validateGhostPage(pid, root, va, "swapout", slot, frame, err))
-        return std::nullopt;
-
-    std::vector<uint8_t> plain(hw::pageSize);
-    _mem.readBytes(frame * hw::pageSize, plain.data(), plain.size());
-    _ctx.clock().advance(_ctx.costs().sealSetup);
-    _ctx.chargeAes(plain.size());
-    _ctx.chargeSha(plain.size());
-    uint64_t gen = _nextSwapGen++;
-    _swapGens[{pid, va}] = gen;
-    crypto::SealedBlob blob =
-        crypto::seal(swapKey(), _rng, plain, swapAad(pid, va, gen));
-
-    if (!detachGhostFrame(pid, va, slot, frame, "swapout", err))
-        return std::nullopt;
-    return blob;
 }
 
 std::vector<crypto::SealedBlob>
@@ -302,18 +291,24 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
                          const std::vector<hw::Vaddr> &vas,
                          SvaError *err)
 {
-    // Validate the whole batch up front: a bad va evicts nothing.
+    // Validate the whole batch up front: a bad va evicts nothing. A
+    // repeated va is bad too: it would hand one frame back twice.
     std::vector<hw::Paddr> slots(vas.size());
     std::vector<hw::Frame> framesOf(vas.size());
-    for (size_t i = 0; i < vas.size(); i++)
+    std::set<hw::Vaddr> seen;
+    for (size_t i = 0; i < vas.size(); i++) {
+        if (!seen.insert(vas[i]).second) {
+            failOp(err, "swapout: va repeated in the batch");
+            return {};
+        }
         if (!validateGhostPage(pid, root, vas[i], "swapout", slots[i],
                                framesOf[i], err))
             return {};
+    }
 
     // Gather plaintexts and bind each page's fresh generation into its
     // AAD; seal the lot in one pipelined pass. Setup cost is charged
-    // once per batch — the per-byte crypto work is identical to the
-    // per-page path, as are the resulting blobs.
+    // once per batch, the per-byte crypto work once per page.
     std::vector<crypto::SealInput> batch(vas.size());
     for (size_t i = 0; i < vas.size(); i++) {
         batch[i].plain.resize(hw::pageSize);
@@ -330,10 +325,12 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
     }
     std::vector<crypto::SealedBlob> blobs = crypto::sealBatch(swapKey(), _rng, batch);
 
-    for (size_t i = 0; i < vas.size(); i++)
+    for (size_t i = 0; i < vas.size(); i++) {
         if (!detachGhostFrame(pid, vas[i], slots[i], framesOf[i],
                               "swapout", err))
             return {};
+        sim::StatSet::add(_hGhostSwappedOut);
+    }
     sim::StatSet::add(_hGhostSwapBatches);
     return blobs;
 }
@@ -356,24 +353,8 @@ SvaVm::swapInGhostPage(uint64_t pid, hw::Frame root, hw::Vaddr va,
         return failOp(err, "swapin: page fails verification (tampered, "
                            "stale, or replayed to the wrong slot)");
 
-    if (!_frameProvider)
-        return failOp(err, "swapin: no frame provider");
-    std::optional<hw::Frame> frame = _frameProvider();
-    if (!frame)
-        return failOp(err, "swapin: OS out of frames");
-    FrameMeta &meta = _frames[*frame];
-    if (meta.type != FrameType::Free || meta.mapCount != 0)
-        return failOp(err, "swapin: donated frame still in use");
-    if (!frameRetypeSafe(*frame, "swapin", err))
+    if (!attachGhostFrame(pid, root, va, plain.data(), "swapin", err))
         return false;
-
-    meta.type = FrameType::Ghost;
-    meta.owner = pid;
-    _iommu.protectFrame(*frame);
-    _mem.writeBytes(*frame * hw::pageSize, plain.data(), plain.size());
-    if (!mapGhostPage(root, va, *frame, err))
-        return false;
-    _ghostPages[pid].push_back({*frame, va});
     _swapGens.erase(genIt); // slot is live again; the blob is dead
     sim::StatSet::add(_hGhostSwappedIn);
     return true;
@@ -450,44 +431,26 @@ SvaVm::releaseGhostMemory(uint64_t pid, hw::Frame root)
         _frames[root].level != 4)
         return;
 
-    // Depth-first free of a table subtree; tables are VM-owned.
-    std::function<void(hw::Frame, int)> free_subtree =
-        [&](hw::Frame table, int level) {
-            for (uint64_t i = 0; i < hw::pageSize / 8; i++) {
-                hw::Pte entry =
-                    _mem.read64(table * hw::pageSize + i * 8);
-                if (!(entry & hw::pte::present))
-                    continue;
-                hw::Frame child = hw::pte::frameNum(entry);
-                if (level > 2 &&
-                    _frames[child].type == FrameType::PageTable)
-                    free_subtree(child, level - 1);
-                if (_frames[child].type == FrameType::PageTable) {
-                    _mem.zeroFrame(child);
-                    _frames[child].type = FrameType::Free;
-                    _frames[child].level = 0;
-                    _iommu.unprotectFrame(child);
-                    if (_frameReceiver)
-                        _frameReceiver(child);
-                }
-                _mem.write64(table * hw::pageSize + i * 8, 0);
-            }
-        };
+    // Depth-first: a table's child tables go back before the table.
+    std::function<void(hw::Frame, int)> retire = [&](hw::Frame table,
+                                                     int level) {
+        for (uint64_t i = 0; level > 1 && i < hw::pageSize / 8; i++) {
+            hw::Pte entry = _mem.read64(table * hw::pageSize + i * 8);
+            hw::Frame child = hw::pte::frameNum(entry);
+            if ((entry & hw::pte::present) &&
+                _frames[child].type == FrameType::PageTable)
+                retire(child, level - 1);
+        }
+        returnFrame(table);
+    };
 
     uint64_t l4_idx = hw::ptIndex(hw::ghostBase, hw::PtLevel::L4);
     hw::Paddr slot = root * hw::pageSize + l4_idx * 8;
     hw::Pte entry = _mem.read64(slot);
     if (entry & hw::pte::present) {
         hw::Frame l3 = hw::pte::frameNum(entry);
-        if (_frames[l3].type == FrameType::PageTable) {
-            free_subtree(l3, 3);
-            _mem.zeroFrame(l3);
-            _frames[l3].type = FrameType::Free;
-            _frames[l3].level = 0;
-            _iommu.unprotectFrame(l3);
-            if (_frameReceiver)
-                _frameReceiver(l3);
-        }
+        if (_frames[l3].type == FrameType::PageTable)
+            retire(l3, 3);
         _mem.write64(slot, 0);
     }
     flushEverywhere();

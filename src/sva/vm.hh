@@ -204,31 +204,29 @@ class SvaVm
     // ----------------------------------------------------------------
 
     /** allocgm(): map @p npages zeroed ghost frames at @p va for the
-     *  process owning @p root. */
+     *  process owning @p root. All or nothing: on failure the pages
+     *  this call already mapped go back to the OS. */
     bool allocGhostMemory(uint64_t pid, hw::Frame root, hw::Vaddr va,
                           uint64_t npages, SvaError *err);
 
-    /** freegm(): unmap, zero, and return the frames to the OS. */
+    /** freegm(): unmap, zero, and return the frames to the OS. The
+     *  whole range is validated first: if any page is not @p pid's
+     *  resident ghost page (unmapped, swapped out, foreign), nothing
+     *  is freed. */
     bool freeGhostMemory(uint64_t pid, hw::Frame root, hw::Vaddr va,
                          uint64_t npages, SvaError *err);
 
-    /** Encrypt+MAC a ghost page so the OS may swap it out; the frame is
-     *  zeroed and returned to the OS. */
-    std::optional<crypto::SealedBlob> swapOutGhostPage(uint64_t pid,
-                                                       hw::Frame root,
-                                                       hw::Vaddr va,
-                                                       SvaError *err);
-
     /**
-     * Batched swap-out: validate and read every page in @p vas, seal
-     * the whole eviction batch through one scatter-gather AES-CTR +
-     * pipelined-HMAC pass (key schedule and MAC-state setup amortised
-     * across the batch), then unmap/scrub/return the frames. Blobs are
-     * returned in input order and are bit-identical to calling
-     * swapOutGhostPage() on each va in sequence; only the fixed seal
-     * setup cost is charged once per batch instead of once per page.
+     * The swap-out intrinsic: validate and read every page in @p vas,
+     * seal the whole eviction batch through one scatter-gather
+     * AES-CTR + pipelined-HMAC pass (key schedule and MAC-state setup
+     * amortised across the batch), then unmap/scrub/return the
+     * frames. Blobs are returned in input order and are bit-identical
+     * to sealing each page on its own; the fixed seal setup cost is
+     * charged once per batch. A single page is a batch of one.
      * Returns an empty vector (with @p err set) if any page fails
-     * validation — no page is evicted in that case.
+     * validation or a va repeats — no page is evicted and no
+     * generation is consumed in that case.
      */
     std::vector<crypto::SealedBlob>
     swapOutGhostBatch(uint64_t pid, hw::Frame root,
@@ -411,11 +409,26 @@ class SvaVm
                            const char *op, hw::Paddr &slot,
                            hw::Frame &frame, SvaError *err);
 
-    /** Unmap, shootdown, scrub, and hand @p frame back to the OS
-     *  (shared tail of the per-page and batched swap-out paths). */
+    /** The one way a ghost frame enters a process (allocgm and
+     *  swap-in): take a frame from the OS, check it is free and
+     *  unreachable, fill it with the page at @p contents (zeroes when
+     *  null), type it Ghost, lock it against DMA, map it at @p va and
+     *  record it. A frame that passes the checks but cannot be mapped
+     *  goes back to the OS. */
+    bool attachGhostFrame(uint64_t pid, hw::Frame root, hw::Vaddr va,
+                          const uint8_t *contents, const char *op,
+                          SvaError *err);
+
+    /** The one way a ghost frame leaves a process (freegm, swap-out,
+     *  allocgm roll-back): unmap, shootdown, scrub, and hand @p frame
+     *  back to the OS. */
     bool detachGhostFrame(uint64_t pid, hw::Vaddr va, hw::Paddr slot,
                           hw::Frame frame, const char *op,
                           SvaError *err);
+
+    /** Scrub a VM-held frame (ghost page or ghost page table), retype
+     *  it Free, unlock it for DMA and give it to the frame receiver. */
+    void returnFrame(hw::Frame frame);
 
     /**
      * TLB shootdown (sva.invlpg.remote): invalidate @p va on the

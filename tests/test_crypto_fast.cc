@@ -70,8 +70,8 @@ const std::map<std::string, std::array<uint64_t, 4>> kCryptoGolden = {
      {0x1ff8a60be480002eull, 0x98b57ad9d15a6117ull,
       0xf3c423481f1cf2eeull, 0x40c59d269247f61dull}},
     {"GhostPageSwap",
-     {0xa118aa58fa91562cull, 0x922b4084aa24859eull,
-      0xcc21924e1dd9bdf4ull, 0x9b0381bf856a763bull}},
+     {0x80dd39dc1140d5c2ull, 0x7e99ac2ed1fc4a9cull,
+      0x73bdd5fd6a2f058bull, 0x8ff7d1119c2fe30dull}},
 };
 
 } // namespace
@@ -425,10 +425,11 @@ TEST_P(CryptoGoldenSweep, GhostPageSwap)
             hw::ghostBase + r.nextBounded(SwapRig::kPages) * hw::pageSize;
         auto it = swapped.find(va);
         if (it == swapped.end()) {
-            auto blob = rig.vm.swapOutGhostPage(1, 0, va, &err);
-            ASSERT_TRUE(blob.has_value()) << "op " << op;
-            g.vec(blob->serialize());
-            swapped.emplace(va, *blob);
+            std::vector<SealedBlob> blobs =
+                rig.vm.swapOutGhostBatch(1, 0, {va}, &err);
+            ASSERT_EQ(blobs.size(), 1u) << "op " << op;
+            g.vec(blobs[0].serialize());
+            swapped.emplace(va, blobs[0]);
         } else {
             if (r.nextBounded(4) == 0) {
                 // Tampered page: must be rejected.

@@ -251,7 +251,7 @@ TEST(KernelEdge, GhostAllocationExhaustionIsGraceful)
 {
     System sys(tinyConfig(512)); // 2 MB RAM
     sys.boot();
-    sys.runProcess("hog", [](UserApi &api) {
+    sys.runProcess("hog", [&](UserApi &api) {
         // Grab ghost memory until the OS runs out of frames; the
         // failing allocgm must return 0, not corrupt state.
         uint64_t got = 0;
@@ -262,8 +262,12 @@ TEST(KernelEdge, GhostAllocationExhaustionIsGraceful)
             got += 16;
         }
         EXPECT_GT(got, 0u);
-        // Subsequent small allocation also fails cleanly.
-        EXPECT_EQ(api.allocGhost(1), 0u);
+        // The failed call handed back every frame it took: the VM and
+        // the eviction clock agree, and those frames fill a small
+        // allocation.
+        EXPECT_EQ(sys.vm().ghostPageCount(api.pid()),
+                  sys.kernel().ghostClock().size());
+        EXPECT_NE(api.allocGhost(1), 0u);
         return 0;
     });
     // Violations were recorded but nothing crashed.

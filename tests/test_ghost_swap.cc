@@ -249,6 +249,65 @@ TEST(GhostSwap, SwapGenerationAdvancesPerEviction)
     });
 }
 
+TEST(GhostSwap, FreeOverSwappedPageFreesNothing)
+{
+    // freegm validates the whole range first: a swapped-out page in
+    // the middle of it frees nothing, so the VM and the eviction clock
+    // still agree and the clock's victims swap out as one batch.
+    System sys(swapConfig(1));
+    sys.boot();
+    sys.runProcess("freer", [&](UserApi &api) {
+        uint64_t pid = api.pid();
+        hw::Vaddr base = api.allocGhost(4);
+        EXPECT_NE(base, 0u);
+        // Cycle page 0 out and back in so that page 1 is the next
+        // eviction.
+        uint64_t v = 0;
+        EXPECT_EQ(sys.kernel().swapOutGhost(pid, 1), 1u);
+        EXPECT_TRUE(api.ghostRead(base, &v, sizeof(v)));
+        EXPECT_EQ(sys.kernel().swapOutGhost(pid, 1), 1u);
+        EXPECT_TRUE(sys.kernel().swapArea()->contains(
+            pid, base + hw::pageSize));
+
+        EXPECT_FALSE(api.freeGhost(base, 4));
+        EXPECT_EQ(sys.vm().ghostPageCount(pid), 3u);
+        EXPECT_EQ(sys.kernel().ghostClock().size(), 3u);
+
+        uint64_t batches = sys.ctx().stats().get("sva.ghost_swap_batches");
+        EXPECT_EQ(sys.kernel().reclaimGhostFrames(3), 3u);
+        EXPECT_EQ(sys.ctx().stats().get("sva.ghost_swap_batches"),
+                  batches + 1);
+        EXPECT_EQ(sys.vm().ghostPageCount(pid), 0u);
+        EXPECT_EQ(sys.kernel().swappedGhostPages(pid), 4u);
+        return 0;
+    });
+}
+
+TEST(GhostSwap, FailedAllocLeavesNoOrphans)
+{
+    // allocgm is all or nothing: an allocation the OS cannot fill
+    // maps no page, leaves nothing the clock cannot see, and the next
+    // small allocation succeeds at the cursor the failed call left.
+    SystemConfig cfg = swapConfig(1);
+    cfg.memFrames = 1024;
+    System sys(cfg);
+    sys.boot();
+    sys.runProcess("greedy", [&](UserApi &api) {
+        uint64_t pid = api.pid();
+        hw::Vaddr base = api.allocGhost(8);
+        EXPECT_NE(base, 0u);
+        // The reclaim ahead of the call may swap the first pages out;
+        // the failed call itself leaves no page behind.
+        EXPECT_EQ(api.allocGhost(3000), 0u);
+        uint64_t resident = sys.vm().ghostPageCount(pid);
+        EXPECT_EQ(resident + sys.kernel().swappedGhostPages(pid), 8u);
+        EXPECT_EQ(sys.kernel().ghostClock().size(), resident);
+        EXPECT_EQ(api.allocGhost(1), base + 8 * hw::pageSize);
+        EXPECT_EQ(sys.vm().ghostPageCount(pid), resident + 1);
+        return 0;
+    });
+}
+
 TEST(GhostSwap, SecondChanceClockSparesReferencedPages)
 {
     System sys(swapConfig(1));

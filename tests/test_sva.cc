@@ -66,6 +66,17 @@ struct Rig
         ASSERT_TRUE(vm.installTable(1, 3, va, 2, &err)) << err.message;
         ASSERT_TRUE(vm.installTable(2, 2, va, 3, &err)) << err.message;
     }
+
+    /** Swap one ghost page under root 0 out: a batch of one. */
+    std::optional<crypto::SealedBlob>
+    swapOut(uint64_t pid, hw::Vaddr va, SvaError *err)
+    {
+        std::vector<crypto::SealedBlob> blobs =
+            vm.swapOutGhostBatch(pid, 0, {va}, err);
+        if (blobs.empty())
+            return std::nullopt;
+        return blobs.front();
+    }
 };
 
 constexpr hw::Vaddr kUserVa = 0x0000000040000000ull;
@@ -318,7 +329,7 @@ TEST(SvaGhost, SwapRoundtrip)
     hw::Frame f = hw::pte::frameNum(*pte);
     rig.mem.write64(f * hw::pageSize + 64, 0xabcdef12345ull);
 
-    auto blob = rig.vm.swapOutGhostPage(7, 0, hw::ghostBase, &err);
+    auto blob = rig.swapOut(7, hw::ghostBase, &err);
     ASSERT_TRUE(blob.has_value()) << err.message;
     EXPECT_FALSE(rig.mmu.probe(hw::ghostBase).has_value());
     // The OS sees only ciphertext.
@@ -339,7 +350,7 @@ TEST(SvaGhost, SwapInDetectsTampering)
     SvaError err;
     ASSERT_TRUE(rig.vm.declarePtPage(0, 4, &err));
     ASSERT_TRUE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase, 1, &err));
-    auto blob = rig.vm.swapOutGhostPage(7, 0, hw::ghostBase, &err);
+    auto blob = rig.swapOut(7, hw::ghostBase, &err);
     ASSERT_TRUE(blob.has_value());
     blob->ciphertext[100] ^= 1;
     EXPECT_FALSE(rig.vm.swapInGhostPage(7, 0, hw::ghostBase, *blob,
@@ -352,7 +363,7 @@ TEST(SvaGhost, SwapInRejectsReplayToWrongSlot)
     SvaError err;
     ASSERT_TRUE(rig.vm.declarePtPage(0, 4, &err));
     ASSERT_TRUE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase, 2, &err));
-    auto blob = rig.vm.swapOutGhostPage(7, 0, hw::ghostBase, &err);
+    auto blob = rig.swapOut(7, hw::ghostBase, &err);
     ASSERT_TRUE(blob.has_value());
     // Wrong va.
     EXPECT_FALSE(rig.vm.swapInGhostPage(
@@ -364,6 +375,69 @@ TEST(SvaGhost, SwapInRejectsReplayToWrongSlot)
     EXPECT_TRUE(rig.vm.swapInGhostPage(7, 0, hw::ghostBase, *blob,
                                        &err))
         << err.message;
+}
+
+TEST(SvaGhost, RefusedBatchEvictsNothing)
+{
+    // A batch holding one foreign va (another process's page) or one
+    // va twice is refused whole: every page stays mapped, no frame
+    // goes back to the OS and no swap generation is consumed.
+    Rig rig;
+    SvaError err;
+    ASSERT_TRUE(rig.vm.declarePtPage(0, 4, &err));
+    ASSERT_TRUE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase, 2, &err));
+    hw::Vaddr foreign = hw::ghostBase + 2 * hw::pageSize;
+    ASSERT_TRUE(rig.vm.allocGhostMemory(8, 0, foreign, 1, &err));
+    rig.vm.loadRoot(0, &err);
+
+    uint64_t violations = rig.vm.violationCount();
+    size_t free_before = rig.freeList.size();
+    EXPECT_TRUE(rig.vm
+                    .swapOutGhostBatch(
+                        7, 0,
+                        {hw::ghostBase, foreign,
+                         hw::ghostBase + hw::pageSize},
+                        &err)
+                    .empty());
+    EXPECT_TRUE(rig.vm
+                    .swapOutGhostBatch(7, 0,
+                                       {hw::ghostBase + hw::pageSize,
+                                        hw::ghostBase + hw::pageSize},
+                                       &err)
+                    .empty());
+    EXPECT_EQ(rig.vm.violationCount(), violations + 2);
+    EXPECT_EQ(rig.freeList.size(), free_before);
+    EXPECT_EQ(rig.vm.ghostPageCount(7), 2u);
+    EXPECT_EQ(rig.vm.ghostPageCount(8), 1u);
+    for (hw::Vaddr va : {hw::ghostBase, foreign,
+                         hw::ghostBase + hw::pageSize}) {
+        EXPECT_TRUE(rig.mmu.probe(va).has_value());
+        EXPECT_EQ(rig.vm.swapGeneration(7, va), 0u);
+    }
+    EXPECT_EQ(rig.ctx.stats().get("sva.ghost_pages_swapped_out"), 0u);
+
+    // The next swap-out gets the first generation, as if the refused
+    // batch had never been offered.
+    ASSERT_TRUE(rig.swapOut(7, hw::ghostBase, &err).has_value())
+        << err.message;
+    EXPECT_EQ(rig.vm.swapGeneration(7, hw::ghostBase), 1u);
+}
+
+TEST(SvaGhost, FailedAllocMapsNothing)
+{
+    // allocgm is all or nothing: a call the OS cannot fill hands back
+    // the frames it already took, and the va range stays free.
+    Rig rig;
+    SvaError err;
+    ASSERT_TRUE(rig.vm.declarePtPage(0, 4, &err));
+    EXPECT_FALSE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase,
+                                         kFrames, &err));
+    EXPECT_NE(err.message.find("out of frames"), std::string::npos);
+    EXPECT_EQ(rig.vm.ghostPageCount(7), 0u);
+    EXPECT_EQ(rig.vm.frames().count(FrameType::Ghost), 0u);
+    ASSERT_TRUE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase, 1, &err))
+        << err.message;
+    EXPECT_EQ(rig.vm.ghostPageCount(7), 1u);
 }
 
 TEST(SvaGhost, SealKeyCacheRotatesWithKeyChain)
@@ -378,12 +452,12 @@ TEST(SvaGhost, SealKeyCacheRotatesWithKeyChain)
 
     // First seal derives and caches the swap key...
     EXPECT_EQ(rig.vm.sealKeyGeneration(), 0u);
-    auto b1 = rig.vm.swapOutGhostPage(7, 0, hw::ghostBase, &err);
+    auto b1 = rig.swapOut(7, hw::ghostBase, &err);
     ASSERT_TRUE(b1.has_value()) << err.message;
     EXPECT_EQ(rig.vm.sealKeyGeneration(), 1u);
 
     // ...and further seals hit the cache (no re-derivation).
-    auto b2 = rig.vm.swapOutGhostPage(7, 0, hw::ghostBase + hw::pageSize,
+    auto b2 = rig.swapOut(7, hw::ghostBase + hw::pageSize,
                                       &err);
     ASSERT_TRUE(b2.has_value()) << err.message;
     EXPECT_EQ(rig.vm.sealKeyGeneration(), 1u);
@@ -402,7 +476,7 @@ TEST(SvaGhost, SealKeyCacheRotatesWithKeyChain)
 
     // New swaps under the rotated key round-trip as usual.
     hw::Vaddr fresh = hw::ghostBase + 2 * hw::pageSize;
-    auto b3 = rig.vm.swapOutGhostPage(7, 0, fresh, &err);
+    auto b3 = rig.swapOut(7, fresh, &err);
     ASSERT_TRUE(b3.has_value()) << err.message;
     EXPECT_TRUE(rig.vm.swapInGhostPage(7, 0, fresh, *b3, &err))
         << err.message;
@@ -418,7 +492,7 @@ TEST(SvaGhost, SwapInRequiresGenerationRecord)
     SvaError err;
     ASSERT_TRUE(rig.vm.declarePtPage(0, 4, &err));
     ASSERT_TRUE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase, 1, &err));
-    auto blob = rig.vm.swapOutGhostPage(7, 0, hw::ghostBase, &err);
+    auto blob = rig.swapOut(7, hw::ghostBase, &err);
     ASSERT_TRUE(blob.has_value());
     ASSERT_TRUE(rig.vm.swapInGhostPage(7, 0, hw::ghostBase, *blob,
                                        &err));
@@ -432,7 +506,7 @@ TEST(SvaGhost, SwapInRequiresGenerationRecord)
 
     // After the page cycles out again the slot has a newer generation,
     // so the stale blob now fails its MAC.
-    ASSERT_TRUE(rig.vm.swapOutGhostPage(7, 0, hw::ghostBase, &err)
+    ASSERT_TRUE(rig.swapOut(7, hw::ghostBase, &err)
                     .has_value());
     EXPECT_FALSE(rig.vm.swapInGhostPage(7, 0, hw::ghostBase, *blob,
                                         &err));
