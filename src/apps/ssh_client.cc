@@ -6,6 +6,7 @@
  * ciphertext passes through traditional memory.
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "apps/ssh_common.hh"
@@ -61,14 +62,15 @@ sshFetch(kern::UserApi &api, const std::string &path, bool ghosting,
         return result;
 
     // Session key: generated from the trusted RNG, optionally stored
-    // in ghost memory, and wrapped to the server's host public key
-    // (which we learn from the authorized file's pair — the public
-    // half of the host key is world-readable).
+    // in ghost memory, and wrapped to the server's host public key.
+    // The client learns that key from the host key file itself, which
+    // also holds the private half; RsaPrivateKey::serialize() writes
+    // (n, e) first, so only that public prefix is parsed.
     std::vector<uint8_t> host_raw;
     if (!runtime.readFile(hostKeyPath, host_raw))
         return result;
-    crypto::RsaPrivateKey host_pair =
-        crypto::RsaPrivateKey::deserialize(host_raw, ok);
+    crypto::RsaPublicKey host_pub =
+        crypto::RsaPublicKey::deserialize(host_raw, ok);
     if (!ok)
         return result;
 
@@ -82,8 +84,7 @@ sshFetch(kern::UserApi &api, const std::string &path, bool ghosting,
     }
     std::vector<uint8_t> key_bytes(session.begin(), session.end());
     if (!sendMsg(api, fd,
-                 appRsaEncrypt(api, host_pair.publicKey(), rng,
-                               key_bytes)))
+                 appRsaEncrypt(api, host_pub, rng, key_bytes)))
         return result;
 
     // Fetch the file.
@@ -94,38 +95,38 @@ sshFetch(kern::UserApi &api, const std::string &path, bool ghosting,
         size_line.rfind("SIZE ", 0) != 0)
         return result;
     uint64_t total = std::stoull(size_line.substr(5));
+    // One reservation for the whole file. The SIZE line crossed the
+    // OS, so a forged value only caps what is reserved up front.
+    constexpr uint64_t maxReserve = 64u << 20;
+    if (keep_data)
+        result.data.reserve(std::min(total, maxReserve));
 
     uint64_t received = 0;
     hw::Vaddr ghost_buf = 0;
     uint64_t ghost_buf_len = 0;
+    // Every sealed chunk is received into this one frame and opened
+    // where it lies; its plaintext follows the nonce and MAC.
+    std::vector<uint8_t> frame;
     while (received < total) {
-        std::vector<uint8_t> frame;
-        if (!recvMsg(api, fd, frame))
+        if (!recvMsg(api, fd, frame) ||
+            !appOpenInPlace(api, session, frame.data(), frame.size()))
             break;
-        crypto::SealedBlob blob =
-            crypto::SealedBlob::deserialize(frame, ok);
-        if (!ok)
-            break;
-        std::vector<uint8_t> plain = appUnseal(api, session, blob, ok);
-        if (!ok)
-            break;
+        const uint8_t *plain = frame.data() + crypto::sealedHeaderBytes;
+        size_t n = frame.size() - crypto::sealedHeaderBytes;
         if (ghosting) {
             // Plaintext goes straight into ghost memory.
-            if (plain.size() > ghost_buf_len) {
+            if (n > ghost_buf_len) {
                 if (ghost_buf)
                     runtime.heap().gfree(ghost_buf);
-                ghost_buf = runtime.heap().gmalloc(plain.size());
-                ghost_buf_len = plain.size();
+                ghost_buf = runtime.heap().gmalloc(n);
+                ghost_buf_len = n;
             }
-            if (ghost_buf == 0 ||
-                !runtime.heap().write(ghost_buf, plain.data(),
-                                      plain.size()))
+            if (ghost_buf == 0 || !runtime.heap().write(ghost_buf, plain, n))
                 break;
         }
         if (keep_data)
-            result.data.insert(result.data.end(), plain.begin(),
-                               plain.end());
-        received += plain.size();
+            result.data.insert(result.data.end(), plain, plain + n);
+        received += n;
     }
     sendStr(api, fd, "BYE");
     api.close(fd);

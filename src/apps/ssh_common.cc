@@ -8,15 +8,21 @@ namespace vg::apps
 bool
 sendMsg(kern::UserApi &api, int fd, const std::vector<uint8_t> &payload)
 {
+    std::vector<uint8_t> frame(msgHeaderBytes + payload.size());
+    if (!payload.empty())
+        std::memcpy(frame.data() + msgHeaderBytes, payload.data(),
+                    payload.size());
+    return sendFramed(api, fd, frame.data(), uint32_t(payload.size()));
+}
+
+bool
+sendFramed(kern::UserApi &api, int fd, uint8_t *frame, uint32_t len)
+{
     // One writev-style send for header + payload: one gate crossing
     // and one wire frame per message instead of two.
-    std::vector<uint8_t> frame(4 + payload.size());
-    uint32_t len = uint32_t(payload.size());
-    std::memcpy(frame.data(), &len, 4);
-    if (!payload.empty())
-        std::memcpy(frame.data() + 4, payload.data(), payload.size());
-    return api.sendHost(fd, frame.data(), frame.size()) ==
-           int64_t(frame.size());
+    std::memcpy(frame, &len, msgHeaderBytes);
+    uint64_t total = msgHeaderBytes + uint64_t(len);
+    return api.sendHost(fd, frame, total) == int64_t(total);
 }
 
 namespace
@@ -40,11 +46,11 @@ recvExact(kern::UserApi &api, int fd, uint8_t *out, uint64_t len)
 bool
 recvMsg(kern::UserApi &api, int fd, std::vector<uint8_t> &out)
 {
-    uint8_t hdr[4];
-    if (!recvExact(api, fd, hdr, 4))
+    uint8_t hdr[msgHeaderBytes];
+    if (!recvExact(api, fd, hdr, msgHeaderBytes))
         return false;
     uint32_t len = 0;
-    std::memcpy(&len, hdr, 4);
+    std::memcpy(&len, hdr, msgHeaderBytes);
     if (len > (64u << 20))
         return false; // absurd frame
     out.resize(len);
@@ -69,22 +75,25 @@ recvStr(kern::UserApi &api, int fd, std::string &out)
     return true;
 }
 
-crypto::SealedBlob
-appSeal(kern::UserApi &api, const crypto::AesKey &key,
-        crypto::CtrDrbg &rng, const std::vector<uint8_t> &plain)
+void
+appSealInPlace(kern::UserApi &api, const crypto::AesKey &key,
+               crypto::CtrDrbg &rng, uint8_t *wire, size_t text_len)
 {
-    api.kernel().ctx().chargeAes(plain.size());
-    api.kernel().ctx().chargeSha(plain.size());
-    return crypto::seal(key, rng, plain);
+    api.kernel().ctx().chargeAes(text_len);
+    api.kernel().ctx().chargeSha(text_len);
+    crypto::sealInPlace(key, rng, wire, text_len);
 }
 
-std::vector<uint8_t>
-appUnseal(kern::UserApi &api, const crypto::AesKey &key,
-          const crypto::SealedBlob &blob, bool &ok)
+bool
+appOpenInPlace(kern::UserApi &api, const crypto::AesKey &key,
+               uint8_t *wire, size_t wire_len)
 {
-    api.kernel().ctx().chargeAes(blob.ciphertext.size());
-    api.kernel().ctx().chargeSha(blob.ciphertext.size());
-    return crypto::unseal(key, blob, ok);
+    if (wire_len < crypto::sealedHeaderBytes)
+        return false;
+    size_t text_len = wire_len - crypto::sealedHeaderBytes;
+    api.kernel().ctx().chargeAes(text_len);
+    api.kernel().ctx().chargeSha(text_len);
+    return crypto::openInPlace(key, wire, wire_len);
 }
 
 std::vector<uint8_t>

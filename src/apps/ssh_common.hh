@@ -42,9 +42,17 @@ constexpr const char *authorizedPath = "/etc/authorized";
 
 // --- framing ----------------------------------------------------------
 
+/** Bytes of the length header in front of every message. */
+constexpr size_t msgHeaderBytes = 4;
+
 /** Send one length-prefixed message. */
 bool sendMsg(kern::UserApi &api, int fd,
              const std::vector<uint8_t> &payload);
+
+/** Send the @p len-byte payload that already sits at
+ *  frame + msgHeaderBytes: write the length header into the first
+ *  msgHeaderBytes of @p frame and send header and payload in one call. */
+bool sendFramed(kern::UserApi &api, int fd, uint8_t *frame, uint32_t len);
 
 /** Receive one message (false on EOF/error). */
 bool recvMsg(kern::UserApi &api, int fd, std::vector<uint8_t> &out);
@@ -55,15 +63,15 @@ bool recvStr(kern::UserApi &api, int fd, std::string &out);
 
 // --- cycle-charged crypto ----------------------------------------------
 
-/** Seal with CPU-cost accounting. */
-crypto::SealedBlob appSeal(kern::UserApi &api, const crypto::AesKey &key,
-                           crypto::CtrDrbg &rng,
-                           const std::vector<uint8_t> &plain);
+/** crypto::sealInPlace with CPU-cost accounting for @p text_len
+ *  bytes. */
+void appSealInPlace(kern::UserApi &api, const crypto::AesKey &key,
+                    crypto::CtrDrbg &rng, uint8_t *wire, size_t text_len);
 
-/** Unseal with CPU-cost accounting. */
-std::vector<uint8_t> appUnseal(kern::UserApi &api,
-                               const crypto::AesKey &key,
-                               const crypto::SealedBlob &blob, bool &ok);
+/** crypto::openInPlace with CPU-cost accounting for the text. A frame
+ *  too short to hold a nonce and MAC is refused before any charge. */
+bool appOpenInPlace(kern::UserApi &api, const crypto::AesKey &key,
+                    uint8_t *wire, size_t wire_len);
 
 /** RSA sign/verify/encrypt with cost accounting. */
 std::vector<uint8_t> appRsaSign(kern::UserApi &api,

@@ -106,18 +106,21 @@ serveConnection(kern::UserApi &api, ghost::GhostRuntime & /*runtime*/,
             continue;
         }
         constexpr uint64_t chunk = 32 * 1024;
-        // Read straight from the buffer cache: no mmap staging area to
-        // demand-fault and no extra user copy per chunk.
-        std::vector<uint8_t> host_buf(chunk);
+        // One frame, length header || nonce || mac || text, serves
+        // every chunk: read straight from the buffer cache to the text
+        // offset (no mmap staging area to demand-fault), seal there,
+        // and send header and sealed bytes in one call.
+        constexpr size_t text_off = msgHeaderBytes + crypto::sealedHeaderBytes;
+        std::vector<uint8_t> frame(text_off + chunk);
         uint64_t remaining = st.size;
         while (remaining > 0) {
             uint64_t n = std::min(remaining, chunk);
-            if (api.readHost(fd, host_buf.data(), n) != int64_t(n))
+            if (api.readHost(fd, frame.data() + text_off, n) != int64_t(n))
                 break;
-            std::vector<uint8_t> plain(host_buf.begin(),
-                                       host_buf.begin() + long(n));
-            crypto::SealedBlob blob = appSeal(api, session, rng, plain);
-            if (!sendMsg(api, conn, blob.serialize()))
+            appSealInPlace(api, session, rng, frame.data() + msgHeaderBytes,
+                           n);
+            if (!sendFramed(api, conn, frame.data(),
+                            uint32_t(crypto::sealedHeaderBytes + n)))
                 break;
             remaining -= n;
         }

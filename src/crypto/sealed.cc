@@ -61,16 +61,43 @@ cachedKeys(const AesKey &master)
         .first->second;
 }
 
-/** Streaming MAC over aad || nonce || ciphertext. */
+/** Streaming MAC over aad || nonce || text. */
 Digest
-computeMac(const HmacSha256 &mac, const SealedBlob &blob,
-           const std::vector<uint8_t> &aad)
+computeMac(const HmacSha256 &mac, const std::vector<uint8_t> &aad,
+           const AesBlock &nonce, const uint8_t *text, size_t len)
 {
     Sha256 inner = mac.begin();
     inner.update(aad.data(), aad.size());
-    inner.update(blob.nonce.data(), blob.nonce.size());
-    inner.update(blob.ciphertext.data(), blob.ciphertext.size());
+    inner.update(nonce.data(), nonce.size());
+    inner.update(text, len);
     return mac.finish(inner);
+}
+
+/**
+ * The one encrypt-then-MAC core. Every sealing entry point lands here
+ * with its text in caller memory: draw the nonce, encrypt the text in
+ * place, then MAC aad || nonce || ciphertext.
+ */
+void
+sealText(const SealKeys &keys, CtrDrbg &rng, uint8_t *text, size_t len,
+         const std::vector<uint8_t> &aad, AesBlock &nonce, Digest &mac)
+{
+    rng.generate(nonce.data(), nonce.size());
+    keys.aes.ctrCrypt(text, len, nonce);
+    mac = computeMac(keys.mac, aad, nonce, text, len);
+}
+
+/** The core's inverse: verify the MAC first and decrypt the text in
+ *  place only when it holds; on failure the text is untouched. */
+bool
+openText(const SealKeys &keys, uint8_t *text, size_t len,
+         const std::vector<uint8_t> &aad, const AesBlock &nonce,
+         const Digest &mac)
+{
+    if (!digestEqual(computeMac(keys.mac, aad, nonce, text, len), mac))
+        return false;
+    keys.aes.ctrCrypt(text, len, nonce);
+    return true;
 }
 
 } // namespace
@@ -79,7 +106,7 @@ std::vector<uint8_t>
 SealedBlob::serialize() const
 {
     std::vector<uint8_t> out;
-    out.reserve(nonce.size() + mac.size() + ciphertext.size());
+    out.reserve(sealedHeaderBytes + ciphertext.size());
     out.insert(out.end(), nonce.begin(), nonce.end());
     out.insert(out.end(), mac.begin(), mac.end());
     out.insert(out.end(), ciphertext.begin(), ciphertext.end());
@@ -91,14 +118,13 @@ SealedBlob::deserialize(const std::vector<uint8_t> &bytes, bool &ok)
 {
     SealedBlob blob;
     ok = false;
-    if (bytes.size() < blob.nonce.size() + blob.mac.size())
+    if (bytes.size() < sealedHeaderBytes)
         return blob;
-    size_t off = 0;
     std::memcpy(blob.nonce.data(), bytes.data(), blob.nonce.size());
-    off += blob.nonce.size();
-    std::memcpy(blob.mac.data(), bytes.data() + off, blob.mac.size());
-    off += blob.mac.size();
-    blob.ciphertext.assign(bytes.begin() + off, bytes.end());
+    std::memcpy(blob.mac.data(), bytes.data() + blob.nonce.size(),
+                blob.mac.size());
+    blob.ciphertext.assign(bytes.begin() + long(sealedHeaderBytes),
+                           bytes.end());
     ok = true;
     return blob;
 }
@@ -107,11 +133,10 @@ SealedBlob
 seal(const AesKey &key, CtrDrbg &rng, const std::vector<uint8_t> &plain,
      const std::vector<uint8_t> &aad)
 {
-    const SealKeys &keys = cachedKeys(key);
     SealedBlob blob;
-    rng.generate(blob.nonce.data(), blob.nonce.size());
-    blob.ciphertext = keys.aes.ctrCrypt(plain, blob.nonce);
-    blob.mac = computeMac(keys.mac, blob, aad);
+    blob.ciphertext = plain;
+    sealText(cachedKeys(key), rng, blob.ciphertext.data(),
+             blob.ciphertext.size(), aad, blob.nonce, blob.mac);
     return blob;
 }
 
@@ -120,14 +145,12 @@ sealBatch(const AesKey &key, CtrDrbg &rng,
           const std::vector<SealInput> &batch)
 {
     const SealKeys &keys = cachedKeys(key);
-    std::vector<SealedBlob> out;
-    out.reserve(batch.size());
-    for (const SealInput &in : batch) {
-        SealedBlob blob;
-        rng.generate(blob.nonce.data(), blob.nonce.size());
-        blob.ciphertext = keys.aes.ctrCrypt(in.plain, blob.nonce);
-        blob.mac = computeMac(keys.mac, blob, in.aad);
-        out.push_back(std::move(blob));
+    std::vector<SealedBlob> out(batch.size());
+    for (size_t i = 0; i < batch.size(); i++) {
+        SealedBlob &blob = out[i];
+        blob.ciphertext = batch[i].plain;
+        sealText(keys, rng, blob.ciphertext.data(), blob.ciphertext.size(),
+                 batch[i].aad, blob.nonce, blob.mac);
     }
     return out;
 }
@@ -136,11 +159,38 @@ std::vector<uint8_t>
 unseal(const AesKey &key, const SealedBlob &blob, bool &ok,
        const std::vector<uint8_t> &aad)
 {
-    const SealKeys &keys = cachedKeys(key);
-    ok = digestEqual(computeMac(keys.mac, blob, aad), blob.mac);
+    std::vector<uint8_t> text = blob.ciphertext;
+    ok = openText(cachedKeys(key), text.data(), text.size(), aad,
+                  blob.nonce, blob.mac);
     if (!ok)
         return {};
-    return keys.aes.ctrCrypt(blob.ciphertext, blob.nonce);
+    return text;
+}
+
+void
+sealInPlace(const AesKey &key, CtrDrbg &rng, uint8_t *wire,
+            size_t text_len, const std::vector<uint8_t> &aad)
+{
+    AesBlock nonce{};
+    Digest mac{};
+    sealText(cachedKeys(key), rng, wire + sealedHeaderBytes, text_len, aad,
+             nonce, mac);
+    std::memcpy(wire, nonce.data(), nonce.size());
+    std::memcpy(wire + nonce.size(), mac.data(), mac.size());
+}
+
+bool
+openInPlace(const AesKey &key, uint8_t *wire, size_t wire_len,
+            const std::vector<uint8_t> &aad)
+{
+    if (wire_len < sealedHeaderBytes)
+        return false;
+    AesBlock nonce{};
+    Digest mac{};
+    std::memcpy(nonce.data(), wire, nonce.size());
+    std::memcpy(mac.data(), wire + nonce.size(), mac.size());
+    return openText(cachedKeys(key), wire + sealedHeaderBytes,
+                    wire_len - sealedHeaderBytes, aad, nonce, mac);
 }
 
 } // namespace vg::crypto

@@ -13,6 +13,7 @@
 #ifndef VG_CRYPTO_SEALED_HH
 #define VG_CRYPTO_SEALED_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,10 @@ namespace vg::crypto
 
 class CtrDrbg;
 
+/** Bytes of the wire layout ahead of the text: the nonce, then the
+ *  MAC. */
+constexpr size_t sealedHeaderBytes = sizeof(AesBlock) + sizeof(Digest);
+
 /** A sealed (encrypted and authenticated) blob. */
 struct SealedBlob
 {
@@ -31,7 +36,7 @@ struct SealedBlob
     std::vector<uint8_t> ciphertext;
     Digest mac{};
 
-    /** Flat wire format: nonce || mac || ciphertext. */
+    /** Flat wire format: nonce(16) || mac(32) || ciphertext. */
     std::vector<uint8_t> serialize() const;
     static SealedBlob deserialize(const std::vector<uint8_t> &bytes,
                                   bool &ok);
@@ -78,6 +83,26 @@ std::vector<SealedBlob> sealBatch(const AesKey &key, CtrDrbg &rng,
 std::vector<uint8_t> unseal(const AesKey &key, const SealedBlob &blob,
                             bool &ok,
                             const std::vector<uint8_t> &aad = {});
+
+/**
+ * Seal in place on the wire layout nonce(16) || mac(32) || text: the
+ * @p text_len plaintext bytes at wire + sealedHeaderBytes are encrypted
+ * where they lie, a fresh nonce is drawn into the first 16 bytes, and
+ * the MAC over aad || nonce || text fills the next 32. The result is
+ * byte for byte seal(key, rng, text, aad).serialize().
+ */
+void sealInPlace(const AesKey &key, CtrDrbg &rng, uint8_t *wire,
+                 size_t text_len, const std::vector<uint8_t> &aad = {});
+
+/**
+ * Open a @p wire_len-byte frame in the wire layout in place. The MAC is
+ * checked first; only when it verifies is the text decrypted where it
+ * lies, leaving the plaintext at wire + sealedHeaderBytes.
+ * @return false, with every byte of the frame unchanged, for a frame
+ *         shorter than sealedHeaderBytes or a MAC that fails.
+ */
+bool openInPlace(const AesKey &key, uint8_t *wire, size_t wire_len,
+                 const std::vector<uint8_t> &aad = {});
 
 } // namespace vg::crypto
 

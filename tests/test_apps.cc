@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <map>
+#include <string>
 
 #include "apps/postmark.hh"
 #include "apps/ssh_common.hh"
 #include "apps/thttpd.hh"
 #include "kernel/system.hh"
+
+#include "golden.hh"
 
 using namespace vg;
 using namespace vg::kern;
@@ -324,6 +329,78 @@ TEST(Ssh, TransferGhostingClient)
     EXPECT_EQ(r.data, expectedFile(64 * 1024));
     // Ghost pages were actually used.
     EXPECT_GT(sys.ctx().stats().get("sva.ghost_pages_allocated"), 0u);
+}
+
+// --------------------------------------------------------------------
+// ssh golden guard: one keygen + session per payload size and client
+// mode, digested as simulated cycles, stat deltas and received bytes.
+// The sizes straddle the 32 KB chunk: empty tail, one full chunk, one
+// byte over, and many chunks.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+constexpr uint64_t kSshGoldenSizes[] = {1,         1024,   32 * 1024,
+                                        32 * 1024 + 1, 100001,
+                                        1024 * 1024};
+
+/** Recorded digests: ghosting -> one per kSshGoldenSizes entry. */
+const std::map<bool, std::array<uint64_t, 6>> kSshGolden = {
+    {false,
+     {0x75d63a9966a0971eull, 0x0932a51ef6af02a7ull,
+      0xc29948d9375b1710ull, 0x7d8b749c56b95ae9ull,
+      0x0e171573feaae976ull, 0xdf0699e2e6a9d6e4ull}},
+    {true,
+     {0x9959f85fb96575d0ull, 0xc98e386f0193b31bull,
+      0x2ede2c09818e0bb3ull, 0x1914e45f9b04d592ull,
+      0x1532b22fbb9f2d97ull, 0x8e3a1497413102b2ull}},
+};
+
+void
+checkSshGolden(bool ghosting)
+{
+    for (size_t i = 0; i < std::size(kSshGoldenSizes); i++) {
+        uint64_t size = kSshGoldenSizes[i];
+        System sys(appConfig());
+        sys.boot();
+        sva::AppBinary bin =
+            sys.vm().packageApp("openssh", "ssh-code", testAppKey());
+        sim::SimContext &ctx = sys.ctx();
+        std::vector<uint64_t> clocks;
+        for (unsigned c = 0; c < ctx.vcpuCount(); c++)
+            clocks.push_back(ctx.clockOf(c).now());
+        std::map<std::string, uint64_t> before = ctx.stats().all();
+
+        SshResult r = sshRoundtrip(sys, bin, size, ghosting);
+        ASSERT_TRUE(r.ok) << "size " << size;
+        ASSERT_EQ(r.data, expectedFile(size)) << "size " << size;
+
+        test::Golden g;
+        g.u64(size).u64(ghosting);
+        for (unsigned c = 0; c < ctx.vcpuCount(); c++)
+            g.u64(ctx.clockOf(c).now() - clocks[c]);
+        std::map<std::string, uint64_t> delta;
+        for (const auto &[name, value] : ctx.stats().all())
+            if (value != before[name])
+                delta[name] = value - before[name];
+        g.stats(delta).u64(r.bytes).vec(r.data);
+        EXPECT_TRUE(
+            test::matchesGolden(g.h, kSshGolden.at(ghosting)[i]))
+            << "size " << size;
+    }
+}
+
+} // namespace
+
+TEST(SshGoldenSweep, PlainSessions)
+{
+    checkSshGolden(false);
+}
+
+TEST(SshGoldenSweep, GhostingSessions)
+{
+    checkSshGolden(true);
 }
 
 TEST(Ssh, AgentSignsChallenges)

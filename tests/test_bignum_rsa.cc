@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/bignum.hh"
 #include "crypto/drbg.hh"
 #include "crypto/rsa.hh"
@@ -294,6 +296,22 @@ TEST(Rsa, SerializeRoundtrip)
     ASSERT_TRUE(ok);
     EXPECT_EQ(pub.n, key.n);
     EXPECT_EQ(pub.e, key.e);
+}
+
+TEST(Rsa, PrivateKeyBytesStartWithPublicKey)
+{
+    // sshFetch parses only the (n, e) prefix of the host key file.
+    const RsaPrivateKey &key = testKey();
+    std::vector<uint8_t> priv = key.serialize();
+    std::vector<uint8_t> pub = key.publicKey().serialize();
+    ASSERT_LT(pub.size(), priv.size());
+    EXPECT_TRUE(std::equal(pub.begin(), pub.end(), priv.begin()));
+
+    bool ok = false;
+    RsaPublicKey parsed = RsaPublicKey::deserialize(priv, ok);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(parsed.n, key.n);
+    EXPECT_EQ(parsed.e, key.e);
 }
 
 TEST(Rsa, DeserializeRejectsTruncated)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <deque>
@@ -345,6 +346,118 @@ TEST_P(CryptoGoldenSweep, SealedBlobs)
         }
     }
     expectGolden("SealedBlobs", g);
+}
+
+// --------------------------------------------------------------------
+// Sealing in place on the wire layout: the same bytes as the oracle's
+// serialized blob, and a refused frame is left exactly as it was.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+/** Text lengths at the AES block and ssh chunk edges, then random
+ *  ones up to 5000 bytes. */
+std::vector<size_t>
+wireLengths()
+{
+    std::vector<size_t> lens = {0, 1, 15, 16, 17, 4096, 32768};
+    CtrDrbg r({'w', 'l'});
+    for (int i = 0; i < 24; i++)
+        lens.push_back(size_t(r.nextBounded(5001)));
+    return lens;
+}
+
+/** Room for the nonce and MAC, then @p plain at the text offset. */
+std::vector<uint8_t>
+wireFrame(const std::vector<uint8_t> &plain)
+{
+    std::vector<uint8_t> wire(sealedHeaderBytes + plain.size());
+    std::copy(plain.begin(), plain.end(),
+              wire.begin() + long(sealedHeaderBytes));
+    return wire;
+}
+
+} // namespace
+
+TEST(SealedWire, MatchesSerializedReferenceBlob)
+{
+    CtrDrbg r({'s', 'w'});
+    AesKey key = randomKey(r);
+    for (size_t len : wireLengths()) {
+        for (size_t aad_len : {size_t(0), size_t(13)}) {
+            std::vector<uint8_t> plain = r.generate(len);
+            std::vector<uint8_t> aad = r.generate(aad_len);
+            CtrDrbg rng({uint8_t(len), uint8_t(len >> 8), 'n'});
+            CtrDrbg rngR({uint8_t(len), uint8_t(len >> 8), 'n'});
+
+            std::vector<uint8_t> wire = wireFrame(plain);
+            sealInPlace(key, rng, wire.data(), len, aad);
+            std::vector<uint8_t> ref =
+                crypto_ref::seal(key, rngR, plain, aad).serialize();
+            ASSERT_EQ(wire, ref) << "len " << len << " aad " << aad_len;
+
+            for (std::vector<uint8_t> *w : {&wire, &ref}) {
+                ASSERT_TRUE(openInPlace(key, w->data(), w->size(), aad))
+                    << "len " << len;
+                ASSERT_EQ(std::vector<uint8_t>(
+                              w->begin() + long(sealedHeaderBytes),
+                              w->end()),
+                          plain)
+                    << "len " << len;
+            }
+        }
+    }
+}
+
+TEST(SealedWire, RejectedFrameIsLeftUnchanged)
+{
+    CtrDrbg r({'s', 't'});
+    AesKey key = randomKey(r);
+    std::vector<uint8_t> aad = r.generate(13);
+    for (size_t len : wireLengths()) {
+        std::vector<uint8_t> sealed = wireFrame(r.generate(len));
+        CtrDrbg rng({uint8_t(len), uint8_t(len >> 8), 't'});
+        sealInPlace(key, rng, sealed.data(), len, aad);
+
+        // One flipped bit in every nonce and MAC byte, and in the
+        // first, a random and the last text byte.
+        std::vector<size_t> at;
+        for (size_t i = 0; i < sealedHeaderBytes; i++)
+            at.push_back(i);
+        if (len > 0) {
+            at.push_back(sealedHeaderBytes);
+            at.push_back(sealedHeaderBytes + size_t(r.nextBounded(len)));
+            at.push_back(sealed.size() - 1);
+        }
+        for (size_t i : at) {
+            std::vector<uint8_t> bad = sealed;
+            bad[i] ^= uint8_t(1u << r.nextBounded(8));
+            const std::vector<uint8_t> before = bad;
+            EXPECT_FALSE(openInPlace(key, bad.data(), bad.size(), aad))
+                << "len " << len << " byte " << i;
+            EXPECT_EQ(bad, before) << "len " << len << " byte " << i;
+        }
+
+        // A one-bit change to the aad.
+        std::vector<uint8_t> bad_aad = aad;
+        bad_aad[size_t(r.nextBounded(bad_aad.size()))] ^=
+            uint8_t(1u << r.nextBounded(8));
+        std::vector<uint8_t> frame = sealed;
+        EXPECT_FALSE(openInPlace(key, frame.data(), frame.size(), bad_aad))
+            << "len " << len;
+        EXPECT_EQ(frame, sealed) << "len " << len;
+
+        EXPECT_TRUE(openInPlace(key, frame.data(), frame.size(), aad));
+    }
+
+    // Frames too short to hold a nonce and a MAC.
+    for (size_t n = 0; n < sealedHeaderBytes; n++) {
+        std::vector<uint8_t> frame = r.generate(n);
+        const std::vector<uint8_t> before = frame;
+        EXPECT_FALSE(openInPlace(key, frame.data(), n)) << "size " << n;
+        EXPECT_EQ(frame, before) << "size " << n;
+    }
 }
 
 // --------------------------------------------------------------------
