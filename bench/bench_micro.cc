@@ -420,10 +420,10 @@ BM_CryptoUnseal(benchmark::State &state)
     master[0] = 0x7f;
     CtrDrbg rng({'u', 'l'});
     std::vector<uint8_t> plain(hw::pageSize, 0x45);
-    SealedBlob blob = seal(master, rng, plain);
+    std::vector<uint8_t> wire = seal(master, rng, plain);
     for (auto _ : state) {
         bool ok = false;
-        benchmark::DoNotOptimize(unseal(master, blob, ok));
+        benchmark::DoNotOptimize(unseal(master, wire, ok));
         benchmark::DoNotOptimize(ok);
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
@@ -478,14 +478,14 @@ BM_CryptoGhostSwap(benchmark::State &state)
     GhostSwapRig rig;
     sva::SvaError err;
     for (auto _ : state) {
-        std::vector<SealedBlob> blobs =
+        std::vector<std::vector<uint8_t>> wires =
             rig.vm.swapOutGhostBatch(1, 0, {hw::ghostBase}, &err);
-        if (blobs.empty()) {
+        if (wires.empty()) {
             state.SkipWithError("swap-out failed");
             break;
         }
-        if (!rig.vm.swapInGhostPage(1, 0, hw::ghostBase, blobs[0],
-                                    &err)) {
+        if (!rig.vm.swapInGhostPage(1, 0, hw::ghostBase,
+                                    std::move(wires[0]), &err)) {
             state.SkipWithError("swap-in failed");
             break;
         }

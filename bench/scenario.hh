@@ -53,13 +53,15 @@ struct ServeScenario
     std::function<int(kern::UserApi &, unsigned inst)> server;
 
     /** Client body: worker @p worker of instance @p inst. Runs after
-     *  the servers have had `warmupYields` yields to reach accept().
+     *  the servers have had warmupYields yields to reach accept().
      */
     std::function<int(kern::UserApi &, unsigned inst, unsigned worker)>
         client;
-
-    unsigned warmupYields = 4;
 };
+
+/** Yields the scenario gives its servers to reach accept() before the
+ *  first client forks. */
+constexpr unsigned warmupYields = 4;
 
 /** Scenario outcome. */
 struct ScenarioResult
@@ -103,7 +105,7 @@ runScenario(kern::System &sys, const ServeScenario &s)
             servers.push_back(api.fork([&, i](kern::UserApi &capi) {
                 return s.server(capi, i);
             }));
-        for (unsigned i = 0; i < s.warmupYields; i++)
+        for (unsigned i = 0; i < warmupYields; i++)
             api.yield();
 
         sim::Cycles t0 = machineNow(sys);

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 
 #include "apps/ssh_common.hh"
@@ -90,13 +91,20 @@ sshFetch(kern::UserApi &api, const std::string &path, bool ghosting,
     // Fetch the file.
     if (!sendStr(api, fd, "GET " + path))
         return result;
+    // The SIZE line crossed the OS: anything but one whole decimal
+    // number that fits 64 bits fails the session.
     std::string size_line;
     if (!recvStr(api, fd, size_line) ||
         size_line.rfind("SIZE ", 0) != 0)
         return result;
-    uint64_t total = std::stoull(size_line.substr(5));
-    // One reservation for the whole file. The SIZE line crossed the
-    // OS, so a forged value only caps what is reserved up front.
+    uint64_t total = 0;
+    const char *digits = size_line.data() + 5;
+    const char *end = size_line.data() + size_line.size();
+    auto [parsed, ec] = std::from_chars(digits, end, total);
+    if (ec != std::errc() || parsed != end)
+        return result;
+    // One reservation for the whole file. A forged SIZE value only
+    // caps what is reserved up front.
     constexpr uint64_t maxReserve = 64u << 20;
     if (keep_data)
         result.data.reserve(std::min(total, maxReserve));

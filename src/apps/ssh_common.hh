@@ -102,11 +102,6 @@ struct SshdConfig
     /** Serve this many connections, then exit (0 = forever). */
     int maxConnections = 1;
     uint16_t port = sshdPort;
-    /** Pre-forked worker pool size (0 = one per expected connection,
-     *  capped at 4). Workers pay the session-infrastructure setup once
-     *  at startup and then block in accept(), so connections are
-     *  dispatched straight off the accept queue's IRQ wake. */
-    unsigned workers = 0;
 };
 
 /** sshd: non-ghosting file server speaking vgssh. */

@@ -157,16 +157,15 @@ sshd(kern::UserApi &api, const SshdConfig &config)
     if (api.bind(ls, config.port) != 0 || api.listen(ls) != 0)
         return 4;
 
-    // Pre-forked worker pool: each worker pays the session
-    // infrastructure setup (privilege separation, pty plumbing,
-    // environment) ONCE, then sleeps in accept() until the accept
-    // queue's softirq wakes it. Per accepted connection only the
-    // per-session state (login record, channel open) is charged.
-    unsigned nworkers = config.workers;
-    if (nworkers == 0)
-        nworkers = config.maxConnections
-                       ? std::min(unsigned(config.maxConnections), 4u)
-                       : 4u;
+    // Pre-forked worker pool, one per expected connection and at most
+    // four: each worker pays the session infrastructure setup
+    // (privilege separation, pty plumbing, environment) ONCE, then
+    // sleeps in accept() until the accept queue's softirq wakes it.
+    // Per accepted connection only the per-session state (login
+    // record, channel open) is charged.
+    unsigned nworkers = config.maxConnections
+                            ? std::min(unsigned(config.maxConnections), 4u)
+                            : 4u;
     // Split the connection quota across the pool (0 = forever).
     std::vector<uint64_t> workers;
     for (unsigned w = 0; w < nworkers; w++) {

@@ -127,6 +127,10 @@ thttpd(kern::UserApi &api, const ThttpdConfig &config)
     return 0;
 }
 
+/** thttpdMulti exits when idle this long with no open connections
+ *  (covers clients that die without issuing maxRequests). */
+constexpr uint64_t idleTimeoutUs = 200000;
+
 int
 thttpdMulti(kern::UserApi &api, const ThttpdMultiConfig &config)
 {
@@ -198,7 +202,7 @@ thttpdMulti(kern::UserApi &api, const ThttpdMultiConfig &config)
         for (auto &[fd, si] : fdSlot)
             fds.push_back(fd);
 
-        if (api.select(fds, config.idleTimeoutUs) <= 0) {
+        if (api.select(fds, idleTimeoutUs) <= 0) {
             if (fdSlot.empty())
                 break; // idle and empty: the clients are gone
             continue;

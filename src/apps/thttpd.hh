@@ -35,9 +35,6 @@ struct ThttpdMultiConfig
     /** Connection-slot cap: above this, new connections wait in the
      *  listen queue until a slot frees. */
     unsigned maxConcurrent = 512;
-    /** Exit when idle this long with no open connections (covers
-     *  clients that die without issuing maxRequests). */
-    uint64_t idleTimeoutUs = 200000;
 };
 
 /**

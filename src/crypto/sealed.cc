@@ -1,5 +1,6 @@
 #include "crypto/sealed.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -73,124 +74,69 @@ computeMac(const HmacSha256 &mac, const std::vector<uint8_t> &aad,
     return mac.finish(inner);
 }
 
-/**
+} // namespace
+
+std::vector<uint8_t>
+seal(const AesKey &key, CtrDrbg &rng, const std::vector<uint8_t> &plain,
+     const std::vector<uint8_t> &aad)
+{
+    std::vector<uint8_t> wire(sealedHeaderBytes + plain.size());
+    std::copy(plain.begin(), plain.end(),
+              wire.begin() + long(sealedHeaderBytes));
+    sealInPlace(key, rng, wire.data(), plain.size(), aad);
+    return wire;
+}
+
+std::vector<uint8_t>
+unseal(const AesKey &key, const std::vector<uint8_t> &wire, bool &ok,
+       const std::vector<uint8_t> &aad)
+{
+    std::vector<uint8_t> text = wire;
+    ok = openInPlace(key, text.data(), text.size(), aad);
+    if (!ok)
+        return {};
+    text.erase(text.begin(), text.begin() + long(sealedHeaderBytes));
+    return text;
+}
+
+/*
  * The one encrypt-then-MAC core. Every sealing entry point lands here
  * with its text in caller memory: draw the nonce, encrypt the text in
  * place, then MAC aad || nonce || ciphertext.
  */
 void
-sealText(const SealKeys &keys, CtrDrbg &rng, uint8_t *text, size_t len,
-         const std::vector<uint8_t> &aad, AesBlock &nonce, Digest &mac)
-{
-    rng.generate(nonce.data(), nonce.size());
-    keys.aes.ctrCrypt(text, len, nonce);
-    mac = computeMac(keys.mac, aad, nonce, text, len);
-}
-
-/** The core's inverse: verify the MAC first and decrypt the text in
- *  place only when it holds; on failure the text is untouched. */
-bool
-openText(const SealKeys &keys, uint8_t *text, size_t len,
-         const std::vector<uint8_t> &aad, const AesBlock &nonce,
-         const Digest &mac)
-{
-    if (!digestEqual(computeMac(keys.mac, aad, nonce, text, len), mac))
-        return false;
-    keys.aes.ctrCrypt(text, len, nonce);
-    return true;
-}
-
-} // namespace
-
-std::vector<uint8_t>
-SealedBlob::serialize() const
-{
-    std::vector<uint8_t> out;
-    out.reserve(sealedHeaderBytes + ciphertext.size());
-    out.insert(out.end(), nonce.begin(), nonce.end());
-    out.insert(out.end(), mac.begin(), mac.end());
-    out.insert(out.end(), ciphertext.begin(), ciphertext.end());
-    return out;
-}
-
-SealedBlob
-SealedBlob::deserialize(const std::vector<uint8_t> &bytes, bool &ok)
-{
-    SealedBlob blob;
-    ok = false;
-    if (bytes.size() < sealedHeaderBytes)
-        return blob;
-    std::memcpy(blob.nonce.data(), bytes.data(), blob.nonce.size());
-    std::memcpy(blob.mac.data(), bytes.data() + blob.nonce.size(),
-                blob.mac.size());
-    blob.ciphertext.assign(bytes.begin() + long(sealedHeaderBytes),
-                           bytes.end());
-    ok = true;
-    return blob;
-}
-
-SealedBlob
-seal(const AesKey &key, CtrDrbg &rng, const std::vector<uint8_t> &plain,
-     const std::vector<uint8_t> &aad)
-{
-    SealedBlob blob;
-    blob.ciphertext = plain;
-    sealText(cachedKeys(key), rng, blob.ciphertext.data(),
-             blob.ciphertext.size(), aad, blob.nonce, blob.mac);
-    return blob;
-}
-
-std::vector<SealedBlob>
-sealBatch(const AesKey &key, CtrDrbg &rng,
-          const std::vector<SealInput> &batch)
-{
-    const SealKeys &keys = cachedKeys(key);
-    std::vector<SealedBlob> out(batch.size());
-    for (size_t i = 0; i < batch.size(); i++) {
-        SealedBlob &blob = out[i];
-        blob.ciphertext = batch[i].plain;
-        sealText(keys, rng, blob.ciphertext.data(), blob.ciphertext.size(),
-                 batch[i].aad, blob.nonce, blob.mac);
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-unseal(const AesKey &key, const SealedBlob &blob, bool &ok,
-       const std::vector<uint8_t> &aad)
-{
-    std::vector<uint8_t> text = blob.ciphertext;
-    ok = openText(cachedKeys(key), text.data(), text.size(), aad,
-                  blob.nonce, blob.mac);
-    if (!ok)
-        return {};
-    return text;
-}
-
-void
 sealInPlace(const AesKey &key, CtrDrbg &rng, uint8_t *wire,
             size_t text_len, const std::vector<uint8_t> &aad)
 {
+    const SealKeys &keys = cachedKeys(key);
+    uint8_t *text = wire + sealedHeaderBytes;
     AesBlock nonce{};
-    Digest mac{};
-    sealText(cachedKeys(key), rng, wire + sealedHeaderBytes, text_len, aad,
-             nonce, mac);
+    rng.generate(nonce.data(), nonce.size());
+    keys.aes.ctrCrypt(text, text_len, nonce);
+    Digest mac = computeMac(keys.mac, aad, nonce, text, text_len);
     std::memcpy(wire, nonce.data(), nonce.size());
     std::memcpy(wire + nonce.size(), mac.data(), mac.size());
 }
 
+/* The core's inverse: verify the MAC first and decrypt the text in
+ * place only when it holds; on failure the frame is untouched. */
 bool
 openInPlace(const AesKey &key, uint8_t *wire, size_t wire_len,
             const std::vector<uint8_t> &aad)
 {
     if (wire_len < sealedHeaderBytes)
         return false;
+    const SealKeys &keys = cachedKeys(key);
+    uint8_t *text = wire + sealedHeaderBytes;
+    size_t text_len = wire_len - sealedHeaderBytes;
     AesBlock nonce{};
     Digest mac{};
     std::memcpy(nonce.data(), wire, nonce.size());
     std::memcpy(mac.data(), wire + nonce.size(), mac.size());
-    return openText(cachedKeys(key), wire + sealedHeaderBytes,
-                    wire_len - sealedHeaderBytes, aad, nonce, mac);
+    if (!digestEqual(computeMac(keys.mac, aad, nonce, text, text_len), mac))
+        return false;
+    keys.aes.ctrCrypt(text, text_len, nonce);
+    return true;
 }
 
 } // namespace vg::crypto

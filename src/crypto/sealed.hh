@@ -8,6 +8,12 @@
  *  - the VG VM encrypts+MACs ghost pages before swap-out (S 3.3),
  *  - applications protect file data written through the hostile OS
  *    (S 3.3, encrypted checksum scheme).
+ *
+ * A sealed message has one representation everywhere, the wire
+ * layout nonce(16) || mac(32) || text, held as plain bytes: the OS
+ * stores and moves it without seeing any structure. Only this file
+ * knows where the nonce and MAC lie; a frame shorter than
+ * sealedHeaderBytes never opens.
  */
 
 #ifndef VG_CRYPTO_SEALED_HH
@@ -29,67 +35,34 @@ class CtrDrbg;
  *  MAC. */
 constexpr size_t sealedHeaderBytes = sizeof(AesBlock) + sizeof(Digest);
 
-/** A sealed (encrypted and authenticated) blob. */
-struct SealedBlob
-{
-    AesBlock nonce{};
-    std::vector<uint8_t> ciphertext;
-    Digest mac{};
-
-    /** Flat wire format: nonce(16) || mac(32) || ciphertext. */
-    std::vector<uint8_t> serialize() const;
-    static SealedBlob deserialize(const std::vector<uint8_t> &bytes,
-                                  bool &ok);
-};
-
 /**
- * Seal @p plain under @p key with a fresh random nonce.
+ * Seal @p plain under @p key with a fresh random nonce and return the
+ * wire bytes: a copy of @p plain sealed by sealInPlace().
  *
  * @param aad optional associated data bound into the MAC (e.g. a page's
  *            virtual address for swap, so pages cannot be swapped back
  *            to the wrong location).
- *
- * The derived subkeys (AES schedule, HMAC pad states) are cached per
- * master key, and the MAC streams over aad || nonce || ciphertext
- * without concatenating them.
  */
-SealedBlob seal(const AesKey &key, CtrDrbg &rng,
-                const std::vector<uint8_t> &plain,
-                const std::vector<uint8_t> &aad = {});
-
-/** One element of a sealBatch() call: plaintext plus the associated
- *  data bound into its MAC. */
-struct SealInput
-{
-    std::vector<uint8_t> plain;
-    std::vector<uint8_t> aad;
-};
+std::vector<uint8_t> seal(const AesKey &key, CtrDrbg &rng,
+                          const std::vector<uint8_t> &plain,
+                          const std::vector<uint8_t> &aad = {});
 
 /**
- * Seal a batch of plaintexts under one key in a scatter-gather
- * pipeline: the KDF passes, AES key schedule, and HMAC pad states are
- * set up once and reused across the whole batch (the per-call setup
- * that seal() pays every time). Nonces are drawn from @p rng in batch
- * order, so the output is bit-identical to calling seal() on each
- * element in sequence.
+ * Verify and decrypt the wire bytes @p wire into a fresh plaintext.
+ * @param ok false for a frame shorter than sealedHeaderBytes or a MAC
+ *           (over aad || nonce || ciphertext) that fails.
  */
-std::vector<SealedBlob> sealBatch(const AesKey &key, CtrDrbg &rng,
-                                  const std::vector<SealInput> &batch);
-
-/**
- * Verify and decrypt a sealed blob.
- * @param ok false if the MAC (over aad || nonce || ciphertext) fails.
- */
-std::vector<uint8_t> unseal(const AesKey &key, const SealedBlob &blob,
-                            bool &ok,
+std::vector<uint8_t> unseal(const AesKey &key,
+                            const std::vector<uint8_t> &wire, bool &ok,
                             const std::vector<uint8_t> &aad = {});
 
 /**
- * Seal in place on the wire layout nonce(16) || mac(32) || text: the
- * @p text_len plaintext bytes at wire + sealedHeaderBytes are encrypted
- * where they lie, a fresh nonce is drawn into the first 16 bytes, and
- * the MAC over aad || nonce || text fills the next 32. The result is
- * byte for byte seal(key, rng, text, aad).serialize().
+ * Seal in place on the wire layout: the @p text_len plaintext bytes at
+ * wire + sealedHeaderBytes are encrypted where they lie, a fresh nonce
+ * is drawn into the first 16 bytes, and the MAC over
+ * aad || nonce || text fills the next 32. The derived subkeys (AES
+ * schedule, HMAC pad states) are cached per master key, and the MAC
+ * streams over its three parts without concatenating them.
  */
 void sealInPlace(const AesKey &key, CtrDrbg &rng, uint8_t *wire,
                  size_t text_len, const std::vector<uint8_t> &aad = {});

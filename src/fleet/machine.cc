@@ -98,10 +98,9 @@ Machine::serveEpoch(const std::vector<MachineRequest> &batch,
     // Tenants with traffic this epoch run their ghost worker. Sorted
     // set => deterministic fork order.
     std::set<unsigned> epoch_tenants;
-    if (knobs.tenantGhostWork)
-        for (const MachineRequest &r : batch)
-            if (_binaries.count(r.tenant))
-                epoch_tenants.insert(r.tenant);
+    for (const MachineRequest &r : batch)
+        if (_binaries.count(r.tenant))
+            epoch_tenants.insert(r.tenant);
 
     out.served.resize(batch.size());
     for (size_t j = 0; j < batch.size(); j++) {

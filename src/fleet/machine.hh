@@ -76,8 +76,6 @@ struct EpochKnobs
     unsigned serverSlots = 256;
     /** Ghost pages each tenant worker allocates and churns. */
     unsigned ghostPagesPerTenant = 16;
-    /** Run the per-tenant ghost workers at all. */
-    bool tenantGhostWork = true;
 };
 
 class Machine

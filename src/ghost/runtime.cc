@@ -80,38 +80,6 @@ GhostRuntime::readFile(const std::string &path,
     return ok;
 }
 
-bool
-GhostRuntime::writeSecureFile(const std::string &path,
-                              const std::vector<uint8_t> &plain)
-{
-    if (!_appKey)
-        return false;
-    _api.kernel().ctx().chargeAes(plain.size());
-    _api.kernel().ctx().chargeSha(plain.size());
-    crypto::SealedBlob blob =
-        crypto::seal(*_appKey, _rng, plain);
-    return writeFile(path, blob.serialize());
-}
-
-bool
-GhostRuntime::readSecureFile(const std::string &path,
-                             std::vector<uint8_t> &plain)
-{
-    if (!_appKey)
-        return false;
-    std::vector<uint8_t> raw;
-    if (!readFile(path, raw))
-        return false;
-    bool ok = false;
-    crypto::SealedBlob blob = crypto::SealedBlob::deserialize(raw, ok);
-    if (!ok)
-        return false;
-    _api.kernel().ctx().chargeAes(blob.ciphertext.size());
-    _api.kernel().ctx().chargeSha(blob.ciphertext.size());
-    plain = crypto::unseal(*_appKey, blob, ok);
-    return ok;
-}
-
 namespace
 {
 
@@ -127,42 +95,77 @@ versionAad(uint64_t version)
 } // namespace
 
 bool
-GhostRuntime::writeVersionedFile(const std::string &path,
-                                 const std::vector<uint8_t> &plain)
+GhostRuntime::sealToFile(const std::string &path,
+                         const std::vector<uint8_t> &plain, bool versioned)
 {
     if (!_appKey)
         return false;
-    // A fresh monotonic value from the TPM, via the VM.
-    uint64_t version = _api.kernel().vm().counterIncrement(_api.pid());
-    if (version == 0)
-        return false;
+    std::vector<uint8_t> aad;
+    if (versioned) {
+        // A fresh monotonic value from the TPM, via the VM.
+        uint64_t version =
+            _api.kernel().vm().counterIncrement(_api.pid());
+        if (version == 0)
+            return false;
+        aad = versionAad(version);
+    }
     _api.kernel().ctx().chargeAes(plain.size());
     _api.kernel().ctx().chargeSha(plain.size());
-    crypto::SealedBlob blob =
-        crypto::seal(*_appKey, _rng, plain, versionAad(version));
-    return writeFile(path, blob.serialize());
+    return writeFile(path, crypto::seal(*_appKey, _rng, plain, aad));
+}
+
+bool
+GhostRuntime::openFromFile(const std::string &path,
+                           std::vector<uint8_t> &plain, bool versioned)
+{
+    if (!_appKey)
+        return false;
+    std::vector<uint8_t> wire;
+    if (!readFile(path, wire) || wire.size() < crypto::sealedHeaderBytes)
+        return false;
+    // Only the *current* counter value verifies: a replayed older
+    // file was sealed with a smaller version and fails the MAC.
+    std::vector<uint8_t> aad;
+    if (versioned)
+        aad = versionAad(_api.kernel().vm().counterRead(_api.pid()));
+    size_t text_len = wire.size() - crypto::sealedHeaderBytes;
+    _api.kernel().ctx().chargeAes(text_len);
+    _api.kernel().ctx().chargeSha(text_len);
+    if (!crypto::openInPlace(*_appKey, wire.data(), wire.size(), aad)) {
+        plain.clear();
+        return false;
+    }
+    plain.assign(wire.begin() + long(crypto::sealedHeaderBytes),
+                 wire.end());
+    return true;
+}
+
+bool
+GhostRuntime::writeSecureFile(const std::string &path,
+                              const std::vector<uint8_t> &plain)
+{
+    return sealToFile(path, plain, false);
+}
+
+bool
+GhostRuntime::readSecureFile(const std::string &path,
+                             std::vector<uint8_t> &plain)
+{
+    return openFromFile(path, plain, false);
+}
+
+bool
+GhostRuntime::writeVersionedFile(const std::string &path,
+                                 const std::vector<uint8_t> &plain)
+{
+    return sealToFile(path, plain, true);
 }
 
 bool
 GhostRuntime::readVersionedFile(const std::string &path,
                                 std::vector<uint8_t> &plain)
 {
-    if (!_appKey)
-        return false;
-    std::vector<uint8_t> raw;
-    if (!readFile(path, raw))
-        return false;
-    bool ok = false;
-    crypto::SealedBlob blob = crypto::SealedBlob::deserialize(raw, ok);
-    if (!ok)
-        return false;
-    // Only the *current* counter value verifies: a replayed older
-    // file was sealed with a smaller version and fails the MAC.
-    uint64_t version = _api.kernel().vm().counterRead(_api.pid());
-    _api.kernel().ctx().chargeAes(blob.ciphertext.size());
-    _api.kernel().ctx().chargeSha(blob.ciphertext.size());
-    plain = crypto::unseal(*_appKey, blob, ok, versionAad(version));
-    return ok;
+    return openFromFile(path, plain, true);
 }
 
 hw::Vaddr

@@ -87,6 +87,19 @@ class GhostRuntime
   private:
     hw::Vaddr bounce(uint64_t len);
 
+    /** Seal @p plain under the app key and write the wire bytes to
+     *  @p path. A @p versioned file is bound to the application's
+     *  next counter value. */
+    bool sealToFile(const std::string &path,
+                    const std::vector<uint8_t> &plain, bool versioned);
+
+    /** Read @p path's wire bytes and open them in place under the app
+     *  key; a @p versioned file must carry the counter's current
+     *  value. A file too short to hold a nonce and MAC is refused
+     *  before any cost is charged. */
+    bool openFromFile(const std::string &path, std::vector<uint8_t> &plain,
+                      bool versioned);
+
     kern::UserApi &_api;
     GhostHeap _heap;
     std::optional<crypto::AesKey> _appKey;

@@ -18,16 +18,16 @@ Tpm::Tpm(const std::vector<uint8_t> &seed) : _rng(seed)
     std::memcpy(_storageKey.data(), d.data(), _storageKey.size());
 }
 
-crypto::SealedBlob
+std::vector<uint8_t>
 Tpm::seal(const std::vector<uint8_t> &data)
 {
     return crypto::seal(_storageKey, _rng, data);
 }
 
 std::vector<uint8_t>
-Tpm::unseal(const crypto::SealedBlob &blob, bool &ok)
+Tpm::unseal(const std::vector<uint8_t> &wire, bool &ok)
 {
-    return crypto::unseal(_storageKey, blob, ok);
+    return crypto::unseal(_storageKey, wire, ok);
 }
 
 std::vector<uint8_t>

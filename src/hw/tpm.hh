@@ -30,11 +30,12 @@ class Tpm
      *  arbitrary entropy. */
     explicit Tpm(const std::vector<uint8_t> &seed);
 
-    /** Seal @p data under the storage key. */
-    crypto::SealedBlob seal(const std::vector<uint8_t> &data);
+    /** Seal @p data under the storage key; returns the wire bytes. */
+    std::vector<uint8_t> seal(const std::vector<uint8_t> &data);
 
-    /** Unseal; @p ok false on MAC failure (tampered blob). */
-    std::vector<uint8_t> unseal(const crypto::SealedBlob &blob, bool &ok);
+    /** Unseal wire bytes; @p ok false on a short frame or a MAC
+     *  failure (tampered blob). */
+    std::vector<uint8_t> unseal(const std::vector<uint8_t> &wire, bool &ok);
 
     /** Draw @p len bytes of entropy. */
     std::vector<uint8_t> entropy(size_t len);

@@ -802,15 +802,15 @@ Kernel::swapOutPages(uint64_t pid, Process &proc,
             pages.begin() +
                 std::min<size_t>(pages.size(), i + evictBatchPages));
         sva::SvaError err;
-        std::vector<crypto::SealedBlob> blobs =
+        std::vector<std::vector<uint8_t>> wires =
             _vm.swapOutGhostBatch(pid, proc.rootFrame, chunk, &err);
-        if (blobs.empty())
+        if (wires.empty())
             continue; // refused: the VM evicted nothing
         std::vector<SwapArea::StoreReq> reqs(chunk.size());
         for (size_t j = 0; j < chunk.size(); j++)
             reqs[j] = {pid, chunk[j], _vm.swapGeneration(pid, chunk[j]),
-                       &blobs[j]};
-        _swap->storeBatch(reqs);
+                       std::move(wires[j])};
+        _swap->storeBatch(std::move(reqs));
         for (hw::Vaddr va : chunk)
             _ghostClock.remove(pid, va);
         swapped += chunk.size();
@@ -893,12 +893,12 @@ Kernel::swapInGhost(uint64_t pid, hw::Vaddr page_va)
     // The restore needs a frame; under pressure the clock makes room
     // first (the faulting page is non-resident, never its own victim).
     ensureGhostHeadroom(1);
-    std::optional<crypto::SealedBlob> blob = _swap->read(pid, page_va);
-    if (!blob)
+    std::optional<std::vector<uint8_t>> wire = _swap->read(pid, page_va);
+    if (!wire)
         return false;
     sva::SvaError err;
-    if (!_vm.swapInGhostPage(pid, proc->rootFrame, page_va, *blob,
-                             &err)) {
+    if (!_vm.swapInGhostPage(pid, proc->rootFrame, page_va,
+                             std::move(*wire), &err)) {
         sim::warn("ghost swap-in refused: %s", err.message.c_str());
         return false;
     }
@@ -914,7 +914,7 @@ Kernel::swappedGhostPages(uint64_t pid) const
     return _swap ? _swap->countFor(pid) : 0;
 }
 
-std::optional<crypto::SealedBlob>
+std::optional<std::vector<uint8_t>>
 Kernel::readSwappedBlob(uint64_t pid, hw::Vaddr page_va)
 {
     if (!_swap)

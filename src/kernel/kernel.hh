@@ -357,10 +357,10 @@ class Kernel
      *  are free; no-op when the allocator already has them. */
     void ensureGhostHeadroom(uint64_t need);
 
-    /** Hostile-OS view of a swapped page: read its ciphertext blob
+    /** Hostile-OS view of a swapped page: read its sealed wire bytes
      *  back from the swap area (the OS sees bytes, never plaintext). */
-    std::optional<crypto::SealedBlob> readSwappedBlob(uint64_t pid,
-                                                      hw::Vaddr page_va);
+    std::optional<std::vector<uint8_t>> readSwappedBlob(uint64_t pid,
+                                                        hw::Vaddr page_va);
 
     /** First disk block of (pid, va)'s swap slot — the surface a
      *  hostile OS tampers with via Disk::rawBlock. */

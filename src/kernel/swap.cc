@@ -23,41 +23,36 @@ SwapArea::SwapArea(hw::Disk &disk, sim::SimContext &ctx,
 }
 
 uint64_t
-SwapArea::storeBatch(const std::vector<StoreReq> &reqs)
+SwapArea::storeBatch(std::vector<StoreReq> reqs)
 {
     if (reqs.empty())
         return 0;
     if (reqs.size() > freeSlots())
         return 0; // caller must check freeSlots() before evicting
 
-    // Slot assignment + serialization. Staging buffers must survive
-    // until the doorbell (the functional copy happens there).
-    struct Staged
-    {
-        uint32_t slot;
-        std::vector<uint8_t> bytes; // padded to blocksPerSlot blocks
-    };
-    std::vector<Staged> staged;
-    staged.reserve(reqs.size());
-    for (const StoreReq &req : reqs) {
+    // Slot assignment. Each request's wire bytes, padded to the slot,
+    // are its staging buffer and must survive until the doorbell (the
+    // functional copy happens there).
+    std::vector<uint32_t> slots;
+    slots.reserve(reqs.size());
+    for (StoreReq &req : reqs) {
         // Rotating first-fit keeps assignment deterministic and cheap.
         uint32_t slot = _nextFree;
         while (_slots[slot].used)
             slot = (slot + 1) % _slots.size();
         _nextFree = (slot + 1) % _slots.size();
 
-        std::vector<uint8_t> bytes = req.blob->serialize();
         _staged.erase({req.pid, req.va}); // fresh data supersedes any
                                           // stale prefetch
         SwapSlot &s = _slots[slot];
         s.pid = req.pid;
         s.va = req.va;
         s.gen = req.gen;
-        s.len = uint32_t(bytes.size());
+        s.len = uint32_t(req.wire.size());
         s.used = true;
         _index[{req.pid, req.va}] = slot;
-        bytes.resize(blocksPerSlot * hw::Disk::blockSize, 0);
-        staged.push_back({slot, std::move(bytes)});
+        req.wire.resize(blocksPerSlot * hw::Disk::blockSize, 0);
+        slots.push_back(slot);
         // Slot-table update: a few kernel memory operations.
         _ctx.chargeKernelWork(8, 4, 0);
     }
@@ -65,11 +60,11 @@ SwapArea::storeBatch(const std::vector<StoreReq> &reqs)
     // Batched async writeback: one descriptor per block, one doorbell
     // per batch, no stall — the NCQ queue owns the media latency from
     // here.
-    for (const Staged &st : staged) {
+    for (size_t i = 0; i < reqs.size(); i++) {
         for (uint64_t b = 0; b < blocksPerSlot; b++) {
             hw::RingDesc d;
-            d.block = slotToBlock(st.slot) + b;
-            d.host = st.bytes.data() + b * hw::Disk::blockSize;
+            d.block = slotToBlock(slots[i]) + b;
+            d.host = reqs[i].wire.data() + b * hw::Disk::blockSize;
             d.len = hw::Disk::blockSize;
             d.write = true;
             _disk.submitDraining(d);
@@ -84,7 +79,7 @@ SwapArea::storeBatch(const std::vector<StoreReq> &reqs)
     return reqs.size();
 }
 
-std::optional<crypto::SealedBlob>
+std::optional<std::vector<uint8_t>>
 SwapArea::read(uint64_t pid, hw::Vaddr va)
 {
     auto it = _index.find({pid, va});
@@ -146,12 +141,8 @@ SwapArea::read(uint64_t pid, hw::Vaddr va)
     }
 
     bytes.resize(s.len);
-    bool ok = false;
-    crypto::SealedBlob blob = crypto::SealedBlob::deserialize(bytes, ok);
-    if (!ok)
-        return std::nullopt;
     sim::StatSet::add(_hPagesLoaded);
-    return blob;
+    return bytes;
 }
 
 void

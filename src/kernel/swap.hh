@@ -28,14 +28,13 @@
 #include <optional>
 #include <vector>
 
-#include "crypto/sealed.hh"
 #include "hw/disk.hh"
 
 namespace vg::kern
 {
 
 /** One swap slot: blocksPerSlot contiguous disk blocks holding a
- *  serialized sealed page, plus untrusted OS bookkeeping. */
+ *  sealed page's wire bytes, plus untrusted OS bookkeeping. */
 struct SwapSlot
 {
     uint64_t pid = 0;
@@ -43,7 +42,7 @@ struct SwapSlot
     /** Mirror of the VM's swap generation (observability only — the
      *  authoritative copy is VM-trusted state the OS cannot edit). */
     uint64_t gen = 0;
-    uint32_t len = 0; ///< serialized blob bytes
+    uint32_t len = 0; ///< sealed wire bytes
     bool used = false;
 };
 
@@ -51,8 +50,8 @@ struct SwapSlot
 class SwapArea
 {
   public:
-    /** serialize() of a sealed 4 KB page is nonce+mac+page = 4144
-     *  bytes, so one slot spans two disk blocks. */
+    /** A sealed 4 KB page is nonce+mac+page = 4144 wire bytes, so
+     *  one slot spans two disk blocks. */
     static constexpr uint64_t blocksPerSlot = 2;
 
     /** One page headed for the swap area. */
@@ -61,7 +60,7 @@ class SwapArea
         uint64_t pid = 0;
         hw::Vaddr va = 0;
         uint64_t gen = 0;
-        const crypto::SealedBlob *blob = nullptr;
+        std::vector<uint8_t> wire; ///< sealed bytes, stored as given
     };
 
     SwapArea(hw::Disk &disk, sim::SimContext &ctx, uint64_t first_block,
@@ -74,10 +73,10 @@ class SwapArea
      * Returns pages stored (all of them, or 0 if the area is out of
      * slots — check freeSlots() first).
      */
-    uint64_t storeBatch(const std::vector<StoreReq> &reqs);
+    uint64_t storeBatch(std::vector<StoreReq> reqs);
 
     /**
-     * Read back the sealed blob for (pid, va) without freeing the
+     * Read back the sealed wire bytes for (pid, va) without freeing the
      * slot; the slot is released only after the VM accepts the page
      * (a failed verification must not lose the ciphertext). Stalls
      * for the disk read — the faulting process needs the bytes.
@@ -90,7 +89,7 @@ class SwapArea
      * nothing is unsealed or mapped until demanded, so pages_loaded /
      * swap-in / fault counts stay demand-driven.
      */
-    std::optional<crypto::SealedBlob> read(uint64_t pid, hw::Vaddr va);
+    std::optional<std::vector<uint8_t>> read(uint64_t pid, hw::Vaddr va);
 
     /** Slots per demand-read cluster (the faulting slot plus up to
      *  this many minus one staged neighbours). */

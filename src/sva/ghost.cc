@@ -286,7 +286,7 @@ SvaVm::detachGhostFrame(uint64_t pid, hw::Vaddr va, hw::Paddr slot,
     return true;
 }
 
-std::vector<crypto::SealedBlob>
+std::vector<std::vector<uint8_t>>
 SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
                          const std::vector<hw::Vaddr> &vas,
                          SvaError *err)
@@ -306,24 +306,26 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
             return {};
     }
 
-    // Gather plaintexts and bind each page's fresh generation into its
-    // AAD; seal the lot in one pipelined pass. Setup cost is charged
-    // once per batch, the per-byte crypto work once per page.
-    std::vector<crypto::SealInput> batch(vas.size());
+    // Read each page to the text offset of its own wire frame and seal
+    // it there under a fresh generation bound into its AAD, in batch
+    // order. Setup cost is charged once per batch, the per-byte crypto
+    // work once per page.
+    _ctx.clock().advance(_ctx.costs().sealSetup);
+    const crypto::AesKey key = swapKey();
+    std::vector<std::vector<uint8_t>> wires(vas.size());
     for (size_t i = 0; i < vas.size(); i++) {
-        batch[i].plain.resize(hw::pageSize);
+        std::vector<uint8_t> &wire = wires[i];
+        wire.resize(crypto::sealedHeaderBytes + hw::pageSize);
         _mem.readBytes(framesOf[i] * hw::pageSize,
-                       batch[i].plain.data(), hw::pageSize);
+                       wire.data() + crypto::sealedHeaderBytes,
+                       hw::pageSize);
         uint64_t gen = _nextSwapGen++;
         _swapGens[{pid, vas[i]}] = gen;
-        batch[i].aad = swapAad(pid, vas[i], gen);
-    }
-    _ctx.clock().advance(_ctx.costs().sealSetup);
-    for (size_t i = 0; i < vas.size(); i++) {
         _ctx.chargeAes(hw::pageSize);
         _ctx.chargeSha(hw::pageSize);
+        crypto::sealInPlace(key, _rng, wire.data(), hw::pageSize,
+                            swapAad(pid, vas[i], gen));
     }
-    std::vector<crypto::SealedBlob> blobs = crypto::sealBatch(swapKey(), _rng, batch);
 
     for (size_t i = 0; i < vas.size(); i++) {
         if (!detachGhostFrame(pid, vas[i], slots[i], framesOf[i],
@@ -332,28 +334,32 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
         sim::StatSet::add(_hGhostSwappedOut);
     }
     sim::StatSet::add(_hGhostSwapBatches);
-    return blobs;
+    return wires;
 }
 
 bool
 SvaVm::swapInGhostPage(uint64_t pid, hw::Frame root, hw::Vaddr va,
-                       const crypto::SealedBlob &blob, SvaError *err)
+                       std::vector<uint8_t> wire, SvaError *err)
 {
     auto genIt = _swapGens.find({pid, va});
     if (genIt == _swapGens.end())
         return failOp(err, "swapin: no swapped page recorded for this "
                            "slot (replayed to the wrong slot?)");
-    bool ok = false;
+    if (wire.size() < crypto::sealedHeaderBytes)
+        return failOp(err, "swapin: frame shorter than its nonce and MAC");
+    size_t text_len = wire.size() - crypto::sealedHeaderBytes;
     _ctx.clock().advance(_ctx.costs().sealSetup);
-    _ctx.chargeAes(blob.ciphertext.size());
-    _ctx.chargeSha(blob.ciphertext.size());
-    std::vector<uint8_t> plain = crypto::unseal(
-        swapKey(), blob, ok, swapAad(pid, va, genIt->second));
-    if (!ok || plain.size() != hw::pageSize)
+    _ctx.chargeAes(text_len);
+    _ctx.chargeSha(text_len);
+    if (!crypto::openInPlace(swapKey(), wire.data(), wire.size(),
+                             swapAad(pid, va, genIt->second)) ||
+        text_len != hw::pageSize)
         return failOp(err, "swapin: page fails verification (tampered, "
                            "stale, or replayed to the wrong slot)");
 
-    if (!attachGhostFrame(pid, root, va, plain.data(), "swapin", err))
+    if (!attachGhostFrame(pid, root, va,
+                          wire.data() + crypto::sealedHeaderBytes,
+                          "swapin", err))
         return false;
     _swapGens.erase(genIt); // slot is live again; the blob is dead
     sim::StatSet::add(_hGhostSwappedIn);

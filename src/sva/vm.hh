@@ -217,24 +217,26 @@ class SvaVm
                          uint64_t npages, SvaError *err);
 
     /**
-     * The swap-out intrinsic: validate and read every page in @p vas,
-     * seal the whole eviction batch through one scatter-gather
-     * AES-CTR + pipelined-HMAC pass (key schedule and MAC-state setup
-     * amortised across the batch), then unmap/scrub/return the
-     * frames. Blobs are returned in input order and are bit-identical
-     * to sealing each page on its own; the fixed seal setup cost is
-     * charged once per batch. A single page is a batch of one.
+     * The swap-out intrinsic: validate every page in @p vas, read each
+     * one straight into the text of its own sealed wire frame and seal
+     * it there (the derived subkeys are cached, so the batch shares
+     * one key setup), then unmap/scrub/return the frames. Frames are
+     * returned in input order and are bit-identical to swapping each
+     * page out on its own; the fixed seal setup cost is charged once
+     * per batch. A single page is a batch of one.
      * Returns an empty vector (with @p err set) if any page fails
      * validation or a va repeats — no page is evicted and no
      * generation is consumed in that case.
      */
-    std::vector<crypto::SealedBlob>
+    std::vector<std::vector<uint8_t>>
     swapOutGhostBatch(uint64_t pid, hw::Frame root,
                       const std::vector<hw::Vaddr> &vas, SvaError *err);
 
-    /** Verify and restore a swapped ghost page. */
+    /** Verify and restore a swapped ghost page from its sealed wire
+     *  frame, opened in place. A frame shorter than the nonce and MAC
+     *  is refused before any cost is charged. */
     bool swapInGhostPage(uint64_t pid, hw::Frame root, hw::Vaddr va,
-                         const crypto::SealedBlob &blob, SvaError *err);
+                         std::vector<uint8_t> wire, SvaError *err);
 
     /**
      * Second-chance reference bit (sva.ghost.refclear): atomically
@@ -473,7 +475,7 @@ class SvaVm
 
     crypto::RsaPublicKey _publicKey;
     crypto::RsaPrivateKey _privateKey;
-    crypto::SealedBlob _sealedPrivateKey;
+    std::vector<uint8_t> _sealedPrivateKey; ///< TPM-sealed wire bytes
     bool _installed = false;
     bool _booted = false;
 

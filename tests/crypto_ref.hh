@@ -10,17 +10,20 @@
  *    padding finalize (FIPS 180-4 as written);
  *  - HMAC-SHA256 built per call from ipad/opad (RFC 2104);
  *  - the sealing construction with a two-pass MAC (derive both
- *    subkeys, CTR-encrypt, then HMAC over one concatenated buffer);
+ *    subkeys, CTR-encrypt, then HMAC over one concatenated buffer),
+ *    writing and parsing the wire layout nonce || mac || ciphertext
+ *    field by field;
  *  - square-and-multiply modular exponentiation over BigNum.
  *
  * Everything is written for obviousness, not speed, and depends on
  * nothing in src/crypto beyond the shared types (AesKey, Digest,
- * SealedBlob, BigNum, CtrDrbg).
+ * BigNum, CtrDrbg).
  */
 
 #ifndef VG_TESTS_CRYPTO_REF_HH
 #define VG_TESTS_CRYPTO_REF_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -30,7 +33,6 @@
 #include "crypto/aes.hh"
 #include "crypto/bignum.hh"
 #include "crypto/drbg.hh"
-#include "crypto/sealed.hh"
 #include "crypto/sha256.hh"
 
 namespace vg::crypto_ref
@@ -421,37 +423,53 @@ struct SealKeys
 
 /** Two-pass MAC: concatenate, then one HMAC. */
 inline Digest
-sealMac(const std::vector<uint8_t> &mac_key, const crypto::SealedBlob &blob,
-        const std::vector<uint8_t> &aad)
+sealMac(const std::vector<uint8_t> &mac_key, const std::vector<uint8_t> &aad,
+        const AesBlock &nonce, const std::vector<uint8_t> &ciphertext)
 {
     std::vector<uint8_t> buf(aad);
-    buf.insert(buf.end(), blob.nonce.begin(), blob.nonce.end());
-    buf.insert(buf.end(), blob.ciphertext.begin(), blob.ciphertext.end());
+    buf.insert(buf.end(), nonce.begin(), nonce.end());
+    buf.insert(buf.end(), ciphertext.begin(), ciphertext.end());
     return hmacSha256(mac_key, buf.data(), buf.size());
 }
 
-inline crypto::SealedBlob
+/** Sealed wire bytes: nonce(16) || mac(32) || ciphertext. */
+inline std::vector<uint8_t>
 seal(const AesKey &key, crypto::CtrDrbg &rng,
      const std::vector<uint8_t> &plain, const std::vector<uint8_t> &aad = {})
 {
     SealKeys keys(key);
-    crypto::SealedBlob blob;
-    rng.generate(blob.nonce.data(), blob.nonce.size());
-    blob.ciphertext = Aes128(keys.enc).ctrCrypt(plain, blob.nonce);
-    blob.mac = sealMac(keys.mac, blob, aad);
-    return blob;
+    AesBlock nonce{};
+    rng.generate(nonce.data(), nonce.size());
+    std::vector<uint8_t> ciphertext = Aes128(keys.enc).ctrCrypt(plain, nonce);
+    Digest mac = sealMac(keys.mac, aad, nonce, ciphertext);
+    std::vector<uint8_t> wire(nonce.size() + mac.size() + ciphertext.size());
+    auto out = std::copy(nonce.begin(), nonce.end(), wire.begin());
+    out = std::copy(mac.begin(), mac.end(), out);
+    std::copy(ciphertext.begin(), ciphertext.end(), out);
+    return wire;
 }
 
-/** @p ok is false when the MAC does not verify. */
+/** @p ok is false for wire bytes too short to hold a nonce and MAC, or
+ *  when the MAC does not verify. */
 inline std::vector<uint8_t>
-unseal(const AesKey &key, const crypto::SealedBlob &blob, bool &ok,
+unseal(const AesKey &key, const std::vector<uint8_t> &wire, bool &ok,
        const std::vector<uint8_t> &aad = {})
 {
+    AesBlock nonce{};
+    Digest mac{};
+    ok = false;
+    if (wire.size() < nonce.size() + mac.size())
+        return {};
+    std::copy(wire.begin(), wire.begin() + long(nonce.size()), nonce.begin());
+    std::copy(wire.begin() + long(nonce.size()),
+              wire.begin() + long(nonce.size() + mac.size()), mac.begin());
+    std::vector<uint8_t> ciphertext(
+        wire.begin() + long(nonce.size() + mac.size()), wire.end());
     SealKeys keys(key);
-    ok = sealMac(keys.mac, blob, aad) == blob.mac;
+    ok = sealMac(keys.mac, aad, nonce, ciphertext) == mac;
     if (!ok)
         return {};
-    return Aes128(keys.enc).ctrCrypt(blob.ciphertext, blob.nonce);
+    return Aes128(keys.enc).ctrCrypt(ciphertext, nonce);
 }
 
 // --------------------------------------------------------------------

@@ -331,6 +331,90 @@ TEST(Ssh, TransferGhostingClient)
     EXPECT_GT(sys.ctx().stats().get("sva.ghost_pages_allocated"), 0u);
 }
 
+namespace
+{
+
+/** A forged sshd: it speaks vgssh up to the client's GET, answers with
+ *  @p size_line and hangs up. It accepts any signature and publishes
+ *  the client's own public key as the host key, so the client's
+ *  session key wraps to a key this server never uses. */
+int
+fakeSizeServer(UserApi &api, const std::string &size_line)
+{
+    ghost::GhostRuntime rt(api);
+    std::vector<uint8_t> pub;
+    if (!rt.readFile(authPubPath, pub) || !rt.writeFile(hostKeyPath, pub))
+        return 1;
+    int ls = api.socket();
+    if (api.bind(ls, sshdPort) != 0 || api.listen(ls) != 0)
+        return 2;
+    int conn = api.accept(ls);
+    if (conn < 0)
+        return 3;
+    std::string banner, request;
+    std::vector<uint8_t> ignored;
+    bool ok = recvStr(api, conn, banner) &&
+              sendMsg(api, conn, std::vector<uint8_t>(16, 7)) &&
+              recvMsg(api, conn, ignored) && sendStr(api, conn, "OK") &&
+              recvMsg(api, conn, ignored) &&
+              recvStr(api, conn, request) &&
+              sendStr(api, conn, size_line);
+    api.close(conn);
+    api.close(ls);
+    return ok ? 0 : 4;
+}
+
+} // namespace
+
+TEST(Ssh, MalformedSizeLineFailsSession)
+{
+    // The SIZE line crosses the OS: a non-number, trailing junk or a
+    // value past 64 bits fails the session without throwing out of
+    // the simulated process.
+    for (const char *line :
+         {"SIZE abc", "SIZE 12x", "SIZE 99999999999999999999999"}) {
+        System sys(appConfig());
+        sys.boot();
+        sva::AppBinary bin =
+            sys.vm().packageApp("openssh", "ssh-code", testAppKey());
+        SshResult result;
+        result.ok = true;
+        int server_status = -1;
+        int client_status = -1;
+        sys.runProcess("init", [&](UserApi &api) {
+            uint64_t kg = api.fork([&](UserApi &capi) {
+                return capi.execve(&bin, [](UserApi &napi) {
+                    return sshKeygen(napi);
+                });
+            });
+            int status = -1;
+            api.waitpid(kg, status);
+            if (status != 0)
+                return 1;
+            uint64_t srv = api.fork([&](UserApi &capi) {
+                return fakeSizeServer(capi, line);
+            });
+            for (int i = 0; i < 4; i++)
+                api.yield();
+            uint64_t cli = api.fork([&](UserApi &capi) {
+                return capi.execve(&bin, [&](UserApi &napi) {
+                    result = sshFetch(napi, "/payload", false,
+                                      /*keep_data=*/true);
+                    return result.ok ? 0 : 1;
+                });
+            });
+            api.waitpid(cli, client_status);
+            api.waitpid(srv, server_status);
+            return 0;
+        });
+        EXPECT_EQ(server_status, 0) << line;
+        EXPECT_EQ(client_status, 1) << line;
+        EXPECT_FALSE(result.ok) << line;
+        EXPECT_EQ(result.bytes, 0u) << line;
+        EXPECT_TRUE(result.data.empty()) << line;
+    }
+}
+
 // --------------------------------------------------------------------
 // ssh golden guard: one keygen + session per payload size and client
 // mode, digested as simulated cycles, stat deltas and received bytes.

@@ -292,9 +292,10 @@ TEST(Sealed, Roundtrip)
     AesKey key = keyFromHex("00112233445566778899aabbccddeeff");
     CtrDrbg rng({'r'});
     std::vector<uint8_t> plain = {1, 2, 3, 4, 5};
-    SealedBlob blob = seal(key, rng, plain);
+    std::vector<uint8_t> wire = seal(key, rng, plain);
+    EXPECT_EQ(wire.size(), sealedHeaderBytes + plain.size());
     bool ok = false;
-    EXPECT_EQ(unseal(key, blob, ok), plain);
+    EXPECT_EQ(unseal(key, wire, ok), plain);
     EXPECT_TRUE(ok);
 }
 
@@ -302,10 +303,10 @@ TEST(Sealed, DetectsCiphertextTampering)
 {
     AesKey key = keyFromHex("00112233445566778899aabbccddeeff");
     CtrDrbg rng({'r'});
-    SealedBlob blob = seal(key, rng, std::vector<uint8_t>(100, 7));
-    blob.ciphertext[50] ^= 1;
+    std::vector<uint8_t> wire = seal(key, rng, std::vector<uint8_t>(100, 7));
+    wire[sealedHeaderBytes + 50] ^= 1;
     bool ok = true;
-    unseal(key, blob, ok);
+    unseal(key, wire, ok);
     EXPECT_FALSE(ok);
 }
 
@@ -313,10 +314,10 @@ TEST(Sealed, DetectsNonceTampering)
 {
     AesKey key = keyFromHex("00112233445566778899aabbccddeeff");
     CtrDrbg rng({'r'});
-    SealedBlob blob = seal(key, rng, std::vector<uint8_t>(16, 9));
-    blob.nonce[0] ^= 1;
+    std::vector<uint8_t> wire = seal(key, rng, std::vector<uint8_t>(16, 9));
+    wire[0] ^= 1; // the nonce leads the wire layout
     bool ok = true;
-    unseal(key, blob, ok);
+    unseal(key, wire, ok);
     EXPECT_FALSE(ok);
 }
 
@@ -328,11 +329,11 @@ TEST(Sealed, AadBindsContext)
     CtrDrbg rng({'r'});
     std::vector<uint8_t> aad1 = {0x10};
     std::vector<uint8_t> aad2 = {0x20};
-    SealedBlob blob = seal(key, rng, std::vector<uint8_t>(8, 1), aad1);
+    std::vector<uint8_t> wire = seal(key, rng, std::vector<uint8_t>(8, 1), aad1);
     bool ok = true;
-    unseal(key, blob, ok, aad2);
+    unseal(key, wire, ok, aad2);
     EXPECT_FALSE(ok);
-    unseal(key, blob, ok, aad1);
+    unseal(key, wire, ok, aad1);
     EXPECT_TRUE(ok);
 }
 
@@ -341,23 +342,30 @@ TEST(Sealed, WrongKeyFails)
     AesKey key1 = keyFromHex("00112233445566778899aabbccddeeff");
     AesKey key2 = keyFromHex("ffeeddccbbaa99887766554433221100");
     CtrDrbg rng({'r'});
-    SealedBlob blob = seal(key1, rng, std::vector<uint8_t>(8, 1));
+    std::vector<uint8_t> wire = seal(key1, rng, std::vector<uint8_t>(8, 1));
     bool ok = true;
-    unseal(key2, blob, ok);
+    unseal(key2, wire, ok);
     EXPECT_FALSE(ok);
 }
 
-TEST(Sealed, SerializeRoundtrip)
+TEST(Sealed, ShortFrameRefused)
 {
+    // A frame too short to hold the nonce and MAC never opens; one
+    // exactly that long is the seal of an empty message.
     AesKey key = keyFromHex("00112233445566778899aabbccddeeff");
     CtrDrbg rng({'r'});
-    std::vector<uint8_t> plain = {9, 8, 7};
-    SealedBlob blob = seal(key, rng, plain);
+    std::vector<uint8_t> empty = seal(key, rng, {});
+    ASSERT_EQ(empty.size(), sealedHeaderBytes);
     bool ok = false;
-    SealedBlob back = SealedBlob::deserialize(blob.serialize(), ok);
-    ASSERT_TRUE(ok);
-    EXPECT_EQ(unseal(key, back, ok), plain);
+    EXPECT_TRUE(unseal(key, empty, ok).empty());
     EXPECT_TRUE(ok);
+    for (size_t len = 0; len < sealedHeaderBytes; len++) {
+        std::vector<uint8_t> shortFrame(empty.begin(),
+                                        empty.begin() + long(len));
+        ok = true;
+        EXPECT_TRUE(unseal(key, shortFrame, ok).empty());
+        EXPECT_FALSE(ok) << "len " << len;
+    }
 }
 
 // --------------------------------------------------------------------

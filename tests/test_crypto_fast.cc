@@ -323,21 +323,21 @@ TEST_P(CryptoGoldenSweep, SealedBlobs)
 
         CtrDrbg rng({uint8_t(round), 's'});
         CtrDrbg rngR({uint8_t(round), 's'});
-        SealedBlob blob = seal(key, rng, plain, aad);
-        ASSERT_EQ(blob.serialize(),
-                  crypto_ref::seal(key, rngR, plain, aad).serialize())
+        std::vector<uint8_t> wire = seal(key, rng, plain, aad);
+        ASSERT_EQ(wire, crypto_ref::seal(key, rngR, plain, aad))
             << "round " << round;
-        g.vec(blob.serialize());
+        g.vec(wire);
 
         bool ok = false, okR = false;
-        ASSERT_EQ(unseal(key, blob, ok, aad), plain);
-        ASSERT_EQ(crypto_ref::unseal(key, blob, okR, aad), plain);
+        ASSERT_EQ(unseal(key, wire, ok, aad), plain);
+        ASSERT_EQ(crypto_ref::unseal(key, wire, okR, aad), plain);
         EXPECT_TRUE(ok && okR);
 
-        if (!blob.ciphertext.empty()) {
-            SealedBlob bad = blob;
-            bad.ciphertext[size_t(r.nextBounded(
-                bad.ciphertext.size()))] ^= 0x01;
+        size_t text_len = wire.size() - sealedHeaderBytes;
+        if (text_len != 0) {
+            std::vector<uint8_t> bad = wire;
+            bad[sealedHeaderBytes + size_t(r.nextBounded(text_len))] ^=
+                0x01;
             ok = okR = true;
             unseal(key, bad, ok, aad);
             crypto_ref::unseal(key, bad, okR, aad);
@@ -350,7 +350,7 @@ TEST_P(CryptoGoldenSweep, SealedBlobs)
 
 // --------------------------------------------------------------------
 // Sealing in place on the wire layout: the same bytes as the oracle's
-// serialized blob, and a refused frame is left exactly as it was.
+// seal, and a refused frame is left exactly as it was.
 // --------------------------------------------------------------------
 
 namespace
@@ -380,7 +380,7 @@ wireFrame(const std::vector<uint8_t> &plain)
 
 } // namespace
 
-TEST(SealedWire, MatchesSerializedReferenceBlob)
+TEST(SealedWire, MatchesReferenceWire)
 {
     CtrDrbg r({'s', 'w'});
     AesKey key = randomKey(r);
@@ -393,8 +393,7 @@ TEST(SealedWire, MatchesSerializedReferenceBlob)
 
             std::vector<uint8_t> wire = wireFrame(plain);
             sealInPlace(key, rng, wire.data(), len, aad);
-            std::vector<uint8_t> ref =
-                crypto_ref::seal(key, rngR, plain, aad).serialize();
+            std::vector<uint8_t> ref = crypto_ref::seal(key, rngR, plain, aad);
             ASSERT_EQ(wire, ref) << "len " << len << " aad " << aad_len;
 
             for (std::vector<uint8_t> *w : {&wire, &ref}) {
@@ -529,7 +528,7 @@ TEST_P(CryptoGoldenSweep, GhostPageSwap)
     SwapRig rig;
     rig.fillGhostFrames(r.generate(SwapRig::kPages * hw::pageSize));
 
-    std::map<hw::Vaddr, SealedBlob> swapped;
+    std::map<hw::Vaddr, std::vector<uint8_t>> swapped;
     sva::SvaError err;
     test::Golden g;
 
@@ -538,17 +537,18 @@ TEST_P(CryptoGoldenSweep, GhostPageSwap)
             hw::ghostBase + r.nextBounded(SwapRig::kPages) * hw::pageSize;
         auto it = swapped.find(va);
         if (it == swapped.end()) {
-            std::vector<SealedBlob> blobs =
+            std::vector<std::vector<uint8_t>> wires =
                 rig.vm.swapOutGhostBatch(1, 0, {va}, &err);
-            ASSERT_EQ(blobs.size(), 1u) << "op " << op;
-            g.vec(blobs[0].serialize());
-            swapped.emplace(va, blobs[0]);
+            ASSERT_EQ(wires.size(), 1u) << "op " << op;
+            g.vec(wires[0]);
+            swapped.emplace(va, std::move(wires[0]));
         } else {
             if (r.nextBounded(4) == 0) {
                 // Tampered page: must be rejected.
-                SealedBlob bad = it->second;
-                bad.ciphertext[size_t(r.nextBounded(
-                    bad.ciphertext.size()))] ^= 0x40;
+                std::vector<uint8_t> bad = it->second;
+                size_t text_len = bad.size() - sealedHeaderBytes;
+                bad[sealedHeaderBytes + size_t(r.nextBounded(text_len))] ^=
+                    0x40;
                 EXPECT_FALSE(rig.vm.swapInGhostPage(1, 0, va, bad, &err));
             }
             ASSERT_TRUE(rig.vm.swapInGhostPage(1, 0, va, it->second, &err))

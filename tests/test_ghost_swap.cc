@@ -1,18 +1,23 @@
 /**
  * @file
  * Ghost-swap subsystem tests: the batched eviction pipeline against
- * digests recorded from the retired per-page path, bit-identity of
- * batch sealing, the generation mechanism that defeats stale replay,
- * the second-chance eviction clock, and pressure-triggered reclaim.
+ * digests recorded from the retired per-page path, bit-identity of a
+ * batched swap-out with per-page swap-outs, the generation mechanism
+ * that defeats stale replay, the second-chance eviction clock, and
+ * pressure-triggered reclaim.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "crypto/drbg.hh"
+#include "crypto/rsa.hh"
 #include "crypto/sealed.hh"
 #include "kernel/system.hh"
 
@@ -173,46 +178,156 @@ TEST(GhostSwap, SwapGoldenSweep)
     }
 }
 
-TEST(GhostSwap, BatchSealBitIdenticalToSequentialSeal)
+namespace
 {
-    // sealBatch() draws nonces in batch order, so its output must be
-    // bit-identical to seal() called on each element in sequence.
-    crypto::AesKey key{};
-    for (size_t i = 0; i < key.size(); i++)
-        key[i] = uint8_t(0xA0 + i);
 
-    auto mkBatch = [] {
-        std::vector<crypto::SealInput> batch;
-        for (int i = 0; i < 9; i++) {
-            crypto::SealInput in;
-            in.plain.assign(1024 + 256 * size_t(i), uint8_t(i + 1));
-            in.aad = {uint8_t(i), 0x55, uint8_t(0xF0 | i)};
-            batch.push_back(std::move(in));
-        }
-        return batch;
-    };
+/** A booted VM with kPages ghost pages and no kernel: the swap
+ *  intrinsics alone. The TPM seed fixes every key and nonce it draws,
+ *  so two rigs are twins. */
+struct VmRig
+{
+    static constexpr uint64_t kPages = 9;
+    static constexpr uint64_t kPid = 1;
 
-    crypto::CtrDrbg rngA(std::vector<uint8_t>{1, 2, 3, 4, 5});
-    crypto::CtrDrbg rngB(std::vector<uint8_t>{1, 2, 3, 4, 5});
-    crypto::CtrDrbg rngR(std::vector<uint8_t>{1, 2, 3, 4, 5});
+    sim::SimContext ctx;
+    hw::PhysMem mem;
+    hw::Mmu mmu;
+    hw::Iommu iommu;
+    hw::Tpm tpm;
+    sva::SvaVm vm;
+    std::deque<hw::Frame> freeFrames;
 
-    std::vector<crypto::SealInput> batch = mkBatch();
-    std::vector<crypto::SealedBlob> batched =
-        crypto::sealBatch(key, rngA, batch);
+    static std::vector<uint8_t> tpmSeed() { return {'t', 'w', 'i', 'n'}; }
 
-    ASSERT_EQ(batched.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); i++) {
-        crypto::SealedBlob one =
-            crypto::seal(key, rngB, batch[i].plain, batch[i].aad);
-        EXPECT_EQ(batched[i].nonce, one.nonce);
-        EXPECT_EQ(batched[i].ciphertext, one.ciphertext);
-        EXPECT_EQ(batched[i].mac, one.mac);
-        // And both match the two-pass textbook construction.
-        EXPECT_EQ(one.serialize(), crypto_ref::seal(key, rngR,
-                                                    batch[i].plain,
-                                                    batch[i].aad)
-                                       .serialize());
+    static hw::Vaddr va(uint64_t i) { return hw::ghostBase + i * hw::pageSize; }
+
+    /** Page @p i's contents: distinct bytes per page. */
+    static std::vector<uint8_t>
+    pageFill(uint64_t i)
+    {
+        std::vector<uint8_t> page(hw::pageSize);
+        for (size_t j = 0; j < page.size(); j++)
+            page[j] = uint8_t(i * 37 + j * 11 + (j >> 8));
+        return page;
     }
+
+    VmRig()
+        : ctx(sim::VgConfig::full()), mem(256), mmu(mem, ctx),
+          iommu(mem, ctx), tpm(tpmSeed()), vm(ctx, mem, mmu, iommu, tpm)
+    {
+        vm.install(384);
+        vm.boot();
+        for (hw::Frame f = 64; f < 256; f++)
+            freeFrames.push_back(f);
+        vm.setFrameProvider([this]() -> std::optional<hw::Frame> {
+            if (freeFrames.empty())
+                return std::nullopt;
+            hw::Frame f = freeFrames.front();
+            freeFrames.pop_front();
+            return f;
+        });
+        vm.setFrameReceiver(
+            [this](hw::Frame f) { freeFrames.push_back(f); });
+        sva::SvaError err;
+        EXPECT_TRUE(vm.declarePtPage(0, 4, &err)) << err.message;
+        EXPECT_TRUE(vm.allocGhostMemory(kPid, 0, hw::ghostBase, kPages,
+                                        &err))
+            << err.message;
+        EXPECT_TRUE(vm.loadRoot(0, &err)) << err.message;
+        for (uint64_t i = 0; i < kPages; i++) {
+            auto pte = mmu.probe(va(i));
+            EXPECT_TRUE(pte.has_value());
+            std::vector<uint8_t> fill = pageFill(i);
+            mem.writeBytes(hw::pte::frameNum(*pte) * hw::pageSize,
+                           fill.data(), fill.size());
+        }
+    }
+};
+
+/** The VM's swap key rebuilt from the TPM seed alone: the VM seeds its
+ *  DRBG from the TPM's first 32 entropy bytes, generates its RSA key
+ *  from the next 48 and hashes the private exponent. */
+crypto::AesKey
+referenceSwapKey()
+{
+    hw::Tpm tpm(VmRig::tpmSeed());
+    tpm.entropy(32);
+    crypto::CtrDrbg keygen(tpm.entropy(48));
+    crypto::RsaPrivateKey priv = crypto::rsaGenerate(keygen, 384);
+    std::vector<uint8_t> d = priv.d.toBytes();
+    crypto_ref::Sha256 h;
+    h.update("vg-swap-key", 11);
+    h.update(d.data(), d.size());
+    crypto::Digest digest = h.final();
+    crypto::AesKey key{};
+    std::copy_n(digest.begin(), key.size(), key.begin());
+    return key;
+}
+
+/** The AAD a swapped page is bound to: pid, va and generation. */
+std::vector<uint8_t>
+referenceSwapAad(uint64_t pid, hw::Vaddr va, uint64_t gen)
+{
+    std::vector<uint8_t> aad(24);
+    std::memcpy(aad.data(), &pid, 8);
+    std::memcpy(aad.data() + 8, &va, 8);
+    std::memcpy(aad.data() + 16, &gen, 8);
+    return aad;
+}
+
+} // namespace
+
+TEST(GhostSwap, BatchSwapOutMatchesPerPageSwapOut)
+{
+    // One swapOutGhostBatch over nine pages and nine single-page calls
+    // on a twin VM draw generations and nonces in the same order, so
+    // they give the same wire bytes. Each frame opens under the
+    // textbook construction, with the key and AAD rebuilt outside the
+    // VM, to the page that was swapped out.
+    VmRig batched, single;
+    std::vector<hw::Vaddr> vas;
+    for (uint64_t i = 0; i < VmRig::kPages; i++)
+        vas.push_back(VmRig::va(i));
+    sim::Cycles batched_t0 = batched.ctx.clock().now();
+    sim::Cycles single_t0 = single.ctx.clock().now();
+
+    sva::SvaError err;
+    std::vector<std::vector<uint8_t>> wires =
+        batched.vm.swapOutGhostBatch(VmRig::kPid, 0, vas, &err);
+    ASSERT_EQ(wires.size(), vas.size()) << err.message;
+    std::vector<std::vector<uint8_t>> singles;
+    for (hw::Vaddr va : vas) {
+        std::vector<std::vector<uint8_t>> one =
+            single.vm.swapOutGhostBatch(VmRig::kPid, 0, {va}, &err);
+        ASSERT_EQ(one.size(), 1u) << err.message;
+        singles.push_back(std::move(one[0]));
+    }
+
+    crypto::AesKey key = referenceSwapKey();
+    for (uint64_t i = 0; i < vas.size(); i++) {
+        EXPECT_EQ(wires[i], singles[i]) << "page " << i;
+        uint64_t gen = batched.vm.swapGeneration(VmRig::kPid, vas[i]);
+        EXPECT_EQ(gen, i + 1);
+        EXPECT_EQ(single.vm.swapGeneration(VmRig::kPid, vas[i]), gen);
+        for (const std::vector<uint8_t> *w : {&wires[i], &singles[i]}) {
+            bool ok = false;
+            EXPECT_EQ(crypto_ref::unseal(key, *w, ok,
+                                         referenceSwapAad(VmRig::kPid,
+                                                          vas[i], gen)),
+                      VmRig::pageFill(i))
+                << "page " << i;
+            EXPECT_TRUE(ok) << "page " << i;
+        }
+    }
+
+    // The batch paid the fixed seal setup once, the single calls nine
+    // times; every other cost is per page.
+    EXPECT_EQ(batched.ctx.stats().get("sva.ghost_swap_batches"), 1u);
+    EXPECT_EQ(single.ctx.stats().get("sva.ghost_swap_batches"),
+              VmRig::kPages);
+    EXPECT_EQ((single.ctx.clock().now() - single_t0) -
+                  (batched.ctx.clock().now() - batched_t0),
+              (VmRig::kPages - 1) * batched.ctx.costs().sealSetup);
 }
 
 TEST(GhostSwap, SwapGenerationAdvancesPerEviction)

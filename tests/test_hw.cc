@@ -545,19 +545,20 @@ TEST(Tpm, SealUnsealRoundtrip)
 {
     Tpm tpm({'t', 'e', 's', 't'});
     std::vector<uint8_t> secret = {9, 9, 9};
-    auto blob = tpm.seal(secret);
+    std::vector<uint8_t> wire = tpm.seal(secret);
+    EXPECT_EQ(wire.size(), crypto::sealedHeaderBytes + secret.size());
     bool ok = false;
-    EXPECT_EQ(tpm.unseal(blob, ok), secret);
+    EXPECT_EQ(tpm.unseal(wire, ok), secret);
     EXPECT_TRUE(ok);
 }
 
 TEST(Tpm, DetectsTampering)
 {
     Tpm tpm({'t'});
-    auto blob = tpm.seal({1, 2, 3});
-    blob.ciphertext[0] ^= 1;
+    std::vector<uint8_t> wire = tpm.seal({1, 2, 3});
+    wire[crypto::sealedHeaderBytes + 0] ^= 1;
     bool ok = true;
-    tpm.unseal(blob, ok);
+    tpm.unseal(wire, ok);
     EXPECT_FALSE(ok);
 }
 
@@ -565,9 +566,9 @@ TEST(Tpm, DifferentTpmsCannotUnseal)
 {
     Tpm tpm1({'a'});
     Tpm tpm2({'b'});
-    auto blob = tpm1.seal({5});
+    std::vector<uint8_t> wire = tpm1.seal({5});
     bool ok = true;
-    tpm2.unseal(blob, ok);
+    tpm2.unseal(wire, ok);
     EXPECT_FALSE(ok);
 }
 

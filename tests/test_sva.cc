@@ -68,14 +68,14 @@ struct Rig
     }
 
     /** Swap one ghost page under root 0 out: a batch of one. */
-    std::optional<crypto::SealedBlob>
+    std::optional<std::vector<uint8_t>>
     swapOut(uint64_t pid, hw::Vaddr va, SvaError *err)
     {
-        std::vector<crypto::SealedBlob> blobs =
+        std::vector<std::vector<uint8_t>> wires =
             vm.swapOutGhostBatch(pid, 0, {va}, err);
-        if (blobs.empty())
+        if (wires.empty())
             return std::nullopt;
-        return blobs.front();
+        return std::move(wires.front());
     }
 };
 
@@ -352,9 +352,40 @@ TEST(SvaGhost, SwapInDetectsTampering)
     ASSERT_TRUE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase, 1, &err));
     auto blob = rig.swapOut(7, hw::ghostBase, &err);
     ASSERT_TRUE(blob.has_value());
-    blob->ciphertext[100] ^= 1;
+    (*blob)[crypto::sealedHeaderBytes + 100] ^= 1;
     EXPECT_FALSE(rig.vm.swapInGhostPage(7, 0, hw::ghostBase, *blob,
                                         &err));
+}
+
+TEST(SvaGhost, SwapInRefusesShortFrame)
+{
+    // A frame too short to hold the nonce and MAC is refused before
+    // any cost is charged: the clock does not move, no frame is taken
+    // and the slot's generation stays live for the real frame.
+    Rig rig;
+    SvaError err;
+    ASSERT_TRUE(rig.vm.declarePtPage(0, 4, &err));
+    ASSERT_TRUE(rig.vm.allocGhostMemory(7, 0, hw::ghostBase, 1, &err));
+    auto wire = rig.swapOut(7, hw::ghostBase, &err);
+    ASSERT_TRUE(wire.has_value()) << err.message;
+    uint64_t gen = rig.vm.swapGeneration(7, hw::ghostBase);
+    ASSERT_NE(gen, 0u);
+
+    for (size_t len : {size_t(0), crypto::sealedHeaderBytes - 1}) {
+        auto now = rig.ctx.clock().now();
+        size_t free_before = rig.freeList.size();
+        std::vector<uint8_t> frame(wire->begin(),
+                                   wire->begin() + long(len));
+        EXPECT_FALSE(rig.vm.swapInGhostPage(7, 0, hw::ghostBase, frame,
+                                            &err))
+            << "len " << len;
+        EXPECT_NE(err.message.find("shorter"), std::string::npos);
+        EXPECT_EQ(rig.ctx.clock().now(), now);
+        EXPECT_EQ(rig.freeList.size(), free_before);
+        EXPECT_EQ(rig.vm.swapGeneration(7, hw::ghostBase), gen);
+    }
+    EXPECT_TRUE(rig.vm.swapInGhostPage(7, 0, hw::ghostBase, *wire, &err))
+        << err.message;
 }
 
 TEST(SvaGhost, SwapInRejectsReplayToWrongSlot)

@@ -85,12 +85,13 @@ TEST(GhostSwap, OsSeesOnlyCiphertext)
         sys.kernel().swapOutGhost(api.pid(), 1);
 
         // The OS can read the swap slot back — and sees ciphertext.
-        auto blob = sys.kernel().readSwappedBlob(api.pid(), gva);
-        EXPECT_TRUE(blob.has_value());
-        if (!blob)
+        auto wire = sys.kernel().readSwappedBlob(api.pid(), gva);
+        EXPECT_TRUE(wire.has_value());
+        if (!wire)
             return 1;
-        std::string ct(blob->ciphertext.begin(),
-                       blob->ciphertext.end());
+        EXPECT_EQ(wire->size(), crypto::sealedHeaderBytes + hw::pageSize);
+        std::string ct(wire->begin() + long(crypto::sealedHeaderBytes),
+                       wire->end());
         EXPECT_EQ(ct.find(secret), std::string::npos);
 
         // Same story on the raw platter: the slot's disk blocks hold
@@ -122,7 +123,7 @@ TEST(GhostSwap, TamperedSwapPageRefused)
         EXPECT_TRUE(block.has_value());
         if (!block)
             return 1;
-        sys.disk().rawBlock(*block)[65] ^= 0x40;
+        sys.disk().rawBlock(*block)[crypto::sealedHeaderBytes + 17] ^= 0x40;
 
         char c = 0;
         EXPECT_FALSE(api.ghostRead(gva, &c, 1));
