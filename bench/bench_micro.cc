@@ -67,6 +67,33 @@ BENCHMARK(BM_Sha256)
     ->ArgsProduct({{64, 4096, 1 << 16}, {kPortable, kHardware}})
     ->ArgNames({"bytes", "hw"});
 
+/**
+ * One 4 KB page into each of Arg(0) hashers through one updateLanes()
+ * call, on this host's kernel: SHA-NI lanes run interleaved, four at a
+ * time.
+ */
+static void
+BM_Sha256Lanes(benchmark::State &state)
+{
+    const size_t lanes = size_t(state.range(0));
+    std::vector<uint8_t> data(lanes * 4096, 0x5a);
+    std::vector<const uint8_t *> in;
+    for (size_t i = 0; i < lanes; i++)
+        in.push_back(data.data() + 4096 * i);
+    for (auto _ : state) {
+        std::vector<Sha256> hashers(lanes);
+        std::vector<Sha256 *> ptrs;
+        for (Sha256 &h : hashers)
+            ptrs.push_back(&h);
+        Sha256::updateLanes(ptrs, in, 4096);
+        for (Sha256 &h : hashers)
+            benchmark::DoNotOptimize(h.final());
+    }
+    state.SetBytesProcessed(int64_t(state.iterations()) *
+                            int64_t(data.size()));
+}
+BENCHMARK(BM_Sha256Lanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->ArgName("lanes");
+
 /** AES-CTR over Arg(0) bytes on the T-table or AES-NI kernels (Arg(1)). */
 static void
 BM_AesCtr(benchmark::State &state)
@@ -397,20 +424,33 @@ BM_CryptoModExp(benchmark::State &state)
 }
 BENCHMARK(BM_CryptoModExp)->Arg(384)->Arg(512)->Arg(2048);
 
-/** Seal one page under a fixed master key (derived-key cache hit). */
+/**
+ * Seal Arg(0) pages in place with one N-frame sealInPlace() under a
+ * fixed master key (derived-key cache hit), each page with its own
+ * 24-byte aad as a swap-out batch has.
+ */
 static void
 BM_CryptoSeal(benchmark::State &state)
 {
+    const size_t frames = size_t(state.range(0));
     AesKey master{};
     master[0] = 0x7e;
     CtrDrbg rng({'s', 'l'});
-    std::vector<uint8_t> plain(hw::pageSize, 0x44);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(seal(master, rng, plain));
+    std::vector<std::vector<uint8_t>> wires(
+        frames, std::vector<uint8_t>(sealedHeaderBytes + hw::pageSize, 0x44));
+    std::vector<uint8_t *> ptrs;
+    for (std::vector<uint8_t> &w : wires)
+        ptrs.push_back(w.data());
+    std::vector<std::vector<uint8_t>> aads(frames,
+                                           std::vector<uint8_t>(24, 0x12));
+    for (auto _ : state) {
+        sealInPlace(master, rng, ptrs, hw::pageSize, aads);
+        benchmark::ClobberMemory();
+    }
     state.SetBytesProcessed(int64_t(state.iterations()) *
-                            int64_t(plain.size()));
+                            int64_t(frames * hw::pageSize));
 }
-BENCHMARK(BM_CryptoSeal);
+BENCHMARK(BM_CryptoSeal)->Arg(1)->Arg(32)->ArgName("frames");
 
 /** Unseal one page under a fixed master key. */
 static void

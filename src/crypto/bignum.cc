@@ -93,6 +93,147 @@ cios(uint64_t *out, const uint64_t *a, const uint64_t *b, const uint64_t *n,
 
 } // namespace
 
+/**
+ * A Montgomery context for one odd modulus n > 1, with R = 2^(64k):
+ * n packed into k 64-bit words, n0inv = -n[0]^-1 mod 2^64, R^2 mod n,
+ * and every word array an exponentiation needs, in one buffer. Built
+ * once per modulus and reused by every multiply and exponentiation
+ * under it. @p mod must outlive the context.
+ */
+struct BigNum::Mont
+{
+    explicit Mont(const BigNum &mod);
+    Mont(const Mont &) = delete;
+    Mont &operator=(const Mont &) = delete;
+
+    /** out = a * b * R^-1 mod n; out may alias a or b. */
+    void
+    mul(uint64_t *out, const uint64_t *a, const uint64_t *b)
+    {
+        montMul(out, a, b, n, k, n0inv, t);
+    }
+
+    /** out = v * R mod n, the Montgomery form of @p v. */
+    void to(const BigNum &v, uint64_t *out);
+
+    /** The plain value of the Montgomery-form @p x. */
+    BigNum from(const uint64_t *x);
+
+    /** out = Montgomery form of base^e mod n; e != 0. */
+    void exp(uint64_t *out, const BigNum &base, const BigNum &e);
+
+    const BigNum &mod;
+    const size_t k; ///< words per value
+    void (*const montMul)(uint64_t *, const uint64_t *, const uint64_t *,
+                          const uint64_t *, size_t, uint64_t, uint64_t *);
+    uint64_t n0inv = 0;
+    /** n, R^2 mod n, a spare operand, the 16-entry window table, an
+     *  accumulator for the caller, and montMul's k + 2 words of
+     *  scratch. */
+    std::vector<uint64_t> ws;
+    uint64_t *n, *r2, *spare, *tbl, *acc, *t;
+};
+
+namespace
+{
+
+/** OR the 32-bit @p limbs into the zeroed 64-bit words @p w. */
+void
+packWords(const std::vector<uint32_t> &limbs, uint64_t *w)
+{
+    for (size_t i = 0; i < limbs.size(); i++)
+        w[i / 2] |= uint64_t(limbs[i]) << (32 * (i % 2));
+}
+
+} // namespace
+
+BigNum::Mont::Mont(const BigNum &m)
+    : mod(m), k((m._limbs.size() + 1) / 2),
+      // Fixed widths for the 384- and 512-bit keys' moduli and primes.
+      montMul(k == 3   ? cios<3>
+              : k == 4 ? cios<4>
+              : k == 6 ? cios<6>
+              : k == 8 ? cios<8>
+                       : cios<0>),
+      ws(21 * k + 2, 0)
+{
+    n = ws.data();
+    r2 = n + k;
+    spare = r2 + k;
+    tbl = spare + k; // tbl + i * k = mont(base^i), i >= 1
+    acc = tbl + 16 * k;
+    t = acc + k;
+    packWords(mod._limbs, n);
+
+    // n odd: each Newton step doubles the number of correct low bits
+    // of n[0]^-1, starting from 3.
+    uint64_t inv = n[0];
+    for (int i = 0; i < 5; i++)
+        inv *= 2 - n[0] * inv;
+    n0inv = uint64_t(0) - inv;
+
+    packWords(((BigNum(1) << (128 * k)) % mod)._limbs, r2);
+}
+
+void
+BigNum::Mont::to(const BigNum &v, uint64_t *out)
+{
+    std::fill(spare, spare + k, 0);
+    if (v < mod)
+        packWords(v._limbs, spare);
+    else
+        packWords((v % mod)._limbs, spare);
+    mul(out, spare, r2);
+}
+
+BigNum
+BigNum::Mont::from(const uint64_t *x)
+{
+    // Multiply by 1 to leave the Montgomery domain.
+    std::fill(spare, spare + k, 0);
+    spare[0] = 1;
+    mul(spare, x, spare);
+
+    BigNum out;
+    out._limbs.resize(2 * k);
+    for (size_t i = 0; i < k; i++) {
+        out._limbs[2 * i] = uint32_t(spare[i]);
+        out._limbs[2 * i + 1] = uint32_t(spare[i] >> 32);
+    }
+    out.trim();
+    return out;
+}
+
+void
+BigNum::Mont::exp(uint64_t *out, const BigNum &base, const BigNum &e)
+{
+    // The table is mont(base^1 .. base^15).
+    to(base, tbl + k);
+    for (size_t i = 2; i < 16; i++)
+        mul(tbl + i * k, tbl + (i - 1) * k, tbl + k);
+
+    // 4-bit fixed windows, most significant first. Windows are
+    // nibble-aligned so they never straddle a limb.
+    auto nibble = [&](size_t idx) -> uint32_t {
+        size_t bit_off = idx * 4;
+        size_t limb = bit_off / 32;
+        if (limb >= e._limbs.size())
+            return 0;
+        return (e._limbs[limb] >> (bit_off % 32)) & 0xf;
+    };
+    size_t windows = (e.bitLength() + 3) / 4;
+
+    uint32_t top = nibble(windows - 1); // != 0
+    std::copy(tbl + top * k, tbl + (top + 1) * k, out);
+    for (size_t idx = windows - 1; idx-- > 0;) {
+        for (int s = 0; s < 4; s++)
+            mul(out, out, out);
+        uint32_t nib = nibble(idx);
+        if (nib)
+            mul(out, out, tbl + nib * k);
+    }
+}
+
 BigNum::BigNum(uint64_t v)
 {
     if (v != 0) {
@@ -455,8 +596,13 @@ BigNum::modExp(const BigNum &exp, const BigNum &mod) const
         sim::panic("BigNum modExp with zero modulus");
     // Montgomery reduction needs gcd(mod, 2^32) == 1, so even moduli
     // (and the trivial mod == 1) take square-and-multiply.
-    if (mod.isOdd() && mod != BigNum(1))
-        return modExpMont(exp, mod);
+    if (mod.isOdd() && mod != BigNum(1)) {
+        if (exp.isZero())
+            return BigNum(1);
+        Mont mont(mod);
+        mont.exp(mont.acc, *this, exp);
+        return mont.from(mont.acc);
+    }
     BigNum result(1);
     result = result % mod;
     BigNum base = *this % mod;
@@ -467,88 +613,6 @@ BigNum::modExp(const BigNum &exp, const BigNum &mod) const
         base = (base * base) % mod;
     }
     return result;
-}
-
-BigNum
-BigNum::modExpMont(const BigNum &exp, const BigNum &mod) const
-{
-    if (exp.isZero())
-        return BigNum(1); // mod > 1 here
-    // Pack the 32-bit limbs into k 64-bit words; R = 2^(64k).
-    const size_t k = (mod._limbs.size() + 1) / 2;
-
-    // Fixed widths for the 384- and 512-bit keys' moduli and primes.
-    auto montMul = k == 3   ? cios<3>
-                   : k == 4 ? cios<4>
-                   : k == 6 ? cios<6>
-                   : k == 8 ? cios<8>
-                            : cios<0>;
-
-    // Every word array lives in one buffer, allocated once per call:
-    // n, a spare operand, base, the 16-entry window table, the
-    // accumulator, and montMul's k + 2 words of scratch.
-    std::vector<uint64_t> ws(21 * k + 2, 0);
-    uint64_t *n = ws.data();
-    uint64_t *spare = n + k;
-    uint64_t *base = spare + k;
-    uint64_t *tbl = base + k; // tbl + i * k = mont(base^i), i >= 1
-    uint64_t *acc = tbl + 16 * k;
-    uint64_t *t = acc + k;
-    auto pack = [](const BigNum &v, uint64_t *w) {
-        for (size_t i = 0; i < v._limbs.size(); i++)
-            w[i / 2] |= uint64_t(v._limbs[i]) << (32 * (i % 2));
-    };
-    pack(mod, n);
-
-    // n0inv = -n[0]^-1 mod 2^64 by Newton iteration (n odd: each step
-    // doubles the number of correct low bits, starting from 3).
-    uint64_t inv = n[0];
-    for (int i = 0; i < 5; i++)
-        inv *= 2 - n[0] * inv;
-    const uint64_t n0inv = uint64_t(0) - inv;
-
-    // R^2 mod n converts base into the Montgomery domain via one
-    // montMul; then the table is mont(base^1 .. base^15).
-    pack((BigNum(1) << (128 * k)) % mod, spare);
-    pack(*this % mod, base);
-    montMul(tbl + k, base, spare, n, k, n0inv, t);
-    for (size_t i = 2; i < 16; i++)
-        montMul(tbl + i * k, tbl + (i - 1) * k, tbl + k, n, k, n0inv, t);
-
-    // 4-bit fixed windows, most significant first. Windows are
-    // nibble-aligned so they never straddle a limb.
-    auto nibble = [&](size_t idx) -> uint32_t {
-        size_t bit_off = idx * 4;
-        size_t limb = bit_off / 32;
-        if (limb >= exp._limbs.size())
-            return 0;
-        return (exp._limbs[limb] >> (bit_off % 32)) & 0xf;
-    };
-    size_t windows = (exp.bitLength() + 3) / 4;
-
-    uint32_t top = nibble(windows - 1); // != 0
-    std::copy(tbl + top * k, tbl + (top + 1) * k, acc);
-    for (size_t idx = windows - 1; idx-- > 0;) {
-        for (int s = 0; s < 4; s++)
-            montMul(acc, acc, acc, n, k, n0inv, t);
-        uint32_t nib = nibble(idx);
-        if (nib)
-            montMul(acc, acc, tbl + nib * k, n, k, n0inv, t);
-    }
-
-    // Convert out of the Montgomery domain: multiply by 1.
-    std::fill(spare, spare + k, 0);
-    spare[0] = 1;
-    montMul(acc, acc, spare, n, k, n0inv, t);
-
-    BigNum out;
-    out._limbs.resize(2 * k);
-    for (size_t i = 0; i < k; i++) {
-        out._limbs[2 * i] = uint32_t(acc[i]);
-        out._limbs[2 * i + 1] = uint32_t(acc[i] >> 32);
-    }
-    out.trim();
-    return out;
 }
 
 BigNum
@@ -664,15 +728,26 @@ BigNum::isProbablePrime(CtrDrbg &rng, int rounds) const
         s++;
     }
 
+    // Every round works in Montgomery form under one context: x is
+    // compared against the forms of 1 and n - 1, and squared by a
+    // Montgomery multiply.
+    Mont mont(*this);
+    const size_t k = mont.k;
+    std::vector<uint64_t> words(2 * k, 0);
+    uint64_t *mOne = words.data(), *mMinusOne = mOne + k, *x = mont.acc;
+    mont.to(one, mOne);
+    mont.to(n_minus_1, mMinusOne);
+    auto xIs = [&](const uint64_t *v) { return std::equal(x, x + k, v); };
+
     for (int round = 0; round < rounds; round++) {
         BigNum a = random(rng, n_minus_1 - two) + two;
-        BigNum x = a.modExp(d, *this);
-        if (x == one || x == n_minus_1)
+        mont.exp(x, a, d);
+        if (xIs(mOne) || xIs(mMinusOne))
             continue;
         bool composite = true;
         for (size_t i = 1; i < s; i++) {
-            x = (x * x) % *this;
-            if (x == n_minus_1) {
+            mont.mul(x, x, x);
+            if (xIs(mMinusOne)) {
                 composite = false;
                 break;
             }

@@ -110,9 +110,9 @@ class BigNum
   private:
     void trim();
 
-    /** Montgomery-domain modExp over 64-bit words; requires odd
-     *  modulus > 1. */
-    BigNum modExpMont(const BigNum &exp, const BigNum &mod) const;
+    /** Montgomery arithmetic over 64-bit words under one odd
+     *  modulus > 1 (modExp, isProbablePrime). */
+    struct Mont;
 
     /** Little-endian limbs; empty means zero. */
     std::vector<uint32_t> _limbs;

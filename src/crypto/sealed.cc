@@ -6,6 +6,7 @@
 
 #include "crypto/drbg.hh"
 #include "crypto/hmac.hh"
+#include "sim/log.hh"
 
 namespace vg::crypto
 {
@@ -101,21 +102,46 @@ unseal(const AesKey &key, const std::vector<uint8_t> &wire, bool &ok,
 
 /*
  * The one encrypt-then-MAC core. Every sealing entry point lands here
- * with its text in caller memory: draw the nonce, encrypt the text in
- * place, then MAC aad || nonce || ciphertext.
+ * with its texts in caller memory. Frame by frame, in order: draw the
+ * nonce, encrypt the text in place, and start its MAC over
+ * aad || nonce. The ciphertexts then enter the MACs together, so the
+ * lane kernel hashes them side by side.
  */
+void
+sealInPlace(const AesKey &key, CtrDrbg &rng,
+            std::span<uint8_t *const> wires, size_t text_len,
+            std::span<const std::vector<uint8_t>> aads)
+{
+    const size_t n = wires.size();
+    if (aads.size() != n)
+        sim::panic("sealInPlace: %zu frames but %zu aads", n, aads.size());
+    const SealKeys &keys = cachedKeys(key);
+    std::vector<Sha256> macs(n, keys.mac.begin());
+    std::vector<Sha256 *> lanes(n);
+    std::vector<const uint8_t *> texts(n);
+    for (size_t i = 0; i < n; i++) {
+        uint8_t *text = wires[i] + sealedHeaderBytes;
+        AesBlock nonce{};
+        rng.generate(nonce.data(), nonce.size());
+        keys.aes.ctrCrypt(text, text_len, nonce);
+        std::memcpy(wires[i], nonce.data(), nonce.size());
+        macs[i].update(aads[i].data(), aads[i].size());
+        macs[i].update(nonce.data(), nonce.size());
+        lanes[i] = &macs[i];
+        texts[i] = text;
+    }
+    Sha256::updateLanes(lanes, texts, text_len);
+    for (size_t i = 0; i < n; i++) {
+        Digest mac = keys.mac.finish(macs[i]);
+        std::memcpy(wires[i] + sizeof(AesBlock), mac.data(), mac.size());
+    }
+}
+
 void
 sealInPlace(const AesKey &key, CtrDrbg &rng, uint8_t *wire,
             size_t text_len, const std::vector<uint8_t> &aad)
 {
-    const SealKeys &keys = cachedKeys(key);
-    uint8_t *text = wire + sealedHeaderBytes;
-    AesBlock nonce{};
-    rng.generate(nonce.data(), nonce.size());
-    keys.aes.ctrCrypt(text, text_len, nonce);
-    Digest mac = computeMac(keys.mac, aad, nonce, text, text_len);
-    std::memcpy(wire, nonce.data(), nonce.size());
-    std::memcpy(wire + nonce.size(), mac.data(), mac.size());
+    sealInPlace(key, rng, {&wire, 1}, text_len, {&aad, 1});
 }
 
 /* The core's inverse: verify the MAC first and decrypt the text in

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/aes.hh"
@@ -62,10 +63,24 @@ std::vector<uint8_t> unseal(const AesKey &key,
  * is drawn into the first 16 bytes, and the MAC over
  * aad || nonce || text fills the next 32. The derived subkeys (AES
  * schedule, HMAC pad states) are cached per master key, and the MAC
- * streams over its three parts without concatenating them.
+ * streams over its three parts without concatenating them. A one-frame
+ * call of the N-frame form below.
  */
 void sealInPlace(const AesKey &key, CtrDrbg &rng, uint8_t *wire,
                  size_t text_len, const std::vector<uint8_t> &aad = {});
+
+/**
+ * Seal wires.size() frames in place, each holding @p text_len
+ * plaintext bytes at wires[i] + sealedHeaderBytes, frame i's MAC
+ * binding aads[i] (one aad per frame). The result, and the state of
+ * @p rng after it, are byte-identical to sealing frame 0, 1, ... in
+ * turn with the one-frame form: the nonces are drawn and the texts
+ * encrypted in frame order. The MACs then absorb the ciphertexts
+ * through Sha256::updateLanes, several frames per SHA-NI kernel call.
+ */
+void sealInPlace(const AesKey &key, CtrDrbg &rng,
+                 std::span<uint8_t *const> wires, size_t text_len,
+                 std::span<const std::vector<uint8_t>> aads);
 
 /**
  * Open a @p wire_len-byte frame in the wire layout in place. The MAC is

@@ -1,6 +1,9 @@
 #include "crypto/sha256.hh"
 
+#include <algorithm>
 #include <cstring>
+
+#include "sim/log.hh"
 
 #if defined(__x86_64__)
 #include <cpuid.h>
@@ -52,56 +55,101 @@ round(uint32_t a, uint32_t b, uint32_t c, uint32_t &d, uint32_t e,
 #if defined(__x86_64__)
 
 /**
- * SHA-NI compression. The state lives as ABEF/CDGH lanes for the whole
- * run of blocks. Group g does rounds 4g..4g+3 with two sha256rnds2;
- * msg1 and msg2 extend the schedule four words at a time, rotating
- * through m[0..3].
+ * SHA-NI compression of @p n blocks in each of L independent lanes,
+ * lane l absorbing p[l] into state[l]. Each lane's state lives as
+ * ABEF/CDGH registers for the whole run of blocks. Group g does rounds
+ * 4g..4g+3 with two sha256rnds2 per lane; msg1 and msg2 extend the
+ * schedule four words at a time, rotating through m[l][0..3]. The lane
+ * loop is innermost, so the L dependency chains interleave and keep
+ * the SHA unit busy where one chain would stall on its latency.
  */
+template <size_t L>
 __attribute__((target("sha,sse4.1,ssse3"))) void
-shaNiBlocks(uint32_t state[8], const uint8_t *p, size_t n)
+shaNiLanes(uint32_t *const *state, const uint8_t *const *p, size_t n)
 {
     const __m128i bswap =
         _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-    auto *st = reinterpret_cast<__m128i *>(state);
-    __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(st), 0xb1);
-    __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(st + 1), 0x1b);
-    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
-    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
-
-    for (; n > 0; n--, p += 64) {
-        const __m128i abefIn = abef, cdghIn = cdgh;
-        __m128i m[4];
-#pragma GCC unroll 16
-        for (size_t g = 0; g < 16; g++) {
-            __m128i &cur = m[g % 4];
-            __m128i &next = m[(g + 1) % 4];
-            __m128i &prev = m[(g + 3) % 4];
-            if (g < 4)
-                cur = _mm_shuffle_epi8(
-                    _mm_loadu_si128(
-                        reinterpret_cast<const __m128i *>(p + 16 * g)),
-                    bswap);
-            __m128i wk = _mm_add_epi32(
-                cur, _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                         kRound.data() + 4 * g)));
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            if (g >= 3 && g < 15)
-                next = _mm_sha256msg2_epu32(
-                    _mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)),
-                    cur);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh,
-                                         _mm_shuffle_epi32(wk, 0x0e));
-            if (g >= 1 && g < 13)
-                prev = _mm_sha256msg1_epu32(prev, cur);
-        }
-        abef = _mm_add_epi32(abef, abefIn);
-        cdgh = _mm_add_epi32(cdgh, cdghIn);
+    __m128i abef[L], cdgh[L];
+#pragma GCC unroll 4
+    for (size_t l = 0; l < L; l++) {
+        auto *st = reinterpret_cast<__m128i *>(state[l]);
+        __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(st), 0xb1);
+        __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(st + 1), 0x1b);
+        abef[l] = _mm_alignr_epi8(cdab, efgh, 8);
+        cdgh[l] = _mm_blend_epi16(efgh, cdab, 0xf0);
     }
 
-    __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
-    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-    _mm_storeu_si128(st, _mm_blend_epi16(feba, dchg, 0xf0));
-    _mm_storeu_si128(st + 1, _mm_alignr_epi8(dchg, feba, 8));
+    for (size_t off = 0; off < 64 * n; off += 64) {
+        __m128i abefIn[L], cdghIn[L], m[L][4];
+#pragma GCC unroll 4
+        for (size_t l = 0; l < L; l++) {
+            abefIn[l] = abef[l];
+            cdghIn[l] = cdgh[l];
+        }
+#pragma GCC unroll 16
+        for (size_t g = 0; g < 16; g++) {
+            const __m128i k = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(kRound.data() + 4 * g));
+#pragma GCC unroll 4
+            for (size_t l = 0; l < L; l++) {
+                __m128i &cur = m[l][g % 4];
+                __m128i &next = m[l][(g + 1) % 4];
+                __m128i &prev = m[l][(g + 3) % 4];
+                if (g < 4)
+                    cur = _mm_shuffle_epi8(
+                        _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                            p[l] + off + 16 * g)),
+                        bswap);
+                __m128i wk = _mm_add_epi32(cur, k);
+                cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
+                if (g >= 3 && g < 15)
+                    next = _mm_sha256msg2_epu32(
+                        _mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)),
+                        cur);
+                abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l],
+                                                _mm_shuffle_epi32(wk, 0x0e));
+                if (g >= 1 && g < 13)
+                    prev = _mm_sha256msg1_epu32(prev, cur);
+            }
+        }
+#pragma GCC unroll 4
+        for (size_t l = 0; l < L; l++) {
+            abef[l] = _mm_add_epi32(abef[l], abefIn[l]);
+            cdgh[l] = _mm_add_epi32(cdgh[l], cdghIn[l]);
+        }
+    }
+
+#pragma GCC unroll 4
+    for (size_t l = 0; l < L; l++) {
+        auto *st = reinterpret_cast<__m128i *>(state[l]);
+        __m128i feba = _mm_shuffle_epi32(abef[l], 0x1b);
+        __m128i dchg = _mm_shuffle_epi32(cdgh[l], 0xb1);
+        _mm_storeu_si128(st, _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(st + 1, _mm_alignr_epi8(dchg, feba, 8));
+    }
+}
+
+/** The one-lane SHA-NI kernel (Sha256Blocks). */
+void
+shaNiBlocks(uint32_t state[8], const uint8_t *p, size_t n)
+{
+    shaNiLanes<1>(&state, &p, n);
+}
+
+/** Run @p n blocks of every lane through the SHA-NI kernel, four lanes
+ *  at a time, then the remaining one to three together. */
+void
+shaNiAllLanes(uint32_t *const *state, const uint8_t *const *p,
+              size_t lanes, size_t n)
+{
+    for (; lanes >= 4; lanes -= 4, state += 4, p += 4)
+        shaNiLanes<4>(state, p, n);
+    if (lanes == 3)
+        shaNiLanes<3>(state, p, n);
+    else if (lanes == 2)
+        shaNiLanes<2>(state, p, n);
+    else if (lanes == 1)
+        shaNiLanes<1>(state, p, n);
 }
 
 #endif // __x86_64__
@@ -219,6 +267,59 @@ Sha256::update(const void *data, size_t len)
         std::memcpy(_buffer.data(), p, len);
         _bufferLen = len;
     }
+}
+
+void
+Sha256::updateLanes(std::span<Sha256 *const> lanes,
+                    std::span<const uint8_t *const> data, size_t len)
+{
+    if (data.size() != lanes.size())
+        sim::panic("Sha256::updateLanes: %zu lanes but %zu inputs",
+                   lanes.size(), data.size());
+    // Together only when every lane completes at least one block.
+    const size_t buffered = lanes.empty() ? 0 : lanes[0]->_bufferLen;
+    bool together = lanes.size() > 1 && buffered + len >= 64;
+#if defined(__x86_64__)
+    for (Sha256 *h : lanes)
+        together = together && h->_blocks == shaNiBlocks &&
+                   h->_bufferLen == buffered;
+#else
+    together = false;
+#endif
+    if (!together) {
+        for (size_t i = 0; i < lanes.size(); i++)
+            lanes[i]->update(data[i], len);
+        return;
+    }
+
+#if defined(__x86_64__)
+    // The steps of update(), taken by every lane together: complete
+    // the buffered block, run the whole blocks, keep the tail.
+    const size_t n = lanes.size();
+    const size_t head = buffered > 0 ? 64 - buffered : 0;
+    std::vector<uint32_t *> states(n);
+    std::vector<const uint8_t *> in(n);
+    for (size_t i = 0; i < n; i++)
+        states[i] = lanes[i]->_state.data();
+    if (buffered > 0) {
+        for (size_t i = 0; i < n; i++) {
+            std::memcpy(lanes[i]->_buffer.data() + buffered, data[i], head);
+            in[i] = lanes[i]->_buffer.data();
+        }
+        shaNiAllLanes(states.data(), in.data(), n, 1);
+    }
+    const size_t whole = (len - head) / 64;
+    for (size_t i = 0; i < n; i++)
+        in[i] = data[i] + head;
+    if (whole > 0)
+        shaNiAllLanes(states.data(), in.data(), n, whole);
+    const size_t tail = len - head - 64 * whole;
+    for (size_t i = 0; i < n; i++) {
+        std::memcpy(lanes[i]->_buffer.data(), in[i] + 64 * whole, tail);
+        lanes[i]->_totalLen += len;
+        lanes[i]->_bufferLen = tail;
+    }
+#endif
 }
 
 Digest

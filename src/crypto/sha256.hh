@@ -10,9 +10,10 @@
  * leaf 1 ECX reports SSSE3 and SSE4.1, and otherwise a portable loop
  * unrolled eight rounds at a time. update() hands every run of whole
  * blocks to the kernel in one call, and final() pads in one stack
- * buffer. The textbook rotating round loop and byte-at-a-time padding
- * live in the test oracle (tests/crypto_ref.hh), which both kernels
- * must match.
+ * buffer. updateLanes() feeds several hashers at once; on SHA-NI hosts
+ * it interleaves up to four lanes' blocks in one kernel. The textbook
+ * rotating round loop and byte-at-a-time padding live in the test
+ * oracle (tests/crypto_ref.hh), which both kernels must match.
  */
 
 #ifndef VG_CRYPTO_SHA256_HH
@@ -21,6 +22,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +65,20 @@ class Sha256
 
     /** Absorb @p len bytes at @p data. */
     void update(const void *data, size_t len);
+
+    /**
+     * Absorb @p len bytes at data[i] into *lanes[i] for every lane: the
+     * same as calling lanes[i]->update(data[i], len) for each i. When
+     * there are several lanes, all on the SHA-NI kernel, all holding
+     * the same number of buffered bytes and each completing at least
+     * one block, their blocks run through an interleaved kernel four
+     * lanes at a time (then the last one to three together), which
+     * fills the SHA unit where one stream cannot. Anything else takes
+     * the per-lane loop.
+     */
+    static void updateLanes(std::span<Sha256 *const> lanes,
+                            std::span<const uint8_t *const> data,
+                            size_t len);
 
     /** Finalize and return the digest; the hasher is then reset. */
     Digest final();

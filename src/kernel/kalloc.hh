@@ -6,13 +6,19 @@
  * resource management to the untrusted kernel); ghost frames are
  * *donated* to the SVA VM through its frame-provider callback and
  * come back through the receiver.
+ *
+ * Frames are reused LIFO: the most recently freed frame (already
+ * scrubbed by the VM on its way back) is the next one handed out, so a
+ * machine's host working set stays the size of its simulated working
+ * set instead of walking all of RAM. No simulated cost reads a frame
+ * number, so the policy is invisible to the simulation.
  */
 
 #ifndef VG_KERNEL_KALLOC_HH
 #define VG_KERNEL_KALLOC_HH
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "hw/layout.hh"
 #include "sim/context.hh"
@@ -20,7 +26,7 @@
 namespace vg::kern
 {
 
-/** Free-list frame allocator. */
+/** LIFO free-stack frame allocator. */
 class FrameAllocator
 {
   public:
@@ -29,20 +35,23 @@ class FrameAllocator
                    sim::SimContext &ctx)
         : _ctx(ctx)
     {
-        for (uint64_t i = 0; i < count; i++)
+        // Descending, so a fresh allocator pops first, first+1, ...
+        _free.reserve(count);
+        for (uint64_t i = count; i-- > 0;)
             _free.push_back(first + i);
         _total = count;
     }
 
-    /** Allocate one frame; nullopt when exhausted. */
+    /** Allocate the most recently freed frame (the lowest untouched
+     *  one on a fresh allocator); nullopt when exhausted. */
     std::optional<hw::Frame>
     alloc()
     {
         _ctx.chargeKernelWork(12, 4, 1);
         if (_free.empty())
             return std::nullopt;
-        hw::Frame f = _free.front();
-        _free.pop_front();
+        hw::Frame f = _free.back();
+        _free.pop_back();
         return f;
     }
 
@@ -59,7 +68,7 @@ class FrameAllocator
 
   private:
     sim::SimContext &_ctx;
-    std::deque<hw::Frame> _free;
+    std::vector<hw::Frame> _free; ///< top of stack = next frame out
     uint64_t _total = 0;
 };
 

@@ -899,6 +899,9 @@ Kernel::swapInGhost(uint64_t pid, hw::Vaddr page_va)
     sva::SvaError err;
     if (!_vm.swapInGhostPage(pid, proc->rootFrame, page_va,
                              std::move(*wire), &err)) {
+        // Created on the first refusal, so a clean run's stat map
+        // has no such key.
+        _ctx.stats().add("kernel.ghost_swapins_refused");
         sim::warn("ghost swap-in refused: %s", err.message.c_str());
         return false;
     }

@@ -1,5 +1,6 @@
 #include "kernel/swap.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/log.hh"
@@ -36,11 +37,11 @@ SwapArea::storeBatch(std::vector<StoreReq> reqs)
     std::vector<uint32_t> slots;
     slots.reserve(reqs.size());
     for (StoreReq &req : reqs) {
-        // Rotating first-fit keeps assignment deterministic and cheap.
-        uint32_t slot = _nextFree;
+        // Lowest free slot: everything below the hint is in use.
+        uint32_t slot = _lowFree;
         while (_slots[slot].used)
-            slot = (slot + 1) % _slots.size();
-        _nextFree = (slot + 1) % _slots.size();
+            slot++;
+        _lowFree = slot + 1;
 
         _staged.erase({req.pid, req.va}); // fresh data supersedes any
                                           // stale prefetch
@@ -151,7 +152,7 @@ SwapArea::release(uint64_t pid, hw::Vaddr va)
     auto it = _index.find({pid, va});
     if (it == _index.end())
         return;
-    _slots[it->second] = SwapSlot{};
+    freeSlot(it->second);
     _index.erase(it);
     _staged.erase({pid, va});
     _ctx.chargeKernelWork(6, 3, 0);
@@ -162,7 +163,7 @@ SwapArea::releaseAll(uint64_t pid)
 {
     for (auto it = _index.begin(); it != _index.end();) {
         if (it->first.first == pid) {
-            _slots[it->second] = SwapSlot{};
+            freeSlot(it->second);
             it = _index.erase(it);
         } else {
             ++it;
@@ -174,6 +175,13 @@ SwapArea::releaseAll(uint64_t pid)
         else
             ++it;
     }
+}
+
+void
+SwapArea::freeSlot(uint32_t slot)
+{
+    _slots[slot] = SwapSlot{};
+    _lowFree = std::min(_lowFree, slot);
 }
 
 bool

@@ -70,6 +70,7 @@ class SwapArea
      * Store a batch of sealed pages. The blocks are posted to the
      * disk's request queue and the doorbell rings once for the whole
      * batch — fire-and-forget, the bytes cross at the doorbell.
+     * Each page, in order, takes the lowest free slot.
      * Returns pages stored (all of them, or 0 if the area is out of
      * slots — check freeSlots() first).
      */
@@ -118,6 +119,9 @@ class SwapArea
     const std::vector<SwapSlot> &slots() const { return _slots; }
 
   private:
+    /** Clear @p slot and lower the free-slot hint to it. */
+    void freeSlot(uint32_t slot);
+
     uint64_t slotToBlock(uint32_t slot) const
     {
         return _firstBlock + uint64_t(slot) * blocksPerSlot;
@@ -138,7 +142,11 @@ class SwapArea
     std::map<std::pair<uint64_t, uint64_t>, uint32_t> _index;
     /** (pid, va) -> prefetched ciphertext. */
     std::map<std::pair<uint64_t, uint64_t>, StagedRead> _staged;
-    uint32_t _nextFree = 0; ///< rotating free-slot search start
+    /** Every slot below this one is in use: storeBatch() takes the
+     *  lowest free slot, so the area's host footprint tracks its
+     *  occupancy. No cost reads a slot number (NCQ latency does not
+     *  depend on the block, and read clusters follow va order). */
+    uint32_t _lowFree = 0;
     uint64_t _lastBatchPages = 0;
 
     sim::StatHandle _hPagesStored;

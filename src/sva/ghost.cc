@@ -306,13 +306,14 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
             return {};
     }
 
-    // Read each page to the text offset of its own wire frame and seal
-    // it there under a fresh generation bound into its AAD, in batch
-    // order. Setup cost is charged once per batch, the per-byte crypto
-    // work once per page.
+    // Read each page to the text offset of its own wire frame under a
+    // fresh generation bound into its AAD, in batch order, then seal
+    // the whole batch in one call. Setup cost is charged once per
+    // batch, the per-byte crypto work once per page.
     _ctx.clock().advance(_ctx.costs().sealSetup);
-    const crypto::AesKey key = swapKey();
     std::vector<std::vector<uint8_t>> wires(vas.size());
+    std::vector<uint8_t *> frames(vas.size());
+    std::vector<std::vector<uint8_t>> aads(vas.size());
     for (size_t i = 0; i < vas.size(); i++) {
         std::vector<uint8_t> &wire = wires[i];
         wire.resize(crypto::sealedHeaderBytes + hw::pageSize);
@@ -323,9 +324,10 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
         _swapGens[{pid, vas[i]}] = gen;
         _ctx.chargeAes(hw::pageSize);
         _ctx.chargeSha(hw::pageSize);
-        crypto::sealInPlace(key, _rng, wire.data(), hw::pageSize,
-                            swapAad(pid, vas[i], gen));
+        frames[i] = wire.data();
+        aads[i] = swapAad(pid, vas[i], gen);
     }
+    crypto::sealInPlace(swapKey(), _rng, frames, hw::pageSize, aads);
 
     for (size_t i = 0; i < vas.size(); i++) {
         if (!detachGhostFrame(pid, vas[i], slots[i], framesOf[i],

@@ -218,9 +218,10 @@ class SvaVm
 
     /**
      * The swap-out intrinsic: validate every page in @p vas, read each
-     * one straight into the text of its own sealed wire frame and seal
-     * it there (the derived subkeys are cached, so the batch shares
-     * one key setup), then unmap/scrub/return the frames. Frames are
+     * one straight into the text of its own sealed wire frame, seal
+     * the batch there in one N-frame crypto::sealInPlace (one key
+     * setup, MACs several lanes at a time), then unmap/scrub/return
+     * the frames. Frames are
      * returned in input order and are bit-identical to swapping each
      * page out on its own; the fixed seal setup cost is charged once
      * per batch. A single page is a batch of one.

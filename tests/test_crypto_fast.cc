@@ -349,6 +349,180 @@ TEST_P(CryptoGoldenSweep, SealedBlobs)
 }
 
 // --------------------------------------------------------------------
+// Multi-lane SHA-256: updateLanes() against the oracle, on the lane
+// kernel (SHA-NI lanes sharing a buffered length) and on the per-lane
+// fallback (the portable kernel, mixed buffered lengths, mixed
+// kernels).
+// --------------------------------------------------------------------
+
+namespace
+{
+
+constexpr size_t kMaxLanes = 9;
+constexpr size_t kLaneText = 4096 + 63;
+
+/**
+ * Each lane's random 64-byte prefix and kLaneText-byte text, and the
+ * oracle digest of prefix[0..p) || text[0..len) for every lane, every
+ * p in 0..63 and every length: 0..300, then 4096 + {0, 1, 63}.
+ */
+struct LaneCorpus
+{
+    std::vector<uint8_t> prefix, text;
+    std::vector<size_t> lengths;
+    std::vector<Digest> ref; ///< [lane][p][length index]
+
+    const uint8_t *prefixOf(size_t lane) const
+    {
+        return prefix.data() + 64 * lane;
+    }
+    const uint8_t *textOf(size_t lane) const
+    {
+        return text.data() + kLaneText * lane;
+    }
+    const Digest &
+    digest(size_t lane, size_t p, size_t li) const
+    {
+        return ref[(lane * 64 + p) * lengths.size() + li];
+    }
+
+    static const LaneCorpus &
+    get()
+    {
+        static const LaneCorpus corpus = [] {
+            LaneCorpus c;
+            CtrDrbg r({'l', 'n'});
+            c.prefix = r.generate(64 * kMaxLanes);
+            c.text = r.generate(kLaneText * kMaxLanes);
+            for (size_t len = 0; len <= 300; len++)
+                c.lengths.push_back(len);
+            for (size_t extra : {0, 1, 63})
+                c.lengths.push_back(4096 + extra);
+            for (size_t lane = 0; lane < kMaxLanes; lane++) {
+                for (size_t p = 0; p < 64; p++) {
+                    // Grow one oracle hasher byte by byte and finish a
+                    // copy at every recorded length.
+                    crypto_ref::Sha256 h;
+                    h.update(c.prefixOf(lane), p);
+                    size_t at = 0;
+                    for (size_t len : c.lengths) {
+                        h.update(c.textOf(lane) + at, len - at);
+                        at = len;
+                        c.ref.push_back(crypto_ref::Sha256(h).final());
+                    }
+                }
+            }
+            return c;
+        }();
+        return corpus;
+    }
+};
+
+/**
+ * Hash lane i's prefix[0..prefixes[i]) on its own, then its
+ * text[0..len) through one updateLanes() call for all lanes, each lane
+ * a copy of kernels[i % kernels.size()]. Returns the digests.
+ */
+std::vector<Digest>
+hashLanes(const std::vector<Sha256> &kernels,
+          const std::vector<size_t> &prefixes, size_t len)
+{
+    const LaneCorpus &c = LaneCorpus::get();
+    const size_t n = prefixes.size();
+    std::vector<Sha256> hashers;
+    std::vector<Sha256 *> lanes;
+    std::vector<const uint8_t *> data;
+    for (size_t i = 0; i < n; i++)
+        hashers.push_back(kernels[i % kernels.size()]);
+    for (size_t i = 0; i < n; i++) {
+        hashers[i].update(c.prefixOf(i), prefixes[i]);
+        lanes.push_back(&hashers[i]);
+        data.push_back(c.textOf(i));
+    }
+    Sha256::updateLanes(lanes, data, len);
+    std::vector<Digest> out;
+    for (Sha256 &h : hashers)
+        out.push_back(h.final());
+    return out;
+}
+
+/** Check every lane of hashLanes() against the oracle. */
+void
+expectLanesMatch(const std::vector<Sha256> &kernels,
+                 const std::vector<size_t> &prefixes)
+{
+    const LaneCorpus &c = LaneCorpus::get();
+    for (size_t li = 0; li < c.lengths.size(); li++) {
+        std::vector<Digest> got =
+            hashLanes(kernels, prefixes, c.lengths[li]);
+        for (size_t i = 0; i < prefixes.size(); i++)
+            ASSERT_EQ(got[i], c.digest(i, prefixes[i], li))
+                << prefixes.size() << " lanes, lane " << i << " prefix "
+                << prefixes[i] << " len " << c.lengths[li];
+    }
+}
+
+} // namespace
+
+/** The parameter selects the kernel: false portable, true SHA-NI. */
+class Sha256Lanes : public ::testing::TestWithParam<bool>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() && !detail::hardwareSha256())
+            GTEST_SKIP() << "no SHA-NI on this host";
+    }
+
+    Sha256
+    kernel() const
+    {
+        return GetParam() ? Sha256(detail::hardwareSha256())
+                          : Sha256(detail::portableSha256);
+    }
+};
+
+TEST_P(Sha256Lanes, SharedPrefixMatchesReference)
+{
+    for (size_t n = 1; n <= kMaxLanes; n++)
+        for (size_t p = 0; p < 64; p++)
+            expectLanesMatch({kernel()}, std::vector<size_t>(n, p));
+}
+
+TEST_P(Sha256Lanes, MixedPrefixesMatchReference)
+{
+    // Buffered lengths that differ between lanes take the fallback.
+    for (size_t n = 2; n <= kMaxLanes; n++) {
+        for (size_t base = 0; base < 64; base += 9) {
+            std::vector<size_t> prefixes;
+            for (size_t i = 0; i < n; i++)
+                prefixes.push_back((base + 13 * i) % 64);
+            expectLanesMatch({kernel()}, prefixes);
+        }
+    }
+}
+
+TEST_P(Sha256Lanes, MixedKernelsMatchReference)
+{
+    // Portable and SHA-NI hashers in one call take the fallback.
+    if (!detail::hardwareSha256())
+        GTEST_SKIP() << "no SHA-NI on this host";
+    std::vector<Sha256> kernels = {kernel(),
+                                   GetParam()
+                                       ? Sha256(detail::portableSha256)
+                                       : Sha256(detail::hardwareSha256())};
+    for (size_t n = 2; n <= kMaxLanes; n++)
+        for (size_t p : {0, 1, 40, 63})
+            expectLanesMatch(kernels, std::vector<size_t>(n, p));
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256Lanes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? "ShaNi" : "Portable";
+                         });
+
+// --------------------------------------------------------------------
 // Sealing in place on the wire layout: the same bytes as the oracle's
 // seal, and a refused frame is left exactly as it was.
 // --------------------------------------------------------------------
@@ -456,6 +630,43 @@ TEST(SealedWire, RejectedFrameIsLeftUnchanged)
         const std::vector<uint8_t> before = frame;
         EXPECT_FALSE(openInPlace(key, frame.data(), n)) << "size " << n;
         EXPECT_EQ(frame, before) << "size " << n;
+    }
+}
+
+TEST(SealedWire, BatchMatchesSingleSeals)
+{
+    // One N-frame seal and N one-frame seals from twin generators: the
+    // same wire bytes, and the generators end in the same state. Equal
+    // aad lengths give the frames one buffered length (the lane
+    // kernel); random ones mix it (the fallback).
+    CtrDrbg r({'s', 'b'});
+    AesKey key = randomKey(r);
+    for (size_t n : {1, 2, 3, 4, 5, 8, 9, 32}) {
+        for (size_t len : {0, 1, 15, 64, 100, 4096}) {
+            for (bool equal_aads : {true, false}) {
+                std::vector<std::vector<uint8_t>> batch, single, aads;
+                for (size_t i = 0; i < n; i++) {
+                    batch.push_back(wireFrame(r.generate(len)));
+                    single.push_back(batch.back());
+                    aads.push_back(r.generate(
+                        equal_aads ? 24 : size_t(r.nextBounded(70))));
+                }
+                std::vector<uint8_t *> frames;
+                for (std::vector<uint8_t> &w : batch)
+                    frames.push_back(w.data());
+
+                CtrDrbg rngB({uint8_t(n), uint8_t(len), 'b'});
+                CtrDrbg rngS({uint8_t(n), uint8_t(len), 'b'});
+                sealInPlace(key, rngB, frames, len, aads);
+                for (size_t i = 0; i < n; i++)
+                    sealInPlace(key, rngS, single[i].data(), len, aads[i]);
+                for (size_t i = 0; i < n; i++)
+                    ASSERT_EQ(batch[i], single[i])
+                        << n << " frames, frame " << i << " len " << len;
+                ASSERT_EQ(rngB.generate(16), rngS.generate(16))
+                    << n << " frames, len " << len;
+            }
+        }
     }
 }
 

@@ -531,3 +531,35 @@ TEST(GhostSwap, AllocationUnderPressureReclaimsTransparently)
         return 0;
     });
 }
+
+TEST(GhostSwap, SwapSlotsReuseLowestFree)
+{
+    // Eight passes of evicting every page and faulting it back (in a
+    // shuffled order) must keep reusing the bottom of the swap area,
+    // never walk it.
+    System sys(swapConfig(1));
+    sys.boot();
+    sys.runProcess("swapper", [&](UserApi &api) {
+        hw::Vaddr base = api.allocGhost(kPages);
+        EXPECT_NE(base, 0u);
+        if (!base)
+            return 1;
+        const SwapArea &area = *sys.kernel().swapArea();
+        uint64_t v = 0;
+        for (int pass = 0; pass < 8; pass++) {
+            EXPECT_EQ(sys.kernel().swapOutGhost(api.pid(), kPages),
+                      kPages);
+            uint64_t highest = 0;
+            for (uint64_t s = 0; s < area.slotCount(); s++)
+                if (area.slots()[s].used)
+                    highest = s;
+            EXPECT_LT(highest, kPages + Kernel::evictBatchPages)
+                << "pass " << pass;
+            for (uint64_t i = 0; i < kPages; i++)
+                EXPECT_TRUE(api.ghostRead(
+                    base + (i * 7 % kPages) * hw::pageSize, &v, sizeof(v)));
+            EXPECT_EQ(area.usedSlots(), 0u);
+        }
+        return 0;
+    });
+}

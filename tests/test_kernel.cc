@@ -1,7 +1,8 @@
 /**
  * @file
  * Kernel integration tests: processes, syscalls, fork/exec/wait,
- * signals via SVA, sockets, ghost memory and module interposition.
+ * signals via SVA, sockets, ghost memory and module interposition, and
+ * the frame allocator's reuse order.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <tuple>
 
 #include "golden.hh"
+#include "kernel/kalloc.hh"
 #include "kernel/system.hh"
 #include "sim/interleave.hh"
 
@@ -1086,3 +1088,31 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, SyscallGoldenSweep,
     ::testing::Combine(::testing::Values(1, 2, 3),
                        ::testing::Values(1u, 2u, 4u)));
+
+TEST(FrameAllocator, FreshAllocatorCountsUp)
+{
+    sim::SimContext ctx;
+    FrameAllocator frames(5, 6, ctx);
+    for (hw::Frame want = 5; want < 11; want++)
+        EXPECT_EQ(frames.alloc(), want);
+    EXPECT_EQ(frames.alloc(), std::nullopt);
+    EXPECT_EQ(frames.freeCount(), 0u);
+    EXPECT_EQ(frames.totalCount(), 6u);
+}
+
+TEST(FrameAllocator, MostRecentlyFreedComesBackFirst)
+{
+    sim::SimContext ctx;
+    FrameAllocator frames(1, 8, ctx);
+    for (int i = 0; i < 4; i++)
+        frames.alloc(); // 1..4 out
+    frames.free(2);
+    frames.free(4);
+    frames.free(3);
+    EXPECT_EQ(frames.alloc(), 3u);
+    EXPECT_EQ(frames.alloc(), 4u);
+    EXPECT_EQ(frames.alloc(), 2u);
+    // Then the untouched frames, still in ascending order.
+    EXPECT_EQ(frames.alloc(), 5u);
+    EXPECT_EQ(frames.freeCount(), 3u);
+}

@@ -132,6 +132,42 @@ TEST(GhostSwap, TamperedSwapPageRefused)
     });
 }
 
+TEST(GhostSwap, RefusedSwapInIsCounted)
+{
+    System sys(cfg());
+    sys.boot();
+    const auto &stats = sys.ctx().stats().all();
+    sys.runProcess("swapper", [&](UserApi &api) {
+        hw::Vaddr gva = api.allocGhost(2);
+        api.ghostWrite(gva, "x", 1);
+        api.ghostWrite(gva + hw::pageSize, "y", 1);
+
+        // Evict both and tamper with the second page's slot on disk.
+        sys.kernel().swapOutGhost(api.pid(), 2);
+        hw::Vaddr bad = gva + hw::pageSize;
+        auto block = sys.kernel().swapSlotBlock(api.pid(), bad);
+        EXPECT_TRUE(block.has_value());
+        if (!block)
+            return 1;
+        sys.disk().rawBlock(*block)[crypto::sealedHeaderBytes + 5] ^= 1;
+
+        // A clean fault-back leaves no refusal counter.
+        char c = 0;
+        EXPECT_TRUE(api.ghostRead(gva, &c, 1));
+        EXPECT_EQ(stats.count("kernel.ghost_swapins_refused"), 0u);
+
+        // The tampered page's fault is refused, counted once, and its
+        // ciphertext stays in its slot.
+        uint64_t swapins = sys.ctx().stats().get("kernel.ghost_swapins");
+        EXPECT_FALSE(api.ghostRead(bad, &c, 1));
+        EXPECT_EQ(sys.ctx().stats().get("kernel.ghost_swapins_refused"),
+                  1u);
+        EXPECT_EQ(sys.ctx().stats().get("kernel.ghost_swapins"), swapins);
+        EXPECT_EQ(sys.kernel().swappedGhostPages(api.pid()), 1u);
+        return 0;
+    });
+}
+
 TEST(GhostSwap, FrameReturnedToOsIsScrubbed)
 {
     System sys(cfg());
