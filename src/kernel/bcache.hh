@@ -68,6 +68,9 @@ class BufferCache
     /** Drop a block without writeback (e.g. freed block). */
     void invalidate(uint64_t block_no);
 
+    /** The device under the cache. */
+    hw::Disk &disk() { return _disk; }
+
     uint64_t hits() const { return _hits; }
     uint64_t misses() const { return _misses; }
 

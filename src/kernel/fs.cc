@@ -121,11 +121,13 @@ Fs::mkfs()
     _freeBlocks = _super.nblocks - _super.dataStart;
     _mounted = true;
 
-    // Root directory (inode 1).
+    // Root directory (inode 1), empty.
     DiskInode root{};
     root.type = uint16_t(FileType::Directory);
     root.nlink = 1;
     storeInode(1, root);
+    _dirs.clear();
+    _dirs[1] = {};
     _cache.sync();
 }
 
@@ -152,6 +154,7 @@ Fs::mount()
         lo = hi;
     }
     _mounted = true;
+    _dirs.clear(); // each directory is indexed off the disk on first use
     return true;
 }
 
@@ -378,10 +381,73 @@ Fs::freeFileBlocks(DiskInode &inode)
 // Directories
 // --------------------------------------------------------------------
 
-template <typename Stop>
+std::unordered_multimap<std::string, uint64_t>::iterator
+Fs::DirIndex::find(const std::string &name)
+{
+    auto [lo, hi] = names.equal_range(name);
+    auto it = std::min_element(lo, hi, [](const auto &a, const auto &b) {
+        return a.second < b.second;
+    });
+    return it == hi ? names.end() : it;
+}
+
+uint64_t
+Fs::rawBmap(const DiskInode &inode, uint64_t file_block)
+{
+    auto ptr = [&](uint64_t table, uint64_t i) {
+        uint64_t block = 0;
+        if (table)
+            std::memcpy(&block,
+                        _cache.disk().rawBlock(table) + sizeof(block) * i,
+                        sizeof(block));
+        return block;
+    };
+    if (file_block < 10)
+        return inode.direct[file_block];
+    file_block -= 10;
+    if (file_block < ptrsPerBlock)
+        return ptr(inode.indirect, file_block);
+    file_block -= ptrsPerBlock;
+    if (file_block < ptrsPerBlock * ptrsPerBlock)
+        return ptr(ptr(inode.dindirect, file_block / ptrsPerBlock),
+                   file_block % ptrsPerBlock);
+    return 0;
+}
+
+Fs::DirIndex &
+Fs::dirIndex(Ino dir, const DiskInode &inode)
+{
+    auto [it, fresh] = _dirs.try_emplace(dir);
+    DirIndex &index = it->second;
+    if (!fresh)
+        return index;
+    // First use since mount. Only dirAdd and dirRemove write directory
+    // blocks, and both index the directory first, so the platter still
+    // holds these as mount found them.
+    uint64_t entries = inode.size / sizeof(DirEnt);
+    for (uint64_t first = 0; first < entries; first += direntsPerBlock) {
+        uint64_t block = rawBmap(inode, first / direntsPerBlock);
+        if (!block)
+            continue; // a hole: every scan stops there
+        const uint8_t *raw = _cache.disk().rawBlock(block);
+        uint64_t last = std::min(first + direntsPerBlock, entries);
+        for (uint64_t slot = first; slot < last; slot++) {
+            DirEnt ent;
+            std::memcpy(&ent, raw + (slot - first) * sizeof(DirEnt),
+                        sizeof(ent));
+            if (ent.ino == 0)
+                index.free.insert(slot);
+            else if (ent.nameLen <= sizeof(ent.name)) // else unnamable
+                index.names.emplace(std::string(ent.name, ent.nameLen),
+                                    slot);
+        }
+    }
+    return index;
+}
+
 Fs::DirScan
 Fs::scanDir(DiskInode &inode, uint64_t insts, uint64_t memops,
-            Stop &&stop)
+            uint64_t stop)
 {
     uint64_t entries = inode.size / sizeof(DirEnt);
     for (uint64_t first = 0; first < entries; first += direntsPerBlock) {
@@ -392,31 +458,26 @@ Fs::scanDir(DiskInode &inode, uint64_t insts, uint64_t memops,
         _ctx.chargeKernelWork(insts, memops, 0);
         auto block = bmap(inode, file_block, false);
         if (!block)
-            return {.hole = true};
+            return {.hole = true, .end = first};
         Buf *buf = _cache.get(*block);
-        DirEnt *ents = reinterpret_cast<DirEnt *>(buf->data.data());
-        uint64_t count = std::min(direntsPerBlock, entries - first);
-        uint64_t seen = 0;
-        DirEnt *hit = nullptr;
-        while (seen < count && !hit) {
-            if (stop(ents[seen]))
-                hit = &ents[seen];
-            seen++;
-        }
-        // Every later entry of the block reruns the same bmap (its
-        // charge plus 0-2 indirect-block gets) and data-block get, all
-        // hits: one linear charge stands for them.
-        uint64_t more = seen - 1;
+        uint64_t last = std::min(first + direntsPerBlock, entries);
+        bool here = stop < last;
+        // Every later entry of the block up to the stop reruns the
+        // same bmap (its charge plus 0-2 indirect-block gets) and
+        // data-block get, all hits: one linear charge stands for them.
+        uint64_t more = (here ? stop + 1 : last) - first - 1;
         uint64_t depth = file_block < 10                 ? 0
                          : file_block < 10 + ptrsPerBlock ? 1
                                                           : 2;
         _ctx.chargeKernelWork(more * insts, more * memops);
         chargeBmaps(more);
         _cache.repeatHits(more * (1 + depth));
-        if (hit)
-            return {.buf = buf, .ent = hit};
+        if (here) {
+            DirEnt *ents = reinterpret_cast<DirEnt *>(buf->data.data());
+            return {.buf = buf, .ent = &ents[stop - first], .end = stop + 1};
+        }
     }
-    return {};
+    return {.end = entries};
 }
 
 FsStatus
@@ -427,9 +488,10 @@ Fs::dirLookup(Ino dir, const std::string &name, Ino &out)
         return FsStatus::NotDir;
 
     // Each entry scanned is instrumented kernel work.
-    DirScan scan = scanDir(inode, 7, 4, [&](const DirEnt &ent) {
-        return ent.holds(name);
-    });
+    DirIndex &index = dirIndex(dir, inode);
+    auto it = index.find(name);
+    DirScan scan = scanDir(inode, 7, 4,
+                           it == index.names.end() ? noSlot : it->second);
     if (scan.hole)
         return FsStatus::Invalid;
     if (!scan.ent)
@@ -452,14 +514,17 @@ Fs::dirAdd(Ino dir, const std::string &name, Ino target)
     ent.nameLen = uint16_t(name.size());
     std::memcpy(ent.name, name.data(), name.size());
 
-    // Reuse a free slot if there is one.
-    DirScan scan = scanDir(inode, 6, 3,
-                           [](const DirEnt &slot) { return slot.ino == 0; });
+    // Reuse the lowest free slot if there is one.
+    DirIndex &index = dirIndex(dir, inode);
+    uint64_t slot = index.free.empty() ? noSlot : *index.free.begin();
+    DirScan scan = scanDir(inode, 6, 3, slot);
     if (scan.hole)
         return FsStatus::Invalid;
     if (scan.ent) {
         *scan.ent = ent;
         _cache.markDirty(scan.buf);
+        index.free.erase(slot);
+        index.names.emplace(name, slot);
         return FsStatus::Ok;
     }
 
@@ -474,6 +539,7 @@ Fs::dirAdd(Ino dir, const std::string &name, Ino target)
     _cache.markDirty(buf);
     inode.size += sizeof(DirEnt);
     storeInode(dir, inode);
+    index.names.emplace(name, entries);
     return FsStatus::Ok;
 }
 
@@ -484,15 +550,18 @@ Fs::dirRemove(Ino dir, const std::string &name)
     if (inode.type != uint16_t(FileType::Directory))
         return FsStatus::NotDir;
 
-    DirScan scan = scanDir(inode, 6, 3, [&](const DirEnt &ent) {
-        return ent.holds(name);
-    });
+    DirIndex &index = dirIndex(dir, inode);
+    auto it = index.find(name);
+    DirScan scan = scanDir(inode, 6, 3,
+                           it == index.names.end() ? noSlot : it->second);
     if (scan.hole)
         return FsStatus::Invalid;
     if (!scan.ent)
         return FsStatus::NotFound;
     scan.ent->ino = 0;
     _cache.markDirty(scan.buf);
+    index.free.insert(it->second);
+    index.names.erase(it);
     return FsStatus::Ok;
 }
 
@@ -500,10 +569,15 @@ bool
 Fs::dirEmpty(Ino dir)
 {
     DiskInode inode = loadInode(dir);
-    // A hole ends the scan like the end of the directory does.
-    return !scanDir(inode, 0, 0, [](const DirEnt &slot) {
-                return slot.ino != 0;
-            }).ent;
+    // The scan stops at the first slot that is not free: a live entry,
+    // or a hole, which ends it like the end of the directory does.
+    uint64_t first_used = 0;
+    for (uint64_t slot : dirIndex(dir, inode).free) {
+        if (slot != first_used)
+            break;
+        first_used++;
+    }
+    return !scanDir(inode, 0, 0, first_used).ent;
 }
 
 // --------------------------------------------------------------------
@@ -602,6 +676,7 @@ Fs::mkdir(const std::string &path, Ino &out)
         freeInode(ino);
         return s;
     }
+    _dirs[ino] = {};
     out = ino;
     return FsStatus::Ok;
 }
@@ -630,6 +705,7 @@ Fs::unlink(const std::string &path)
         return s;
     freeFileBlocks(inode);
     freeInode(ino);
+    _dirs.erase(ino);
     sim::StatSet::add(_hUnlinks);
     return FsStatus::Ok;
 }
@@ -641,11 +717,16 @@ Fs::readdir(Ino dir, std::vector<std::string> &names)
     if (inode.type != uint16_t(FileType::Directory))
         return FsStatus::NotDir;
     // A hole ends the listing early.
-    scanDir(inode, 6, 3, [&](const DirEnt &ent) {
-        if (ent.ino != 0)
-            names.emplace_back(ent.name, ent.nameLen);
-        return false;
-    });
+    const DirIndex &index = dirIndex(dir, inode);
+    uint64_t end = scanDir(inode, 6, 3, noSlot).end;
+    std::vector<std::pair<uint64_t, const std::string *>> live;
+    for (const auto &[name, slot] : index.names) {
+        if (slot < end)
+            live.emplace_back(slot, &name);
+    }
+    std::sort(live.begin(), live.end());
+    for (const auto &[slot, name] : live)
+        names.push_back(*name);
     return FsStatus::Ok;
 }
 
@@ -695,7 +776,7 @@ int64_t
 Fs::write(Ino ino, uint64_t off, const void *buf, uint64_t len)
 {
     DiskInode inode = loadInode(ino);
-    if (inode.type == uint16_t(FileType::Free))
+    if (inode.type != uint16_t(FileType::Regular))
         return -1;
     _ctx.chargeKernelBulk(len);
 
@@ -728,6 +809,8 @@ Fs::truncate(Ino ino)
     DiskInode inode = loadInode(ino);
     if (inode.type == uint16_t(FileType::Free))
         return FsStatus::NotFound;
+    if (inode.type == uint16_t(FileType::Directory))
+        return FsStatus::IsDir;
     freeFileBlocks(inode);
     storeInode(ino, inode);
     return FsStatus::Ok;

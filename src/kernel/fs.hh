@@ -19,9 +19,10 @@
 #define VG_KERNEL_FS_HH
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "kernel/bcache.hh"
@@ -73,7 +74,8 @@ class Fs
     /** Format the device (destroys everything). */
     void mkfs();
 
-    /** Attach to an already-formatted device. */
+    /** Attach to an already-formatted device whose directory blocks
+     *  are all on the platter (no dirty cached copies). */
     bool mount();
 
     // --- Path operations ---------------------------------------------
@@ -98,10 +100,13 @@ class Fs
     int64_t read(Ino ino, uint64_t off, void *buf, uint64_t len);
 
     /** Write @p len bytes at @p off, growing the file; bytes written
-     *  (short when the disk fills mid-write) or -1 on no-space. */
+     *  (short when the disk fills mid-write) or -1 on no-space or when
+     *  @p ino is not a regular file (directories change only through
+     *  their entries). */
     int64_t write(Ino ino, uint64_t off, const void *buf, uint64_t len);
 
-    /** Truncate to zero length, freeing data blocks. */
+    /** Truncate to zero length, freeing data blocks; IsDir for a
+     *  directory. */
     FsStatus truncate(Ino ino);
 
     /** Flush the buffer cache. */
@@ -139,14 +144,6 @@ class Fs
         uint32_t ino;
         uint16_t nameLen;
         char name[58];
-
-        /** Live and named @p n. */
-        bool
-        holds(const std::string &n) const
-        {
-            return ino != 0 && nameLen == n.size() &&
-                   std::memcmp(name, n.data(), n.size()) == 0;
-        }
     };
     static_assert(sizeof(DirEnt) == 64, "dirent must be 64 bytes");
 
@@ -164,6 +161,29 @@ class Fs
         Buf *buf = nullptr;
         DirEnt *ent = nullptr;
         bool hole = false;
+        /** First slot the scan did not reach. */
+        uint64_t end = 0;
+    };
+
+    /** A scan stop past every slot: walk the whole directory. */
+    static constexpr uint64_t noSlot = ~0ull;
+
+    /**
+     * Host-only index of one directory's slots (DESIGN §21): where
+     * each live name sits and which slots are free, so a scan knows
+     * where it stops before it starts. It mirrors the entries exactly;
+     * the slots of an unmapped block are in neither set.
+     */
+    struct DirIndex
+    {
+        /** Live name -> slot. A name held twice (only a foreign image
+         *  can) keeps both slots; the lowest is the one a walk finds. */
+        std::unordered_multimap<std::string, uint64_t> names;
+        std::set<uint64_t> free;
+
+        /** The lowest slot holding @p name, or names.end(). */
+        std::unordered_multimap<std::string, uint64_t>::iterator
+        find(const std::string &name);
     };
 
     /** Instrumented work of @p n inode-table accesses, cache gets
@@ -198,15 +218,22 @@ class Fs
     void freeFileBlocks(DiskInode &inode);
 
     /**
-     * Walk the entries of directory @p inode in order, charging
-     * (@p insts, @p memops) of instrumented work per entry scanned,
-     * until @p stop accepts one. The simulated cost is the per-entry
-     * walk's; the host work is one bmap and one cache get per block
-     * (DESIGN §21).
+     * Walk the entries of directory @p inode in order up to and
+     * including slot @p stop (noSlot: to the end), charging (@p insts,
+     * @p memops) of instrumented work per entry scanned. The simulated
+     * cost is the per-entry walk's; the host work is one bmap and one
+     * cache get per block (DESIGN §21).
      */
-    template <typename Stop>
     DirScan scanDir(DiskInode &inode, uint64_t insts, uint64_t memops,
-                    Stop &&stop);
+                    uint64_t stop);
+
+    /** The index of directory @p dir, whose inode is @p inode. One not
+     *  indexed since mount is read off the platter first. */
+    DirIndex &dirIndex(Ino dir, const DiskInode &inode);
+
+    /** The disk block behind @p file_block of @p inode (0: unmapped),
+     *  read off the platter with no charge and no cache traffic. */
+    uint64_t rawBmap(const DiskInode &inode, uint64_t file_block);
 
     FsStatus dirLookup(Ino dir, const std::string &name, Ino &out);
     FsStatus dirAdd(Ino dir, const std::string &name, Ino target);
@@ -227,6 +254,9 @@ class Fs
     Super _super{};
     uint64_t _freeBlocks = 0;
     bool _mounted = false;
+    /** Every directory's index, by inode; exact from mkfs or mkdir, or
+     *  built on first use after mount. */
+    std::unordered_map<Ino, DirIndex> _dirs;
 };
 
 } // namespace vg::kern

@@ -191,6 +191,10 @@ class Process
     /** Nonzero: wake at this simulated time even without a wakeup(). */
     uint64_t wakeTime = 0;
 
+    /** Staging buffer of file read()/write(): kept across calls so a
+     *  call does not allocate, and per process so none shares one. */
+    std::vector<uint8_t> fileStage;
+
     bool
     alive() const
     {

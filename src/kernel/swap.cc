@@ -4,9 +4,15 @@
 #include <cstring>
 
 #include "sim/log.hh"
+#include "sva/vm.hh"
 
 namespace vg::kern
 {
+
+// storeBatch pads each frame to its slot within the capacity the VM
+// gave it, with no reallocation.
+static_assert(SwapArea::blocksPerSlot * hw::Disk::blockSize ==
+              sva::SvaVm::swapFrameCapacity);
 
 SwapArea::SwapArea(hw::Disk &disk, sim::SimContext &ctx,
                    uint64_t first_block, uint64_t num_blocks)

@@ -253,12 +253,13 @@ Kernel::doRead(Process &proc, int fd, hw::Vaddr buf, uint64_t len)
             return -1;
         return n;
     }
-    std::vector<uint8_t> tmp(len);
-    int64_t n = _fs->read(of->ino, of->offset, tmp.data(), len);
+    std::vector<uint8_t> &stage = proc.fileStage;
+    stage.resize(std::max<size_t>(stage.size(), len));
+    int64_t n = _fs->read(of->ino, of->offset, stage.data(), len);
     if (n < 0)
         return -1;
     of->offset += uint64_t(n);
-    if (n > 0 && !_kmem->copyOut(buf, tmp.data(), uint64_t(n)))
+    if (n > 0 && !_kmem->copyOut(buf, stage.data(), uint64_t(n)))
         return -1;
     return n;
 }
@@ -269,12 +270,17 @@ Kernel::doWrite(Process &proc, int fd, hw::Vaddr buf, uint64_t len)
     auto of = file(proc, fd);
     if (!of)
         return -1;
-    std::vector<uint8_t> tmp(len);
-    if (!_kmem->copyIn(buf, tmp.data(), len))
-        return -1;
-    if (of->kind == OpenFile::Kind::Socket)
+    if (of->kind == OpenFile::Kind::Socket) {
+        std::vector<uint8_t> tmp(len);
+        if (!_kmem->copyIn(buf, tmp.data(), len))
+            return -1;
         return socketSend(proc, *of->sock, tmp.data(), len);
-    int64_t n = _fs->write(of->ino, of->offset, tmp.data(), len);
+    }
+    std::vector<uint8_t> &stage = proc.fileStage;
+    stage.resize(std::max<size_t>(stage.size(), len));
+    if (!_kmem->copyIn(buf, stage.data(), len))
+        return -1;
+    int64_t n = _fs->write(of->ino, of->offset, stage.data(), len);
     if (n > 0)
         of->offset += uint64_t(n);
     return n;

@@ -316,6 +316,7 @@ SvaVm::swapOutGhostBatch(uint64_t pid, hw::Frame root,
     std::vector<std::vector<uint8_t>> aads(vas.size());
     for (size_t i = 0; i < vas.size(); i++) {
         std::vector<uint8_t> &wire = wires[i];
+        wire.reserve(swapFrameCapacity);
         wire.resize(crypto::sealedHeaderBytes + hw::pageSize);
         _mem.readBytes(framesOf[i] * hw::pageSize,
                        wire.data() + crypto::sealedHeaderBytes,

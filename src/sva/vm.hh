@@ -36,6 +36,7 @@
 #include "crypto/rsa.hh"
 #include "crypto/sealed.hh"
 #include "hw/cpu.hh"
+#include "hw/disk.hh"
 #include "hw/iommu.hh"
 #include "hw/mmu.hh"
 #include "hw/phys_mem.hh"
@@ -215,6 +216,13 @@ class SvaVm
      *  is freed. */
     bool freeGhostMemory(uint64_t pid, hw::Frame root, hw::Vaddr va,
                          uint64_t npages, SvaError *err);
+
+    /** Capacity of a swap-out frame: its wire bytes rounded up to
+     *  whole disk blocks, the size of the swap slot that holds it, so
+     *  the slot's zero tail is added in place. */
+    static constexpr uint64_t swapFrameCapacity =
+        (crypto::sealedHeaderBytes + hw::pageSize + hw::Disk::blockSize - 1) /
+        hw::Disk::blockSize * hw::Disk::blockSize;
 
     /**
      * The swap-out intrinsic: validate every page in @p vas, read each
