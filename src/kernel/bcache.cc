@@ -10,6 +10,7 @@ namespace vg::kern
 BufferCache::BufferCache(hw::Disk &disk, sim::SimContext &ctx,
                          uint64_t capacity_blocks)
     : _disk(disk), _ctx(ctx), _capacity(capacity_blocks),
+      _slotOf(disk.numBlocks(), noSlot),
       _hHits(ctx.stats().handle("bcache.hits")),
       _hMisses(ctx.stats().handle("bcache.misses")),
       _hZeroFills(ctx.stats().handle("bcache.zero_fills")),
@@ -18,32 +19,35 @@ BufferCache::BufferCache(hw::Disk &disk, sim::SimContext &ctx,
     if (_capacity < 3)
         sim::panic("buffer cache of %llu blocks: bmap needs 3 live",
                    static_cast<unsigned long long>(_capacity));
+    // No more blocks than the device holds can ever be cached at once.
+    uint64_t slots = std::min(_capacity, disk.numBlocks());
+    _slots.reserve(slots);
+    _spare.reserve(slots);
 }
 
-Buf *
-BufferCache::get(uint64_t block_no)
+Buf &
+BufferCache::admit(uint64_t block_no)
 {
-    chargeLookups(1);
-    auto it = _index.find(block_no);
-    if (it != _index.end()) {
-        _hits++;
-        sim::StatSet::add(_hHits);
-        _lru.splice(_lru.begin(), _lru, it->second);
-        return &*_lru.begin();
-    }
-
+    if (block_no >= _slotOf.size())
+        _disk.rawBlock(block_no); // panics: the block is out of range
     _misses++;
     sim::StatSet::add(_hMisses);
     evictIfNeeded();
 
-    Buf buf;
+    uint32_t slot;
+    if (_spare.empty()) {
+        slot = uint32_t(_slots.size());
+        _slots.emplace_back().buf.data.resize(hw::Disk::blockSize);
+    } else {
+        slot = _spare.back();
+        _spare.pop_back();
+    }
+    pushFront(slot);
+    _slotOf[block_no] = slot;
+    Buf &buf = _slots[slot].buf;
     buf.blockNo = block_no;
-    buf.data.resize(hw::Disk::blockSize);
-    _lru.push_front(std::move(buf));
-    _index[block_no] = _lru.begin();
-    Buf *nb = &*_lru.begin();
-    ringRead(*nb);
-    return nb;
+    buf.dirty = false;
+    return buf;
 }
 
 void
@@ -73,46 +77,42 @@ Buf *
 BufferCache::getZeroed(uint64_t block_no)
 {
     chargeLookups(1);
-    auto it = _index.find(block_no);
-    if (it != _index.end()) {
-        _hits++;
-        sim::StatSet::add(_hHits);
-        _lru.splice(_lru.begin(), _lru, it->second);
-        Buf *buf = &*_lru.begin();
-        std::fill(buf->data.begin(), buf->data.end(), 0);
-        buf->dirty = true;
-        return buf;
+    uint32_t slot = slotOf(block_no);
+    Buf *buf;
+    if (slot != noSlot) {
+        touch(slot);
+        buf = &_slots[slot].buf;
+    } else {
+        buf = &admit(block_no);
+        sim::StatSet::add(_hZeroFills);
     }
-    _misses++;
-    sim::StatSet::add(_hMisses);
-    evictIfNeeded();
-    Buf buf;
-    buf.blockNo = block_no;
-    buf.data.assign(hw::Disk::blockSize, 0);
-    buf.dirty = true;
-    _lru.push_front(std::move(buf));
-    _index[block_no] = _lru.begin();
-    sim::StatSet::add(_hZeroFills);
-    return &*_lru.begin();
+    std::fill(buf->data.begin(), buf->data.end(), 0);
+    buf->dirty = true;
+    return buf;
 }
 
 void
 BufferCache::dropAll()
 {
     sync();
-    _lru.clear();
-    _index.clear();
+    for (uint32_t slot = _head; slot != noSlot; slot = _slots[slot].next) {
+        _slotOf[_slots[slot].buf.blockNo] = noSlot;
+        _spare.push_back(slot);
+    }
+    _head = _tail = noSlot;
 }
 
 void
 BufferCache::evictIfNeeded()
 {
-    while (_lru.size() >= _capacity) {
-        Buf &victim = _lru.back();
+    while (_slots.size() - _spare.size() >= _capacity) {
+        uint32_t slot = _tail;
+        Buf &victim = _slots[slot].buf;
         if (victim.dirty)
             writeback(victim);
-        _index.erase(victim.blockNo);
-        _lru.pop_back();
+        _slotOf[victim.blockNo] = noSlot;
+        unlink(slot);
+        _spare.push_back(slot);
     }
 }
 
@@ -138,7 +138,8 @@ BufferCache::writeback(Buf &buf)
 void
 BufferCache::sync()
 {
-    for (Buf &buf : _lru) {
+    for (uint32_t slot = _head; slot != noSlot; slot = _slots[slot].next) {
+        Buf &buf = _slots[slot].buf;
         if (buf.dirty)
             writeback(buf);
     }
@@ -146,16 +147,6 @@ BufferCache::sync()
     // the queued writebacks hit the media. Deep NCQ means the whole
     // batch completes one request-latency after the last doorbell.
     _ctx.clock().advanceTo(_flushDone);
-}
-
-void
-BufferCache::invalidate(uint64_t block_no)
-{
-    auto it = _index.find(block_no);
-    if (it == _index.end())
-        return;
-    _lru.erase(it->second);
-    _index.erase(it);
 }
 
 } // namespace vg::kern

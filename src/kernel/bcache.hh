@@ -12,8 +12,6 @@
 #define VG_KERNEL_BCACHE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/disk.hh"
@@ -30,8 +28,15 @@ struct Buf
     std::vector<uint8_t> data;
 };
 
-/** LRU write-back cache. The capacity must be at least 3: Fs::bmap's
- *  double-indirect path keeps three blocks live at once. */
+/**
+ * LRU write-back cache of at most `capacity` blocks; the capacity must
+ * be at least 3, since Fs::bmap's double-indirect path keeps three
+ * blocks live at once. The host side is flat (DESIGN §21, "The buffer
+ * cache"): the blocks sit in a slot array that never reallocates, so a
+ * Buf* stays put while its block is cached; the LRU is a list of slot
+ * indices; a table indexed by block number finds a block's slot; and
+ * an evicted slot keeps its buffer for the next miss.
+ */
 class BufferCache
 {
   public:
@@ -39,8 +44,20 @@ class BufferCache
                 uint64_t capacity_blocks = 4096);
 
     /** Get a block, reading from disk on a miss. The pointer stays
-     *  valid until the next cache operation. */
-    Buf *get(uint64_t block_no);
+     *  valid until the block is evicted or dropped. */
+    Buf *
+    get(uint64_t block_no)
+    {
+        chargeLookups(1);
+        uint32_t slot = slotOf(block_no);
+        if (slot == noSlot) {
+            Buf &buf = admit(block_no);
+            ringRead(buf);
+            return &buf;
+        }
+        touch(slot);
+        return &_slots[slot].buf;
+    }
 
     /** Account @p n more get()s of blocks already at the LRU front:
      *  the same charge and hit count as n real hits, with the LRU
@@ -65,9 +82,6 @@ class BufferCache
      *  barrier: it stalls to the last completion. */
     void sync();
 
-    /** Drop a block without writeback (e.g. freed block). */
-    void invalidate(uint64_t block_no);
-
     /** The device under the cache. */
     hw::Disk &disk() { return _disk; }
 
@@ -78,6 +92,16 @@ class BufferCache
     uint64_t flushBarrier() const { return _flushDone; }
 
   private:
+    /** No slot: an uncached block, or the end of the LRU list. */
+    static constexpr uint32_t noSlot = ~0u;
+
+    struct Slot
+    {
+        Buf buf;
+        uint32_t prev = noSlot; ///< towards the LRU front
+        uint32_t next = noSlot; ///< towards the LRU tail
+    };
+
     /** Hash lookup + LRU maintenance for @p n accesses: a handful of
      *  instrumented kernel memory operations each. */
     void
@@ -86,6 +110,48 @@ class BufferCache
         _ctx.chargeKernelWork(10 * n, 5 * n, n);
     }
 
+    /** The slot caching @p block_no, or noSlot (also for a block past
+     *  the device, which the miss path hands to the device's check). */
+    uint32_t
+    slotOf(uint64_t block_no) const
+    {
+        return block_no < _slotOf.size() ? _slotOf[block_no] : noSlot;
+    }
+
+    /** Count a hit on @p slot and move it to the LRU front. */
+    void
+    touch(uint32_t slot)
+    {
+        _hits++;
+        sim::StatSet::add(_hHits);
+        if (slot != _head) {
+            unlink(slot);
+            pushFront(slot);
+        }
+    }
+
+    void
+    unlink(uint32_t slot)
+    {
+        Slot &s = _slots[slot];
+        (s.prev == noSlot ? _head : _slots[s.prev].next) = s.next;
+        (s.next == noSlot ? _tail : _slots[s.next].prev) = s.prev;
+    }
+
+    void
+    pushFront(uint32_t slot)
+    {
+        Slot &s = _slots[slot];
+        s.prev = noSlot;
+        s.next = _head;
+        (_head == noSlot ? _tail : _slots[_head].prev) = slot;
+        _head = slot;
+    }
+
+    /** Count a miss on @p block_no and give it a slot at the LRU front,
+     *  evicting the tail first when the cache is full. The buffer holds
+     *  whatever its last block left there. */
+    Buf &admit(uint64_t block_no);
     void evictIfNeeded();
     void writeback(Buf &buf);
     void ringRead(Buf &buf);
@@ -94,8 +160,14 @@ class BufferCache
     sim::SimContext &_ctx;
     uint64_t _flushDone = 0;
     uint64_t _capacity;
-    std::list<Buf> _lru; // front = most recent
-    std::unordered_map<uint64_t, std::list<Buf>::iterator> _index;
+    /** Every slot ever used; reserved up front, so it never moves. */
+    std::vector<Slot> _slots;
+    /** Block number -> slot (noSlot: not cached). */
+    std::vector<uint32_t> _slotOf;
+    /** Slots off the LRU list, their buffers kept for reuse. */
+    std::vector<uint32_t> _spare;
+    uint32_t _head = noSlot; // most recent
+    uint32_t _tail = noSlot; // least recent
     uint64_t _hits = 0;
     uint64_t _misses = 0;
     sim::StatHandle _hHits;

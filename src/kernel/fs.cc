@@ -120,6 +120,7 @@ Fs::mkfs()
 
     _freeBlocks = _super.nblocks - _super.dataStart;
     _mounted = true;
+    resetCursors();
 
     // Root directory (inode 1), empty.
     DiskInode root{};
@@ -154,6 +155,7 @@ Fs::mount()
         lo = hi;
     }
     _mounted = true;
+    resetCursors(); // the image need not be the one this Fs last wrote
     _dirs.clear(); // each directory is indexed off the disk on first use
     return true;
 }
@@ -189,16 +191,25 @@ Fs::storeInode(Ino ino, const DiskInode &inode)
     _cache.markDirty(buf);
 }
 
+void
+Fs::resetCursors()
+{
+    _inodeCursor = 1;
+    _blockCursor = _super.dataStart;
+}
+
 Ino
 Fs::allocInode(FileType type)
 {
     // One real load per inode-table block; each later inode the
     // per-inode walk would have loaded from it replays in one charge.
+    // The host reads types only from the cursor on: every inode below
+    // it is in use.
     uint64_t max_ino = _super.inodeBlocks * inodesPerBlock;
     for (uint64_t first = 1; first < max_ino;) {
         uint64_t end = first - first % inodesPerBlock + inodesPerBlock;
         const uint8_t *slots = inodeBlock(Ino(first))->data.data();
-        uint64_t ino = first;
+        uint64_t ino = std::clamp<uint64_t>(_inodeCursor, first, end);
         for (; ino < end; ino++) {
             DiskInode inode;
             std::memcpy(&inode, slots + (ino % inodesPerBlock) * 128,
@@ -214,10 +225,12 @@ Fs::allocInode(FileType type)
             fresh.type = uint16_t(type);
             fresh.nlink = 1;
             storeInode(Ino(ino), fresh);
+            _inodeCursor = ino + 1;
             return Ino(ino);
         }
         first = end;
     }
+    _inodeCursor = max_ino;
     return 0;
 }
 
@@ -226,6 +239,7 @@ Fs::freeInode(Ino ino)
 {
     DiskInode inode{};
     storeInode(ino, inode);
+    _inodeCursor = std::min<uint64_t>(_inodeCursor, ino);
 }
 
 // --------------------------------------------------------------------
@@ -237,25 +251,30 @@ Fs::allocBlock()
 {
     _ctx.chargeKernelWork(30, 16, 2);
     // One real get per bitmap block; every later bit the per-bit walk
-    // would have fetched from that block replays as one cache hit.
+    // would have fetched from that block replays as one cache hit. The
+    // host searches only from the cursor on: every block below it is
+    // in use.
     for (uint64_t lo = _super.dataStart; lo < _super.nblocks;) {
         uint64_t base = lo - lo % bitsPerBlock;
         uint64_t hi = std::min(_super.nblocks, base + bitsPerBlock);
         Buf *bm = _cache.get(_super.bitmapStart + lo / bitsPerBlock);
+        uint64_t from = std::clamp(_blockCursor, lo, hi);
         uint64_t b =
-            base + firstClearBit(bm->data.data(), lo - base, hi - base);
+            base + firstClearBit(bm->data.data(), from - base, hi - base);
         _cache.repeatHits(std::min(b, hi - 1) - lo);
         if (b < hi) {
             uint64_t bit = b - base;
             bm->data[bit / 8] |= uint8_t(1 << (bit % 8));
             _cache.markDirty(bm);
             _freeBlocks--;
+            _blockCursor = b + 1;
             // Fresh blocks are zero-filled in the cache; no read.
             _cache.getZeroed(b);
             return b;
         }
         lo = hi;
     }
+    _blockCursor = _super.nblocks;
     return std::nullopt;
 }
 
@@ -268,6 +287,7 @@ Fs::freeBlock(uint64_t block)
     bm->data[bit / 8] &= uint8_t(~(1 << (bit % 8)));
     _cache.markDirty(bm);
     _freeBlocks++;
+    _blockCursor = std::min(_blockCursor, block);
 }
 
 // --------------------------------------------------------------------

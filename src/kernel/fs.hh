@@ -206,6 +206,9 @@ class Fs
     Buf *inodeBlock(Ino ino);
     DiskInode loadInode(Ino ino);
     void storeInode(Ino ino, const DiskInode &inode);
+
+    /** Start both allocation cursors at the front (mkfs, mount). */
+    void resetCursors();
     Ino allocInode(FileType type);
     void freeInode(Ino ino);
 
@@ -253,6 +256,12 @@ class Fs
     sim::StatHandle _hBytesWritten;
     Super _super{};
     uint64_t _freeBlocks = 0;
+    /** Every inode below this one is in use (DESIGN §21, "Allocation
+     *  cursors"): only allocInode and freeInode change an inode's type. */
+    uint64_t _inodeCursor = 1;
+    /** Every data block below this one is in use: only allocBlock and
+     *  freeBlock change a bitmap bit. */
+    uint64_t _blockCursor = 0;
     bool _mounted = false;
     /** Every directory's index, by inode; exact from mkfs or mkdir, or
      *  built on first use after mount. */

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <list>
+#include <memory>
 
 #include "golden.hh"
 #include "kernel/fs.hh"
@@ -49,8 +52,9 @@ TEST(Bcache, HitsAndMisses)
     cache.get(3);
     cache.get(4);
     cache.get(5);
-    cache.get(1); // evicted by now
-    EXPECT_GE(cache.misses(), 5u);
+    cache.get(1); // evicted by block 5
+    EXPECT_EQ(cache.misses(), 6u);
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(Bcache, WritebackPersists)
@@ -72,13 +76,18 @@ TEST(Bcache, WritebackPersists)
 namespace
 {
 
-/** A cache over its own 128-block disk. */
-struct CacheRig
+/** A 128-block disk of its own. */
+struct DiskRig
 {
     sim::SimContext ctx;
     hw::PhysMem mem{16};
     hw::Iommu iommu{mem, ctx};
     hw::Disk disk{128, iommu, ctx};
+};
+
+/** A 4-block cache over its own 128-block disk. */
+struct CacheRig : DiskRig
+{
     BufferCache cache{disk, ctx, 4};
 };
 
@@ -116,6 +125,214 @@ TEST(BcacheDeathTest, CapacityBelowThreePanics)
     hw::Iommu iommu(mem, ctx);
     hw::Disk disk(128, iommu, ctx);
     EXPECT_DEATH(BufferCache(disk, ctx, 2), "bmap needs 3");
+}
+
+TEST(BcacheDeathTest, OutOfRangeBlockPanics)
+{
+    CacheRig r;
+    EXPECT_DEATH(r.cache.get(r.disk.numBlocks()), "out of range");
+}
+
+TEST(Bcache, EvictsLeastRecentlyUsed)
+{
+    {
+        CacheRig r;
+        for (uint64_t b : {1, 2, 3, 4, 1, 5})
+            r.cache.get(b);
+        EXPECT_EQ(r.cache.misses(), 5u);
+        EXPECT_EQ(r.cache.hits(), 1u);
+        r.cache.get(2); // evicted by block 5
+        EXPECT_EQ(r.cache.misses(), 6u);
+        r.cache.get(1); // still cached: it was touched after block 2
+        EXPECT_EQ(r.cache.hits(), 2u);
+    }
+
+    // A dirty victim goes back to the platter once, when evicted.
+    CacheRig r;
+    Buf *b = r.cache.get(1);
+    std::fill(b->data.begin(), b->data.end(), 0x5c);
+    r.cache.markDirty(b);
+    for (uint64_t blk : {2, 3, 4})
+        r.cache.get(blk);
+    EXPECT_EQ(r.ctx.stats().get("bcache.writebacks"), 0u);
+    r.cache.get(5);
+    EXPECT_EQ(r.ctx.stats().get("bcache.writebacks"), 1u);
+    const uint8_t *raw = r.disk.rawBlock(1);
+    EXPECT_TRUE(std::all_of(raw, raw + hw::Disk::blockSize,
+                            [](uint8_t v) { return v == 0x5c; }));
+    r.cache.get(6); // a clean victim: no writeback
+    r.cache.sync();
+    EXPECT_EQ(r.ctx.stats().get("bcache.writebacks"), 1u);
+}
+
+namespace
+{
+
+/**
+ * The LRU write-back cache as a std::list over its own rig: the same
+ * lookup charge, device requests, stats and barrier as BufferCache,
+ * in the same order.
+ */
+struct RefLru
+{
+    struct Ent
+    {
+        uint64_t block;
+        bool dirty;
+        std::vector<uint8_t> data;
+    };
+
+    DiskRig &r;
+    uint64_t capacity;
+    std::list<Ent> lru; // front = most recent
+    uint64_t hits = 0, misses = 0, flushDone = 0;
+
+    RefLru(DiskRig &rig, uint64_t cap) : r(rig), capacity(cap)
+    {
+        for (const char *s : {"bcache.hits", "bcache.misses",
+                              "bcache.zero_fills", "bcache.writebacks"})
+            r.ctx.stats().handle(s);
+    }
+
+    void
+    io(Ent &e, bool write)
+    {
+        hw::RingDesc d;
+        d.block = e.block;
+        if (write)
+            d.host = e.data.data();
+        else
+            d.hostOut = e.data.data();
+        d.len = hw::Disk::blockSize;
+        d.write = write;
+        r.disk.submitDraining(d);
+        uint64_t done = r.disk.doorbell();
+        r.disk.reapAll();
+        if (write)
+            flushDone = std::max(flushDone, done);
+        else
+            r.ctx.clock().advanceTo(done);
+    }
+
+    void
+    writeback(Ent &e)
+    {
+        e.dirty = false;
+        r.ctx.stats().add("bcache.writebacks");
+        io(e, true);
+    }
+
+    Ent &
+    get(uint64_t block, bool zeroed = false)
+    {
+        r.ctx.chargeKernelWork(10, 5, 1);
+        auto it = std::find_if(lru.begin(), lru.end(), [&](const Ent &e) {
+            return e.block == block;
+        });
+        if (it != lru.end()) {
+            hits++;
+            r.ctx.stats().add("bcache.hits");
+            lru.splice(lru.begin(), lru, it);
+        } else {
+            misses++;
+            r.ctx.stats().add("bcache.misses");
+            if (lru.size() == capacity) {
+                if (lru.back().dirty)
+                    writeback(lru.back());
+                lru.pop_back();
+            }
+            lru.push_front({block, false, std::vector<uint8_t>(4096)});
+            if (zeroed)
+                r.ctx.stats().add("bcache.zero_fills");
+            else
+                io(lru.front(), false);
+        }
+        if (zeroed) {
+            std::fill(lru.front().data.begin(), lru.front().data.end(), 0);
+            lru.front().dirty = true;
+        }
+        return lru.front();
+    }
+
+    void
+    sync()
+    {
+        for (Ent &e : lru)
+            if (e.dirty)
+                writeback(e);
+        r.ctx.clock().advanceTo(flushDone);
+    }
+};
+
+} // namespace
+
+TEST(Bcache, MatchesReferenceLru)
+{
+    for (uint64_t capacity : {3, 4, 7}) {
+        for (uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE(testing::Message()
+                         << "capacity " << capacity << " seed " << seed);
+            DiskRig real, ref;
+            BufferCache cache(real.disk, real.ctx, capacity);
+            RefLru model(ref, capacity);
+
+            uint64_t state = 0x9e3779b97f4a7c15ull * seed;
+            auto next = [&](uint64_t bound) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                return state % bound;
+            };
+            for (int step = 0; step < 2000; step++) {
+                uint64_t op = next(100);
+                uint64_t block = next(12);
+                if (op < 45) {
+                    Buf *b = cache.get(block);
+                    ASSERT_EQ(b->data, model.get(block).data) << step;
+                } else if (op < 55) {
+                    Buf *b = cache.getZeroed(block);
+                    ASSERT_EQ(b->data, model.get(block, true).data) << step;
+                } else if (op < 85) {
+                    // Write a few bytes into a block and mark it dirty.
+                    Buf *b = cache.get(block);
+                    RefLru::Ent &e = model.get(block);
+                    uint64_t off = next(4096 - 8);
+                    for (uint64_t i = 0; i < 8; i++)
+                        b->data[off + i] = e.data[off + i] =
+                            uint8_t(step + i);
+                    cache.markDirty(b);
+                    e.dirty = true;
+                } else if (op < 92) {
+                    // Replayed hits of the block just fetched.
+                    uint64_t n = 1 + next(5);
+                    cache.get(block);
+                    model.get(block);
+                    cache.repeatHits(n);
+                    for (uint64_t i = 0; i < n; i++)
+                        model.get(block);
+                } else if (op < 97) {
+                    cache.sync();
+                    model.sync();
+                } else {
+                    cache.dropAll();
+                    model.sync();
+                    model.lru.clear();
+                }
+            }
+            cache.sync();
+            model.sync();
+            EXPECT_EQ(cache.hits(), model.hits);
+            EXPECT_EQ(cache.misses(), model.misses);
+            EXPECT_EQ(real.ctx.stats().all(), ref.ctx.stats().all());
+            EXPECT_EQ(real.ctx.clock().now(), ref.ctx.clock().now());
+            for (uint64_t b = 0; b < real.disk.numBlocks(); b++)
+                ASSERT_EQ(std::memcmp(real.disk.rawBlock(b),
+                                      ref.disk.rawBlock(b),
+                                      hw::Disk::blockSize),
+                          0)
+                    << "block " << b;
+        }
+    }
 }
 
 TEST(Fs, CreateWriteReadRoundtrip)
@@ -391,6 +608,52 @@ TEST(Fs, ManyFilesInOneDirectory)
     names.clear();
     rig.fs.readdir(dir, names);
     EXPECT_EQ(names.size(), 100u);
+}
+
+TEST(Fs, AllocatorReusesLowestFree)
+{
+    sim::SimContext ctx;
+    hw::PhysMem mem(16);
+    hw::Iommu iommu(mem, ctx);
+    hw::Disk disk(4096, iommu, ctx);
+
+    // Create @p path holding one block of @p fill; its inode and the
+    // block that holds those bytes on the synced platter.
+    auto place = [&](Fs &fs, const std::string &path, uint8_t fill) {
+        Ino ino = 0;
+        EXPECT_EQ(fs.create(path, ino), FsStatus::Ok);
+        std::vector<uint8_t> data(hw::Disk::blockSize, fill);
+        EXPECT_EQ(fs.write(ino, 0, data.data(), data.size()),
+                  int64_t(data.size()));
+        fs.sync();
+        uint64_t block = 0;
+        while (block < disk.numBlocks() &&
+               std::memcmp(disk.rawBlock(block), data.data(), data.size()))
+            block++;
+        return std::pair{ino, block};
+    };
+
+    auto b = std::pair<Ino, uint64_t>{};
+    {
+        BufferCache cache(disk, ctx, 512);
+        Fs fs(cache, ctx, 4096);
+        fs.mkfs();
+        auto a = place(fs, "/a", 0xa1);
+        b = place(fs, "/b", 0xb2);
+        auto c = place(fs, "/c", 0xc3);
+        EXPECT_LT(a, b);
+        EXPECT_LT(b, c);
+        ASSERT_EQ(fs.unlink("/b"), FsStatus::Ok);
+        EXPECT_EQ(place(fs, "/d", 0xd4), b);
+        ASSERT_EQ(fs.unlink("/d"), FsStatus::Ok);
+        fs.sync();
+    }
+
+    // After a remount the lowest free inode and block are found again.
+    BufferCache cache(disk, ctx, 512);
+    Fs fs(cache, ctx, 4096);
+    ASSERT_TRUE(fs.mount());
+    EXPECT_EQ(place(fs, "/e", 0xe5), b);
 }
 
 // --------------------------------------------------------------------
@@ -729,5 +992,108 @@ TEST(FsGoldenSweep, LargeDirectory)
         SCOPED_TRACE(testing::Message() << "cache " << cache_blocks);
         EXPECT_TRUE(test::matchesGolden(largeDirDigest(cache_blocks),
                                         kLargeDirGolden.at(cache_blocks)));
+    }
+}
+
+// --------------------------------------------------------------------
+// Golden sweep of the inode and block allocators: seeded create, write
+// and unlink churn over 400 names, with a remount halfway, so that
+// creates and writes take the lowest inodes and blocks the unlinks
+// freed.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+constexpr uint64_t kChurnBlocks = 16 * 1024; // 2,048 inodes
+
+/** Digests recorded before the allocators kept cursors; key is the
+ *  cache capacity in blocks. */
+const std::map<uint64_t, uint64_t> kChurnGolden = {
+    {512, 0x6d51b9dd2963fb8cull},
+    {4, 0xf41a639f96ec0534ull},
+};
+
+uint64_t
+allocatorChurnDigest(uint64_t cache_blocks)
+{
+    sim::SimContext ctx;
+    hw::PhysMem mem(16);
+    hw::Iommu iommu(mem, ctx);
+    hw::Disk disk(kChurnBlocks, iommu, ctx);
+    test::Golden g;
+
+    uint64_t state = 0x2545f4914f6cdd1dull;
+    auto next = [&](uint64_t bound) {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state % bound;
+    };
+    auto name = [](uint64_t i) { return "/pm/f" + std::to_string(i); };
+    std::vector<Ino> inos(400, 0); // 0: absent
+
+    auto cache = std::make_unique<BufferCache>(disk, ctx, cache_blocks);
+    auto fs = std::make_unique<Fs>(*cache, ctx, kChurnBlocks);
+    fs->mkfs();
+
+    // Each draw creates and writes an absent name, or reads back or
+    // unlinks a present one.
+    auto churn = [&](int rounds) {
+        FsScript run{ctx, *fs, g};
+        for (int r = 0; r < rounds; r++) {
+            uint64_t i = next(inos.size());
+            if (!inos[i]) {
+                FsStatus s = fs->create(name(i), inos[i]);
+                run.fold(s, inos[i]);
+                if (s != FsStatus::Ok)
+                    continue;
+                // 1-12 KB; one file in eight reaches the indirect block.
+                uint64_t len = next(8) == 0 ? 40 * 1024 + 1 + next(24 * 1024)
+                                            : 1 + next(12 * 1024);
+                std::vector<uint8_t> data(len);
+                for (size_t k = 0; k < len; k++)
+                    data[k] = uint8_t(i * 29 + k / 7 + r);
+                g.u64(uint64_t(fs->write(inos[i], 0, data.data(), len)));
+                g.u64(ctx.clock().now());
+            } else if (next(4) == 0) {
+                FileStat st;
+                run.fold(fs->stat(inos[i], st), inos[i]);
+                std::vector<uint8_t> back(st.size);
+                g.u64(uint64_t(fs->read(inos[i], 0, back.data(), st.size)));
+                g.vec(back);
+            } else {
+                run.unlink(name(i));
+                inos[i] = 0;
+            }
+        }
+        g.machine(ctx).u64(cache->hits()).u64(cache->misses());
+        g.u64(fs->freeDataBlocks());
+        run.image(disk);
+    };
+
+    {
+        FsScript run{ctx, *fs, g};
+        run.mkdir("/pm");
+    }
+    churn(1200);
+
+    // Remount over the same disk: the allocators start from the image.
+    fs.reset();
+    cache = std::make_unique<BufferCache>(disk, ctx, cache_blocks);
+    fs = std::make_unique<Fs>(*cache, ctx, kChurnBlocks);
+    g.u64(fs->mount()).u64(fs->freeDataBlocks());
+    churn(1200);
+    return g.h;
+}
+
+} // namespace
+
+TEST(FsGoldenSweep, AllocatorChurn)
+{
+    for (uint64_t cache_blocks : {512, 4}) {
+        SCOPED_TRACE(testing::Message() << "cache " << cache_blocks);
+        EXPECT_TRUE(test::matchesGolden(allocatorChurnDigest(cache_blocks),
+                                        kChurnGolden.at(cache_blocks)));
     }
 }
