@@ -70,7 +70,7 @@ class NullPort : public cc::MemPort
 struct Result {
     std::string name;
     uint64_t instsPerCall = 0;
-    double usPerCall = 0;
+    double hostUsPerCall = 0;
     double hostInstsPerSec = 0;
     // Load-time machine-code verifier work for this config's
     // translation (zero when the gate is off).
@@ -126,7 +126,7 @@ measure(const std::string &name, const sim::VgConfig &vg,
     Result out;
     out.name = name;
     out.instsPerCall = insts / calls;
-    out.usPerCall = elapsed * 1e6 / double(calls);
+    out.hostUsPerCall = elapsed * 1e6 / double(calls);
     out.hostInstsPerSec = double(insts) / elapsed;
     out.mverifyInsts = ctx.stats().get("mverify.insts");
     out.mverifyFindings = ctx.stats().get("mverify.findings");
@@ -157,10 +157,10 @@ main(int argc, char **argv)
         measure("vg-fused", sim::VgConfig::full(), iters, minSeconds));
 
     std::printf("%-18s %14s %12s %18s\n", "config", "insts/call",
-                "us/call", "host insts/sec");
+                "host us/call", "host insts/sec");
     for (const auto &r : results)
         std::printf("%-18s %14llu %12.2f %18.3e\n", r.name.c_str(),
-                    (unsigned long long)r.instsPerCall, r.usPerCall,
+                    (unsigned long long)r.instsPerCall, r.hostUsPerCall,
                     r.hostInstsPerSec);
 
     std::FILE *f = std::fopen("BENCH_exec.json", "w");
@@ -177,7 +177,7 @@ main(int argc, char **argv)
         const Result &r = results[i];
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"insts_per_call\": %llu,"
-                     " \"us_per_call\": %.3f,"
+                     " \"host_us_per_call\": %.3f,"
                      " \"host_insts_per_sec\": %.1f,"
                      " \"mverify_insts\": %llu,"
                      " \"mverify_findings\": %llu,"
@@ -186,7 +186,7 @@ main(int argc, char **argv)
                      " \"iflow_findings\": %llu,"
                      " \"iflow_wall_us\": %.3f}%s\n",
                      r.name.c_str(),
-                     (unsigned long long)r.instsPerCall, r.usPerCall,
+                     (unsigned long long)r.instsPerCall, r.hostUsPerCall,
                      r.hostInstsPerSec,
                      (unsigned long long)r.mverifyInsts,
                      (unsigned long long)r.mverifyFindings,

@@ -98,7 +98,9 @@ reportPhase(BenchReport &report, const std::string &phase,
             .count("swap_pages_loaded", get("swap.pages_loaded"))
             .count("ghost_pages", get("sva.ghost_pages_allocated"))
             .count("ghost_swapouts", get("kernel.ghost_swapouts"))
-            .count("ghost_swapins", get("kernel.ghost_swapins"));
+            .count("ghost_swapins", get("kernel.ghost_swapins"))
+            .count("ghost_swapins_refused",
+                   get("kernel.ghost_swapins_refused"));
     }
 
     std::printf("%-10s %-9s %7llu served %5llu drop  %9.0f req/s  "

@@ -58,15 +58,6 @@ struct AbResult
     uint64_t cycles = 0;
     /** Per-request latency samples (cycles), one per GET. */
     std::vector<uint64_t> requestCycles;
-
-    double
-    bandwidthKBps(double cycles_per_usec) const
-    {
-        if (cycles == 0)
-            return 0.0;
-        double secs = double(cycles) / (cycles_per_usec * 1e6);
-        return double(bytes) / 1024.0 / secs;
-    }
 };
 
 /** Issue @p requests GETs for @p path against @p port. */

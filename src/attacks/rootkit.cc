@@ -100,12 +100,6 @@ checkAttack1(kern::Kernel &kernel, const std::vector<uint8_t> &secret)
     return result;
 }
 
-void
-unmountAttack1(kern::Kernel &kernel)
-{
-    kernel.clearInterposition(kern::Sys::read);
-}
-
 AttackResult
 mountAttack2(kern::Kernel &kernel, uint64_t victim_pid,
              uint64_t secret_va, uint64_t secret_len)

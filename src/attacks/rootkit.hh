@@ -55,9 +55,6 @@ bool mountAttack1(kern::Kernel &kernel, uint64_t secret_va,
 AttackResult checkAttack1(kern::Kernel &kernel,
                           const std::vector<uint8_t> &secret);
 
-/** Remove attack 1's interposition. */
-void unmountAttack1(kern::Kernel &kernel);
-
 /**
  * Attack 2: full code-injection chain against @p victim_pid. The
  * secret (of @p secret_len bytes, at @p secret_va in the victim) is

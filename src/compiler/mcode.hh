@@ -149,13 +149,6 @@ struct MachineImage
                               : SIZE_MAX;
     }
 
-    const MInst *
-    at(uint64_t addr) const
-    {
-        size_t i = indexOf(addr);
-        return i == SIZE_MAX ? nullptr : &code[i];
-    }
-
     /** Deterministic serialization used for signing. */
     std::vector<uint8_t> serializeForSigning() const;
 };

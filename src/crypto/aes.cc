@@ -21,20 +21,6 @@ xtime(uint8_t a)
     return uint8_t((a << 1) ^ ((a & 0x80) ? 0x1b : 0x00));
 }
 
-/** Full GF(2^8) multiply (table construction only). */
-inline uint8_t
-gmul(uint8_t a, uint8_t b)
-{
-    uint8_t p = 0;
-    for (int i = 0; i < 8; i++) {
-        if (b & 1)
-            p ^= a;
-        a = xtime(a);
-        b >>= 1;
-    }
-    return p;
-}
-
 inline uint32_t
 rotr32(uint32_t x, unsigned n)
 {
@@ -49,7 +35,7 @@ namespace detail
 {
 
 void
-buildAesSboxes(uint8_t sbox[256], uint8_t inv_sbox[256])
+buildAesSbox(uint8_t sbox[256])
 {
     // 0x03 generates the multiplicative group of GF(2^8): walk
     // pow3[i] = 3^i once, recording discrete logs, and read every
@@ -67,12 +53,10 @@ buildAesSboxes(uint8_t sbox[256], uint8_t inv_sbox[256])
 
     for (int i = 0; i < 256; i++) {
         uint8_t x = i ? pow3[255 - log3[i]] : 0;
-        uint8_t y = uint8_t(x ^ (uint8_t)(x << 1 | x >> 7) ^
-                            (uint8_t)(x << 2 | x >> 6) ^
-                            (uint8_t)(x << 3 | x >> 5) ^
-                            (uint8_t)(x << 4 | x >> 4) ^ 0x63);
-        sbox[i] = y;
-        inv_sbox[y] = uint8_t(i);
+        sbox[i] = uint8_t(x ^ (uint8_t)(x << 1 | x >> 7) ^
+                          (uint8_t)(x << 2 | x >> 6) ^
+                          (uint8_t)(x << 3 | x >> 5) ^
+                          (uint8_t)(x << 4 | x >> 4) ^ 0x63);
     }
 }
 
@@ -84,30 +68,20 @@ namespace
 struct Tables
 {
     uint8_t sbox[256];
-    uint8_t inv_sbox[256];
     /** Encrypt round tables: te[0][x] = MixColumn of S[x] at row 0;
      *  te[i] is te[0] rotated right by 8i bits. */
     uint32_t te[4][256];
-    /** Decrypt round tables over InvS[x] and InvMixColumns. */
-    uint32_t td[4][256];
 
     Tables()
     {
-        detail::buildAesSboxes(sbox, inv_sbox);
+        detail::buildAesSbox(sbox);
         for (int i = 0; i < 256; i++) {
             uint8_t s = sbox[i];
             uint32_t e = (uint32_t(xtime(s)) << 24) |
                          (uint32_t(s) << 16) | (uint32_t(s) << 8) |
                          uint32_t(uint8_t(s ^ xtime(s))); // (2s,s,s,3s)
-            uint8_t b = inv_sbox[i];
-            uint32_t d = (uint32_t(gmul(b, 14)) << 24) |
-                         (uint32_t(gmul(b, 9)) << 16) |
-                         (uint32_t(gmul(b, 13)) << 8) |
-                         uint32_t(gmul(b, 11)); // (14b,9b,13b,11b)
-            for (int r = 0; r < 4; r++) {
+            for (int r = 0; r < 4; r++)
                 te[r][i] = rotr32(e, unsigned(8 * r));
-                td[r][i] = rotr32(d, unsigned(8 * r));
-            }
         }
     }
 };
@@ -136,16 +110,6 @@ putBe32(uint8_t *p, uint32_t v)
     p[1] = uint8_t(v >> 16);
     p[2] = uint8_t(v >> 8);
     p[3] = uint8_t(v);
-}
-
-/** InvMixColumns of one round-key word, via Td0[S[x]] == IMC(x). */
-inline uint32_t
-invMixWord(const Tables &t, uint32_t w)
-{
-    return t.td[0][t.sbox[(w >> 24) & 0xff]] ^
-           t.td[1][t.sbox[(w >> 16) & 0xff]] ^
-           t.td[2][t.sbox[(w >> 8) & 0xff]] ^
-           t.td[3][t.sbox[w & 0xff]];
 }
 
 // --------------------------------------------------------------------
@@ -206,59 +170,6 @@ tableEncrypt(const uint8_t *encKeys, uint8_t block[16])
     putBe32(block + 12, o3 ^ be32(rk + 12));
 }
 
-void
-tableDecrypt(const uint8_t *decKeys, uint8_t block[16])
-{
-    const Tables &t = tables();
-    const uint8_t *dk = decKeys;
-    uint32_t s0 = be32(block) ^ be32(dk);
-    uint32_t s1 = be32(block + 4) ^ be32(dk + 4);
-    uint32_t s2 = be32(block + 8) ^ be32(dk + 8);
-    uint32_t s3 = be32(block + 12) ^ be32(dk + 12);
-
-    for (int round = 1; round < 10; round++) {
-        dk += 16;
-        uint32_t t0 = t.td[0][s0 >> 24] ^ t.td[1][(s3 >> 16) & 0xff] ^
-                      t.td[2][(s2 >> 8) & 0xff] ^ t.td[3][s1 & 0xff] ^
-                      be32(dk);
-        uint32_t t1 = t.td[0][s1 >> 24] ^ t.td[1][(s0 >> 16) & 0xff] ^
-                      t.td[2][(s3 >> 8) & 0xff] ^ t.td[3][s2 & 0xff] ^
-                      be32(dk + 4);
-        uint32_t t2 = t.td[0][s2 >> 24] ^ t.td[1][(s1 >> 16) & 0xff] ^
-                      t.td[2][(s0 >> 8) & 0xff] ^ t.td[3][s3 & 0xff] ^
-                      be32(dk + 8);
-        uint32_t t3 = t.td[0][s3 >> 24] ^ t.td[1][(s2 >> 16) & 0xff] ^
-                      t.td[2][(s1 >> 8) & 0xff] ^ t.td[3][s0 & 0xff] ^
-                      be32(dk + 12);
-        s0 = t0;
-        s1 = t1;
-        s2 = t2;
-        s3 = t3;
-    }
-
-    dk += 16;
-    uint32_t o0 = (uint32_t(t.inv_sbox[s0 >> 24]) << 24) |
-                  (uint32_t(t.inv_sbox[(s3 >> 16) & 0xff]) << 16) |
-                  (uint32_t(t.inv_sbox[(s2 >> 8) & 0xff]) << 8) |
-                  uint32_t(t.inv_sbox[s1 & 0xff]);
-    uint32_t o1 = (uint32_t(t.inv_sbox[s1 >> 24]) << 24) |
-                  (uint32_t(t.inv_sbox[(s0 >> 16) & 0xff]) << 16) |
-                  (uint32_t(t.inv_sbox[(s3 >> 8) & 0xff]) << 8) |
-                  uint32_t(t.inv_sbox[s2 & 0xff]);
-    uint32_t o2 = (uint32_t(t.inv_sbox[s2 >> 24]) << 24) |
-                  (uint32_t(t.inv_sbox[(s1 >> 16) & 0xff]) << 16) |
-                  (uint32_t(t.inv_sbox[(s0 >> 8) & 0xff]) << 8) |
-                  uint32_t(t.inv_sbox[s3 & 0xff]);
-    uint32_t o3 = (uint32_t(t.inv_sbox[s3 >> 24]) << 24) |
-                  (uint32_t(t.inv_sbox[(s2 >> 16) & 0xff]) << 16) |
-                  (uint32_t(t.inv_sbox[(s1 >> 8) & 0xff]) << 8) |
-                  uint32_t(t.inv_sbox[s0 & 0xff]);
-    putBe32(block, o0 ^ be32(dk));
-    putBe32(block + 4, o1 ^ be32(dk + 4));
-    putBe32(block + 8, o2 ^ be32(dk + 8));
-    putBe32(block + 12, o3 ^ be32(dk + 12));
-}
-
 /** The low 8 bytes of a CTR nonce, as a big-endian counter. */
 inline uint64_t
 counterOf(const uint8_t nonce[16])
@@ -283,12 +194,11 @@ tableCtr(const uint8_t *encKeys, uint8_t *data, size_t len,
     }
 }
 
-constexpr detail::AesKernels kTableKernels = {tableEncrypt, tableDecrypt,
-                                              tableCtr};
+constexpr detail::AesKernels kTableKernels = {tableEncrypt, tableCtr};
 
 // --------------------------------------------------------------------
-// AES-NI kernels: one aesenc/aesdec per round, over the same byte-order
-// schedules the T-table kernels read.
+// AES-NI kernels: one aesenc per round, over the same byte-order
+// schedule the T-table kernels read.
 // --------------------------------------------------------------------
 
 #if defined(__x86_64__)
@@ -319,18 +229,6 @@ niEncryptBlock(const uint8_t *encKeys, uint8_t block[16])
     loadKeys(encKeys, k);
     auto *p = reinterpret_cast<__m128i *>(block);
     _mm_storeu_si128(p, niEncrypt(k, _mm_loadu_si128(p)));
-}
-
-VG_AESNI void
-niDecryptBlock(const uint8_t *decKeys, uint8_t block[16])
-{
-    __m128i k[11];
-    loadKeys(decKeys, k);
-    auto *p = reinterpret_cast<__m128i *>(block);
-    __m128i b = _mm_xor_si128(_mm_loadu_si128(p), k[0]);
-    for (int r = 1; r < 10; r++)
-        b = _mm_aesdec_si128(b, k[r]);
-    _mm_storeu_si128(p, _mm_aesdeclast_si128(b, k[10]));
 }
 
 /** XOR one keystream block into @p n <= 16 bytes at @p p. */
@@ -392,8 +290,7 @@ niCtr(const uint8_t *encKeys, uint8_t *data, size_t len,
 
 #undef VG_AESNI
 
-constexpr detail::AesKernels kNiKernels = {niEncryptBlock, niDecryptBlock,
-                                           niCtr};
+constexpr detail::AesKernels kNiKernels = {niEncryptBlock, niCtr};
 
 #endif // __x86_64__
 
@@ -451,16 +348,8 @@ Aes128::Aes128(const AesKey &key, const detail::AesKernels &kernels)
         }
         w[i] = w[i - 4] ^ temp;
     }
-
-    // Equivalent inverse cipher: decrypt rounds walk the schedule
-    // backwards with InvMixColumns folded into rounds 1..9.
-    for (size_t i = 0; i < 44; i++) {
-        size_t r = i / 4, c = i % 4;
-        uint32_t src = w[4 * (10 - r) + c];
+    for (size_t i = 0; i < 44; i++)
         putBe32(_encKeys.data() + 4 * i, w[i]);
-        putBe32(_decKeys.data() + 4 * i,
-                (r == 0 || r == 10) ? src : invMixWord(t, src));
-    }
 }
 
 void
@@ -470,75 +359,9 @@ Aes128::encryptBlock(uint8_t block[16]) const
 }
 
 void
-Aes128::decryptBlock(uint8_t block[16]) const
-{
-    _kernels->decrypt(_decKeys.data(), block);
-}
-
-std::vector<uint8_t>
-Aes128::cbcEncrypt(const std::vector<uint8_t> &plain,
-                   const AesBlock &iv) const
-{
-    size_t pad = 16 - plain.size() % 16;
-    std::vector<uint8_t> out(plain);
-    out.insert(out.end(), pad, uint8_t(pad));
-
-    uint8_t chain[16];
-    std::memcpy(chain, iv.data(), 16);
-    for (size_t off = 0; off < out.size(); off += 16) {
-        for (int i = 0; i < 16; i++)
-            out[off + i] ^= chain[i];
-        encryptBlock(out.data() + off);
-        std::memcpy(chain, out.data() + off, 16);
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-Aes128::cbcDecrypt(const std::vector<uint8_t> &cipher, const AesBlock &iv,
-                   bool &ok) const
-{
-    ok = false;
-    if (cipher.empty() || cipher.size() % 16 != 0)
-        return {};
-
-    std::vector<uint8_t> out(cipher);
-    uint8_t chain[16];
-    std::memcpy(chain, iv.data(), 16);
-    for (size_t off = 0; off < out.size(); off += 16) {
-        uint8_t saved[16];
-        std::memcpy(saved, out.data() + off, 16);
-        decryptBlock(out.data() + off);
-        for (int i = 0; i < 16; i++)
-            out[off + i] ^= chain[i];
-        std::memcpy(chain, saved, 16);
-    }
-
-    uint8_t pad = out.back();
-    if (pad == 0 || pad > 16 || pad > out.size())
-        return {};
-    for (size_t i = out.size() - pad; i < out.size(); i++) {
-        if (out[i] != pad)
-            return {};
-    }
-    out.resize(out.size() - pad);
-    ok = true;
-    return out;
-}
-
-void
 Aes128::ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const
 {
     _kernels->ctr(_encKeys.data(), data, len, nonce.data());
-}
-
-std::vector<uint8_t>
-Aes128::ctrCrypt(const std::vector<uint8_t> &data,
-                 const AesBlock &nonce) const
-{
-    std::vector<uint8_t> out(data);
-    ctrCrypt(out.data(), out.size(), nonce);
-    return out;
 }
 
 } // namespace vg::crypto

@@ -1,17 +1,18 @@
 /**
  * @file
- * AES-128 implemented from scratch (FIPS 197), with CBC and CTR modes.
+ * AES-128 implemented from scratch (FIPS 197): the block encryption
+ * and CTR mode.
  *
  * This is the symmetric cipher behind application keys (S 3.3), ghost
  * page swapping (S 3.3), and the ssh session transport (S 6). The
  * paper's prototype hard-codes a 128-bit AES application key; we keep
- * the same key size.
+ * the same key size. Every sealed format is CTR with an HMAC, and CTR
+ * only ever runs the cipher forwards, so there is no decryption.
  *
  * Two kernel sets run the rounds, and cpuid picks one per process:
- * AES-NI (aesenc/aesdec, with CTR keeping eight blocks in flight) when
- * leaf 1 ECX reports AES, SSSE3 and SSE4.1, and otherwise portable
- * T-tables (encrypt) and the equivalent inverse cipher (decrypt). Both
- * read the same round-key schedules, stored in FIPS-197 byte order.
+ * AES-NI (aesenc, with CTR keeping eight blocks in flight) when leaf 1
+ * ECX reports AES, SSSE3 and SSE4.1, and otherwise portable T-tables.
+ * Both read the same round-key schedule, stored in FIPS-197 byte order.
  * The textbook byte-oriented SubBytes/ShiftRows/MixColumns rounds live
  * in the test oracle (tests/crypto_ref.hh), which the known-answer and
  * sweep tests hold both kernel sets to bit for bit.
@@ -23,7 +24,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace vg::crypto
 {
@@ -38,24 +38,22 @@ namespace detail
 {
 
 /**
- * Build the AES S-box and its inverse from the xtime/exponentiation
- * construction: 0x03 generates GF(2^8)*, so log/antilog tables give
- * every multiplicative inverse in one pass (no O(256^2) search).
- * Exposed so table generation is testable on its own.
+ * Build the AES S-box from the xtime/exponentiation construction: 0x03
+ * generates GF(2^8)*, so log/antilog tables give every multiplicative
+ * inverse in one pass (no O(256^2) search). Exposed so table
+ * generation is testable on its own.
  */
-void buildAesSboxes(uint8_t sbox[256], uint8_t inv_sbox[256]);
+void buildAesSbox(uint8_t sbox[256]);
 
 /**
- * One implementation of the AES-128 rounds. Every schedule is 11 round
- * keys of 16 bytes in FIPS-197 byte order; decrypt takes the
- * equivalent-inverse-cipher schedule. ctr XORs the keystream of
+ * One implementation of the AES-128 rounds. The schedule is 11 round
+ * keys of 16 bytes in FIPS-197 byte order. ctr XORs the keystream of
  * @p nonce, whose low 8 bytes are a big-endian counter that wraps
  * without carrying into the high 8.
  */
 struct AesKernels
 {
     void (*encrypt)(const uint8_t *encKeys, uint8_t block[16]);
-    void (*decrypt)(const uint8_t *decKeys, uint8_t block[16]);
     void (*ctr)(const uint8_t *encKeys, uint8_t *data, size_t len,
                 const uint8_t nonce[16]);
 };
@@ -81,36 +79,13 @@ class Aes128
     /** Encrypt one 16-byte block in place. */
     void encryptBlock(uint8_t block[16]) const;
 
-    /** Decrypt one 16-byte block in place. */
-    void decryptBlock(uint8_t block[16]) const;
-
-    /**
-     * CBC-encrypt with PKCS#7 padding.
-     * @return ciphertext, always a non-empty multiple of 16 bytes.
-     */
-    std::vector<uint8_t> cbcEncrypt(const std::vector<uint8_t> &plain,
-                                    const AesBlock &iv) const;
-
-    /**
-     * CBC-decrypt and strip PKCS#7 padding.
-     * @param ok set to false on malformed input or bad padding.
-     */
-    std::vector<uint8_t> cbcDecrypt(const std::vector<uint8_t> &cipher,
-                                    const AesBlock &iv, bool &ok) const;
-
-    /** CTR-mode keystream XOR (encryption == decryption). */
-    std::vector<uint8_t> ctrCrypt(const std::vector<uint8_t> &data,
-                                  const AesBlock &nonce) const;
-
-    /** CTR-mode in place over a raw buffer. */
+    /** CTR-mode keystream XOR in place (encryption == decryption). */
     void ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const;
 
   private:
     const detail::AesKernels *_kernels;
     /** Encryption round keys. */
     std::array<uint8_t, 176> _encKeys;
-    /** Equivalent-inverse-cipher round keys. */
-    std::array<uint8_t, 176> _decKeys;
 };
 
 } // namespace vg::crypto

@@ -574,14 +574,6 @@ BigNum::divmod(const BigNum &divisor, BigNum &quotient,
 }
 
 BigNum
-BigNum::operator/(const BigNum &o) const
-{
-    BigNum q, r;
-    divmod(o, q, r);
-    return q;
-}
-
-BigNum
 BigNum::operator%(const BigNum &o) const
 {
     BigNum q, r;

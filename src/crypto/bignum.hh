@@ -63,7 +63,6 @@ class BigNum
     bool operator!=(const BigNum &o) const { return compare(o) != 0; }
     bool operator<(const BigNum &o) const { return compare(o) < 0; }
     bool operator<=(const BigNum &o) const { return compare(o) <= 0; }
-    bool operator>(const BigNum &o) const { return compare(o) > 0; }
     bool operator>=(const BigNum &o) const { return compare(o) >= 0; }
 
     BigNum operator+(const BigNum &o) const;
@@ -77,7 +76,6 @@ class BigNum
     void divmod(const BigNum &divisor, BigNum &quotient,
                 BigNum &remainder) const;
 
-    BigNum operator/(const BigNum &o) const;
     BigNum operator%(const BigNum &o) const;
 
     /**

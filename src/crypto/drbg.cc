@@ -8,17 +8,14 @@
 namespace vg::crypto
 {
 
-CtrDrbg::CtrDrbg(const AesKey &seed_key, const AesBlock &nonce)
-    : _key(seed_key), _counter(nonce), _aes(seed_key)
-{}
-
 CtrDrbg::CtrDrbg(const std::vector<uint8_t> &seed_material)
     : _aes(AesKey{})
 {
     Digest d = Sha256::hash(seed_material.data(), seed_material.size());
-    std::memcpy(_key.data(), d.data(), 16);
+    AesKey key;
+    std::memcpy(key.data(), d.data(), 16);
     std::memcpy(_counter.data(), d.data() + 16, 16);
-    _aes = Aes128(_key);
+    _aes = Aes128(key);
 }
 
 void
@@ -74,19 +71,6 @@ CtrDrbg::nextBounded(uint64_t bound)
         v = next64();
     } while (v >= limit);
     return v % bound;
-}
-
-void
-CtrDrbg::reseed(const std::vector<uint8_t> &material)
-{
-    Sha256 h;
-    h.update(_key.data(), _key.size());
-    h.update(_counter.data(), _counter.size());
-    h.update(material.data(), material.size());
-    Digest d = h.final();
-    std::memcpy(_key.data(), d.data(), 16);
-    std::memcpy(_counter.data(), d.data() + 16, 16);
-    _aes = Aes128(_key);
 }
 
 } // namespace vg::crypto

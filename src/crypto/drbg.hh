@@ -20,13 +20,10 @@
 namespace vg::crypto
 {
 
-/** Counter-mode DRBG with explicit reseeding. */
+/** Counter-mode DRBG seeded once from explicit material. */
 class CtrDrbg
 {
   public:
-    /** Construct from a 16-byte seed key and nonce. */
-    CtrDrbg(const AesKey &seed_key, const AesBlock &nonce);
-
     /** Construct from arbitrary seed material (hashed down). */
     explicit CtrDrbg(const std::vector<uint8_t> &seed_material);
 
@@ -42,15 +39,11 @@ class CtrDrbg
     /** Return a value in [0, bound) (bound must be nonzero). */
     uint64_t nextBounded(uint64_t bound);
 
-    /** Mix additional entropy into the state. */
-    void reseed(const std::vector<uint8_t> &material);
-
   private:
     void step(uint8_t out[16]);
 
-    AesKey _key;
     AesBlock _counter;
-    /** Expanded schedule for _key; rebuilt on reseed. */
+    /** Expanded schedule of the seed-derived key. */
     Aes128 _aes;
 };
 

@@ -86,13 +86,6 @@ class Sha256
     /** One-shot convenience hash. */
     static Digest hash(const void *data, size_t len);
 
-    /** One-shot hash of a byte vector. */
-    static Digest
-    hash(const std::vector<uint8_t> &data)
-    {
-        return hash(data.data(), data.size());
-    }
-
   private:
     void
     processBlocks(const uint8_t *p, size_t n)

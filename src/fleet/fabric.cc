@@ -31,7 +31,7 @@ Fabric::Fabric(unsigned machines, const kern::SystemConfig &config)
     _lbNics.reserve(machines);
     _machNics.reserve(machines);
     for (unsigned m = 0; m < machines; m++) {
-        _machines.push_back(std::make_unique<Machine>(m, config));
+        _machines.push_back(std::make_unique<Machine>(config));
         Machine &mach = *_machines.back();
         _lbNics.push_back(std::make_unique<hw::Nic>(
             *_lbIommu, *_lbCtx, "fabric-lb"));

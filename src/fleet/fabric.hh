@@ -43,13 +43,9 @@ class Fabric
         return unsigned(_machines.size());
     }
     Machine &machine(unsigned m) { return *_machines[m]; }
-    const Machine &machine(unsigned m) const { return *_machines[m]; }
 
     /** Boot every machine. */
     void bootAll();
-
-    /** The LB node's clock/stat domain. */
-    sim::SimContext &lbCtx() { return *_lbCtx; }
 
     /** The seeded cross-machine step scheduler. */
     sim::SeededInterleaver &interleaver() { return *_interleaver; }
@@ -81,14 +77,11 @@ class Fabric
 
     /** Failure injection: sever machine @p m's fabric link. */
     void injectLinkFailure(unsigned m) { _linkDown[m] = 1; }
-    void clearLinkFailure(unsigned m) { _linkDown[m] = 0; }
     bool linkDown(unsigned m) const { return _linkDown[m] != 0; }
 
     /** Fabric telemetry (vg_lint --dump-fleet). */
     uint64_t framesToMachine(unsigned m) const { return _framesTo[m]; }
     uint64_t framesToLb(unsigned m) const { return _framesFrom[m]; }
-    const hw::Nic &lbNic(unsigned m) const { return *_lbNics[m]; }
-    const hw::Nic &machNic(unsigned m) const { return *_machNics[m]; }
 
   private:
     double ringSend(hw::Nic &tx, sim::SimContext &tx_ctx,

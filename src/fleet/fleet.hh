@@ -119,7 +119,6 @@ class Fleet
     Fabric &fabric() { return *_fabric; }
     LoadBalancer &lb() { return *_lb; }
     TenantDirectory &tenants() { return *_tenants; }
-    const FleetConfig &config() const { return _config; }
 
   private:
     void handleEjection(unsigned m,

@@ -57,13 +57,6 @@ LoadBalancer::eject(unsigned m)
         _healthy[m] = 0;
 }
 
-void
-LoadBalancer::restore(unsigned m)
-{
-    if (m < _healthy.size())
-        _healthy[m] = 1;
-}
-
 uint64_t
 LoadBalancer::drain(unsigned m)
 {

@@ -43,15 +43,8 @@ class LoadBalancer
     LoadBalancer(LbPolicy policy, unsigned machines, uint64_t seed,
                  unsigned vnodes = 64);
 
-    LbPolicy policy() const { return _policy; }
-    unsigned machineCount() const
-    {
-        return unsigned(_healthy.size());
-    }
-
     // --- health -------------------------------------------------------
     void eject(unsigned m);
-    void restore(unsigned m);
     bool healthy(unsigned m) const { return _healthy[m] != 0; }
     unsigned healthyCount() const;
 

@@ -17,8 +17,8 @@ ghostPatternByte(const crypto::AesKey &key, uint64_t page, uint64_t i)
                    uint8_t(i * 131));
 }
 
-Machine::Machine(unsigned id, const kern::SystemConfig &config)
-    : _id(id), _sys(std::make_unique<kern::System>(config))
+Machine::Machine(const kern::SystemConfig &config)
+    : _sys(std::make_unique<kern::System>(config))
 {}
 
 void
@@ -54,13 +54,6 @@ Machine::provisionTenant(const Tenant &t)
     _tenantGen[t.id] = t.keyGeneration;
 }
 
-void
-Machine::dropTenant(unsigned tenant_id)
-{
-    _binaries.erase(tenant_id);
-    _tenantGen.erase(tenant_id);
-}
-
 uint64_t
 Machine::now() const
 {
@@ -84,7 +77,6 @@ Machine::serveEpoch(const std::vector<MachineRequest> &batch,
     EpochResult out;
     if (batch.empty())
         return out;
-    _epochs++;
 
     kern::System &sys = *_sys;
     unsigned vcpus = std::max(1u, sys.ctx().vcpuCount());

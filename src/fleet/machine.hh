@@ -81,11 +81,9 @@ struct EpochKnobs
 class Machine
 {
   public:
-    Machine(unsigned id, const kern::SystemConfig &config);
+    explicit Machine(const kern::SystemConfig &config);
 
-    unsigned id() const { return _id; }
     kern::System &sys() { return *_sys; }
-    const kern::System &sys() const { return *_sys; }
 
     /** Boot the stack (once). */
     void boot();
@@ -97,11 +95,6 @@ class Machine
     /** Provision (or re-provision after a key-chain advance) @p t:
      *  package its signed binary with the current tenant key. */
     void provisionTenant(const Tenant &t);
-
-    /** Failover cleanup on the surviving side: nothing to scrub — the
-     *  lost machine holds only sealed ghost state — but the stale
-     *  binary must go so the old generation cannot be re-exec'd. */
-    void dropTenant(unsigned tenant_id);
 
     /** Tenants currently provisioned (their key generations). */
     const std::map<unsigned, uint64_t> &provisioned() const
@@ -120,16 +113,12 @@ class Machine
     /** Full stat rollup (the per-machine bench/equivalence surface). */
     std::map<std::string, uint64_t> statsSnapshot() const;
 
-    uint64_t epochsServed() const { return _epochs; }
-
   private:
-    unsigned _id;
     std::unique_ptr<kern::System> _sys;
     /** Tenant id -> signed binary packaged with that tenant's key. */
     std::map<unsigned, sva::AppBinary> _binaries;
     /** Tenant id -> key generation the binary was packaged at. */
     std::map<unsigned, uint64_t> _tenantGen;
-    uint64_t _epochs = 0;
 };
 
 } // namespace vg::fleet

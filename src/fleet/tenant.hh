@@ -53,10 +53,8 @@ class TenantDirectory
   public:
     TenantDirectory(const crypto::AesKey &master, unsigned tenants);
 
-    unsigned count() const { return unsigned(_tenants.size()); }
     Tenant &tenant(unsigned id) { return _tenants[id]; }
     const Tenant &tenant(unsigned id) const { return _tenants[id]; }
-    const std::vector<Tenant> &all() const { return _tenants; }
     std::vector<Tenant> &all() { return _tenants; }
 
     /** Derive tenant @p id's key at @p generation from the master. */

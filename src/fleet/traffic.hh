@@ -74,10 +74,6 @@ class TrafficGen
     /** True once every request has been issued. */
     bool done() const { return _issued >= _requests; }
 
-    uint64_t issued() const { return _issued; }
-    uint64_t total() const { return _requests; }
-    TrafficMode mode() const { return _mode; }
-
   private:
     FleetRequest makeRequest(uint64_t arrival_us);
 

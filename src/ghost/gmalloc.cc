@@ -1,6 +1,6 @@
 #include "ghost/gmalloc.hh"
 
-#include <vector>
+#include <algorithm>
 
 namespace vg::ghost
 {
@@ -73,39 +73,6 @@ GhostHeap::gmalloc(uint64_t bytes)
             return 0;
     }
     return 0;
-}
-
-hw::Vaddr
-GhostHeap::gcalloc(uint64_t bytes)
-{
-    hw::Vaddr va = gmalloc(bytes);
-    if (va != 0) {
-        std::vector<uint8_t> zeros(bytes, 0);
-        write(va, zeros.data(), bytes);
-    }
-    return va;
-}
-
-hw::Vaddr
-GhostHeap::grealloc(hw::Vaddr va, uint64_t new_bytes)
-{
-    if (va == 0)
-        return gmalloc(new_bytes);
-    auto it = _live.find(va);
-    if (it == _live.end())
-        return 0;
-    uint64_t old_bytes = it->second;
-    if (roundUp(new_bytes, alignment) <= old_bytes)
-        return va;
-
-    hw::Vaddr nva = gmalloc(new_bytes);
-    if (nva == 0)
-        return 0;
-    std::vector<uint8_t> tmp(old_bytes);
-    read(va, tmp.data(), old_bytes);
-    write(nva, tmp.data(), old_bytes);
-    gfree(va);
-    return nva;
 }
 
 void

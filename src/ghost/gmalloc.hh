@@ -4,7 +4,8 @@
  *
  * The paper modifies the FreeBSD C library so malloc()/calloc()/
  * realloc() place heap objects in ghost memory (S 6). GhostHeap is
- * that allocator: a first-fit free-list allocator whose arena grows by
+ * that allocator's malloc/free: a first-fit free-list allocator whose
+ * arena grows by
  * calling allocgm() through the UserApi. Returned addresses are ghost
  * virtual addresses; the owning application reads and writes them with
  * ghostRead()/ghostWrite() (user-privilege accesses), while the OS can
@@ -32,13 +33,7 @@ class GhostHeap
      *  failure. */
     hw::Vaddr gmalloc(uint64_t bytes);
 
-    /** Allocate and zero. */
-    hw::Vaddr gcalloc(uint64_t bytes);
-
-    /** Resize preserving contents (may move). */
-    hw::Vaddr grealloc(hw::Vaddr va, uint64_t new_bytes);
-
-    /** Free a block previously returned by gmalloc/gcalloc. */
+    /** Free a block previously returned by gmalloc. */
     void gfree(hw::Vaddr va);
 
     /** Convenience typed/bulk access through the API. */

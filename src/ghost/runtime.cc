@@ -16,16 +16,6 @@ GhostRuntime::GhostRuntime(kern::UserApi &api)
     _appKey = _api.getKey();
 }
 
-uint64_t
-GhostRuntime::signal(int signum, std::function<void(int)> handler)
-{
-    // The wrapper registers with sva.permitFunction (inside
-    // installSignalHandler when permit_with_sva) before the kernel
-    // learns the handler address — so sva.ipush.function will accept
-    // only this function.
-    return _api.installSignalHandler(signum, std::move(handler), true);
-}
-
 hw::Vaddr
 GhostRuntime::bounce(uint64_t len)
 {

@@ -3,10 +3,11 @@
  * Ghosting application runtime: the syscall wrapper library of S 6.
  *
  * Provides the conveniences the paper's 667-line wrapper library
- * provides: bounce buffers in traditional memory for syscall data,
- * signal()/sigaction() wrappers that register handlers with
- * sva.permitFunction before telling the kernel, and encrypt-then-MAC
- * file I/O under the application key.
+ * provides: bounce buffers in traditional memory for syscall data and
+ * encrypt-then-MAC file I/O under the application key. A ghosting
+ * application's signal() is UserApi::installSignalHandler with
+ * permit_with_sva set, which registers the handler with
+ * sva.permitFunction before the kernel learns of it.
  */
 
 #ifndef VG_GHOST_RUNTIME_HH
@@ -29,7 +30,6 @@ class GhostRuntime
   public:
     explicit GhostRuntime(kern::UserApi &api);
 
-    kern::UserApi &api() { return _api; }
     GhostHeap &heap() { return _heap; }
 
     /** The application key fetched via sva.getKey() at startup
@@ -38,11 +38,6 @@ class GhostRuntime
     {
         return _appKey;
     }
-
-    // --- signal wrappers (S 4.6.1 / S 6) -------------------------------
-    /** signal() wrapper: registers the handler with the VM before the
-     *  kernel can learn about it. */
-    uint64_t signal(int signum, std::function<void(int)> handler);
 
     // --- bounce-buffered I/O -------------------------------------------
     /** Write host bytes to a file through a traditional-memory bounce

@@ -35,15 +35,13 @@ class Cpu
 {
   public:
     Cpu(unsigned id, PhysMem &mem, sim::SimContext &ctx)
-        : _id(id), _mmu(mem, ctx, id), _timer(ctx.clockOf(id))
+        : _mmu(mem, ctx, id), _timer(ctx.clockOf(id))
     {}
 
     Cpu(const Cpu &) = delete;
     Cpu &operator=(const Cpu &) = delete;
 
-    unsigned id() const { return _id; }
     Mmu &mmu() { return _mmu; }
-    const Mmu &mmu() const { return _mmu; }
     Timer &timer() { return _timer; }
 
     /** Modelled general-purpose register file. The SVA layer zeroes
@@ -73,21 +71,7 @@ class Cpu
      *  and for `vg_lint --dump-rings`). */
     const std::vector<IrqLine *> &irqLines() const { return _irqs; }
 
-    /** Earliest pending completion time among lines currently steered
-     *  at this vCPU; 0 when none is raised. */
-    uint64_t
-    earliestIrq() const
-    {
-        uint64_t at = 0;
-        for (const IrqLine *l : _irqs)
-            if (l->pending() && l->cpu() == _id &&
-                (at == 0 || l->pendingAt() < at))
-                at = l->pendingAt();
-        return at;
-    }
-
   private:
-    unsigned _id;
     Mmu _mmu;
     Timer _timer;
     std::vector<IrqLine *> _irqs;
@@ -106,7 +90,6 @@ class CpuSet
     unsigned count() const { return _cpus.size(); }
 
     Cpu &operator[](unsigned i) { return *_cpus[i]; }
-    const Cpu &operator[](unsigned i) const { return *_cpus[i]; }
 
     /** The vCPU currently marked active in the SimContext. */
     Cpu &active() { return *_cpus[_ctx.activeCpu()]; }

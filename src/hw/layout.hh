@@ -62,13 +62,6 @@ isSvaAddr(Vaddr va)
     return va >= svaBase && va < svaEnd;
 }
 
-/** True if @p va is a user-space address. */
-constexpr bool
-isUserAddr(Vaddr va)
-{
-    return va < userEnd;
-}
-
 /**
  * The load/store sandboxing transform (S 5), the single definition the
  * compiled SandboxAddr op, the executor and the kernel's sandboxed

@@ -6,7 +6,7 @@ namespace vg::hw
 {
 
 Mmu::Mmu(PhysMem &mem, sim::SimContext &ctx, unsigned cpu_id)
-    : _mem(mem), _ctx(ctx), _cpuId(cpu_id),
+    : _mem(mem), _ctx(ctx),
       _hTlbHits(ctx.stats().handle("mmu.tlb_hits")),
       _hTlbMisses(ctx.stats().handle("mmu.tlb_misses")),
       _hPermRewalks(ctx.stats().handle("mmu.tlb_perm_rewalks"))

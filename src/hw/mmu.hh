@@ -46,9 +46,6 @@ class Mmu
      *  (cpuN.mmu.*) on multi-CPU machines. */
     Mmu(PhysMem &mem, sim::SimContext &ctx, unsigned cpu_id = 0);
 
-    /** Index of the vCPU that owns this MMU/TLB. */
-    unsigned cpuId() const { return _cpuId; }
-
     /** Load a new root table ("mov cr3"); flushes the TLB. */
     void setRoot(Paddr root);
 
@@ -140,7 +137,6 @@ class Mmu
 
     PhysMem &_mem;
     sim::SimContext &_ctx;
-    unsigned _cpuId = 0;
     Paddr _root = 0;
     std::array<TlbEntry, tlbEntries> _tlb;
     uint64_t _generation = 0;

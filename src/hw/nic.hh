@@ -39,13 +39,6 @@ class Nic
      *  transmission pipelines with computation. */
     uint64_t send(const std::vector<uint8_t> &packet);
 
-    /** Arrival time of the most recently sent packet (on the active
-     *  CPU's TX queue). */
-    uint64_t lastReadyAt() const
-    {
-        return _linkFreeAt[_ctx.activeCpu() % _linkFreeAt.size()];
-    }
-
     /** True if a received packet is waiting. */
     bool hasPacket() const { return !_rx.empty(); }
 

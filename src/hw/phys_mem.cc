@@ -128,13 +128,4 @@ PhysMem::framePtr(Frame frame)
     return &_bytes[frame * pageSize];
 }
 
-const uint8_t *
-PhysMem::framePtr(Frame frame) const
-{
-    if (!validFrame(frame))
-        sim::panic("PhysMem::framePtr: bad frame %lu",
-                   (unsigned long)frame);
-    return &_bytes[frame * pageSize];
-}
-
 } // namespace vg::hw

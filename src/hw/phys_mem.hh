@@ -56,7 +56,6 @@ class PhysMem
 
     /** Raw pointer to a frame's storage (host-side fast path). */
     uint8_t *framePtr(Frame frame);
-    const uint8_t *framePtr(Frame frame) const;
 
   private:
     void check(Paddr pa, uint64_t len) const;

@@ -58,7 +58,6 @@ class Console
   public:
     void write(const std::string &text) { _output += text; }
     const std::string &output() const { return _output; }
-    void clear() { _output.clear(); }
 
   private:
     std::string _output;

@@ -88,9 +88,6 @@ class BufferCache
     uint64_t hits() const { return _hits; }
     uint64_t misses() const { return _misses; }
 
-    /** Simulated time the last ring writeback completes (0 = none). */
-    uint64_t flushBarrier() const { return _flushDone; }
-
   private:
     /** No slot: an uncached block, or the end of the LRU list. */
     static constexpr uint32_t noSlot = ~0u;

@@ -778,12 +778,6 @@ Kernel::interposeSyscall(Sys sys, const std::string &module_name,
     return true;
 }
 
-void
-Kernel::clearInterposition(Sys sys)
-{
-    _interposed.erase(int(sys));
-}
-
 uint64_t
 Kernel::swapOutPages(uint64_t pid, Process &proc,
                      std::vector<hw::Vaddr> pages)
@@ -970,19 +964,6 @@ Kernel::callModuleFunction(const std::string &module_name,
     return it->second.executor->call(function_name, args);
 }
 
-uint64_t
-Kernel::moduleFunctionAddr(const std::string &module_name,
-                           const std::string &function_name)
-{
-    auto it = _modules.find(module_name);
-    if (it == _modules.end())
-        return 0;
-    auto fit = it->second.image->functions.find(function_name);
-    if (fit == it->second.image->functions.end())
-        return 0;
-    return fit->second.entryAddr;
-}
-
 std::optional<int64_t>
 Kernel::moduleDispatch(Sys sys, std::initializer_list<uint64_t> args)
 {
@@ -995,8 +976,6 @@ Kernel::moduleDispatch(Sys sys, std::initializer_list<uint64_t> args)
         // A faulting handler terminates the kernel thread servicing
         // the syscall (S 4.5); the syscall itself fails.
         _ctx.stats().add("kernel.module_faults");
-        sim::debug("module handler fault: %s (%s)",
-                   faultName(r.fault), r.detail.c_str());
         return -1;
     }
     return int64_t(r.value);

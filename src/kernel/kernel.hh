@@ -189,9 +189,10 @@ class UserApi
     int waitpid(uint64_t pid, int &status);
     int kill(uint64_t pid, int signum);
 
-    /** signal()/sigaction(): register a handler. The ghost runtime
-     *  wrapper registers the handler token with sva.permitFunction
-     *  first (S 4.6.1); a non-ghosting app leaves it unregistered. */
+    /** signal()/sigaction(): register a handler. A ghosting app sets
+     *  @p permit_with_sva, which registers the handler token with
+     *  sva.permitFunction first (S 4.6.1); a non-ghosting app leaves
+     *  it unregistered. */
     uint64_t installSignalHandler(int signum,
                                   std::function<void(int)> handler,
                                   bool permit_with_sva);
@@ -294,18 +295,11 @@ class Kernel
     bool interposeSyscall(Sys sys, const std::string &module_name,
                           const std::string &function_name);
 
-    /** Remove a syscall interposition. */
-    void clearInterposition(Sys sys);
-
     /** Invoke a function in a loaded module from kernel context (how
      *  a module's load-time init / ioctl entry points run). */
     cc::ExecResult callModuleFunction(const std::string &module_name,
                                       const std::string &function_name,
                                       const std::vector<uint64_t> &args);
-
-    /** Entry address of a function in a loaded module (0 if absent). */
-    uint64_t moduleFunctionAddr(const std::string &module_name,
-                                const std::string &function_name);
 
     Fs &fs() { return *_fs; }
     sva::SvaVm &vm() { return _vm; }

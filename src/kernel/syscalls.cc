@@ -171,10 +171,8 @@ Kernel::executeUserContextCode(Process &proc, uint64_t code_addr,
             continue;
         cc::Executor exec(*module.image, port, externs, _ctx,
                           0xffffffb800000000ull, 1 << 20);
-        cc::ExecResult r = exec.callAddr(code_addr, {arg});
+        exec.callAddr(code_addr, {arg});
         _ctx.stats().add("kernel.user_context_injections");
-        if (!r.ok)
-            sim::debug("injected code fault: %s", r.detail.c_str());
         return;
     }
     _ctx.stats().add("kernel.unresolvable_handlers");

@@ -42,11 +42,9 @@ class System
 
     sim::SimContext &ctx() { return _ctx; }
     hw::PhysMem &mem() { return _mem; }
-    hw::CpuSet &cpus() { return _cpus; }
     /** Boot CPU's MMU (the only MMU when vcpus == 1). */
     hw::Mmu &mmu() { return _cpus[0].mmu(); }
     hw::Iommu &iommu() { return _iommu; }
-    hw::Tpm &tpm() { return _tpm; }
     hw::Disk &disk() { return _disk; }
     /** Loopback NIC pair (A is the kernel's TX side). */
     hw::Nic &nicA() { return _nicA; }

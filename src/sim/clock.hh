@@ -53,9 +53,6 @@ class Clock
     /** Current simulated time in cycles. */
     Cycles now() const { return _now; }
 
-    /** Reset simulated time to zero (for test isolation). */
-    void reset() { _now = 0; }
-
     /** Convert a cycle delta into microseconds of simulated time. */
     static double
     toUsec(Cycles cycles)
@@ -84,14 +81,8 @@ class Stopwatch
         : _clock(clock), _start(clock.now())
     {}
 
-    /** Cycles elapsed since construction (or the last restart()). */
+    /** Cycles elapsed since construction. */
     Cycles elapsed() const { return _clock.now() - _start; }
-
-    /** Elapsed simulated microseconds. */
-    double elapsedUsec() const { return Clock::toUsec(elapsed()); }
-
-    /** Restart the measurement window. */
-    void restart() { _start = _clock.now(); }
 
   private:
     const Clock &_clock;

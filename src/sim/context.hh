@@ -65,7 +65,6 @@ class SimContext
 
     /** The active (currently executing) vCPU's clock. */
     Clock &clock() { return _clocks[_active]; }
-    const Clock &clock() const { return _clocks[_active]; }
 
     /** Clock of a specific vCPU. */
     Clock &clockOf(unsigned cpu) { return _clocks[cpu]; }

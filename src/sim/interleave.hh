@@ -120,9 +120,6 @@ class SeededInterleaver
     /** Derived seed for machine @p idx's private schedule streams. */
     uint64_t machineSeed(unsigned idx) const { return _rng.sub(idx); }
 
-    /** The shared schedule stream (traffic draws, probe ordering). */
-    SplitMix64 &rng() { return _rng; }
-
   private:
     SplitMix64 _rng;
     unsigned _n;

@@ -10,8 +10,6 @@ namespace vg::sim
 namespace
 {
 
-LogLevel global_level = LogLevel::Warn;
-
 std::string
 vformat(const char *fmt, va_list ap)
 {
@@ -38,18 +36,6 @@ emit(const char *tag, const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    global_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return global_level;
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list ap;
@@ -72,33 +58,9 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (global_level < LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (global_level < LogLevel::Inform)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (global_level < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("debug", fmt, ap);
     va_end(ap);
 }
 

@@ -4,7 +4,8 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (simulator bugs), fatal() is for user/configuration errors,
- * warn() and inform() are non-fatal status channels.
+ * and warn() is the one non-fatal status channel. It always prints:
+ * every event worth less than a warning is a counter in sim::StatSet.
  */
 
 #ifndef VG_SIM_LOG_HH
@@ -15,21 +16,6 @@
 
 namespace vg::sim
 {
-
-/** Verbosity levels for the status channels. */
-enum class LogLevel
-{
-    Quiet,
-    Warn,
-    Inform,
-    Debug,
-};
-
-/** Set the global verbosity; defaults to Warn. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an unrecoverable internal error (a simulator bug) and abort.
@@ -50,12 +36,6 @@ LogLevel logLevel();
 
 /** Report a suspicious but survivable condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operational status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report detailed debugging output (only at LogLevel::Debug). */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)

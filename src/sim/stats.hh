@@ -4,13 +4,13 @@
  *
  * A StatSet is a registry of named 64-bit counters used throughout the
  * simulation (kernel memory accesses, CFI checks, MMU updates, DMA
- * bytes, ...). Counters are created on first use and can be dumped or
+ * bytes, ...). Counters are created on first use and can be
  * snapshotted for differential measurement.
  *
  * Hot paths intern a counter once via handle() and bump it through the
  * returned StatHandle — a stable pointer into the registry — so no
  * string-keyed map lookup happens per event. Handles stay valid for
- * the life of the StatSet, across reset().
+ * the life of the StatSet.
  */
 
 #ifndef VG_SIM_STATS_HH
@@ -41,7 +41,7 @@ class StatSet
     /**
      * Intern @p name, creating the counter at 0. The handle is a
      * stable pointer (std::map references never move) valid until the
-     * StatSet is destroyed; reset() zeroes it in place.
+     * StatSet is destroyed.
      */
     StatHandle handle(const std::string &name)
     {
@@ -65,17 +65,6 @@ class StatSet
 
     /** All counters in name order. */
     const std::map<std::string, uint64_t> &all() const { return _counters; }
-
-    /** Reset every counter to zero (interned handles stay valid). */
-    void
-    reset()
-    {
-        for (auto &[name, value] : _counters)
-            value = 0;
-    }
-
-    /** Render the counters as one line per stat, "name value". */
-    std::string dump() const;
 
   private:
     std::map<std::string, uint64_t> _counters;

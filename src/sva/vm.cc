@@ -141,7 +141,6 @@ SvaVm::failOp(SvaError *err, const std::string &message)
 {
     _violations++;
     sim::StatSet::add(_hViolations);
-    sim::debug("sva check failed: %s", message.c_str());
     if (err)
         err->message = message;
     return false;
@@ -181,18 +180,6 @@ SvaVm::boot()
     _publicKey = _privateKey.publicKey();
     _translator = std::make_unique<cc::Translator>(_translationKey, _ctx);
     _booted = true;
-}
-
-void
-SvaVm::reserveSvaFrame(hw::Frame frame)
-{
-    FrameMeta &meta = _frames[frame];
-    if (meta.type != FrameType::Free)
-        sim::panic("reserveSvaFrame: frame %lu not free",
-                   (unsigned long)frame);
-    meta.type = FrameType::SvaInternal;
-    _mem.zeroFrame(frame);
-    _iommu.protectFrame(frame);
 }
 
 // --------------------------------------------------------------------

@@ -109,21 +109,11 @@ class SvaVm
         return _cpus ? _cpus->active().mmu() : _mmu;
     }
 
-    /** MMU of a specific vCPU. */
-    hw::Mmu &
-    mmuOf(unsigned cpu)
-    {
-        return _cpus ? (*_cpus)[cpu].mmu() : _mmu;
-    }
-
-    /** Number of vCPUs the VM manages state for (1 when unattached). */
-    unsigned vcpuCount() const { return _cpus ? _cpus->count() : 1; }
-
     /** True if any vCPU's TLB may still hold a translation into
      *  @p frame — the retype-safety oracle. */
     bool anyTlbHoldsFrame(hw::Frame frame);
 
-    /** Per-CPU VM state (valid indices: [0, vcpuCount())). */
+    /** Per-CPU VM state (valid indices: [0, vCPU count)). */
     const VmState &vmState(unsigned cpu) const { return _cpuState[cpu]; }
 
     // ----------------------------------------------------------------
@@ -145,7 +135,6 @@ class SvaVm
     // ----------------------------------------------------------------
 
     FrameTable &frames() { return _frames; }
-    const FrameTable &frames() const { return _frames; }
 
     /** The OS supplies/receives frames for ghost allocation through
      *  these callbacks (the OS stays the owner of physical memory). */
@@ -157,9 +146,6 @@ class SvaVm
     {
         _frameReceiver = std::move(r);
     }
-
-    /** Reserve a frame as SVA internal memory (boot-time). */
-    void reserveSvaFrame(hw::Frame frame);
 
     // ----------------------------------------------------------------
     // MMU intrinsics (S 4.3.2) — every one is checked
@@ -397,11 +383,6 @@ class SvaVm
      *  fault-injection hooks (Translator::setPostLayoutHook) and prove
      *  the mcode verifier gates module loading. */
     cc::Translator &translator() { return *_translator; }
-
-    sim::SimContext &ctx() { return _ctx; }
-    hw::Mmu &mmu() { return curMmu(); }
-    hw::PhysMem &mem() { return _mem; }
-    hw::Iommu &iommu() { return _iommu; }
 
     /** Count of rejected checked operations (attack telemetry). */
     uint64_t violationCount() const { return _violations; }

@@ -62,17 +62,6 @@ IrBuilder::constI(uint64_t value)
 }
 
 int
-IrBuilder::mov(int a)
-{
-    Inst i;
-    i.op = Opcode::Mov;
-    i.dst = newReg();
-    i.a = a;
-    append(i);
-    return i.dst;
-}
-
-int
 IrBuilder::binop(Opcode op, int a, int b)
 {
     Inst i;
@@ -98,41 +87,7 @@ IrBuilder::icmp(CmpPred pred, int a, int b)
 }
 
 int
-IrBuilder::load(int addr, Width width)
-{
-    Inst i;
-    i.op = Opcode::Load;
-    i.width = width;
-    i.dst = newReg();
-    i.a = addr;
-    append(i);
-    return i.dst;
-}
-
-void
-IrBuilder::store(int addr, int value, Width width)
-{
-    Inst i;
-    i.op = Opcode::Store;
-    i.width = width;
-    i.a = addr;
-    i.b = value;
-    append(i);
-}
-
-void
-IrBuilder::memcpy(int dst_addr, int src_addr, int len)
-{
-    Inst i;
-    i.op = Opcode::Memcpy;
-    i.a = dst_addr;
-    i.b = src_addr;
-    i.c = len;
-    append(i);
-}
-
-int
-IrBuilder::alloca(uint64_t bytes)
+IrBuilder::allocaOp(uint64_t bytes)
 {
     Inst i;
     i.op = Opcode::Alloca;
@@ -140,15 +95,6 @@ IrBuilder::alloca(uint64_t bytes)
     i.imm = bytes;
     append(i);
     return i.dst;
-}
-
-void
-IrBuilder::br(int target)
-{
-    Inst i;
-    i.op = Opcode::Br;
-    i.target0 = target;
-    append(i);
 }
 
 void
@@ -160,41 +106,6 @@ IrBuilder::condBr(int cond, int then_target, int else_target)
     i.target0 = then_target;
     i.target1 = else_target;
     append(i);
-}
-
-int
-IrBuilder::call(const std::string &callee, const std::vector<int> &args)
-{
-    Inst i;
-    i.op = Opcode::Call;
-    i.dst = newReg();
-    i.callee = callee;
-    i.args = args;
-    append(i);
-    return i.dst;
-}
-
-int
-IrBuilder::callInd(int target, const std::vector<int> &args)
-{
-    Inst i;
-    i.op = Opcode::CallInd;
-    i.dst = newReg();
-    i.a = target;
-    i.args = args;
-    append(i);
-    return i.dst;
-}
-
-int
-IrBuilder::funcAddr(const std::string &callee)
-{
-    Inst i;
-    i.op = Opcode::FuncAddr;
-    i.dst = newReg();
-    i.callee = callee;
-    append(i);
-    return i.dst;
 }
 
 void

@@ -1,15 +1,15 @@
 /**
  * @file
- * Convenience builder for constructing VIR in C++ (the way our kernel
- * module sources — including the rootkit of S 7 — are authored when not
- * shipped as text).
+ * Convenience builder for constructing VIR in C++. Tests use it for
+ * small hand-built functions and for the random straight-line modules
+ * of the differential sweeps. Every shipped module, the rootkit of S 7
+ * (src/attacks/rootkit.cc) included, is written as VIR text and parsed.
  */
 
 #ifndef VG_VIR_BUILDER_HH
 #define VG_VIR_BUILDER_HH
 
 #include <string>
-#include <vector>
 
 #include "vir/module.hh"
 
@@ -34,30 +34,16 @@ class IrBuilder
     /** Direct subsequent instructions into block @p index. */
     void setInsertPoint(int index);
 
-    int currentBlock() const { return _blockIndex; }
-
     // --- Instruction helpers (each returns the dst register) ---------
     int constI(uint64_t value);
-    int mov(int a);
     int binop(Opcode op, int a, int b);
     int add(int a, int b) { return binop(Opcode::Add, a, b); }
-    int sub(int a, int b) { return binop(Opcode::Sub, a, b); }
     int mul(int a, int b) { return binop(Opcode::Mul, a, b); }
-    int andOp(int a, int b) { return binop(Opcode::And, a, b); }
-    int orOp(int a, int b) { return binop(Opcode::Or, a, b); }
-    int xorOp(int a, int b) { return binop(Opcode::Xor, a, b); }
-    int shl(int a, int b) { return binop(Opcode::Shl, a, b); }
-    int lshr(int a, int b) { return binop(Opcode::LShr, a, b); }
     int icmp(CmpPred pred, int a, int b);
-    int load(int addr, Width width = Width::I64);
-    void store(int addr, int value, Width width = Width::I64);
-    void memcpy(int dst_addr, int src_addr, int len);
-    int alloca(uint64_t bytes);
-    void br(int target);
+    /** Not `alloca`: glibc's <alloca.h> defines a function-like macro
+     *  of that name, which would rename the member. */
+    int allocaOp(uint64_t bytes);
     void condBr(int cond, int then_target, int else_target);
-    int call(const std::string &callee, const std::vector<int> &args);
-    int callInd(int target, const std::vector<int> &args);
-    int funcAddr(const std::string &callee);
     void ret(int value = -1);
     void retVoid() { ret(-1); }
 

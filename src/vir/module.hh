@@ -58,26 +58,6 @@ struct Module
 {
     std::string name;
     std::vector<Function> functions;
-
-    Function *
-    function(const std::string &fn_name)
-    {
-        for (auto &f : functions) {
-            if (f.name == fn_name)
-                return &f;
-        }
-        return nullptr;
-    }
-
-    const Function *
-    function(const std::string &fn_name) const
-    {
-        for (const auto &f : functions) {
-            if (f.name == fn_name)
-                return &f;
-        }
-        return nullptr;
-    }
 };
 
 } // namespace vg::vir

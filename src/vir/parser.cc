@@ -23,13 +23,6 @@ class LineParser
             _pos++;
     }
 
-    bool
-    atEnd()
-    {
-        skipSpace();
-        return _pos >= _line.size();
-    }
-
     /** Consume a literal string if present. */
     bool
     eat(const std::string &token)

@@ -5,7 +5,7 @@
  *
  *  - AES-128 with byte-oriented SubBytes/ShiftRows/MixColumns rounds
  *    (FIPS 197 as written), an S-box found by brute-force inversion in
- *    GF(2^8), and CBC/CTR modes built on the block cipher;
+ *    GF(2^8), and CTR mode built on the block cipher;
  *  - SHA-256 with the rotating round loop and the byte-at-a-time
  *    padding finalize (FIPS 180-4 as written);
  *  - HMAC-SHA256 built per call from ipad/opad (RFC 2104);
@@ -65,12 +65,11 @@ gmul(uint8_t a, uint8_t b)
     return p;
 }
 
-/** S-box and inverse: multiplicative inverse (found by search), then
- *  the affine transform. */
+/** S-box: multiplicative inverse (found by search), then the affine
+ *  transform. */
 struct Sboxes
 {
     uint8_t fwd[256];
-    uint8_t inv[256];
 
     Sboxes()
     {
@@ -90,7 +89,6 @@ struct Sboxes
                 s ^= uint8_t(v << bit);
             }
             fwd[x] = s;
-            inv[s] = uint8_t(x);
         }
     }
 };
@@ -143,24 +141,6 @@ class Aes128
         addRoundKey(s, 10);
     }
 
-    void
-    decryptBlock(uint8_t s[16]) const
-    {
-        addRoundKey(s, 10);
-        for (int round = 9; round >= 1; round--) {
-            invShiftRows(s);
-            subBytes(s, sboxes().inv);
-            addRoundKey(s, round);
-            // MixColumns has order 4, so its inverse is three
-            // applications.
-            for (int i = 0; i < 3; i++)
-                mixColumns(s);
-        }
-        invShiftRows(s);
-        subBytes(s, sboxes().inv);
-        addRoundKey(s, 0);
-    }
-
     /** CTR mode: big-endian counter in the low eight bytes. */
     std::vector<uint8_t>
     ctrCrypt(std::vector<uint8_t> data, const AesBlock &nonce) const
@@ -174,22 +154,6 @@ class Aes128
             for (int i = 15; i >= 8; i--)
                 if (++counter[size_t(i)] != 0)
                     break;
-        }
-        return data;
-    }
-
-    /** CBC with PKCS#7 padding. */
-    std::vector<uint8_t>
-    cbcEncrypt(std::vector<uint8_t> data, const AesBlock &iv) const
-    {
-        size_t pad = 16 - data.size() % 16;
-        data.insert(data.end(), pad, uint8_t(pad));
-        AesBlock chain = iv;
-        for (size_t off = 0; off < data.size(); off += 16) {
-            for (size_t i = 0; i < 16; i++)
-                data[off + i] ^= chain[i];
-            encryptBlock(data.data() + off);
-            std::memcpy(chain.data(), data.data() + off, 16);
         }
         return data;
     }
@@ -216,16 +180,6 @@ class Aes128
         for (int c = 0; c < 4; c++)
             for (int r = 0; r < 4; r++)
                 t[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        std::memcpy(s, t, 16);
-    }
-
-    static void
-    invShiftRows(uint8_t s[16])
-    {
-        uint8_t t[16];
-        for (int c = 0; c < 4; c++)
-            for (int r = 0; r < 4; r++)
-                t[4 * ((c + r) % 4) + r] = s[4 * c + r];
         std::memcpy(s, t, 16);
     }
 

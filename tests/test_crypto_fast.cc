@@ -53,8 +53,8 @@ randomKey(CtrDrbg &rng)
 /** Recorded digests: test name -> {seed 1, 2, 3, 4}. */
 const std::map<std::string, std::array<uint64_t, 4>> kCryptoGolden = {
     {"AesPrimitives",
-     {0xeeffd69ba712beccull, 0xfd85a73f93486c14ull,
-      0x15edddead5e94726ull, 0xde6aa00f662bd70bull}},
+     {0x36e50f6078f3bca6ull, 0xf2d4d70badd1a941ull,
+      0x793f3538398075acull, 0x9ba000d7333b6196ull}},
     {"ShaAndHmac",
      {0x5ccb2a3ebdd2dbb4ull, 0xe1883b47dc5beca4ull,
       0x2dc2b9ca56287c5aull, 0x6fa34d09472261b3ull}},
@@ -97,7 +97,7 @@ class CryptoGoldenSweep : public ::testing::TestWithParam<int>
 };
 
 // --------------------------------------------------------------------
-// AES: block, CBC, and CTR over random keys and lengths.
+// AES: block encryption and CTR over random keys and lengths.
 // --------------------------------------------------------------------
 
 TEST_P(CryptoGoldenSweep, AesPrimitives)
@@ -116,27 +116,19 @@ TEST_P(CryptoGoldenSweep, AesPrimitives)
         ref.encryptBlock(blkR);
         ASSERT_EQ(std::memcmp(blk, blkR, 16), 0) << "round " << round;
         g.bytes(blk, 16);
-        aes.decryptBlock(blk);
-        ref.decryptBlock(blkR);
-        ASSERT_EQ(std::memcmp(blk, blkR, 16), 0) << "round " << round;
-        g.bytes(blk, 16);
 
         AesBlock iv{};
         r.generate(iv.data(), iv.size());
         size_t len = size_t(r.nextBounded(600));
         std::vector<uint8_t> plain = r.generate(len);
 
-        auto ctr = aes.ctrCrypt(plain, iv);
+        std::vector<uint8_t> ctr = plain;
+        aes.ctrCrypt(ctr.data(), ctr.size(), iv);
         ASSERT_EQ(ctr, ref.ctrCrypt(plain, iv)) << "ctr len " << len;
-        ASSERT_EQ(aes.ctrCrypt(ctr, iv), plain);
+        std::vector<uint8_t> back = ctr;
+        aes.ctrCrypt(back.data(), back.size(), iv);
+        ASSERT_EQ(back, plain);
         g.vec(ctr);
-
-        auto cbc = aes.cbcEncrypt(plain, iv);
-        ASSERT_EQ(cbc, ref.cbcEncrypt(plain, iv)) << "cbc len " << len;
-        bool ok = false;
-        ASSERT_EQ(aes.cbcDecrypt(cbc, iv, ok), plain);
-        ASSERT_TRUE(ok);
-        g.vec(cbc);
     }
 
     // A nonce near the 64-bit counter boundary exercises the carry
@@ -146,7 +138,8 @@ TEST_P(CryptoGoldenSweep, AesPrimitives)
     for (int i = 8; i < 16; i++)
         nonce[size_t(i)] = 0xff;
     std::vector<uint8_t> data = r.generate(128);
-    auto ctr = Aes128(key).ctrCrypt(data, nonce);
+    std::vector<uint8_t> ctr = data;
+    Aes128(key).ctrCrypt(ctr.data(), ctr.size(), nonce);
     ASSERT_EQ(ctr, crypto_ref::Aes128(key).ctrCrypt(data, nonce));
     g.vec(ctr);
     expectGolden("AesPrimitives", g);
@@ -162,7 +155,7 @@ TEST_P(CryptoGoldenSweep, ShaAndHmac)
     test::Golden g;
     for (size_t len = 0; len < 200; len++) {
         std::vector<uint8_t> msg = r.generate(len);
-        Digest d = Sha256::hash(msg);
+        Digest d = Sha256::hash(msg.data(), msg.size());
         ASSERT_EQ(d, crypto_ref::sha256(msg.data(), msg.size()))
             << "len " << len;
         g.bytes(d.data(), d.size());
@@ -171,7 +164,7 @@ TEST_P(CryptoGoldenSweep, ShaAndHmac)
         std::vector<uint8_t> msg =
             r.generate(size_t(r.nextBounded(8192)));
         Digest ref = crypto_ref::sha256(msg.data(), msg.size());
-        ASSERT_EQ(Sha256::hash(msg), ref);
+        ASSERT_EQ(Sha256::hash(msg.data(), msg.size()), ref);
 
         // Random chunking must not change the digest.
         Sha256 h;

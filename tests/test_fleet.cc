@@ -193,8 +193,6 @@ TEST(Fabric, RingDeliveryAndPing)
     EXPECT_FALSE(fab.pingMachine(0));
     EXPECT_LT(fab.sendToMachine(0, frame), 0.0);
     EXPECT_TRUE(fab.pingMachine(1)); // other links unaffected
-    fab.clearLinkFailure(0);
-    EXPECT_TRUE(fab.pingMachine(0));
 }
 
 // ---------------------------------------------------------------------
@@ -232,10 +230,6 @@ TEST(LoadBalancerTest, ConsistentHashStableAndBoundedChurn)
     }
     EXPECT_GT(moved, 0u);
     EXPECT_LE(moved, kFlows / 2); // ~1/4 expected, never a reshuffle
-
-    lb.restore(2);
-    for (uint64_t f = 0; f < kFlows; f++)
-        EXPECT_EQ(lb.route(f + 1), before[f]);
 }
 
 TEST(LoadBalancerTest, LeastConnBalancesAndDrains)

@@ -82,45 +82,6 @@ TEST(GhostHeapUnit, DoubleFreeAndForeignFreeIgnored)
     });
 }
 
-TEST(GhostHeapUnit, CallocZeroesPreviouslyUsedMemory)
-{
-    System sys(cfg());
-    sys.boot();
-    sys.runProcess("h", [](UserApi &api) {
-        GhostHeap heap(api);
-        hw::Vaddr a = heap.gmalloc(256);
-        std::vector<uint8_t> junk(256, 0xff);
-        heap.write(a, junk.data(), junk.size());
-        heap.gfree(a);
-
-        hw::Vaddr b = heap.gcalloc(256);
-        EXPECT_EQ(b, a); // reuse
-        std::vector<uint8_t> back(256, 1);
-        heap.read(b, back.data(), back.size());
-        for (uint8_t v : back)
-            EXPECT_EQ(v, 0);
-        return 0;
-    });
-}
-
-TEST(GhostHeapUnit, ReallocShrinkKeepsBlock)
-{
-    System sys(cfg());
-    sys.boot();
-    sys.runProcess("h", [](UserApi &api) {
-        GhostHeap heap(api);
-        hw::Vaddr a = heap.gmalloc(512);
-        EXPECT_EQ(heap.grealloc(a, 100), a); // shrink in place
-        // grealloc(nullptr) behaves like malloc.
-        hw::Vaddr b = heap.grealloc(0, 64);
-        EXPECT_NE(b, 0u);
-        EXPECT_NE(b, a);
-        // grealloc of a non-allocation fails cleanly.
-        EXPECT_EQ(heap.grealloc(a + 8, 1024), 0u);
-        return 0;
-    });
-}
-
 TEST(GhostHeapUnit, ManySmallAllocationsStressFreelist)
 {
     System sys(cfg());

@@ -172,12 +172,12 @@ TEST(Mmu, TlbHitIsCheaperThanWalk)
     handMap(mem, 0x400000, 5, true, true);
     mmu.setRoot(0);
 
-    sim::Stopwatch sw(ctx.clock());
+    sim::Stopwatch walk(ctx.clock());
     mmu.translate(0x400000, Access::Read, Privilege::User);
-    sim::Cycles walk_cost = sw.elapsed();
-    sw.restart();
+    sim::Cycles walk_cost = walk.elapsed();
+    sim::Stopwatch hit(ctx.clock());
     mmu.translate(0x400008, Access::Read, Privilege::User);
-    sim::Cycles hit_cost = sw.elapsed();
+    sim::Cycles hit_cost = hit.elapsed();
     EXPECT_LT(hit_cost, walk_cost);
     EXPECT_EQ(ctx.stats().get("mmu.tlb_hits"), 1u);
     EXPECT_EQ(ctx.stats().get("mmu.tlb_misses"), 1u);
@@ -349,7 +349,7 @@ namespace
 
 /** True if every byte of frame @p f reads as zero. */
 bool
-frameIsZero(const PhysMem &mem, Frame f)
+frameIsZero(PhysMem &mem, Frame f)
 {
     const uint8_t *p = mem.framePtr(f);
     for (uint64_t i = 0; i < pageSize; i++)

@@ -167,17 +167,3 @@ TEST(SeededInterleaver, ChildStreamsAreIndependent)
     for (int i = 0; i < 256; i++)
         EXPECT_EQ(m1Again.next(), s1[size_t(i)]);
 }
-
-TEST(SeededInterleaver, SharedStreamIsTheScheduleStream)
-{
-    // rng() exposes the same stream schedule() draws from: pulling a
-    // word from it changes subsequent schedules exactly as if a
-    // schedule round had consumed it.
-    SeededInterleaver a(9, 8), b(9, 8);
-    std::vector<uint8_t> busy(8, 1);
-    (void)a.rng().next();
-    auto ordA = a.schedule(busy);
-    (void)b.rng().next();
-    auto ordB = b.schedule(busy);
-    EXPECT_EQ(ordA, ordB);
-}

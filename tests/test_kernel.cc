@@ -493,40 +493,28 @@ TEST(Kernel, ModuleInterposesWriteAndSendfile)
 
         // Hooked write: the handler gets (fd, buf, len, pid), its
         // return value is the result, and the native path never runs.
-        k.console().clear();
+        size_t logged = k.console().output().size();
         EXPECT_EQ(api.write(fd, buf, 5), 7005);
-        EXPECT_EQ(loggedValues(k.console().output()),
+        EXPECT_EQ(loggedValues(k.console().output().substr(logged)),
                   (std::vector<uint64_t>{uint64_t(fd), buf, 5, api.pid()}));
         EXPECT_EQ(api.stat("/spied", st), 0);
         EXPECT_EQ(st.size, 0u);
-
-        k.clearInterposition(Sys::write);
-        EXPECT_EQ(api.write(fd, buf, 5), 5);
-        EXPECT_EQ(api.stat("/spied", st), 0);
-        EXPECT_EQ(st.size, 5u);
 
         int ls = api.socket();
         api.bind(ls, 8080);
         api.listen(ls);
         int client = api.connect(8080);
-        int server = api.accept(ls);
-        api.lseek(fd, 0, 0);
+        api.accept(ls);
 
         // Hooked sendfile: the handler gets (out_fd, in_fd, len, pid)
         // and nothing goes on the wire.
         uint64_t sent = stats.get("net.bytes_sent");
-        k.console().clear();
+        logged = k.console().output().size();
         EXPECT_EQ(api.sendfile(client, fd, 5), 9005);
-        EXPECT_EQ(loggedValues(k.console().output()),
+        EXPECT_EQ(loggedValues(k.console().output().substr(logged)),
                   (std::vector<uint64_t>{uint64_t(client), uint64_t(fd), 5,
                                          api.pid()}));
         EXPECT_EQ(stats.get("net.bytes_sent"), sent);
-
-        k.clearInterposition(Sys::sendfile);
-        EXPECT_EQ(api.sendfile(client, fd, 5), 5);
-        char back[8] = {};
-        EXPECT_EQ(api.recvHost(server, back, sizeof(back)), 5);
-        EXPECT_EQ(std::memcmp(back, "hello", 5), 0);
         return 0;
     });
     EXPECT_EQ(code, 0);

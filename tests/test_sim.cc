@@ -32,10 +32,8 @@ TEST(Clock, StopwatchMeasuresWindow)
     Stopwatch sw(clock);
     clock.advance(70);
     EXPECT_EQ(sw.elapsed(), 70u);
-    sw.restart();
-    EXPECT_EQ(sw.elapsed(), 0u);
     clock.advance(5);
-    EXPECT_EQ(sw.elapsed(), 5u);
+    EXPECT_EQ(sw.elapsed(), 75u);
 }
 
 TEST(Stats, CountersCreateOnFirstUse)
@@ -45,18 +43,6 @@ TEST(Stats, CountersCreateOnFirstUse)
     stats.add("a");
     stats.add("a", 4);
     EXPECT_EQ(stats.get("a"), 5u);
-    stats.reset();
-    EXPECT_EQ(stats.get("a"), 0u);
-}
-
-TEST(Stats, DumpListsAllCounters)
-{
-    StatSet stats;
-    stats.add("x", 2);
-    stats.add("y", 3);
-    std::string d = stats.dump();
-    EXPECT_NE(d.find("x 2"), std::string::npos);
-    EXPECT_NE(d.find("y 3"), std::string::npos);
 }
 
 TEST(Config, NativeDisablesEverything)

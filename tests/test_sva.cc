@@ -153,7 +153,7 @@ TEST(SvaMmu, RejectsMappingPageTableAndSvaFrames)
     rig.buildChain(kUserVa);
     SvaError err;
     EXPECT_FALSE(rig.vm.mapPage(0, kUserVa, 1, true, true, true, &err));
-    rig.vm.reserveSvaFrame(50);
+    rig.vm.frames()[50].type = FrameType::SvaInternal;
     EXPECT_FALSE(rig.vm.mapPage(0, kUserVa, 50, true, true, true, &err));
 }
 

@@ -37,8 +37,9 @@ TEST(Builder, ProducesValidModule)
 {
     Module mod = buildAddMul();
     EXPECT_TRUE(verify(mod).ok());
-    const Function *fn = mod.function("addmul");
-    ASSERT_NE(fn, nullptr);
+    ASSERT_EQ(mod.functions.size(), 1u);
+    const Function *fn = &mod.functions[0];
+    EXPECT_EQ(fn->name, "addmul");
     EXPECT_EQ(fn->numParams, 2);
     EXPECT_EQ(fn->blocks.size(), 1u);
     EXPECT_EQ(fn->instCount(), 4u);
@@ -128,7 +129,7 @@ TEST(Verifier, CatchesEmptyBlockAndHugeAlloca)
     b.beginFunction("g", 0);
     int entry = b.makeBlock("entry");
     b.setInsertPoint(entry);
-    b.alloca(2 << 20); // over the limit
+    b.allocaOp(2 << 20); // over the limit
     b.retVoid();
     EXPECT_FALSE(verify(mod2).ok());
 }
@@ -361,8 +362,9 @@ entry:
     ASSERT_TRUE(parsed.ok) << parsed.error;
     auto v = verify(parsed.module);
     EXPECT_TRUE(v.ok()) << v.message();
-    const Function *f = parsed.module.function("f");
-    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(parsed.module.functions.size(), 2u);
+    const Function *f = &parsed.module.functions[0];
+    EXPECT_EQ(f->name, "f");
     EXPECT_EQ(f->blocks.size(), 3u);
     EXPECT_EQ(f->numRegs, 21);
 
